@@ -79,8 +79,6 @@ from .stepper import (
     PositivityViolation,
     StepperConfig,
     advance,
-    cfl_dt,
-    step,
 )
 
 __version__ = "0.1.0"
@@ -119,7 +117,6 @@ __all__ = [
     "advance",
     "apply_override",
     "build_grid",
-    "cfl_dt",
     "chemotaxis_divergence",
     "competition_index",
     "conserved_quantity",
@@ -147,6 +144,5 @@ __all__ = [
     "sample",
     "sign_law_check",
     "stabilization_constants",
-    "step",
     "weighted_gradient_energy",
 ]

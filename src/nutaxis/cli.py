@@ -9,6 +9,7 @@ solve), 3 verification-audit failure.  ``--threads`` falls back to the
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from typing import Optional
@@ -21,7 +22,7 @@ from .experiments import (
     run_scenario,
     run_sweep,
 )
-from .grid import build_grid
+from .grid import Geometry, build_grid
 from .model import ModelParams
 from .profiles import Gaussian, sample
 from .reduced import (
@@ -46,19 +47,19 @@ def _env_threads() -> int:
     return 1
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out-dir", default=".", help="artifact directory")
-    p.add_argument("--n-cells", type=int, default=None,
-                   help="override the grid resolution")
-    p.add_argument("--dt", type=float, default=None,
-                   help="override the base time step")
-    p.add_argument("--t-end", type=float, default=None,
-                   help="override the time horizon")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized property checks")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker processes for sweeps (default: "
-                        "NUTAXIS_THREADS or 1)")
+def _add_overrides(p: argparse.ArgumentParser) -> None:
+    """Scenario overrides, applied by :func:`_apply_overrides`."""
+    p.add_argument("--n-cells", type=int, help="override the grid resolution")
+    p.add_argument("--dt", type=float, help="override the base time step")
+    p.add_argument("--t-end", type=float, help="override the time horizon")
+
+
+def _apply_overrides(cfg, args: argparse.Namespace):
+    for path, value in (("geometry.n_cells", args.n_cells),
+                        ("stepper.dt", args.dt), ("t_end", args.t_end)):
+        if value is not None:
+            cfg = apply_override(cfg, path, value)
+    return cfg
 
 
 def _resolve_config(args: argparse.Namespace):
@@ -74,13 +75,7 @@ def _resolve_config(args: argparse.Namespace):
         cfg = preset(args.preset, args.variant)
     else:
         raise UnknownVariant("need a config file or --preset NAME --variant V")
-    if args.n_cells is not None:
-        cfg = apply_override(cfg, "geometry.n_cells", args.n_cells)
-    if args.dt is not None:
-        cfg = apply_override(cfg, "stepper.dt", args.dt)
-    if args.t_end is not None:
-        cfg = apply_override(cfg, "t_end", args.t_end)
-    return cfg
+    return _apply_overrides(cfg, args)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -102,15 +97,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .io import read_sweep_spec, write_sweep_table
 
     spec = read_sweep_spec(args.spec)
-    base = spec.base
-    if args.n_cells is not None:
-        base = apply_override(base, "geometry.n_cells", args.n_cells)
-    if args.dt is not None:
-        base = apply_override(base, "stepper.dt", args.dt)
-    if args.t_end is not None:
-        base = apply_override(base, "t_end", args.t_end)
-    if base is not spec.base:
-        spec = type(spec)(base=base, overrides=spec.overrides, mode=spec.mode)
+    spec = dataclasses.replace(spec, base=_apply_overrides(spec.base, args))
     threads = args.threads if args.threads is not None else _env_threads()
     os.makedirs(args.out_dir, exist_ok=True)
     rows = run_sweep(spec, processes=threads, out_dir=args.out_dir)
@@ -124,10 +111,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_ode(args: argparse.Namespace) -> int:
     params = ModelParams(D_u=1.0, D_w=1.0, chi=0.0, alpha=args.alpha,
                          beta=args.beta, gamma=args.gamma, delta=args.delta)
-    t_end = args.t_end if args.t_end is not None else 50.0
-    dt = args.dt if args.dt is not None else 1e-3
     s0 = OdeState(0.0, args.u0, args.v0, args.w0)
-    traj = ode_solve(s0, params, t_end, dt)
+    traj = ode_solve(s0, params, args.t_end, args.dt)
     q0 = conserved_quantity(s0, params)
     drift = max(abs(conserved_quantity(s, params) - q0) for s in traj)
     end = traj[-1]
@@ -142,10 +127,7 @@ def _cmd_ode(args: argparse.Namespace) -> int:
 
 
 def _cmd_heat(args: argparse.Namespace) -> int:
-    from .grid import Geometry
-
-    n = args.n_cells if args.n_cells is not None else 400
-    grid = build_grid(Geometry("interval", n))
+    grid = build_grid(Geometry("interval", args.n_cells))
     u0 = Gaussian(base=0.0, amp=1.0, rate=15.0, center=0.5)
     field = sample(u0, grid)
     c1 = jensen_gap(field, grid).c1
@@ -196,12 +178,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--preset", choices=["fig1_left", "fig1_right", "fig3"])
     p_run.add_argument("--variant", default=None,
                        help="e.g. sigma=60, l=14, d=3")
-    _add_common(p_run)
+    p_run.add_argument("--out-dir", default=".", help="artifact directory")
+    _add_overrides(p_run)
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a sweep spec, write a table")
     p_sweep.add_argument("spec", help="JSON sweep spec")
-    _add_common(p_sweep)
+    p_sweep.add_argument("--out-dir", default=".", help="artifact directory")
+    _add_overrides(p_sweep)
+    p_sweep.add_argument("--threads", type=int,
+                         help="worker processes (default: NUTAXIS_THREADS or 1)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_ode = sub.add_parser("ode", help="well-mixed reduction driver")
@@ -212,12 +198,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_ode.add_argument("--u0", type=float, required=True)
     p_ode.add_argument("--v0", type=float, required=True)
     p_ode.add_argument("--w0", type=float, required=True)
-    _add_common(p_ode)
+    p_ode.add_argument("--dt", type=float, default=1e-3, help="RK4 step")
+    p_ode.add_argument("--t-end", type=float, default=50.0, help="horizon")
     p_ode.set_defaults(func=_cmd_ode)
 
     p_heat = sub.add_parser("heat", help="heat comparison constants L and t0")
     p_heat.add_argument("--diffusion", type=float, default=1.0)
-    _add_common(p_heat)
+    p_heat.add_argument("--n-cells", type=int, default=400,
+                        help="grid resolution")
     p_heat.set_defaults(func=_cmd_heat)
 
     p_const = sub.add_parser("constants",
@@ -225,11 +213,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_const.add_argument("config", nargs="?", default=None)
     p_const.add_argument("--preset", choices=["fig1_left", "fig1_right", "fig3"])
     p_const.add_argument("--variant", default=None)
-    _add_common(p_const)
+    _add_overrides(p_const)
     p_const.set_defaults(func=_cmd_constants)
 
     p_verify = sub.add_parser("verify", help="run the oracle/invariant suite")
-    _add_common(p_verify)
+    p_verify.add_argument("--seed", type=int, default=0,
+                          help="seed for randomized property checks")
     p_verify.set_defaults(func=_cmd_verify)
 
     return parser

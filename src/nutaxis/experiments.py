@@ -157,8 +157,8 @@ def preset(name: str, variant) -> ScenarioConfig:
     fig1_right: unit interval, colonies at opposite walls, nutrient
                 l + (20-l)*gaussian with l in {1.4, 14, 20} (flat for l=20);
                 401 cells so the domain midpoint is an exact cell center.
-    fig3:       unit ball in dimension d in {1, 3}, strong taxis chi = 1000,
-                upwind flux and a halved CFL safety factor.
+    fig3:       unit ball in dimension d in {1, 3}, strong taxis chi = 1000
+                and a halved CFL safety factor.
     """
     if name not in _VARIANT_KEYS:
         raise UnknownVariant(
@@ -190,7 +190,7 @@ def preset(name: str, variant) -> ScenarioConfig:
         u0=bump, v0=bump,
         w0=Gaussian(base=0.0, amp=2.0, rate=15.0, center=0.0),
         t_end=1000.0,
-        stepper=StepperConfig(cfl_safety=0.25, flux="upwind"))
+        stepper=StepperConfig(cfl_safety=0.25))
 
 
 @dataclass(frozen=True)
@@ -319,31 +319,24 @@ def run_scenario(cfg: ScenarioConfig, backend: Optional[str] = None) -> RunResul
 # sweeps
 # ---------------------------------------------------------------------------
 
-def _resolve_path(obj: Any, path: str) -> None:
-    node = obj
-    for part in path.split("."):
-        if not hasattr(node, part):
+def _walk(cfg: ScenarioConfig, path: str) -> list[tuple[Any, str]]:
+    """``(node, attribute)`` pairs along a dotted path, root first."""
+    steps = []
+    node = cfg
+    for name in path.split("."):
+        if not hasattr(node, name):
             raise ValueError(f"override path {path!r} does not resolve "
-                             f"(no attribute {part!r})")
-        node = getattr(node, part)
+                             f"(no attribute {name!r})")
+        steps.append((node, name))
+        node = getattr(node, name)
+    return steps
 
 
 def apply_override(cfg: ScenarioConfig, path: str, value: Any) -> ScenarioConfig:
     """Return a copy of cfg with the dotted attribute path replaced."""
-    parts = path.split(".")
-
-    def rebuild(node: Any, idx: int) -> Any:
-        name = parts[idx]
-        if not hasattr(node, name):
-            raise ValueError(f"override path {path!r} does not resolve "
-                             f"(no attribute {name!r})")
-        if idx == len(parts) - 1:
-            child = value
-        else:
-            child = rebuild(getattr(node, name), idx + 1)
-        return replace(node, **{name: child})
-
-    return rebuild(cfg, 0)
+    for node, name in reversed(_walk(cfg, path)):
+        value = replace(node, **{name: value})
+    return value
 
 
 @dataclass(frozen=True)
@@ -364,7 +357,7 @@ class SweepSpec:
         for path, values in self.overrides:
             if not values:
                 raise ValueError(f"override {path!r} has no values")
-            _resolve_path(self.base, path)
+            _walk(self.base, path)
         if self.mode == "zip" and self.overrides:
             lengths = {len(v) for _, v in self.overrides}
             if len(lengths) != 1:

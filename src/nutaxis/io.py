@@ -22,9 +22,8 @@ Config schema (all keys shown; (*) optional)::
       "profiles": {"u0": P, "v0": P, "w0": P},
       "t_end": float,
       "output"*: {"t_first"*: float, "factor"*: float},
-      "stepper"*: {"dt"*, "dt_min"*, "cfl_safety"*, "positivity_floor"*,
-                   "max_retries"*, "scheme"*, "flux"*, "sink_dt_cap"*,
-                   "source_dt_cap"*, "w_snap_rel"*}
+      "stepper"*: {"dt"*, "dt_min"*, "cfl_safety"*, "max_retries"*,
+                   "scheme"*}
     }
 
 with profile P one of ``{"type": "constant", "value": float}``,
@@ -167,8 +166,7 @@ def _geometry_to_dict(g: Geometry) -> dict:
 
 
 _PARAM_KEYS = ["D_u", "D_w", "chi", "alpha", "beta", "gamma", "delta"]
-_STEPPER_NUMBERS = ["dt", "dt_min", "cfl_safety", "positivity_floor",
-                    "sink_dt_cap", "source_dt_cap", "w_snap_rel"]
+_STEPPER_NUMBERS = ["dt", "dt_min", "cfl_safety"]
 
 
 def _params_from_dict(d: Mapping, path: str) -> ModelParams:
@@ -183,13 +181,12 @@ def _params_from_dict(d: Mapping, path: str) -> ModelParams:
 
 
 def _stepper_from_dict(d: Mapping, path: str) -> StepperConfig:
-    _check_keys(d, path, [], _STEPPER_NUMBERS + ["max_retries", "scheme", "flux"])
+    _check_keys(d, path, [], _STEPPER_NUMBERS + ["max_retries", "scheme"])
     kw: dict[str, Any] = {k: _number(d, k, path) for k in _STEPPER_NUMBERS if k in d}
     if "max_retries" in d:
         kw["max_retries"] = _integer(d, "max_retries", path)
-    for k in ("scheme", "flux"):
-        if k in d:
-            kw[k] = _string(d, k, path)
+    if "scheme" in d:
+        kw["scheme"] = _string(d, "scheme", path)
     try:
         return StepperConfig(**kw)
     except ValueError as exc:

@@ -7,8 +7,11 @@ The same segment-advance algorithm exists twice:
   path: one call integrates a whole output interval (potentially millions of
   steps) without touching the interpreter.
 * ``segment_numpy`` — vectorized numpy/scipy implementation of the identical
-  algorithm (tridiagonal solves via ``scipy.linalg.solve_banded``).  Fallback
-  and readable reference.
+  algorithm (tridiagonal solves via ``scipy.linalg.solve_banded``, taxis via
+  :func:`nutaxis.operators.taxis_flux`).  Fallback and readable reference.
+
+These are the only place a step is taken; :func:`nutaxis.stepper.advance`
+drives them one output interval at a time.
 
 Backend selection: env var ``NUTAXIS_NUMBA`` — ``"0"`` forces numpy,
 ``"1"`` requires numba, unset/anything else prefers numba when available.
@@ -16,23 +19,25 @@ Each backend is bitwise deterministic run-to-run (single-threaded, no
 fastmath); the two backends agree to roundoff (~1e-12 relative), not bitwise,
 because LAPACK and the in-kernel Thomas sweep round differently.
 
-Segment algorithm (both backends, shared with the reference ``step``):
+Segment algorithm (both backends):
   repeat until the remaining gap is exhausted:
     1. extrapolants u* = max(2u - u_prev, 0), v* = 2v - v_prev
        (u* clamped so the nutrient sink stays nonnegative; plain (u, v) when
        no valid two-step history exists),
     2. step-size caps: chemotaxis CFL cfl_safety*h/max|chi grad w|;
-       sink cap sink_dt_cap/max(beta f(u*) + gamma v*) over cells with w > 0
+       sink cap SINK_DT_CAP/max(beta f(u*) + gamma v*) over cells with w > 0
        (keeps the implicit two-step decay in its over-damped regime);
-       source cap source_dt_cap/(max(delta, alpha) * max w),
+       source cap SOURCE_DT_CAP/(max(delta, alpha) * max w),
     3. integerize dt so the segment lands exactly on its end time; any dt
        change rebuilds the two-step history with one backward-Euler step,
     4. implicit w solve with frozen extrapolated sink, rejection if
-       w < -w_snap, then snap-to-zero of entries below w_snap,
+       w < -w_snap, then snap-to-zero of entries below w_snap (W_SNAP_REL
+       times the run's initial max w),
     5. exact multiplicative v update with trapezoidal w average,
-    6. implicit-diffusion u solve with explicit taxis + growth terms,
-       rejection if u <= u_floor,
-    7. on rejection: halve dt and retry (up to max_retries, not below dt_min).
+    6. implicit-diffusion u solve with explicit upwind taxis + growth terms,
+       rejection if u <= U_FLOOR,
+    7. on rejection: halve dt and retry (up to max_retries, not below dt_min);
+       dt may grow back (step 3) only after the next accepted step.
 
 Status codes returned: 0 ok, 1 u-positivity failure, 2 w-positivity failure,
 3 singular tridiagonal solve.
@@ -43,6 +48,9 @@ import math
 import os
 
 import numpy as np
+
+from .model import f_eps
+from .operators import taxis_flux
 
 try:  # pragma: no cover - exercised implicitly by backend tests
     import numba
@@ -58,6 +66,7 @@ __all__ = [
     "get_segment_runner",
     "segment_numpy",
     "segment_loops",
+    "solve_tridiag",
 ]
 
 STATUS_OK = 0
@@ -66,6 +75,12 @@ STATUS_W_POSITIVITY = 2
 STATUS_SINGULAR = 3
 
 _GROWTH_FACTOR = 2.0  # dt may grow only when the caps allow at least 2x
+U_FLOOR = 1e-14  # a step with some u+ <= U_FLOOR is rejected
+# bound on dt * max(nutrient sink rate); 0.45 keeps the two-step decay
+# over-damped (real roots need dt * rate <= 0.5)
+SINK_DT_CAP = 0.45
+SOURCE_DT_CAP = 0.45  # bound on dt * max(delta, alpha) * max w
+W_SNAP_REL = 1e-250  # snap-to-zero floor for w, relative to the initial max
 
 
 def backend_choice() -> str:
@@ -84,11 +99,10 @@ def backend_choice() -> str:
 # single-source loop implementation (njit-compiled when numba is present)
 # ---------------------------------------------------------------------------
 
-def _segment_loops_impl(u, v, w, hu, hv, hw, hnu, hmeta, rem,
-                        m, cl, cr, af, h,
-                        D_u, D_w, chi, alpha, beta, gamma, delta, eps,
-                        dt_base, dt_min, cfl_safety, u_floor, max_retries,
-                        sink_cap, source_cap, scheme2, upwind):
+def segment_loops(u, v, w, hu, hv, hw, hnu, hmeta, rem,
+                  m, cl, cr, af, h,
+                  D_u, D_w, chi, alpha, beta, gamma, delta, eps,
+                  dt_base, dt_min, cfl_safety, max_retries, scheme2):
     n = u.shape[0]
     # work arrays
     us = np.empty(n)
@@ -164,7 +178,7 @@ def _segment_loops_impl(u, v, w, hu, hv, hw, hnu, hmeta, rem,
             if w[i] > 0.0 and s > smax:
                 smax = s
         if smax > 0.0:
-            c = sink_cap / smax
+            c = SINK_DT_CAP / smax
             if c < cap:
                 cap = c
         wmax = 0.0
@@ -173,7 +187,7 @@ def _segment_loops_impl(u, v, w, hu, hv, hw, hnu, hmeta, rem,
                 wmax = w[i]
         rmax = delta if delta > alpha else alpha
         if rmax * wmax > 0.0:
-            c = source_cap / (rmax * wmax)
+            c = SOURCE_DT_CAP / (rmax * wmax)
             if c < cap:
                 cap = c
 
@@ -185,7 +199,8 @@ def _segment_loops_impl(u, v, w, hu, hv, hw, hnu, hmeta, rem,
             rem = k * dt
             dt_cand = cap
             new_schedule = True
-        elif cap >= _GROWTH_FACTOR * dt and dt < dt_base and k > 1:
+        elif (cap >= _GROWTH_FACTOR * dt and dt < dt_base and k > 1
+              and retries == 0):
             rem = k * dt
             dt_cand = _GROWTH_FACTOR * dt
             if dt_cand > cap:
@@ -202,15 +217,10 @@ def _segment_loops_impl(u, v, w, hu, hv, hw, hnu, hmeta, rem,
                 rebuild_pending = True
             dt = dt_new
             k = nsteps
-        if rebuild_pending or not hvalid or hdt != dt:
-            sbdf2 = False
-        else:
-            sbdf2 = scheme2 == 1
+        sbdf2 = scheme2 == 1 and hvalid and not rebuild_pending and hdt == dt
         if not sbdf2 and two_step:
-            # the extrapolants/sink must match the scheme actually used
+            # the sink must match the scheme actually used
             for i in range(n):
-                us[i] = u[i]
-                vs[i] = v[i]
                 if eps == 0.0:
                     fu = u[i]
                 else:
@@ -272,26 +282,18 @@ def _segment_loops_impl(u, v, w, hu, hv, hw, hnu, hmeta, rem,
             for i in range(n):
                 vn[i] = v[i] * math.exp(alpha * dt * 0.5 * (w[i] + wn[i]))
 
-            # ---- explicit terms for u at the current level
+            # ---- explicit terms for u at the current level (upwind taxis)
             for j in range(1, n):
                 gw = chi * (w[j] - w[j - 1]) / h
-                if upwind == 1:
-                    if gw > 0.0:
-                        ud = u[j - 1]
-                    else:
-                        ud = u[j]
-                    if eps == 0.0:
-                        mo = ud
-                    else:
-                        q = 1.0 + eps * ud
-                        mo = ud / (q * q)
+                if gw > 0.0:
+                    ud = u[j - 1]
                 else:
-                    if eps == 0.0:
-                        mo = 0.5 * (u[j - 1] + u[j])
-                    else:
-                        qa = 1.0 + eps * u[j - 1]
-                        qb = 1.0 + eps * u[j]
-                        mo = 0.5 * (u[j - 1] / (qa * qa) + u[j] / (qb * qb))
+                    ud = u[j]
+                if eps == 0.0:
+                    mo = ud
+                else:
+                    q = 1.0 + eps * ud
+                    mo = ud / (q * q)
                 gflux[j] = af[j] * gw * mo
             for i in range(n):
                 if eps == 0.0:
@@ -334,7 +336,7 @@ def _segment_loops_impl(u, v, w, hu, hv, hw, hnu, hmeta, rem,
                 un[i] = dp[i] - cp[i] * un[i + 1]
 
             for i in range(n):
-                if un[i] <= u_floor:
+                if un[i] <= U_FLOOR:
                     reject = True
                     bad_cell = i
                     break
@@ -382,23 +384,24 @@ def _segment_loops_impl(u, v, w, hu, hv, hw, hnu, hmeta, rem,
 
     hmeta[0] = hdt
     hmeta[1] = 1.0 if hvalid else 0.0
-    hmeta[2] = w_snap
     return status, info_cell, accepted, rejected, rebuilds, min_dt
 
 
-segment_loops = _segment_loops_impl  # python-callable reference (slow)
-
-if NUMBA_AVAILABLE:  # pragma: no branch
-    _segment_numba = numba.njit(cache=True, fastmath=False)(_segment_loops_impl)
-else:  # pragma: no cover
-    _segment_numba = None
+# segment_loops itself stays python-callable (slow) as a reference
+_segment_numba = (numba.njit(cache=True, fastmath=False)(segment_loops)
+                  if NUMBA_AVAILABLE else None)
 
 
 # ---------------------------------------------------------------------------
 # vectorized numpy/scipy fallback (identical algorithm)
 # ---------------------------------------------------------------------------
 
-def _solve_tridiag_np(cl, cr, diag, rhs, D):
+def solve_tridiag(cl, cr, diag, rhs, D):
+    """Solve the tridiagonal system with rows ``-D*cl[i], diag[i], -D*cr[i]``.
+
+    ``cl`` and ``cr`` are the face couplings from
+    :func:`nutaxis.stepper.grid_coefficients`.
+    """
     from scipy.linalg import solve_banded
 
     n = diag.shape[0]
@@ -409,10 +412,9 @@ def _solve_tridiag_np(cl, cr, diag, rhs, D):
     return solve_banded((1, 1), ab, rhs, check_finite=False)
 
 
-def attempt_step_numpy(u, v, w, hu, hw, hnu, us, vs, sink, sbdf2, dt,
+def attempt_step_numpy(u, v, w, hu, hw, hnu, sink, sbdf2, dt,
                        m, cl, cr, af, h,
-                       D_u, D_w, chi, alpha, delta, eps,
-                       u_floor, w_snap, upwind):
+                       D_u, D_w, chi, alpha, delta, eps, w_snap):
     """One step attempt (no retries).
 
     Returns ``(status, bad_cell, un, vn, wn, nn)`` where status is one of the
@@ -420,9 +422,6 @@ def attempt_step_numpy(u, v, w, hu, hw, hnu, us, vs, sink, sbdf2, dt,
     (to be stored as history for the next two-step stage).  Inputs are not
     modified.
     """
-    from .model import f_eps, f_eps_prime
-
-    n = u.shape[0]
     if sbdf2:
         c0 = 3.0 / (2.0 * dt)
         rhs_w = (4.0 * w - hw) / (2.0 * dt)
@@ -431,7 +430,7 @@ def attempt_step_numpy(u, v, w, hu, hw, hnu, us, vs, sink, sbdf2, dt,
         rhs_w = w * c0
     diag_w = c0 + sink + D_w * (cl + cr)
     try:
-        wn = _solve_tridiag_np(cl, cr, diag_w, rhs_w, D_w)
+        wn = solve_tridiag(cl, cr, diag_w, rhs_w, D_w)
     except Exception:
         return STATUS_SINGULAR, -1, None, None, None, None
 
@@ -440,14 +439,7 @@ def attempt_step_numpy(u, v, w, hu, hw, hnu, us, vs, sink, sbdf2, dt,
     wn = np.where(wn < w_snap, 0.0, wn)
     vn = v * np.exp(alpha * dt * 0.5 * (w + wn))
 
-    gw = chi * np.diff(w) / h
-    mob = u * f_eps_prime(u, eps)
-    if upwind == 1:
-        mob_face = np.where(gw > 0.0, mob[:-1], mob[1:])
-    else:
-        mob_face = 0.5 * (mob[:-1] + mob[1:])
-    gflux = np.zeros(n + 1)
-    gflux[1:-1] = af[1:-1] * gw * mob_face
+    gflux = taxis_flux(u, w, af, h, chi, eps)
     nn = -np.diff(gflux) / m + delta * f_eps(u, eps) * w
 
     if sbdf2:
@@ -456,22 +448,19 @@ def attempt_step_numpy(u, v, w, hu, hw, hnu, us, vs, sink, sbdf2, dt,
         rhs_u = u * c0 + nn
     diag_u = c0 + D_u * (cl + cr)
     try:
-        un = _solve_tridiag_np(cl, cr, diag_u, rhs_u, D_u)
+        un = solve_tridiag(cl, cr, diag_u, rhs_u, D_u)
     except Exception:
         return STATUS_SINGULAR, -1, None, None, None, None
-    if un.min() <= u_floor:
-        return STATUS_U_POSITIVITY, int(np.argmax(un <= u_floor)), None, None, None, None
+    if un.min() <= U_FLOOR:
+        return STATUS_U_POSITIVITY, int(np.argmax(un <= U_FLOOR)), None, None, None, None
     return STATUS_OK, -1, un, vn, wn, nn
 
 
 def segment_numpy(u, v, w, hu, hv, hw, hnu, hmeta, rem,
                   m, cl, cr, af, h,
                   D_u, D_w, chi, alpha, beta, gamma, delta, eps,
-                  dt_base, dt_min, cfl_safety, u_floor, max_retries,
-                  sink_cap, source_cap, scheme2, upwind):
+                  dt_base, dt_min, cfl_safety, max_retries, scheme2):
     """Vectorized twin of :func:`segment_loops`; see module docstring."""
-    from .model import f_eps
-
     hdt = hmeta[0]
     hvalid = hmeta[1] > 0.5
     w_snap = hmeta[2]
@@ -506,18 +495,19 @@ def segment_numpy(u, v, w, hu, hv, hw, hnu, hmeta, rem,
         if pos.any():
             smax = float(sink[pos].max())
             if smax > 0.0:
-                cap = min(cap, sink_cap / smax)
+                cap = min(cap, SINK_DT_CAP / smax)
         wmax = float(w.max())
         rmax = max(delta, alpha)
         if rmax * wmax > 0.0:
-            cap = min(cap, source_cap / (rmax * wmax))
+            cap = min(cap, SOURCE_DT_CAP / (rmax * wmax))
 
         if k == 0:
             dt_cand, new_schedule = cap, True
         elif cap < dt:
             rem = k * dt
             dt_cand, new_schedule = cap, True
-        elif cap >= _GROWTH_FACTOR * dt and dt < dt_base and k > 1:
+        elif (cap >= _GROWTH_FACTOR * dt and dt < dt_base and k > 1
+              and retries == 0):
             rem = k * dt
             dt_cand, new_schedule = min(_GROWTH_FACTOR * dt, cap), True
         else:
@@ -530,24 +520,20 @@ def segment_numpy(u, v, w, hu, hv, hw, hnu, hmeta, rem,
             dt, k = dt_new, nsteps
         sbdf2 = (scheme2 == 1) and hvalid and not rebuild_pending and hdt == dt
         if not sbdf2 and two_step:
-            us, vs = u, v
             sink = beta * f_eps(u, eps) + gamma * v
 
         status_step, bad_cell, un, vn, wn, nn = attempt_step_numpy(
-            u, v, w, hu, hw, hnu, us, vs, sink, sbdf2, dt,
-            m, cl, cr, af, h, D_u, D_w, chi, alpha, delta, eps,
-            u_floor, w_snap, upwind)
+            u, v, w, hu, hw, hnu, sink, sbdf2, dt,
+            m, cl, cr, af, h, D_u, D_w, chi, alpha, delta, eps, w_snap)
         if status_step == STATUS_SINGULAR:
             status, info_cell = STATUS_SINGULAR, bad_cell
             break
-        reject = status_step != STATUS_OK
-        w_status = status_step
 
-        if reject:
+        if status_step != STATUS_OK:
             rejected += 1
             retries += 1
             if retries > max_retries or 0.5 * dt < dt_min:
-                status, info_cell = w_status, bad_cell
+                status, info_cell = status_step, bad_cell
                 break
             rem = k * dt
             nsteps = max(int(math.ceil(rem / (0.5 * dt) - 1e-12)), 1)
@@ -578,7 +564,6 @@ def segment_numpy(u, v, w, hu, hv, hw, hnu, hmeta, rem,
 
     hmeta[0] = hdt
     hmeta[1] = 1.0 if hvalid else 0.0
-    hmeta[2] = w_snap
     return status, info_cell, accepted, rejected, rebuilds, min_dt
 
 

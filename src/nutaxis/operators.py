@@ -24,6 +24,7 @@ __all__ = [
     "WeightFloorError",
     "face_gradient",
     "laplacian_neumann",
+    "taxis_flux",
     "chemotaxis_divergence",
     "integrate",
     "weighted_gradient_energy",
@@ -56,27 +57,39 @@ def laplacian_neumann(f: np.ndarray, grid: Grid) -> np.ndarray:
     return np.diff(flux) / grid.m
 
 
+def taxis_flux(u: np.ndarray, w: np.ndarray, face_areas: np.ndarray,
+               h: float, chi: float, eps: float = 0.0,
+               mode: str = "upwind") -> np.ndarray:
+    """Taxis fluxes ``a * chi*(w_{i+1}-w_i)/h * mobility`` on the n + 1 faces.
+
+    The mobility ``u * f_eps_prime(u, eps)`` is taken from the donor cell
+    (``mode="upwind"``, positivity-preserving under a CFL bound) or from the
+    arithmetic face mean (``mode="central"``, second-order; used by
+    convergence studies).  Boundary faces carry no flux.  The operations
+    run in the loop kernel's order (``chi*dw/h``, then ``a*g*mobility``).
+    """
+    gw = chi * np.diff(w) / h
+    mob = u * f_eps_prime(u, eps)
+    if mode == "upwind":
+        mob_face = np.where(gw > 0.0, mob[:-1], mob[1:])
+    elif mode == "central":
+        mob_face = 0.5 * (mob[:-1] + mob[1:])
+    else:
+        raise ValueError(f"unknown flux mode {mode!r}")
+    flux = np.zeros(u.shape[0] + 1)
+    flux[1:-1] = face_areas[1:-1] * gw * mob_face
+    return flux
+
+
 def chemotaxis_divergence(u: np.ndarray, w: np.ndarray, grid: Grid,
                           chi: float, eps: float = 0.0,
                           mode: str = "upwind") -> np.ndarray:
     """Finite-volume form of ``-div(chi * u * F'(u) * grad w)``.
 
-    The face flux is ``chi * (w_{i+1}-w_i)/h`` times the mobility
-    ``u * f_eps_prime(u, eps)`` taken from the donor cell (``mode="upwind"``,
-    positivity-preserving under a CFL bound) or from the arithmetic face mean
-    (``mode="central"``, second-order; used by convergence studies).
-    Boundary faces carry no flux, so the result is discretely conservative.
+    Differences the fluxes of :func:`taxis_flux`; since boundary faces carry
+    no flux, the result is discretely conservative.
     """
-    if mode not in ("upwind", "central"):
-        raise ValueError(f"unknown flux mode {mode!r}")
-    gw = np.diff(w) / grid.h
-    mob = u * f_eps_prime(u, eps)
-    if mode == "upwind":
-        mob_face = np.where(gw > 0.0, mob[:-1], mob[1:])
-    else:
-        mob_face = 0.5 * (mob[:-1] + mob[1:])
-    flux = np.zeros(grid.n + 1)
-    flux[1:-1] = grid.face_areas[1:-1] * (chi * gw * mob_face)
+    flux = taxis_flux(u, w, grid.face_areas, grid.h, chi, eps, mode)
     return -np.diff(flux) / grid.m
 
 

@@ -24,6 +24,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .diagnostics import NonpositiveField
+from .experiments import OutputSchedule, output_times
 from .grid import Grid
 from .model import ModelParams
 from .operators import integrate
@@ -186,7 +187,11 @@ def heat_solve(u0: Union[Profile, np.ndarray], D: float, grid: Grid,
     Reuses the full integrator with taxis and all reactions off.  The mean is
     the discrete volume average of the initial data (mass is conserved).
     Observation times are t = 0, then t_first*factor^k, then t_end.
+
+    Raises:
+        ValueError: unless t_first > 0 and factor > 1.
     """
+    ts = output_times(OutputSchedule(t_first, factor), t_end)
     arr = sample(u0, grid) if not isinstance(u0, np.ndarray) else np.asarray(
         u0, dtype=np.float64).copy()
     if arr.min() <= 0.0:
@@ -195,13 +200,6 @@ def heat_solve(u0: Union[Profile, np.ndarray], D: float, grid: Grid,
                          gamma=0.0, delta=0.0)
     cfg = StepperConfig(dt=dt)
     state = State(t=0.0, u=arr.copy(), v=np.ones_like(arr), w=np.zeros_like(arr))
-
-    ts: list[float] = []
-    t = t_first
-    while t < t_end:
-        ts.append(t)
-        t *= factor
-    ts.append(t_end)
 
     mean = float(integrate(arr, grid) / grid.volume)
     times = [0.0]

@@ -13,19 +13,20 @@ Scheme (SBDF2): (3 y+ - 4 y + y-) / (2 dt) = A y+ + 2 N(y) - N(y-), with
 The first step of a run, and the first step after any dt change, is a
 backward-Euler (SBDF1) rebuild; dt is otherwise constant between changes.
 Positivity failures reject the step and halve dt (bounded by max_retries and
-dt_min).  Step-size caps and the snap-to-zero of the decaying nutrient are
-documented in :mod:`nutaxis.kernels`.
+dt_min).  Step-size caps, the rejection floor and the snap-to-zero of the
+decaying nutrient are documented in :mod:`nutaxis.kernels`, which takes
+every step.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from . import kernels
 from .grid import Grid
-from .model import ModelParams, f_eps
+from .model import ModelParams
 from .profiles import State
 
 __all__ = [
@@ -35,8 +36,7 @@ __all__ = [
     "AdvanceResult",
     "PositivityViolation",
     "LinearSolveFailure",
-    "cfl_dt",
-    "step",
+    "grid_coefficients",
     "advance",
 ]
 
@@ -64,27 +64,15 @@ class StepperConfig:
         dt: base (largest allowed) time step.
         dt_min: smallest step the rejection loop may fall to.
         cfl_safety: safety factor in (0, 1] for the chemotaxis CFL cap.
-        positivity_floor: u-rejection threshold (u+ <= floor rejects).
         max_retries: rejection halvings allowed per step.
         scheme: "sbdf2" (default) or "sbdf1" (first-order throughout).
-        flux: "upwind" (positivity-preserving) or "central" (second-order,
-            for convergence studies).
-        sink_dt_cap: bound on dt * max(nutrient sink rate); 0.45 keeps the
-            two-step decay over-damped (real roots need dt * rate <= 0.5).
-        source_dt_cap: bound on dt * max(delta, alpha) * max w.
-        w_snap_rel: snap-to-zero floor for w, relative to the initial max.
     """
 
     dt: float = 0.25
     dt_min: float = 1e-12
     cfl_safety: float = 0.5
-    positivity_floor: float = 1e-14
     max_retries: int = 12
     scheme: str = "sbdf2"
-    flux: str = "upwind"
-    sink_dt_cap: float = 0.45
-    source_dt_cap: float = 0.45
-    w_snap_rel: float = 1e-250
 
     def __post_init__(self) -> None:
         if not (0.0 < self.dt_min <= self.dt):
@@ -93,8 +81,6 @@ class StepperConfig:
             raise ValueError(f"cfl_safety must be in (0, 1], got {self.cfl_safety}")
         if self.scheme not in ("sbdf2", "sbdf1"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.flux not in ("upwind", "central"):
-            raise ValueError(f"unknown flux {self.flux!r}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
 
@@ -151,8 +137,13 @@ class AdvanceResult:
     stats: AdvanceStats
 
 
-def _grid_pack(grid: Grid):
-    """Per-grid coupling coefficients for the implicit operators."""
+def grid_coefficients(grid: Grid):
+    """Per-grid coefficients ``(m, cl, cr, af, h)`` of the stepping kernels.
+
+    Cell measures, the left and right face couplings of the implicit
+    operators (see :func:`nutaxis.kernels.solve_tridiag`), face areas and
+    the spacing.
+    """
     n = grid.n
     af = grid.face_areas
     cl = np.zeros(n)
@@ -160,68 +151,6 @@ def _grid_pack(grid: Grid):
     cl[1:] = af[1:-1] / (grid.h * grid.m[1:])
     cr[:-1] = af[1:-1] / (grid.h * grid.m[:-1])
     return grid.m, cl, cr, af, grid.h
-
-
-def cfl_dt(state: State, params: ModelParams, grid: Grid,
-           cfg: StepperConfig) -> float:
-    """Chemotaxis CFL cap: cfl_safety * h / max_faces(chi |grad w|).
-
-    The mobility derivative bound f_eps' <= 1 is used, so the cap is valid
-    for every eps.  Returns cfg.dt when there is no advection limit.
-    """
-    if params.chi <= 0.0 or grid.n < 2:
-        return cfg.dt
-    gmax = params.chi * float(np.max(np.abs(np.diff(state.w)))) / grid.h
-    if gmax <= 0.0:
-        return cfg.dt
-    return min(cfg.dt, cfg.cfl_safety * grid.h / gmax)
-
-
-def step(state: State, history: Optional[History], params: ModelParams,
-         grid: Grid, cfg: StepperConfig) -> tuple[State, History]:
-    """One accepted step of size cfg.dt (SBDF2, or SBDF1 when rebuilding).
-
-    The reference single-step entry point: applies no step-size caps, only
-    the positivity rejection loop (halving dt up to max_retries, not below
-    dt_min).  ``history=None`` or a dt mismatch triggers a backward-Euler
-    rebuild.  Returns the new state and the updated history.
-
-    Raises:
-        PositivityViolation: if halving cannot restore positivity.
-        LinearSolveFailure: if a tridiagonal system is singular (internal).
-    """
-    n = grid.n
-    if history is None:
-        history = History.fresh(n)
-        history.w_snap = cfg.w_snap_rel * float(np.max(state.w, initial=0.0))
-    m, cl, cr, af, h = _grid_pack(grid)
-    upwind = 1 if cfg.flux == "upwind" else 0
-    dt = cfg.dt
-    retries = 0
-    while True:
-        sbdf2 = (cfg.scheme == "sbdf2") and history.valid and history.dt == dt
-        if sbdf2:
-            us = np.maximum(2.0 * state.u - history.u, 0.0)
-            vs = 2.0 * state.v - history.v
-        else:
-            us, vs = state.u, state.v
-        sink = params.beta * f_eps(us, params.eps_reg) + params.gamma * vs
-        status, cell, un, vn, wn, nn = kernels.attempt_step_numpy(
-            state.u, state.v, state.w, history.u, history.w, history.n_u,
-            us, vs, sink, sbdf2, dt, m, cl, cr, af, h,
-            params.D_u, params.D_w, params.chi, params.alpha, params.delta,
-            params.eps_reg, cfg.positivity_floor, history.w_snap, upwind)
-        if status == kernels.STATUS_OK:
-            new_hist = History(state.u.copy(), state.v.copy(), state.w.copy(),
-                               nn, dt, True, history.w_snap)
-            return State(state.t + dt, un, vn, wn), new_hist
-        if status == kernels.STATUS_SINGULAR:
-            raise LinearSolveFailure(f"singular tridiagonal system at t = {state.t:.6g}")
-        retries += 1
-        if retries > cfg.max_retries or 0.5 * dt < cfg.dt_min:
-            fieldname = "u" if status == kernels.STATUS_U_POSITIVITY else "w"
-            raise PositivityViolation(fieldname, cell, state.t)
-        dt *= 0.5
 
 
 def advance(state: State, grid: Grid, params: ModelParams, cfg: StepperConfig,
@@ -248,7 +177,7 @@ def advance(state: State, grid: Grid, params: ModelParams, cfg: StepperConfig,
     stats = AdvanceStats(backend=name)
     if history is None:
         history = History.fresh(grid.n)
-        history.w_snap = cfg.w_snap_rel * float(np.max(state.w, initial=0.0))
+        history.w_snap = kernels.W_SNAP_REL * float(np.max(state.w, initial=0.0))
     if t_end == state.t:
         return AdvanceResult(state, history, stats)
 
@@ -261,9 +190,8 @@ def advance(state: State, grid: Grid, params: ModelParams, cfg: StepperConfig,
             raise ValueError("observe times must be sorted")
     full = targets + ([t_end] if (not targets or targets[-1] < t_end) else [])
 
-    m, cl, cr, af, h = _grid_pack(grid)
+    m, cl, cr, af, h = grid_coefficients(grid)
     hmeta = np.array([history.dt, 1.0 if history.valid else 0.0, history.w_snap])
-    upwind = 1 if cfg.flux == "upwind" else 0
     scheme2 = 1 if cfg.scheme == "sbdf2" else 0
 
     for tt in full:
@@ -275,9 +203,7 @@ def advance(state: State, grid: Grid, params: ModelParams, cfg: StepperConfig,
                 m, cl, cr, af, h,
                 params.D_u, params.D_w, params.chi, params.alpha, params.beta,
                 params.gamma, params.delta, params.eps_reg,
-                cfg.dt, cfg.dt_min, cfg.cfl_safety, cfg.positivity_floor,
-                cfg.max_retries, cfg.sink_dt_cap, cfg.source_dt_cap,
-                scheme2, upwind)
+                cfg.dt, cfg.dt_min, cfg.cfl_safety, cfg.max_retries, scheme2)
             stats.merge(int(acc), int(rej), int(reb), float(mdt))
             if status != kernels.STATUS_OK:
                 t_fail = state.t  # segment start; exact failure t is interior
@@ -292,5 +218,4 @@ def advance(state: State, grid: Grid, params: ModelParams, cfg: StepperConfig,
 
     history.dt = float(hmeta[0])
     history.valid = hmeta[1] > 0.5
-    history.w_snap = float(hmeta[2])
     return AdvanceResult(state, history, stats)

@@ -29,12 +29,12 @@ import numpy as np
 from .diagnostics import dissipation
 from .experiments import ScenarioConfig, apply_override, preset
 from .grid import Geometry, Grid, build_grid
-from .kernels import _solve_tridiag_np
+from .kernels import solve_tridiag
 from .model import ModelParams
 from .operators import chemotaxis_divergence, integrate
 from .profiles import State, init_state
 from .reduced import OdeState, jensen_gap, ode_solve, sign_law_check
-from .stepper import StepperConfig, _grid_pack, advance
+from .stepper import StepperConfig, advance, grid_coefficients
 
 __all__ = [
     "ConvergenceReport",
@@ -123,7 +123,7 @@ def transport_error(n: int, dt: float = 1e-4, t_end: float = 0.1,
     """
     grid = build_grid(Geometry("interval", n))
     x = grid.centers
-    m, cl, cr, af, h = _grid_pack(grid)
+    m, cl, cr, af, h = grid_coefficients(grid)
     w_lin = x.copy()
 
     def exact(t: float) -> np.ndarray:
@@ -143,7 +143,7 @@ def transport_error(n: int, dt: float = 1e-4, t_end: float = 0.1,
             c0 = 3.0 / (2.0 * dt)
             rhs = (4.0 * u - u_prev) / (2.0 * dt) + 2.0 * taxis - n_prev
         diag = c0 + D * (cl + cr)
-        un = _solve_tridiag_np(cl, cr, diag, rhs, D)
+        un = solve_tridiag(cl, cr, diag, rhs, D)
         u_prev, n_prev, u = u, taxis, un
     reference = exact(t_end * 1.0) if u0 is None else np.zeros(n)
     return float(np.max(np.abs(u - reference)))

@@ -139,6 +139,20 @@ def test_verify_exit_codes(monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n-cells", "10"],
+    ["verify", "--out-dir", "x"],
+    ["run", "--preset", "fig1_left", "--variant", "sigma=60", "--seed", "1"],
+    ["run", "--preset", "fig1_left", "--variant", "sigma=60", "--threads", "2"],
+    ["heat", "--dt", "0.1"],
+    ["ode", "--delta", "1", "--alpha", "2", "--beta", "1", "--gamma", "1",
+     "--u0", "1", "--v0", "1", "--w0", "1", "--n-cells", "10"],
+])
+def test_options_a_subcommand_does_not_read_exit_one(argv, capsys):
+    assert main(argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_env_threads(monkeypatch):
     monkeypatch.delenv("NUTAXIS_THREADS", raising=False)
     assert _env_threads() == 1

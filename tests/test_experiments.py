@@ -67,7 +67,7 @@ def test_preset_fig3_shape():
     cfg = preset("fig3", "d=3")
     assert cfg.geometry.kind == "radial" and cfg.geometry.d == 3
     assert cfg.params.chi == 1000.0
-    assert cfg.stepper.cfl_safety == 0.25 and cfg.stepper.flux == "upwind"
+    assert cfg.stepper.cfl_safety == 0.25
     grid = build_grid(cfg.geometry)
     assert grid.volume == pytest.approx(4.0 * np.pi / 3.0, rel=1e-12)
 

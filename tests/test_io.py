@@ -87,6 +87,16 @@ def test_config_errors_carry_the_offending_path(mutate, needle):
     assert needle in str(err.value)
 
 
+@pytest.mark.parametrize("key", ["flux", "positivity_floor", "sink_dt_cap",
+                                 "source_dt_cap", "w_snap_rel"])
+def test_retired_stepper_keys_are_rejected(key):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["stepper"] = {key: "upwind" if key == "flux" else 0.45}
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(doc)
+    assert key in str(err.value)
+
+
 def test_records_round_trip_exact(tmp_path):
     values = [math.pi, 1e-250, -1.0 / 3.0, 6.02214076e23, 0.1, 1e308,
               4.9406564584124654e-324, 2.0, -0.0, 1.25e-3, 7.0, 1.0, 0.0, 3.0]

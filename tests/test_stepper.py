@@ -13,12 +13,10 @@ from nutaxis import (
     StepperConfig,
     advance,
     build_grid,
-    cfl_dt,
     init_state,
     integrate,
-    step,
 )
-from nutaxis.kernels import NUMBA_AVAILABLE
+from nutaxis import kernels
 
 HEAT = ModelParams(D_u=1.0, D_w=1.0, chi=0.0, alpha=0.0, beta=0.0,
                    gamma=0.0, delta=0.0)
@@ -32,34 +30,55 @@ def _bump_state(grid, w0=60.0):
     return state
 
 
+def _loop_backend(monkeypatch):
+    """Backend name of the loop kernel; it runs uncompiled without numba."""
+    if not kernels.NUMBA_AVAILABLE:
+        monkeypatch.setattr(kernels, "_segment_numba", kernels.segment_loops)
+    return "numba"
+
+
+@pytest.fixture(params=["numpy", "loops"])
+def backend(request, monkeypatch):
+    if request.param == "loops":
+        return _loop_backend(monkeypatch)
+    return "numpy"
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(dt=0.1, dt_min=0.2),
     dict(dt=0.0),
     dict(cfl_safety=0.0),
     dict(cfl_safety=1.5),
     dict(scheme="rk4"),
-    dict(flux="enof"),
     dict(max_retries=-1),
+    dict(dt_min=0.0),
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         StepperConfig(**kwargs)
 
 
-def test_cfl_dt_scaling():
+def test_advance_cfl_cap_scaling(backend):
+    """dt = cfl_safety * h / max(chi |grad w|) sets the step count."""
     grid = build_grid(Geometry("interval", 32))
-    u = np.ones(32)
-    w = grid.centers.copy()  # |grad w| = 1 on interior faces
-    state = State(0.0, u, u.copy(), w)
     cfg = StepperConfig(dt=10.0, cfl_safety=0.5)
-    base = cfl_dt(state, ModelParams(1.0, 1.0, 1.0, 0, 0, 0, 0), grid, cfg)
-    assert base == pytest.approx(0.5 * grid.h, rel=1e-12)
-    halved = cfl_dt(state, ModelParams(1.0, 1.0, 2.0, 0, 0, 0, 0), grid, cfg)
-    assert halved == pytest.approx(0.5 * base, rel=1e-12)
-    # no advection limit without chi or without a gradient
-    assert cfl_dt(state, HEAT, grid, cfg) == cfg.dt
-    state.w[:] = 1.0
-    assert cfl_dt(state, ModelParams(1.0, 1.0, 5.0, 0, 0, 0, 0), grid, cfg) == cfg.dt
+
+    def stats(chi, w):
+        state = State(0.0, np.ones(32), np.ones(32), w.copy())
+        params = ModelParams(1.0, 1.0, chi, 0, 0, 0, 0)
+        return advance(state, grid, params, cfg, t_end=2.0 * grid.h,
+                       backend=backend).stats
+
+    ramp = grid.centers.copy()  # |grad w| = 1 on interior faces
+    base = stats(1.0, ramp)
+    assert base.accepted == 4
+    assert base.min_dt == pytest.approx(0.5 * grid.h, rel=1e-12)
+    halved = stats(2.0, ramp)
+    assert halved.accepted == 8
+    assert halved.min_dt == pytest.approx(0.25 * grid.h, rel=1e-12)
+    # no advection limit without chi or without a gradient: one step of t_end
+    assert stats(0.0, ramp).accepted == 1
+    assert stats(5.0, np.ones(32)).accepted == 1
 
 
 def test_heat_decay_matches_discrete_eigenmode():
@@ -154,12 +173,12 @@ def test_advance_is_deterministic():
     assert a.stats.accepted == b.stats.accepted
 
 
-@pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba backend unavailable")
-def test_backends_agree():
+def test_backends_agree(monkeypatch):
     grid = build_grid(Geometry("interval", 64))
     state0 = _bump_state(grid)
     cfg = StepperConfig()
-    nb = advance(state0.copy(), grid, FULL, cfg, t_end=0.02, backend="numba")
+    nb = advance(state0.copy(), grid, FULL, cfg, t_end=0.02,
+                 backend=_loop_backend(monkeypatch))
     np_ = advance(state0.copy(), grid, FULL, cfg, t_end=0.02, backend="numpy")
     assert nb.stats.accepted == np_.stats.accepted
     assert nb.stats.rejected == np_.stats.rejected
@@ -189,21 +208,25 @@ def _sawtooth_collapse_setup():
     return grid, state, params
 
 
-def test_step_raises_positivity_violation_when_retries_exhausted():
+def test_advance_raises_positivity_violation_when_retries_exhausted(backend):
     grid, state, params = _sawtooth_collapse_setup()
     cfg = StepperConfig(dt=grid.h / 2.0, dt_min=1e-15, max_retries=0)
     with pytest.raises(PositivityViolation) as err:
-        step(state, None, params, grid, cfg)
+        advance(state, grid, params, cfg, t_end=grid.h / 2.0, backend=backend)
     assert err.value.field == "u"
     assert 0 <= err.value.cell < grid.n
 
 
-def test_step_recovers_by_halving():
+def test_advance_recovers_by_halving(backend):
+    # the CFL cap equals dt here, so only the rejection loop can shrink dt;
+    # dt must not grow back before the halved step is accepted
     grid, state, params = _sawtooth_collapse_setup()
     cfg = StepperConfig(dt=grid.h / 2.0, dt_min=1e-15, max_retries=4)
-    new_state, hist = step(state, None, params, grid, cfg)
-    assert np.all(new_state.u > 0.0)
-    assert hist.valid and hist.dt < cfg.dt
+    res = advance(state, grid, params, cfg, t_end=grid.h / 2.0, backend=backend)
+    assert res.state.t == grid.h / 2.0
+    assert np.all(res.state.u > 0.0)
+    assert res.stats.rejected >= 1
+    assert res.history.valid and res.stats.min_dt < cfg.dt
 
 
 def test_advance_raises_positivity_violation_at_dt_min():

@@ -2,9 +2,8 @@
 
 Subcommands: run, sweep, ode, heat, constants, verify.  Exit codes:
 0 success, 1 usage/config error, 2 simulation failure (positivity or linear
-solve), 3 verification-audit failure.  ``--threads`` falls back to the
-``NUTAXIS_THREADS`` environment variable and controls sweep parallelism only
-(single runs are deterministically single-threaded).
+solve), 3 verification-audit failure.  ``--threads`` (default 1) controls
+sweep parallelism only (single runs are deterministically single-threaded).
 """
 from __future__ import annotations
 
@@ -35,16 +34,6 @@ from .reduced import (
 from .stepper import LinearSolveFailure, PositivityViolation
 
 __all__ = ["main", "build_parser"]
-
-
-def _env_threads() -> int:
-    raw = os.environ.get("NUTAXIS_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return 1
 
 
 def _add_overrides(p: argparse.ArgumentParser) -> None:
@@ -98,9 +87,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     spec = read_sweep_spec(args.spec)
     spec = dataclasses.replace(spec, base=_apply_overrides(spec.base, args))
-    threads = args.threads if args.threads is not None else _env_threads()
     os.makedirs(args.out_dir, exist_ok=True)
-    rows = run_sweep(spec, processes=threads, out_dir=args.out_dir)
+    rows = run_sweep(spec, processes=args.threads, out_dir=args.out_dir)
     table = os.path.join(args.out_dir, "sweep_table.csv")
     write_sweep_table(rows, table)
     failures = sum(1 for r in rows if r["error"])
@@ -186,8 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("spec", help="JSON sweep spec")
     p_sweep.add_argument("--out-dir", default=".", help="artifact directory")
     _add_overrides(p_sweep)
-    p_sweep.add_argument("--threads", type=int,
-                         help="worker processes (default: NUTAXIS_THREADS or 1)")
+    p_sweep.add_argument("--threads", type=int, default=1,
+                         help="worker processes")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_ode = sub.add_parser("ode", help="well-mixed reduction driver")

@@ -56,6 +56,7 @@ __all__ = [
     "output_times",
     "preset",
     "apply_override",
+    "walk",
     "run_scenario",
     "run_sweep",
 ]
@@ -319,7 +320,7 @@ def run_scenario(cfg: ScenarioConfig, backend: Optional[str] = None) -> RunResul
 # sweeps
 # ---------------------------------------------------------------------------
 
-def _walk(cfg: ScenarioConfig, path: str) -> list[tuple[Any, str]]:
+def walk(cfg: ScenarioConfig, path: str) -> list[tuple[Any, str]]:
     """``(node, attribute)`` pairs along a dotted path, root first."""
     steps = []
     node = cfg
@@ -334,7 +335,7 @@ def _walk(cfg: ScenarioConfig, path: str) -> list[tuple[Any, str]]:
 
 def apply_override(cfg: ScenarioConfig, path: str, value: Any) -> ScenarioConfig:
     """Return a copy of cfg with the dotted attribute path replaced."""
-    for node, name in reversed(_walk(cfg, path)):
+    for node, name in reversed(walk(cfg, path)):
         value = replace(node, **{name: value})
     return value
 
@@ -357,7 +358,7 @@ class SweepSpec:
         for path, values in self.overrides:
             if not values:
                 raise ValueError(f"override {path!r} has no values")
-            _walk(self.base, path)
+            walk(self.base, path)
         if self.mode == "zip" and self.overrides:
             lengths = {len(v) for _, v in self.overrides}
             if len(lengths) != 1:

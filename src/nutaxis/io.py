@@ -29,6 +29,10 @@ Config schema (all keys shown; (*) optional)::
 with profile P one of ``{"type": "constant", "value": float}``,
 ``{"type": "gaussian", "base", "amp", "rate", "center"}`` (the field
 base + amp*exp(-rate*(x-center)^2)), or ``{"type": "mirrored", "inner": P}``.
+
+Sweep override values are checked against the type of the config field
+their path names, by the same decoder; an object value decodes as that
+field's dataclass, or as a profile P where the field holds a profile.
 """
 from __future__ import annotations
 
@@ -36,21 +40,20 @@ import csv
 import dataclasses
 import json
 import os
-from typing import Any, Mapping, Optional, Sequence
+from dataclasses import MISSING
+from typing import Any, Iterable, Mapping, Sequence, get_args, get_type_hints
 
 from .diagnostics import DiagnosticsRecord, record_fields
 from .experiments import (
-    OutputSchedule,
     RunManifest,
     RunResult,
     ScenarioConfig,
     SweepSpec,
     preset,
+    walk,
 )
 from .grid import Geometry
-from .model import ModelParams
-from .profiles import Constant, Gaussian, Mirrored, Profile
-from .stepper import StepperConfig
+from .profiles import Profile
 
 __all__ = [
     "ConfigError",
@@ -72,185 +75,123 @@ class ConfigError(ValueError):
     """Schema violation in a config document; message carries the key path."""
 
 
-def _check_keys(d: Mapping, path: str, required: Sequence[str],
-                optional: Sequence[str] = ()) -> None:
+# The schema is the dataclasses' fields and type hints; a field without a
+# default is a required key.  Only what the fields cannot say is data here:
+# a profile is tagged by its class name, lowercased, under "type"; each
+# geometry kind has its own keys besides "kind" and "n_cells" (key ->
+# required); a scenario nests its three profiles under "profiles".
+_PROFILES = {cls.__name__.lower(): cls for cls in get_args(Profile)}
+_GEOMETRY_KEYS = {"interval": {"x_lo": False, "x_hi": False},
+                  "radial": {"d": True, "R": False}}
+_SCENARIO_PROFILES = ("u0", "v0", "w0")
+# leaf type -> (accepted JSON types, its name in messages); bools are
+# never numbers
+_LEAVES = {float: ((int, float), "a number"), int: (int, "an integer"),
+           str: (str, "a string")}
+
+
+def _check_keys(d: Any, path: str, keys: Mapping[str, bool]) -> None:
+    """Check d is an object whose keys are ``keys`` (key -> required)."""
     if not isinstance(d, Mapping):
         raise ConfigError(f"{path}: expected an object, got {type(d).__name__}")
-    allowed = set(required) | set(optional)
-    unknown = sorted(set(d) - allowed)
+    unknown = sorted(set(d) - set(keys))
     if unknown:
         raise ConfigError(f"{path}: unknown key(s) {unknown}")
-    missing = sorted(set(required) - set(d))
+    missing = sorted(k for k, required in keys.items() if required and k not in d)
     if missing:
         raise ConfigError(f"{path}: missing required key(s) {missing}")
 
 
-def _number(d: Mapping, key: str, path: str) -> float:
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {v!r}")
-    return float(v)
+def _field_keys(cls: type) -> dict[str, bool]:
+    """Field name -> required; a field without a default is required."""
+    return {f.name: f.default is MISSING and f.default_factory is MISSING
+            for f in dataclasses.fields(cls)}
 
 
-def _integer(d: Mapping, key: str, path: str) -> int:
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {v!r}")
-    return v
+def _tag(d: Any, path: str, key: str, what: str, choices: Mapping) -> str:
+    if not isinstance(d, Mapping) or key not in d:
+        raise ConfigError(f"{path}: {what} needs a {key!r} key")
+    tag = d[key]
+    if not isinstance(tag, str) or tag not in choices:
+        raise ConfigError(f"{path}.{key}: expected one of {sorted(choices)}, "
+                          f"got {tag!r}")
+    return tag
 
 
-def _string(d: Mapping, key: str, path: str) -> str:
-    v = d[key]
-    if not isinstance(v, str):
-        raise ConfigError(f"{path}.{key}: expected a string, got {v!r}")
-    return v
-
-
-def _profile_from_dict(d: Mapping, path: str) -> Profile:
-    if not isinstance(d, Mapping) or "type" not in d:
-        raise ConfigError(f"{path}: profile needs a 'type' key")
-    kind = d["type"]
-    if kind == "constant":
-        _check_keys(d, path, ["type", "value"])
-        return Constant(value=_number(d, "value", path))
-    if kind == "gaussian":
-        _check_keys(d, path, ["type", "base", "amp", "rate", "center"])
-        return Gaussian(base=_number(d, "base", path),
-                        amp=_number(d, "amp", path),
-                        rate=_number(d, "rate", path),
-                        center=_number(d, "center", path))
-    if kind == "mirrored":
-        _check_keys(d, path, ["type", "inner"])
-        return Mirrored(inner=_profile_from_dict(d["inner"], f"{path}.inner"))
-    raise ConfigError(f"{path}.type: unknown profile type {kind!r}")
-
-
-def profile_to_dict(p: Profile) -> dict:
-    if isinstance(p, Constant):
-        return {"type": "constant", "value": p.value}
-    if isinstance(p, Gaussian):
-        return {"type": "gaussian", "base": p.base, "amp": p.amp,
-                "rate": p.rate, "center": p.center}
-    if isinstance(p, Mirrored):
-        return {"type": "mirrored", "inner": profile_to_dict(p.inner)}
-    raise TypeError(f"not a profile: {p!r}")
-
-
-def _geometry_from_dict(d: Mapping, path: str) -> Geometry:
-    if not isinstance(d, Mapping) or "kind" not in d:
-        raise ConfigError(f"{path}: geometry needs a 'kind' key")
-    kind = d["kind"]
+def _decode(tp: Any, value: Any, path: str) -> Any:
+    """Decode the JSON value found at ``path`` as type ``tp``, strictly."""
+    if tp in _LEAVES:
+        accepted, what = _LEAVES[tp]
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ConfigError(f"{path}: expected {what}, got {value!r}")
+        return float(value) if tp is float else value
+    if tp == Profile:
+        tp = _PROFILES[_tag(value, path, "type", "profile", _PROFILES)]
+        keys = {"type": True, **_field_keys(tp)}
+    elif tp is Geometry:
+        kind = _tag(value, path, "kind", "geometry", _GEOMETRY_KEYS)
+        keys = {"kind": True, "n_cells": True, **_GEOMETRY_KEYS[kind]}
+    else:
+        keys = _field_keys(tp)
+    paths = {k: f"{path}.{k}" for k in keys}
+    if tp is ScenarioConfig:
+        nested = {k: keys.pop(k) for k in _SCENARIO_PROFILES}
+        _check_keys(value, path, {**keys, "profiles": True})
+        _check_keys(value["profiles"], f"{path}.profiles", nested)
+        value = {**value, **value["profiles"]}
+        paths.update((k, f"{path}.profiles.{k}") for k in nested)
+    else:
+        _check_keys(value, path, keys)
+    hints = get_type_hints(tp)
+    kw = {f.name: _decode(hints[f.name], value[f.name], paths[f.name])
+          for f in dataclasses.fields(tp) if f.name in value}
     try:
-        if kind == "interval":
-            _check_keys(d, path, ["kind", "n_cells"], ["x_lo", "x_hi"])
-            return Geometry(kind="interval", n_cells=_integer(d, "n_cells", path),
-                            x_lo=_number(d, "x_lo", path) if "x_lo" in d else 0.0,
-                            x_hi=_number(d, "x_hi", path) if "x_hi" in d else 1.0)
-        if kind == "radial":
-            _check_keys(d, path, ["kind", "n_cells", "d"], ["R"])
-            return Geometry(kind="radial", n_cells=_integer(d, "n_cells", path),
-                            d=_integer(d, "d", path),
-                            R=_number(d, "R", path) if "R" in d else 1.0)
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(f"{path}.kind: expected 'interval' or 'radial', got {kind!r}")
-
-
-def _geometry_to_dict(g: Geometry) -> dict:
-    if g.kind == "interval":
-        return {"kind": "interval", "n_cells": g.n_cells,
-                "x_lo": g.x_lo, "x_hi": g.x_hi}
-    return {"kind": "radial", "n_cells": g.n_cells, "d": g.d, "R": g.R}
-
-
-_PARAM_KEYS = ["D_u", "D_w", "chi", "alpha", "beta", "gamma", "delta"]
-_STEPPER_NUMBERS = ["dt", "dt_min", "cfl_safety"]
-
-
-def _params_from_dict(d: Mapping, path: str) -> ModelParams:
-    _check_keys(d, path, _PARAM_KEYS, ["eps_reg"])
-    kw = {k: _number(d, k, path) for k in _PARAM_KEYS}
-    if "eps_reg" in d:
-        kw["eps_reg"] = _number(d, "eps_reg", path)
-    try:
-        return ModelParams(**kw)
+        return tp(**kw)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _stepper_from_dict(d: Mapping, path: str) -> StepperConfig:
-    _check_keys(d, path, [], _STEPPER_NUMBERS + ["max_retries", "scheme"])
-    kw: dict[str, Any] = {k: _number(d, k, path) for k in _STEPPER_NUMBERS if k in d}
-    if "max_retries" in d:
-        kw["max_retries"] = _integer(d, "max_retries", path)
-    if "scheme" in d:
-        kw["scheme"] = _string(d, "scheme", path)
-    try:
-        return StepperConfig(**kw)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+def _encode(obj: Any) -> Any:
+    """JSON-ready echo of a schema dataclass, with every key explicit."""
+    if not dataclasses.is_dataclass(obj):
+        return obj
+    d = {f.name: _encode(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, get_args(Profile)):
+        return {"type": type(obj).__name__.lower(), **d}
+    if isinstance(obj, Geometry):
+        keep = ("kind", "n_cells", *_GEOMETRY_KEYS[obj.kind])
+        return {k: v for k, v in d.items() if k in keep}
+    if isinstance(obj, ScenarioConfig):
+        out: dict = {}
+        for k, v in d.items():
+            if k in _SCENARIO_PROFILES:
+                out.setdefault("profiles", {})[k] = v
+            else:
+                out[k] = v
+        return out
+    return d
 
 
 def config_from_dict(d: Mapping, path: str = "config") -> ScenarioConfig:
     """Build a ScenarioConfig from a parsed JSON object, strictly."""
-    _check_keys(d, path, ["name", "geometry", "params", "profiles", "t_end"],
-                ["output", "stepper"])
-    profiles = d["profiles"]
-    _check_keys(profiles, f"{path}.profiles", ["u0", "v0", "w0"])
-    output = OutputSchedule()
-    if "output" in d:
-        od = d["output"]
-        _check_keys(od, f"{path}.output", [], ["t_first", "factor"])
-        try:
-            output = OutputSchedule(
-                t_first=_number(od, "t_first", f"{path}.output") if "t_first" in od else 1e-3,
-                factor=_number(od, "factor", f"{path}.output") if "factor" in od else 1.25)
-        except ValueError as exc:
-            raise ConfigError(f"{path}.output: {exc}") from exc
-    stepper = StepperConfig()
-    if "stepper" in d:
-        stepper = _stepper_from_dict(d["stepper"], f"{path}.stepper")
-    try:
-        return ScenarioConfig(
-            name=_string(d, "name", path),
-            geometry=_geometry_from_dict(d["geometry"], f"{path}.geometry"),
-            params=_params_from_dict(d["params"], f"{path}.params"),
-            u0=_profile_from_dict(profiles["u0"], f"{path}.profiles.u0"),
-            v0=_profile_from_dict(profiles["v0"], f"{path}.profiles.v0"),
-            w0=_profile_from_dict(profiles["w0"], f"{path}.profiles.w0"),
-            t_end=_number(d, "t_end", path),
-            output=output,
-            stepper=stepper)
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{path}: {exc}") from exc
+    return _decode(ScenarioConfig, d, path)
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
     """Full (all keys explicit) JSON-ready echo of a ScenarioConfig."""
-    return {
-        "name": cfg.name,
-        "geometry": _geometry_to_dict(cfg.geometry),
-        "params": {k: getattr(cfg.params, k) for k in _PARAM_KEYS + ["eps_reg"]},
-        "profiles": {"u0": profile_to_dict(cfg.u0),
-                     "v0": profile_to_dict(cfg.v0),
-                     "w0": profile_to_dict(cfg.w0)},
-        "t_end": cfg.t_end,
-        "output": {"t_first": cfg.output.t_first, "factor": cfg.output.factor},
-        "stepper": dataclasses.asdict(cfg.stepper),
-    }
+    return _encode(cfg)
+
+
+def _load_json(path: str) -> Any:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def read_config(path: str) -> ScenarioConfig:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    return config_from_dict(doc, path=os.path.basename(path))
+    return config_from_dict(_load_json(path), path=os.path.basename(path))
 
 
 def write_config(cfg: ScenarioConfig, path: str) -> None:
@@ -261,32 +202,35 @@ def write_config(cfg: ScenarioConfig, path: str) -> None:
 
 def read_sweep_spec(path: str) -> SweepSpec:
     """Sweep file: {"base": <config or {"preset","variant"}>,
-    "overrides": [{"path","values"}], "mode": "product"|"zip"}."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    "overrides": [{"path","values"}], "mode": "product"|"zip"}.
+
+    Each override value is decoded as the type of the field its path names.
+    """
+    doc = _load_json(path)
     name = os.path.basename(path)
-    _check_keys(doc, name, ["base"], ["overrides", "mode"])
+    _check_keys(doc, name, {"base": True, "overrides": False, "mode": False})
     base_doc = doc["base"]
     if isinstance(base_doc, Mapping) and "preset" in base_doc:
-        _check_keys(base_doc, f"{name}.base", ["preset", "variant"])
+        _check_keys(base_doc, f"{name}.base", {"preset": True, "variant": True})
         base = preset(base_doc["preset"], base_doc["variant"])
     else:
         base = config_from_dict(base_doc, path=f"{name}.base")
     overrides = []
     for i, ov in enumerate(doc.get("overrides", [])):
         opath = f"{name}.overrides[{i}]"
-        _check_keys(ov, opath, ["path", "values"])
+        _check_keys(ov, opath, {"path": True, "values": True})
+        field_path = _decode(str, ov["path"], f"{opath}.path")
+        try:
+            node, attr = walk(base, field_path)[-1]
+            tp = get_type_hints(type(node))[attr]
+        except (ValueError, KeyError) as exc:
+            raise ConfigError(f"{opath}.path: {field_path!r} does not name "
+                              f"a config field") from exc
         values = ov["values"]
         if not isinstance(values, list) or not values:
             raise ConfigError(f"{opath}.values: expected a nonempty list")
-        parsed = tuple(
-            _profile_from_dict(v, f"{opath}.values[{j}]") if isinstance(v, Mapping)
-            else v
-            for j, v in enumerate(values))
-        overrides.append((_string(ov, "path", opath), parsed))
+        overrides.append((field_path, tuple(
+            _decode(tp, v, f"{opath}.values[{j}]") for j, v in enumerate(values))))
     mode = doc.get("mode", "product")
     try:
         return SweepSpec(base=base, overrides=tuple(overrides), mode=mode)
@@ -298,19 +242,20 @@ def read_sweep_spec(path: str) -> SweepSpec:
 # artifacts
 # ---------------------------------------------------------------------------
 
-def _fmt(value: Any) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+def _write_csv(path: str, names: Sequence[str],
+               rows: Iterable[Iterable[Any]]) -> None:
+    """Header, then rows; floats get 17 significant digits (exact round trip)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        for row in rows:
+            writer.writerow(f"{v:.17g}" if isinstance(v, float) else str(v)
+                            for v in row)
 
 
 def write_records(records: Sequence[DiagnosticsRecord], path: str) -> None:
     names = record_fields()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for r in records:
-            writer.writerow(_fmt(getattr(r, k)) for k in names)
+    _write_csv(path, names, ([getattr(r, k) for k in names] for r in records))
 
 
 def read_records(path: str) -> list[DiagnosticsRecord]:
@@ -324,15 +269,7 @@ def read_records(path: str) -> list[DiagnosticsRecord]:
 
 
 def manifest_to_dict(m: RunManifest) -> dict:
-    return {
-        "version": m.version,
-        "scenario": config_to_dict(m.scenario),
-        "constants": dataclasses.asdict(m.constants),
-        "grid_summary": m.grid_summary,
-        "stats": m.stats,
-        "audits": m.audits,
-        "wall_time": m.wall_time,
-    }
+    return _encode(m)
 
 
 def write_manifest(m: RunManifest, path: str) -> None:
@@ -355,8 +292,4 @@ def write_sweep_table(rows: Sequence[Mapping[str, Any]], path: str) -> None:
     if not rows:
         raise ValueError("no sweep rows to write")
     names = list(rows[0].keys())
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in rows:
-            writer.writerow(_fmt(row.get(k, "")) for k in names)
+    _write_csv(path, names, ([row.get(k, "") for k in names] for row in rows))

@@ -45,7 +45,7 @@ class Gaussian:
 class Mirrored:
     """Reflection of another profile about the domain midpoint."""
 
-    inner: Union[Constant, Gaussian]
+    inner: Profile
 
     def evaluate(self, x: np.ndarray, x_lo: float, x_hi: float) -> np.ndarray:
         return self.inner.evaluate(x_lo + x_hi - x, x_lo, x_hi)

@@ -85,27 +85,28 @@ def _heat_params(D: float) -> ModelParams:
                        gamma=0.0, delta=0.0)
 
 
-def _heat_error_spatial(n: int, D: float, t: float, dt: float) -> float:
+def _heat_run(n: int, D: float, t: float, dt: float,
+              scheme: str = "sbdf2") -> tuple[Grid, np.ndarray]:
+    """Advance u0 = 2 + cos(pi x) under pure diffusion to t: (grid, u(t))."""
     grid = build_grid(Geometry("interval", n))
-    x = grid.centers
-    u0 = 2.0 + np.cos(np.pi * x)
-    state = State(0.0, u0.copy(), np.ones(n), np.zeros(n))
-    advance(state, grid, _heat_params(D), StepperConfig(dt=dt), t)
-    exact = 2.0 + np.exp(-D * math.pi ** 2 * t) * np.cos(np.pi * x)
-    return float(np.max(np.abs(state.u - exact)))
+    u0 = 2.0 + np.cos(np.pi * grid.centers)
+    state = State(0.0, u0, np.ones(n), np.zeros(n))
+    advance(state, grid, _heat_params(D), StepperConfig(dt=dt, scheme=scheme), t)
+    return grid, state.u
+
+
+def _heat_error_spatial(n: int, D: float, t: float, dt: float) -> float:
+    grid, u = _heat_run(n, D, t, dt)
+    exact = 2.0 + np.exp(-D * math.pi ** 2 * t) * np.cos(np.pi * grid.centers)
+    return float(np.max(np.abs(u - exact)))
 
 
 def _heat_error_temporal(n: int, D: float, t: float, dt: float,
                          scheme: str) -> float:
-    grid = build_grid(Geometry("interval", n))
-    x = grid.centers
-    h = grid.h
-    u0 = 2.0 + np.cos(np.pi * x)
-    state = State(0.0, u0.copy(), np.ones(n), np.zeros(n))
-    advance(state, grid, _heat_params(D), StepperConfig(dt=dt, scheme=scheme), t)
-    lam_h = 2.0 * (math.cos(math.pi * h) - 1.0) / h ** 2
-    semi = 2.0 + math.exp(lam_h * D * t) * np.cos(np.pi * x)
-    return float(np.max(np.abs(state.u - semi)))
+    grid, u = _heat_run(n, D, t, dt, scheme)
+    lam_h = 2.0 * (math.cos(math.pi * grid.h) - 1.0) / grid.h ** 2
+    semi = 2.0 + math.exp(lam_h * D * t) * np.cos(np.pi * grid.centers)
+    return float(np.max(np.abs(u - semi)))
 
 
 def transport_error(n: int, dt: float = 1e-4, t_end: float = 0.1,

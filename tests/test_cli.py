@@ -6,7 +6,7 @@ import pytest
 import nutaxis.cli
 import nutaxis.verify
 from nutaxis import preset
-from nutaxis.cli import _env_threads, main
+from nutaxis.cli import main
 from nutaxis.io import write_config
 from nutaxis.stepper import PositivityViolation
 from nutaxis.verify import CheckResult
@@ -152,13 +152,3 @@ def test_options_a_subcommand_does_not_read_exit_one(argv, capsys):
     assert main(argv) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
 
-
-def test_env_threads(monkeypatch):
-    monkeypatch.delenv("NUTAXIS_THREADS", raising=False)
-    assert _env_threads() == 1
-    monkeypatch.setenv("NUTAXIS_THREADS", "4")
-    assert _env_threads() == 4
-    monkeypatch.setenv("NUTAXIS_THREADS", "0")
-    assert _env_threads() == 1
-    monkeypatch.setenv("NUTAXIS_THREADS", "banana")
-    assert _env_threads() == 1

@@ -18,6 +18,7 @@ from nutaxis.io import (
     write_run,
     write_sweep_table,
 )
+from nutaxis.stepper import StepperConfig
 
 MINIMAL = {
     "name": "demo",
@@ -175,6 +176,16 @@ def test_read_sweep_spec_with_inline_base_and_profile_values(tmp_path):
     assert [c["w0"].value for c in combos] == [1.0, 2.0]
 
 
+def test_read_sweep_spec_decodes_object_values_as_the_field_type(tmp_path):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({
+        "base": MINIMAL,
+        "overrides": [{"path": "stepper", "values": [{"dt": 0.1}]}],
+    }))
+    spec = read_sweep_spec(str(path))
+    assert spec.overrides == (("stepper", (StepperConfig(dt=0.1),)),)
+
+
 @pytest.mark.parametrize("doc,needle", [
     ({}, "base"),
     ({"base": {"preset": "fig9", "variant": 1}}, "fig9"),
@@ -182,6 +193,10 @@ def test_read_sweep_spec_with_inline_base_and_profile_values(tmp_path):
     ({"base": MINIMAL, "overrides": [{"path": "t_end", "values": []}]}, "values"),
     ({"base": MINIMAL, "mode": "outer"}, "outer"),
     ({"base": MINIMAL, "overrides": [{"path": "nope", "values": [1]}]}, "nope"),
+    ({"base": MINIMAL, "overrides": [{"path": "t_end", "values": ["0.01"]}]},
+     "overrides[0].values[0]"),
+    ({"base": MINIMAL, "overrides": [{"path": "t_end", "values": [True]}]},
+     "overrides[0].values[0]"),
 ])
 def test_read_sweep_spec_errors(tmp_path, doc, needle):
     path = tmp_path / "sweep.json"

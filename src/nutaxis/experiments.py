@@ -19,6 +19,7 @@ run does not abort the sweep.
 from __future__ import annotations
 
 import itertools
+import os
 import time
 from dataclasses import dataclass, field, replace
 from importlib.metadata import PackageNotFoundError, version as _dist_version
@@ -381,6 +382,8 @@ def _sweep_worker(job: tuple[int, ScenarioConfig, dict, Optional[str]]) -> dict:
     for path, value in combo.items():
         row[path] = value if not hasattr(value, "evaluate") else repr(value)
     try:
+        for path, value in combo.items():
+            cfg = apply_override(cfg, path, value)
         result = run_scenario(cfg)
     except Exception as exc:  # per-run isolation: record and move on
         row.update({"M_star": "", "sigma_star": "", "final_I": "",
@@ -409,20 +412,13 @@ def run_sweep(spec: SweepSpec, processes: int = 1,
     """Run every combination of the sweep; one row dict per run, in order.
 
     With ``out_dir`` set, each run writes ``records.csv`` and
-    ``manifest.json`` under ``out_dir/run_<index>/``.
+    ``manifest.json`` under ``out_dir/run_<index>/``.  Overrides are applied
+    in the run's own isolation: a value that a config rejects fails only
+    that run, with the error in its row.
     """
-    combos = spec.combos()
-    jobs = []
-    for i, combo in enumerate(combos):
-        cfg = spec.base
-        for path, value in combo.items():
-            cfg = apply_override(cfg, path, value)
-        run_dir = None
-        if out_dir is not None:
-            import os
-
-            run_dir = os.path.join(out_dir, f"run_{i:03d}")
-        jobs.append((i, cfg, combo, run_dir))
+    jobs = [(i, spec.base, combo,
+             None if out_dir is None else os.path.join(out_dir, f"run_{i:03d}"))
+            for i, combo in enumerate(spec.combos())]
 
     if processes > 1 and len(jobs) > 1:
         import multiprocessing

@@ -1,14 +1,24 @@
-"""Hot time-stepping kernels: a fused per-segment loop in two backends.
+"""Hot time-stepping kernels: one segment controller over two backends.
 
-The same segment-advance algorithm exists twice:
+The adaptive segment controller is written once, by ``_make_segment``: the
+dt caps, the dt schedule, the SBDF1/SBDF2 and rebuild decision, retry
+halving, the step statistics and the history swap.  A backend supplies only
+three array primitives:
 
-* ``segment_loops`` — explicit-loop implementation, compiled with
-  ``numba.njit(cache=True)`` when numba is importable.  This is the fast
-  path: one call integrates a whole output interval (potentially millions of
-  steps) without touching the interpreter.
-* ``segment_numpy`` — vectorized numpy/scipy implementation of the identical
-  algorithm (tridiagonal solves via ``scipy.linalg.solve_banded``, taxis via
-  :func:`nutaxis.operators.taxis_flux`).  Fallback and readable reference.
+* ``fill_sink`` — the nutrient sink from ``(u, v)`` or their extrapolants,
+* ``cap_terms`` — ``max|w[j] - w[j-1]|``, the max sink over cells with
+  ``w > 0`` and ``max w``,
+* ``attempt`` — one step attempt; fills ``un, vn, wn, nn`` and returns
+  ``(status, cell)``.
+
+Built over the explicit-loop primitives (one Thomas sweep serves both
+solves), the controller is ``segment_loops``; compiled with
+``numba.njit(cache=True)``, controller and primitives alike, it is the
+``numba`` backend.  Uncompiled it is a slow reference that the tests run
+when numba is absent.  Built over the vectorized primitives it is
+``segment_numpy``, whose step attempt is :func:`attempt_step_numpy`
+(tridiagonal solves via ``scipy.linalg.solve_banded``, taxis via
+:func:`nutaxis.operators.taxis_flux`).
 
 These are the only place a step is taken; :func:`nutaxis.stepper.advance`
 drives them one output interval at a time.
@@ -19,7 +29,7 @@ Each backend is bitwise deterministic run-to-run (single-threaded, no
 fastmath); the two backends agree to roundoff (~1e-12 relative), not bitwise,
 because LAPACK and the in-kernel Thomas sweep round differently.
 
-Segment algorithm (both backends):
+Segment algorithm:
   repeat until the remaining gap is exhausted:
     1. extrapolants u* = max(2u - u_prev, 0), v* = 2v - v_prev
        (u* clamped so the nutrient sink stays nonnegative; plain (u, v) when
@@ -39,8 +49,11 @@ Segment algorithm (both backends):
     7. on rejection: halve dt and retry (up to max_retries, not below dt_min);
        dt may grow back (step 3) only after the next accepted step.
 
-Status codes returned: 0 ok, 1 u-positivity failure, 2 w-positivity failure,
-3 singular tridiagonal solve.
+A runner returns ``(status, cell, accepted, rejected, rebuilds, min_dt, dt,
+left)``.  Status codes: 0 ok, 1 u-positivity failure, 2 w-positivity
+failure, 3 singular tridiagonal solve.  On failure ``dt`` is the failing
+attempt's step and ``left`` the time from the state it started from to the
+end of the segment.
 """
 from __future__ import annotations
 
@@ -96,304 +109,269 @@ def backend_choice() -> str:
 
 
 # ---------------------------------------------------------------------------
-# single-source loop implementation (njit-compiled when numba is present)
+# the segment controller (numba-compilable when its primitives are)
 # ---------------------------------------------------------------------------
 
-def segment_loops(u, v, w, hu, hv, hw, hnu, hmeta, rem,
-                  m, cl, cr, af, h,
-                  D_u, D_w, chi, alpha, beta, gamma, delta, eps,
-                  dt_base, dt_min, cfl_safety, max_retries, scheme2):
-    n = u.shape[0]
-    # work arrays
-    us = np.empty(n)
-    vs = np.empty(n)
-    sink = np.empty(n)
-    diag = np.empty(n)
-    rhs = np.empty(n)
-    cp = np.empty(n)
-    dp = np.empty(n)
-    wn = np.empty(n)
-    un = np.empty(n)
-    vn = np.empty(n)
-    nn = np.empty(n)
-    gflux = np.empty(n + 1)
-    gflux[0] = 0.0
-    gflux[n] = 0.0
+def _make_segment(fill_sink, cap_terms, attempt):
+    """The segment controller over one backend's array primitives."""
 
-    hdt = hmeta[0]
-    hvalid = hmeta[1] > 0.5
-    w_snap = hmeta[2]
+    def segment(u, v, w, hu, hv, hw, hnu, hmeta, rem,
+                m, cl, cr, af, h,
+                D_u, D_w, chi, alpha, beta, gamma, delta, eps,
+                dt_base, dt_min, cfl_safety, max_retries, scheme2):
+        n = u.shape[0]
+        sink = np.empty(n)
+        un = np.empty(n)
+        vn = np.empty(n)
+        wn = np.empty(n)
+        nn = np.empty(n)
+        work = np.empty((5, n + 1))  # scratch of the loop attempt
 
-    accepted = 0
-    rejected = 0
-    rebuilds = 0
-    min_dt = np.inf
-    status = STATUS_OK
-    info_cell = -1
+        hdt = hmeta[0]
+        hvalid = hmeta[1] > 0.5
+        w_snap = hmeta[2]
 
-    dt = hdt if hvalid else 0.0  # continue the two-step scheme across segments
-    k = 0  # steps remaining at the current dt
-    retries = 0
-    rebuild_pending = not hvalid
+        accepted = 0
+        rejected = 0
+        rebuilds = 0
+        min_dt = np.inf
+        status = STATUS_OK
+        cell = -1
 
-    while True:
-        if k == 0 and rem <= 0.0:
-            break
+        dt = hdt if hvalid else 0.0  # continue the two-step scheme across segments
+        k = 0  # steps remaining at the current dt
+        retries = 0
+        halve = False
+        rebuild_pending = not hvalid
 
-        # ---- extrapolants (consistent with the scheme of the next attempt)
-        two_step = scheme2 == 1 and hvalid and not rebuild_pending
-        if two_step:
-            for i in range(n):
-                e = 2.0 * u[i] - hu[i]
-                us[i] = e if e > 0.0 else 0.0
-                vs[i] = 2.0 * v[i] - hv[i]
-        else:
-            for i in range(n):
-                us[i] = u[i]
-                vs[i] = v[i]
+        while k > 0 or rem > 0.0:
+            # ---- sink at the extrapolants of the next attempt, and the caps
+            two_step = scheme2 == 1 and hvalid and not rebuild_pending
+            fill_sink(sink, u, v, hu, hv, two_step, beta, gamma, eps)
+            dw, smax, wmax = cap_terms(w, sink)
+            cap = dt_base
+            if chi > 0.0:
+                gmax = chi * dw / h
+                if gmax > 0.0:
+                    cap = min(cap, cfl_safety * h / gmax)
+            if smax > 0.0:
+                cap = min(cap, SINK_DT_CAP / smax)
+            rmax = max(delta, alpha)
+            if rmax * wmax > 0.0:
+                cap = min(cap, SOURCE_DT_CAP / (rmax * wmax))
 
-        # ---- step-size caps from the current state
-        cap = dt_base
-        if chi > 0.0:
-            gmax = 0.0
-            for j in range(1, n):
-                gv = w[j] - w[j - 1]
-                if gv < 0.0:
-                    gv = -gv
-                if gv > gmax:
-                    gmax = gv
-            gmax = chi * gmax / h
-            if gmax > 0.0:
-                c = cfl_safety * h / gmax
-                if c < cap:
-                    cap = c
-        smax = 0.0
-        for i in range(n):
-            if eps == 0.0:
-                fu = us[i]
-            else:
-                fu = us[i] / (1.0 + eps * us[i])
-            s = beta * fu + gamma * vs[i]
-            sink[i] = s
-            if w[i] > 0.0 and s > smax:
-                smax = s
-        if smax > 0.0:
-            c = SINK_DT_CAP / smax
-            if c < cap:
-                cap = c
-        wmax = 0.0
-        for i in range(n):
-            if w[i] > wmax:
-                wmax = w[i]
-        rmax = delta if delta > alpha else alpha
-        if rmax * wmax > 0.0:
-            c = SOURCE_DT_CAP / (rmax * wmax)
-            if c < cap:
-                cap = c
-
-        # ---- (re)integerize dt so the remaining gap is an exact multiple
-        if k == 0:
-            dt_cand = cap
-            new_schedule = True
-        elif cap < dt:
-            rem = k * dt
-            dt_cand = cap
-            new_schedule = True
-        elif (cap >= _GROWTH_FACTOR * dt and dt < dt_base and k > 1
-              and retries == 0):
-            rem = k * dt
-            dt_cand = _GROWTH_FACTOR * dt
-            if dt_cand > cap:
-                dt_cand = cap
-            new_schedule = True
-        else:
-            new_schedule = False
-        if new_schedule:
-            nsteps = int(math.ceil(rem / dt_cand - 1e-12))
-            if nsteps < 1:
-                nsteps = 1
-            dt_new = rem / nsteps
-            if dt_new != dt:
-                rebuild_pending = True
-            dt = dt_new
-            k = nsteps
-        sbdf2 = scheme2 == 1 and hvalid and not rebuild_pending and hdt == dt
-        if not sbdf2 and two_step:
-            # the sink must match the scheme actually used
-            for i in range(n):
-                if eps == 0.0:
-                    fu = u[i]
+            # ---- fit dt so the remaining gap is an exact multiple of it;
+            # a rejected step's halved dt is fitted first, then capped
+            while True:
+                if halve:
+                    dt_cand = 0.5 * dt
+                elif k == 0 or cap < dt:
+                    dt_cand = cap
+                elif (cap >= _GROWTH_FACTOR * dt and dt < dt_base and k > 1
+                      and retries == 0):
+                    dt_cand = min(_GROWTH_FACTOR * dt, cap)
                 else:
-                    fu = u[i] / (1.0 + eps * u[i])
-                sink[i] = beta * fu + gamma * v[i]
+                    break
+                if k > 0:
+                    rem = k * dt
+                k = max(int(math.ceil(rem / dt_cand - 1e-12)), 1)
+                dt_new = rem / k
+                if dt_new != dt:
+                    rebuild_pending = True
+                dt = dt_new
+                if not halve:
+                    break
+                halve = False
+
+            sbdf2 = scheme2 == 1 and hvalid and not rebuild_pending and hdt == dt
+            if two_step and not sbdf2:
+                # the sink must match the scheme actually used
+                fill_sink(sink, u, v, hu, hv, False, beta, gamma, eps)
+
+            status, cell = attempt(u, v, w, hu, hw, hnu, sink, sbdf2, dt,
+                                   m, cl, cr, af, h,
+                                   D_u, D_w, chi, alpha, delta, eps, w_snap,
+                                   un, vn, wn, nn, work)
+            if status == STATUS_SINGULAR:
+                break
+            if status != STATUS_OK:
+                rejected += 1
+                retries += 1
+                if retries > max_retries or 0.5 * dt < dt_min:
+                    break
+                halve = True
+                rebuild_pending = True
+                continue
+
+            # ---- accept: the entry level becomes the history
+            retries = 0
+            hu[:] = u
+            hv[:] = v
+            hw[:] = w
+            hnu[:] = nn
+            u[:] = un
+            v[:] = vn
+            w[:] = wn
+            hdt = dt
+            hvalid = True
+            rebuild_pending = False
+            if not sbdf2:
+                rebuilds += 1
+            accepted += 1
+            min_dt = min(min_dt, dt)
+            k -= 1
+            rem = k * dt
+
+        hmeta[0] = hdt
+        hmeta[1] = 1.0 if hvalid else 0.0
+        return status, cell, accepted, rejected, rebuilds, min_dt, dt, k * dt
+
+    return segment
+
+
+# ---------------------------------------------------------------------------
+# explicit-loop primitives (njit-compiled when numba is present)
+# ---------------------------------------------------------------------------
+
+def _loop_primitives(jit):
+    """``(fill_sink, cap_terms, attempt)`` as explicit loops, each passed
+    through ``jit``."""
+
+    @jit
+    def thomas(cl, cr, diag, rhs, D, cp, dp, out):
+        # rows -D*cl[i], diag[i], -D*cr[i]; returns the zero pivot's row or -1
+        n = out.shape[0]
+        piv = diag[0]
+        if piv == 0.0:
+            return 0
+        cp[0] = -D * cr[0] / piv
+        dp[0] = rhs[0] / piv
+        for i in range(1, n):
+            low = -D * cl[i]
+            piv = diag[i] - low * cp[i - 1]
+            if piv == 0.0:
+                return i
+            cp[i] = -D * cr[i] / piv
+            dp[i] = (rhs[i] - low * dp[i - 1]) / piv
+        out[n - 1] = dp[n - 1]
+        for i in range(n - 2, -1, -1):
+            out[i] = dp[i] - cp[i] * out[i + 1]
+        return -1
+
+    @jit
+    def f(x, eps):  # the uptake response F, as model.f_eps
+        return x if eps == 0.0 else x / (1.0 + eps * x)
+
+    @jit
+    def fill_sink(sink, u, v, hu, hv, extrapolate, beta, gamma, eps):
+        for i in range(u.shape[0]):
+            if extrapolate:
+                e = 2.0 * u[i] - hu[i]
+                us = e if e > 0.0 else 0.0
+                vs = 2.0 * v[i] - hv[i]
+            else:
+                us = u[i]
+                vs = v[i]
+            sink[i] = beta * f(us, eps) + gamma * vs
+
+    @jit
+    def cap_terms(w, sink):
+        dw = smax = wmax = 0.0
+        for i in range(w.shape[0]):
+            if i > 0:
+                dw = max(dw, abs(w[i] - w[i - 1]))
+            if w[i] > 0.0:
+                smax = max(smax, sink[i])
+            wmax = max(wmax, w[i])
+        return dw, smax, wmax
+
+    @jit
+    def attempt(u, v, w, hu, hw, hnu, sink, sbdf2, dt,
+                m, cl, cr, af, h,
+                D_u, D_w, chi, alpha, delta, eps, w_snap,
+                un, vn, wn, nn, work):
+        n = u.shape[0]
+        diag = work[0]
+        rhs = work[1]
+        cp = work[2]
+        dp = work[3]
+        gflux = work[4]
 
         # ---- implicit w solve:  (c0 + sink) w+ - D_w lap w+ = rhs
+        r2 = 1.0 / (2.0 * dt)
         if sbdf2:
             c0 = 3.0 / (2.0 * dt)
-            r2 = 1.0 / (2.0 * dt)
             for i in range(n):
                 rhs[i] = (4.0 * w[i] - hw[i]) * r2
         else:
             c0 = 1.0 / dt
             for i in range(n):
                 rhs[i] = w[i] * c0
-        ok = True
         for i in range(n):
             diag[i] = c0 + sink[i] + D_w * (cl[i] + cr[i])
-        # Thomas sweep (rows: low = -D_w*cl[i], up = -D_w*cr[i])
-        piv = diag[0]
-        if piv == 0.0:
-            status = STATUS_SINGULAR
-            info_cell = 0
-            break
-        cp[0] = -D_w * cr[0] / piv
-        dp[0] = rhs[0] / piv
-        for i in range(1, n):
-            low = -D_w * cl[i]
-            piv = diag[i] - low * cp[i - 1]
-            if piv == 0.0:
-                status = STATUS_SINGULAR
-                info_cell = i
-                ok = False
-                break
-            cp[i] = -D_w * cr[i] / piv
-            dp[i] = (rhs[i] - low * dp[i - 1]) / piv
-        if not ok:
-            break
-        wn[n - 1] = dp[n - 1]
-        for i in range(n - 2, -1, -1):
-            wn[i] = dp[i] - cp[i] * wn[i + 1]
-
-        reject = False
-        bad_cell = -1
+        bad = thomas(cl, cr, diag, rhs, D_w, cp, dp, wn)
+        if bad >= 0:
+            return STATUS_SINGULAR, bad
         for i in range(n):
             if wn[i] < -w_snap:
-                reject = True
-                bad_cell = i
-                break
-        w_status = STATUS_W_POSITIVITY
+                return STATUS_W_POSITIVITY, i
+            if wn[i] < w_snap:
+                wn[i] = 0.0
 
-        if not reject:
-            for i in range(n):
-                if wn[i] < w_snap:
-                    wn[i] = 0.0
-
-            # ---- exact multiplicative v update (trapezoidal w average)
-            for i in range(n):
-                vn[i] = v[i] * math.exp(alpha * dt * 0.5 * (w[i] + wn[i]))
-
-            # ---- explicit terms for u at the current level (upwind taxis)
-            for j in range(1, n):
-                gw = chi * (w[j] - w[j - 1]) / h
-                if gw > 0.0:
-                    ud = u[j - 1]
-                else:
-                    ud = u[j]
-                if eps == 0.0:
-                    mo = ud
-                else:
-                    q = 1.0 + eps * ud
-                    mo = ud / (q * q)
-                gflux[j] = af[j] * gw * mo
-            for i in range(n):
-                if eps == 0.0:
-                    fu = u[i]
-                else:
-                    fu = u[i] / (1.0 + eps * u[i])
-                nn[i] = -(gflux[i + 1] - gflux[i]) / m[i] + delta * fu * w[i]
-
-            # ---- implicit-diffusion u solve
-            if sbdf2:
-                r2 = 1.0 / (2.0 * dt)
-                for i in range(n):
-                    rhs[i] = (4.0 * u[i] - hu[i]) * r2 + 2.0 * nn[i] - hnu[i]
-            else:
-                for i in range(n):
-                    rhs[i] = u[i] * c0 + nn[i]
-            for i in range(n):
-                diag[i] = c0 + D_u * (cl[i] + cr[i])
-            piv = diag[0]
-            if piv == 0.0:
-                status = STATUS_SINGULAR
-                info_cell = 0
-                break
-            cp[0] = -D_u * cr[0] / piv
-            dp[0] = rhs[0] / piv
-            for i in range(1, n):
-                low = -D_u * cl[i]
-                piv = diag[i] - low * cp[i - 1]
-                if piv == 0.0:
-                    status = STATUS_SINGULAR
-                    info_cell = i
-                    ok = False
-                    break
-                cp[i] = -D_u * cr[i] / piv
-                dp[i] = (rhs[i] - low * dp[i - 1]) / piv
-            if not ok:
-                break
-            un[n - 1] = dp[n - 1]
-            for i in range(n - 2, -1, -1):
-                un[i] = dp[i] - cp[i] * un[i + 1]
-
-            for i in range(n):
-                if un[i] <= U_FLOOR:
-                    reject = True
-                    bad_cell = i
-                    break
-            w_status = STATUS_U_POSITIVITY
-
-        if reject:
-            rejected += 1
-            retries += 1
-            if retries > max_retries or 0.5 * dt < dt_min:
-                status = w_status
-                info_cell = bad_cell
-                break
-            rem = k * dt
-            dt_cand = 0.5 * dt
-            nsteps = int(math.ceil(rem / dt_cand - 1e-12))
-            if nsteps < 1:
-                nsteps = 1
-            dt = rem / nsteps
-            k = nsteps
-            rebuild_pending = True
-            continue
-
-        # ---- accept
-        retries = 0
+        # ---- exact multiplicative v update (trapezoidal w average)
         for i in range(n):
-            hu[i] = u[i]
-            hv[i] = v[i]
-            hw[i] = w[i]
-            hnu[i] = nn[i]
-            u[i] = un[i]
-            v[i] = vn[i]
-            w[i] = wn[i]
-        hdt = dt
-        hvalid = True
-        rebuild_pending = False
-        if not sbdf2:
-            rebuilds += 1
-        accepted += 1
-        if dt < min_dt:
-            min_dt = dt
-        k -= 1
-        rem = k * dt
-        if k == 0:
-            break
+            vn[i] = v[i] * math.exp(alpha * dt * 0.5 * (w[i] + wn[i]))
 
-    hmeta[0] = hdt
-    hmeta[1] = 1.0 if hvalid else 0.0
-    return status, info_cell, accepted, rejected, rebuilds, min_dt
+        # ---- explicit terms for u at the current level (upwind taxis)
+        gflux[0] = 0.0
+        gflux[n] = 0.0
+        for j in range(1, n):
+            gw = chi * (w[j] - w[j - 1]) / h
+            if gw > 0.0:
+                ud = u[j - 1]
+            else:
+                ud = u[j]
+            if eps == 0.0:
+                mo = ud
+            else:
+                q = 1.0 + eps * ud
+                mo = ud / (q * q)
+            gflux[j] = af[j] * gw * mo
+        for i in range(n):
+            nn[i] = -(gflux[i + 1] - gflux[i]) / m[i] + delta * f(u[i], eps) * w[i]
+
+        # ---- implicit-diffusion u solve
+        if sbdf2:
+            for i in range(n):
+                rhs[i] = (4.0 * u[i] - hu[i]) * r2 + 2.0 * nn[i] - hnu[i]
+        else:
+            for i in range(n):
+                rhs[i] = u[i] * c0 + nn[i]
+        for i in range(n):
+            diag[i] = c0 + D_u * (cl[i] + cr[i])
+        bad = thomas(cl, cr, diag, rhs, D_u, cp, dp, un)
+        if bad >= 0:
+            return STATUS_SINGULAR, bad
+        for i in range(n):
+            if un[i] <= U_FLOOR:
+                return STATUS_U_POSITIVITY, i
+        return STATUS_OK, -1
+
+    return fill_sink, cap_terms, attempt
 
 
 # segment_loops itself stays python-callable (slow) as a reference
-_segment_numba = (numba.njit(cache=True, fastmath=False)(segment_loops)
-                  if NUMBA_AVAILABLE else None)
+segment_loops = _make_segment(*_loop_primitives(lambda fn: fn))
+
+if NUMBA_AVAILABLE:  # pragma: no cover - numba is an optional extra
+    _njit = numba.njit(cache=True, fastmath=False)
+    _segment_numba = _njit(_make_segment(*_loop_primitives(_njit)))
+else:
+    _segment_numba = None
 
 
 # ---------------------------------------------------------------------------
-# vectorized numpy/scipy fallback (identical algorithm)
+# vectorized numpy/scipy primitives
 # ---------------------------------------------------------------------------
 
 def solve_tridiag(cl, cr, diag, rhs, D):
@@ -456,115 +434,34 @@ def attempt_step_numpy(u, v, w, hu, hw, hnu, sink, sbdf2, dt,
     return STATUS_OK, -1, un, vn, wn, nn
 
 
-def segment_numpy(u, v, w, hu, hv, hw, hnu, hmeta, rem,
-                  m, cl, cr, af, h,
-                  D_u, D_w, chi, alpha, beta, gamma, delta, eps,
-                  dt_base, dt_min, cfl_safety, max_retries, scheme2):
-    """Vectorized twin of :func:`segment_loops`; see module docstring."""
-    hdt = hmeta[0]
-    hvalid = hmeta[1] > 0.5
-    w_snap = hmeta[2]
+def _fill_sink_numpy(sink, u, v, hu, hv, extrapolate, beta, gamma, eps):
+    if extrapolate:
+        u, v = np.maximum(2.0 * u - hu, 0.0), 2.0 * v - hv
+    np.add(beta * f_eps(u, eps), gamma * v, out=sink)
 
-    accepted = rejected = rebuilds = 0
-    min_dt = np.inf
-    status = STATUS_OK
-    info_cell = -1
-    dt = hdt if hvalid else 0.0
-    k = 0
-    retries = 0
-    rebuild_pending = not hvalid
 
-    while True:
-        if k == 0 and rem <= 0.0:
-            break
+def _cap_terms_numpy(w, sink):
+    pos = w > 0.0
+    return (float(np.abs(np.diff(w)).max()),
+            float(sink[pos].max()) if pos.any() else 0.0,
+            float(w.max()))
 
-        two_step = scheme2 == 1 and hvalid and not rebuild_pending
-        if two_step:
-            us = np.maximum(2.0 * u - hu, 0.0)
-            vs = 2.0 * v - hv
-        else:
-            us, vs = u, v
 
-        cap = dt_base
-        if chi > 0.0:
-            gmax = chi * np.max(np.abs(np.diff(w))) / h
-            if gmax > 0.0:
-                cap = min(cap, cfl_safety * h / gmax)
-        sink = beta * f_eps(us, eps) + gamma * vs
-        pos = w > 0.0
-        if pos.any():
-            smax = float(sink[pos].max())
-            if smax > 0.0:
-                cap = min(cap, SINK_DT_CAP / smax)
-        wmax = float(w.max())
-        rmax = max(delta, alpha)
-        if rmax * wmax > 0.0:
-            cap = min(cap, SOURCE_DT_CAP / (rmax * wmax))
+def _attempt_numpy(u, v, w, hu, hw, hnu, sink, sbdf2, dt,
+                   m, cl, cr, af, h,
+                   D_u, D_w, chi, alpha, delta, eps, w_snap,
+                   un, vn, wn, nn, work):
+    # looked up as a module global, so a patched or traced
+    # attempt_step_numpy sees every attempt
+    status, cell, *new = attempt_step_numpy(
+        u, v, w, hu, hw, hnu, sink, sbdf2, dt,
+        m, cl, cr, af, h, D_u, D_w, chi, alpha, delta, eps, w_snap)
+    if status == STATUS_OK:
+        un[:], vn[:], wn[:], nn[:] = new
+    return status, cell
 
-        if k == 0:
-            dt_cand, new_schedule = cap, True
-        elif cap < dt:
-            rem = k * dt
-            dt_cand, new_schedule = cap, True
-        elif (cap >= _GROWTH_FACTOR * dt and dt < dt_base and k > 1
-              and retries == 0):
-            rem = k * dt
-            dt_cand, new_schedule = min(_GROWTH_FACTOR * dt, cap), True
-        else:
-            new_schedule = False
-        if new_schedule:
-            nsteps = max(int(math.ceil(rem / dt_cand - 1e-12)), 1)
-            dt_new = rem / nsteps
-            if dt_new != dt:
-                rebuild_pending = True
-            dt, k = dt_new, nsteps
-        sbdf2 = (scheme2 == 1) and hvalid and not rebuild_pending and hdt == dt
-        if not sbdf2 and two_step:
-            sink = beta * f_eps(u, eps) + gamma * v
 
-        status_step, bad_cell, un, vn, wn, nn = attempt_step_numpy(
-            u, v, w, hu, hw, hnu, sink, sbdf2, dt,
-            m, cl, cr, af, h, D_u, D_w, chi, alpha, delta, eps, w_snap)
-        if status_step == STATUS_SINGULAR:
-            status, info_cell = STATUS_SINGULAR, bad_cell
-            break
-
-        if status_step != STATUS_OK:
-            rejected += 1
-            retries += 1
-            if retries > max_retries or 0.5 * dt < dt_min:
-                status, info_cell = status_step, bad_cell
-                break
-            rem = k * dt
-            nsteps = max(int(math.ceil(rem / (0.5 * dt) - 1e-12)), 1)
-            dt = rem / nsteps
-            k = nsteps
-            rebuild_pending = True
-            continue
-
-        retries = 0
-        hu[:] = u
-        hv[:] = v
-        hw[:] = w
-        hnu[:] = nn
-        u[:] = un
-        v[:] = vn
-        w[:] = wn
-        hdt = dt
-        hvalid = True
-        rebuild_pending = False
-        if not sbdf2:
-            rebuilds += 1
-        accepted += 1
-        min_dt = min(min_dt, dt)
-        k -= 1
-        rem = k * dt
-        if k == 0:
-            break
-
-    hmeta[0] = hdt
-    hmeta[1] = 1.0 if hvalid else 0.0
-    return status, info_cell, accepted, rejected, rebuilds, min_dt
+segment_numpy = _make_segment(_fill_sink_numpy, _cap_terms_numpy, _attempt_numpy)
 
 
 def get_segment_runner(backend: str | None = None):

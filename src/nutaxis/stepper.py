@@ -42,18 +42,35 @@ __all__ = [
 
 
 class PositivityViolation(RuntimeError):
-    """A field left its positive cone and dt could not be reduced further."""
+    """A field left its positive cone and dt could not be reduced further.
 
-    def __init__(self, fieldname: str, cell: int, t: float):
+    ``t`` is the time of the state the failing step started from and ``dt``
+    the size of its last attempt.
+    """
+
+    def __init__(self, fieldname: str, cell: int, t: float,
+                 dt: Optional[float] = None):
         self.field = fieldname
         self.cell = cell
         self.t = t
+        self.dt = dt
+        at_dt = "" if dt is None else f", dt = {dt:.6g}"
         super().__init__(
-            f"positivity violation in {fieldname!r} at cell {cell}, t = {t:.6g}")
+            f"positivity violation in {fieldname!r} at cell {cell}, t = {t:.6g}"
+            f"{at_dt}")
 
 
 class LinearSolveFailure(RuntimeError):
-    """The banded system was singular (cannot occur for dt > 0; internal)."""
+    """The banded system was singular (cannot occur for dt > 0; internal).
+
+    ``t`` and ``dt`` are as for :class:`PositivityViolation`.
+    """
+
+    def __init__(self, t: float, dt: float):
+        self.t = t
+        self.dt = dt
+        super().__init__(f"singular tridiagonal system in the step from "
+                         f"t = {t:.6g} with dt = {dt:.6g}")
 
 
 @dataclass(frozen=True)
@@ -169,7 +186,7 @@ def advance(state: State, grid: Grid, params: ModelParams, cfg: StepperConfig,
     Raises:
         ValueError: if t_end < state.t or observe times are out of range.
         PositivityViolation / LinearSolveFailure: from the stepping kernel,
-            with the failing segment time attached.
+            with the failing step's start time and dt attached.
     """
     if t_end < state.t:
         raise ValueError(f"t_end = {t_end} is before state.t = {state.t}")
@@ -197,7 +214,7 @@ def advance(state: State, grid: Grid, params: ModelParams, cfg: StepperConfig,
     for tt in full:
         rem = tt - state.t
         if rem > 0.0:
-            status, cell, acc, rej, reb, mdt = runner(
+            status, cell, acc, rej, reb, mdt, dt, left = runner(
                 state.u, state.v, state.w,
                 history.u, history.v, history.w, history.n_u, hmeta, rem,
                 m, cl, cr, af, h,
@@ -206,12 +223,11 @@ def advance(state: State, grid: Grid, params: ModelParams, cfg: StepperConfig,
                 cfg.dt, cfg.dt_min, cfg.cfl_safety, cfg.max_retries, scheme2)
             stats.merge(int(acc), int(rej), int(reb), float(mdt))
             if status != kernels.STATUS_OK:
-                t_fail = state.t  # segment start; exact failure t is interior
+                t_fail = max(state.t, tt - float(left))  # the failing step's start
                 if status == kernels.STATUS_SINGULAR:
-                    raise LinearSolveFailure(
-                        f"singular tridiagonal system in segment starting t = {t_fail:.6g}")
+                    raise LinearSolveFailure(t_fail, float(dt))
                 fieldname = "u" if status == kernels.STATUS_U_POSITIVITY else "w"
-                raise PositivityViolation(fieldname, int(cell), t_fail)
+                raise PositivityViolation(fieldname, int(cell), t_fail, float(dt))
             state.t = tt
         if observer is not None and targets and tt in targets:
             observer(state)

@@ -177,8 +177,7 @@ def manufactured_convergence(problem: str = "heat",
 
 def regularization_study(cfg: Optional[ScenarioConfig] = None,
                          eps_list: tuple[float, ...] = (1e-1, 1e-2, 1e-3),
-                         sample_time: float = 1.0,
-                         backend: Optional[str] = None) -> RegularizationReport:
+                         sample_time: float = 1.0) -> RegularizationReport:
     """L2 distances of (u, w) at ``sample_time`` to the eps = 0 run."""
     base = cfg if cfg is not None else preset("fig1_left", 60)
 
@@ -186,7 +185,7 @@ def regularization_study(cfg: Optional[ScenarioConfig] = None,
         c = apply_override(base, "params.eps_reg", eps)
         grid = build_grid(c.geometry)
         state, _ = init_state(c.u0, c.v0, c.w0, grid)
-        advance(state, grid, c.params, c.stepper, sample_time, backend=backend)
+        advance(state, grid, c.params, c.stepper, sample_time)
         return grid, state
 
     grid, ref = run(0.0)

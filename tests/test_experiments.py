@@ -238,3 +238,17 @@ def test_run_sweep_captures_per_run_errors(monkeypatch):
     assert rows[0]["error"].startswith("ScenarioFailure")
     assert rows[0]["audit_ok"] is False
     assert rows[1]["error"] == ""
+
+
+@pytest.mark.parametrize("path, values", [
+    ("t_end", (0.01, -1.0)),
+    ("geometry.n_cells", (40, 2)),
+])
+def test_run_sweep_isolates_rejected_override_values(path, values):
+    # the second value fails the config's own validation; only its run fails
+    spec = SweepSpec(base=_tiny(0.01), overrides=((path, values),))
+    rows = run_sweep(spec, processes=1)
+    assert [r[path] for r in rows] == list(values)
+    assert rows[0]["error"] == "" and rows[0]["audit_ok"] is True
+    assert rows[1]["error"].startswith("ValueError")
+    assert rows[1]["audit_ok"] is False

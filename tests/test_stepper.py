@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from nutaxis import (
     Gaussian,
     Geometry,
     History,
+    LinearSolveFailure,
     ModelParams,
     PositivityViolation,
     State,
@@ -174,18 +177,27 @@ def test_advance_is_deterministic():
 
 
 def test_backends_agree(monkeypatch):
-    grid = build_grid(Geometry("interval", 64))
-    state0 = _bump_state(grid)
-    cfg = StepperConfig()
-    nb = advance(state0.copy(), grid, FULL, cfg, t_end=0.02,
-                 backend=_loop_backend(monkeypatch))
-    np_ = advance(state0.copy(), grid, FULL, cfg, t_end=0.02, backend="numpy")
-    assert nb.stats.accepted == np_.stats.accepted
-    assert nb.stats.rejected == np_.stats.rejected
-    for name in ("u", "v", "w"):
-        np.testing.assert_allclose(getattr(nb.state, name),
-                                   getattr(np_.state, name),
-                                   rtol=1e-12, atol=1e-13)
+    # SBDF2 on the interval, then the eps > 0 mobility and uptake on the
+    # radial d=3 face areas, then eps > 0 with SBDF1 throughout
+    eps = dataclasses.replace(FULL, eps_reg=0.1)
+    cases = [(Geometry("interval", 64), FULL, StepperConfig()),
+             (Geometry("radial", 64, d=3), eps, StepperConfig()),
+             (Geometry("interval", 64), eps, StepperConfig(scheme="sbdf1"))]
+    loops = _loop_backend(monkeypatch)
+    for geometry, params, cfg in cases:
+        grid = build_grid(geometry)
+        state0 = _bump_state(grid)
+        nb = advance(state0.copy(), grid, params, cfg, t_end=0.02,
+                     backend=loops)
+        np_ = advance(state0.copy(), grid, params, cfg, t_end=0.02,
+                      backend="numpy")
+        assert nb.stats.accepted == np_.stats.accepted
+        assert nb.stats.rejected == np_.stats.rejected
+        assert nb.stats.rebuilds == np_.stats.rebuilds
+        for name in ("u", "v", "w"):
+            np.testing.assert_allclose(getattr(nb.state, name),
+                                       getattr(np_.state, name),
+                                       rtol=1e-12, atol=1e-13)
 
 
 def test_unknown_backend_rejected():
@@ -227,6 +239,61 @@ def test_advance_recovers_by_halving(backend):
     assert np.all(res.state.u > 0.0)
     assert res.stats.rejected >= 1
     assert res.history.valid and res.stats.min_dt < cfg.dt
+
+
+def _fail_from_call(monkeypatch, n_fail, status):
+    """Make kernels.attempt_step_numpy return ``status`` from call n_fail on.
+
+    Returns the list of every attempt's dt.
+    """
+    dts = []
+    real = kernels.attempt_step_numpy
+
+    def attempt(*args):
+        dts.append(args[8])
+        if len(dts) >= n_fail:
+            return status, 2, None, None, None, None
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "attempt_step_numpy", attempt)
+    return dts
+
+
+@pytest.mark.parametrize("status, error", [
+    (kernels.STATUS_U_POSITIVITY, PositivityViolation),
+    (kernels.STATUS_W_POSITIVITY, PositivityViolation),
+    (kernels.STATUS_SINGULAR, LinearSolveFailure),
+])
+def test_failure_reports_the_failing_step_start_and_dt(monkeypatch, status,
+                                                        error):
+    # 10 steps of 0.01 in two output segments; attempts from the 8th on fail,
+    # so the failing step starts after 7 accepted steps, inside segment two
+    grid = build_grid(Geometry("interval", 16))
+    state = State(0.0, 1.0 + grid.centers, np.ones(16), np.zeros(16))
+    cfg = StepperConfig(dt=0.01, max_retries=2)
+    dts = _fail_from_call(monkeypatch, 8, status)
+    with pytest.raises(error) as err:
+        advance(state, grid, HEAT, cfg, t_end=0.1, observe_times=[0.05],
+                backend="numpy")
+    assert err.value.t == pytest.approx(sum(dts[:7]), rel=1e-12)
+    assert err.value.t == pytest.approx(0.07, rel=1e-12)
+    assert err.value.dt == dts[-1]
+    if error is PositivityViolation:
+        assert len(dts) == 7 + cfg.max_retries + 1  # halved twice, then given up
+        assert err.value.dt == pytest.approx(0.0025, rel=1e-12)
+        assert err.value.field == ("u" if status == kernels.STATUS_U_POSITIVITY
+                                   else "w")
+        assert err.value.cell == 2
+    else:
+        assert len(dts) == 8  # a singular solve is not retried
+    assert f"t = {err.value.t:.6g}" in str(err.value)
+    assert f"dt = {err.value.dt:.6g}" in str(err.value)
+
+
+def test_positivity_violation_message_without_dt():
+    err = PositivityViolation("u", 3, 0.5)
+    assert err.dt is None
+    assert str(err) == "positivity violation in 'u' at cell 3, t = 0.5"
 
 
 def test_advance_raises_positivity_violation_at_dt_min():

@@ -7,7 +7,7 @@ The package is organized around a small set of layers:
   parameters, cell-centered meshes (interval or radial ball), initial data.
 * :mod:`nutaxis.operators`, :mod:`nutaxis.stepper`, :mod:`nutaxis.kernels` —
   spatial discretization and the adaptive IMEX time integrator (numba
-  kernels with a pure-numpy fallback, selected via ``NUTAXIS_NUMBA``).
+  kernels when numba imports, a pure-numpy fallback otherwise).
 * :mod:`nutaxis.diagnostics` — competition index, quasi-energy, dissipation,
   Lyapunov functional, per-run audits.
 * :mod:`nutaxis.reduced` — well-mixed ODE reduction, heat comparison,
@@ -22,12 +22,14 @@ from .diagnostics import (
     DerivedConstants,
     DiagnosticsRecord,
     IntegratedAuditReport,
+    JensenReport,
     NonpositiveField,
     competition_index,
     derived_constants,
     dissipation,
     evaluate_record,
     integrated_inequality_audit,
+    jensen_gap,
     lyapunov,
     quasi_energy,
     record_fields,
@@ -60,12 +62,10 @@ from .profiles import Constant, Gaussian, Mirrored, State, init_state, sample
 from .reduced import (
     HeatTrajectory,
     HorizonTooShort,
-    JensenReport,
     OdeState,
     SignLawMismatch,
     conserved_quantity,
     heat_solve,
-    jensen_gap,
     ode_solve,
     ode_step_rk4,
     sign_law_check,

@@ -13,6 +13,7 @@ import os
 import sys
 from typing import Optional
 
+from .diagnostics import derived_constants, jensen_gap
 from .experiments import (
     ScenarioFailure,
     UnknownVariant,
@@ -27,7 +28,6 @@ from .profiles import Gaussian, sample
 from .reduced import (
     OdeState,
     conserved_quantity,
-    jensen_gap,
     ode_solve,
     stabilization_constants,
 )
@@ -127,8 +127,6 @@ def _cmd_heat(args: argparse.Namespace) -> int:
 
 
 def _cmd_constants(args: argparse.Namespace) -> int:
-    from .diagnostics import derived_constants
-
     cfg = _resolve_config(args)
     grid = build_grid(cfg.geometry)
     u0 = sample(cfg.u0, grid)

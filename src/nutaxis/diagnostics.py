@@ -22,6 +22,7 @@ trapezoid rule on the output schedule, not on every step.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
@@ -42,6 +43,7 @@ __all__ = [
     "DiagnosticsRecord",
     "DerivedConstants",
     "IntegratedAuditReport",
+    "JensenReport",
     "competition_index",
     "derived_constants",
     "quasi_energy",
@@ -50,6 +52,7 @@ __all__ = [
     "evaluate_record",
     "record_fields",
     "integrated_inequality_audit",
+    "jensen_gap",
 ]
 
 _LN_FLOOR = 1e-300
@@ -124,6 +127,26 @@ def competition_index(state: State, grid: Grid) -> float:
     return float(integrate(_ln(state.v) - _ln(state.u), grid))
 
 
+@dataclass(frozen=True)
+class JensenReport:
+    """c1 = ln(mean phi) - mean(ln phi) >= 0; strict iff phi is nonconstant."""
+
+    c1: float
+    strict: bool
+
+
+def jensen_gap(phi: np.ndarray, grid: Grid) -> JensenReport:
+    """Logarithmic Jensen gap of a positive cell field (volume-weighted)."""
+    phi = np.asarray(phi, dtype=np.float64)
+    if phi.min() <= 0.0:
+        raise NonpositiveField("jensen gap needs a strictly positive field")
+    vol = grid.volume
+    mean = float(integrate(phi, grid) / vol)
+    mean_ln = float(integrate(np.log(phi), grid) / vol)
+    c1 = math.log(mean) - mean_ln
+    return JensenReport(c1=c1, strict=bool(c1 > 1e-12))
+
+
 def derived_constants(v0: np.ndarray, w0: np.ndarray, params: ModelParams,
                       grid: Grid, u0: Optional[np.ndarray] = None) -> DerivedConstants:
     """Constants of the initial data (see class docstring).
@@ -143,8 +166,7 @@ def derived_constants(v0: np.ndarray, w0: np.ndarray, params: ModelParams,
         c1 = float("nan")
     else:
         _require_positive("u0", u0)
-        mean = integrate(u0, grid) / grid.volume
-        c1 = float(np.log(mean) - integrate(_ln(u0), grid) / grid.volume)
+        c1 = jensen_gap(u0, grid).c1
     return DerivedConstants(kappa=kappa, a=a, b=b, M_star=float(m_star),
                             sigma_star=sigma_star, jensen_c1=c1)
 

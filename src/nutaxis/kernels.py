@@ -8,26 +8,26 @@ three array primitives:
 * ``fill_sink`` — the nutrient sink from ``(u, v)`` or their extrapolants,
 * ``cap_terms`` — ``max|w[j] - w[j-1]|``, the max sink over cells with
   ``w > 0`` and ``max w``,
-* ``attempt`` — one step attempt; fills ``un, vn, wn, nn`` and returns
-  ``(status, cell)``.
+* ``attempt`` — one step attempt; fills ``un, vn, wn, nn`` in place and
+  returns ``(status, cell)``.
 
 Built over the explicit-loop primitives (one Thomas sweep serves both
 solves), the controller is ``segment_loops``; compiled with
 ``numba.njit(cache=True)``, controller and primitives alike, it is the
-``numba`` backend.  Uncompiled it is a slow reference that the tests run
-when numba is absent.  Built over the vectorized primitives it is
-``segment_numpy``, whose step attempt is :func:`attempt_step_numpy`
-(tridiagonal solves via ``scipy.linalg.solve_banded``, taxis via
+``numba`` backend.  Uncompiled it is the slow ``loops`` reference.  Built
+over the vectorized primitives it is ``segment_numpy``, whose step attempt
+is :func:`attempt_step_numpy` (tridiagonal solves via
+``scipy.linalg.solve_banded``, taxis via
 :func:`nutaxis.operators.taxis_flux`).
 
 These are the only place a step is taken; :func:`nutaxis.stepper.advance`
 drives them one output interval at a time.
 
-Backend selection: env var ``NUTAXIS_NUMBA`` — ``"0"`` forces numpy,
-``"1"`` requires numba, unset/anything else prefers numba when available.
-Each backend is bitwise deterministic run-to-run (single-threaded, no
-fastmath); the two backends agree to roundoff (~1e-12 relative), not bitwise,
-because LAPACK and the in-kernel Thomas sweep round differently.
+Backend selection: :func:`get_segment_runner` picks ``numba`` when numba
+imports and ``numpy`` otherwise; ``loops`` is chosen only by name.  Each
+backend is bitwise deterministic run-to-run (single-threaded, no fastmath);
+the loop and numpy backends agree to roundoff (~1e-12 relative), not
+bitwise, because LAPACK and the in-kernel Thomas sweep round differently.
 
 Segment algorithm:
   repeat until the remaining gap is exhausted:
@@ -46,7 +46,7 @@ Segment algorithm:
     5. exact multiplicative v update with trapezoidal w average,
     6. implicit-diffusion u solve with explicit upwind taxis + growth terms,
        rejection if u <= U_FLOOR,
-    7. on rejection: halve dt and retry (up to max_retries, not below dt_min);
+    7. on rejection: halve dt and retry (up to max_retries times);
        dt may grow back (step 3) only after the next accepted step.
 
 A runner returns ``(status, cell, accepted, rejected, rebuilds, min_dt, dt,
@@ -58,24 +58,20 @@ end of the segment.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 from .model import f_eps
 from .operators import taxis_flux
 
-try:  # pragma: no cover - exercised implicitly by backend tests
+try:  # pragma: no cover - numba is an optional extra
     import numba
-
-    NUMBA_AVAILABLE = True
 except ImportError:  # pragma: no cover
     numba = None
-    NUMBA_AVAILABLE = False
+NUMBA_AVAILABLE = numba is not None
 
 __all__ = [
     "NUMBA_AVAILABLE",
-    "backend_choice",
     "get_segment_runner",
     "segment_numpy",
     "segment_loops",
@@ -96,18 +92,6 @@ SOURCE_DT_CAP = 0.45  # bound on dt * max(delta, alpha) * max w
 W_SNAP_REL = 1e-250  # snap-to-zero floor for w, relative to the initial max
 
 
-def backend_choice() -> str:
-    """Resolve the kernel backend from NUTAXIS_NUMBA ("numba" or "numpy")."""
-    env = os.environ.get("NUTAXIS_NUMBA", "").strip().lower()
-    if env in ("0", "false", "no", "numpy"):
-        return "numpy"
-    if env in ("1", "true", "yes", "numba"):
-        if not NUMBA_AVAILABLE:
-            raise ImportError("NUTAXIS_NUMBA=1 but numba is not importable")
-        return "numba"
-    return "numba" if NUMBA_AVAILABLE else "numpy"
-
-
 # ---------------------------------------------------------------------------
 # the segment controller (numba-compilable when its primitives are)
 # ---------------------------------------------------------------------------
@@ -118,7 +102,7 @@ def _make_segment(fill_sink, cap_terms, attempt):
     def segment(u, v, w, hu, hv, hw, hnu, hmeta, rem,
                 m, cl, cr, af, h,
                 D_u, D_w, chi, alpha, beta, gamma, delta, eps,
-                dt_base, dt_min, cfl_safety, max_retries, scheme2):
+                dt_base, cfl_safety, max_retries, scheme2):
         n = u.shape[0]
         sink = np.empty(n)
         un = np.empty(n)
@@ -197,7 +181,7 @@ def _make_segment(fill_sink, cap_terms, attempt):
             if status != STATUS_OK:
                 rejected += 1
                 retries += 1
-                if retries > max_retries or 0.5 * dt < dt_min:
+                if retries > max_retries:
                     break
                 halve = True
                 rebuild_pending = True
@@ -363,7 +347,7 @@ def _loop_primitives(jit):
 # segment_loops itself stays python-callable (slow) as a reference
 segment_loops = _make_segment(*_loop_primitives(lambda fn: fn))
 
-if NUMBA_AVAILABLE:  # pragma: no cover - numba is an optional extra
+if NUMBA_AVAILABLE:  # pragma: no cover
     _njit = numba.njit(cache=True, fastmath=False)
     _segment_numba = _njit(_make_segment(*_loop_primitives(_njit)))
 else:
@@ -392,13 +376,14 @@ def solve_tridiag(cl, cr, diag, rhs, D):
 
 def attempt_step_numpy(u, v, w, hu, hw, hnu, sink, sbdf2, dt,
                        m, cl, cr, af, h,
-                       D_u, D_w, chi, alpha, delta, eps, w_snap):
-    """One step attempt (no retries).
+                       D_u, D_w, chi, alpha, delta, eps, w_snap,
+                       un, vn, wn, nn, work):
+    """One step attempt (no retries), vectorized; ``work`` is unused.
 
-    Returns ``(status, bad_cell, un, vn, wn, nn)`` where status is one of the
-    module STATUS codes and ``nn`` is the explicit u-term at the entry level
-    (to be stored as history for the next two-step stage).  Inputs are not
-    modified.
+    Fills ``un, vn, wn, nn`` and returns ``(status, cell)`` with status one of
+    the module STATUS codes, as the loop attempt does; ``nn`` is the explicit
+    u-term at the entry level (the history of the next two-step stage).  The
+    other inputs are not modified.
     """
     if sbdf2:
         c0 = 3.0 / (2.0 * dt)
@@ -406,32 +391,29 @@ def attempt_step_numpy(u, v, w, hu, hw, hnu, sink, sbdf2, dt,
     else:
         c0 = 1.0 / dt
         rhs_w = w * c0
-    diag_w = c0 + sink + D_w * (cl + cr)
     try:
-        wn = solve_tridiag(cl, cr, diag_w, rhs_w, D_w)
-    except Exception:
-        return STATUS_SINGULAR, -1, None, None, None, None
-
+        wn[:] = solve_tridiag(cl, cr, c0 + sink + D_w * (cl + cr), rhs_w, D_w)
+    except np.linalg.LinAlgError:
+        return STATUS_SINGULAR, -1
     if wn.min() < -w_snap:
-        return STATUS_W_POSITIVITY, int(np.argmax(wn < -w_snap)), None, None, None, None
-    wn = np.where(wn < w_snap, 0.0, wn)
-    vn = v * np.exp(alpha * dt * 0.5 * (w + wn))
+        return STATUS_W_POSITIVITY, int(np.argmax(wn < -w_snap))
+    wn[wn < w_snap] = 0.0
+    np.multiply(v, np.exp(alpha * dt * 0.5 * (w + wn)), out=vn)
 
     gflux = taxis_flux(u, w, af, h, chi, eps)
-    nn = -np.diff(gflux) / m + delta * f_eps(u, eps) * w
+    np.add(-np.diff(gflux) / m, delta * f_eps(u, eps) * w, out=nn)
 
     if sbdf2:
         rhs_u = (4.0 * u - hu) / (2.0 * dt) + 2.0 * nn - hnu
     else:
         rhs_u = u * c0 + nn
-    diag_u = c0 + D_u * (cl + cr)
     try:
-        un = solve_tridiag(cl, cr, diag_u, rhs_u, D_u)
-    except Exception:
-        return STATUS_SINGULAR, -1, None, None, None, None
+        un[:] = solve_tridiag(cl, cr, c0 + D_u * (cl + cr), rhs_u, D_u)
+    except np.linalg.LinAlgError:
+        return STATUS_SINGULAR, -1
     if un.min() <= U_FLOOR:
-        return STATUS_U_POSITIVITY, int(np.argmax(un <= U_FLOOR)), None, None, None, None
-    return STATUS_OK, -1, un, vn, wn, nn
+        return STATUS_U_POSITIVITY, int(np.argmax(un <= U_FLOOR))
+    return STATUS_OK, -1
 
 
 def _fill_sink_numpy(sink, u, v, hu, hv, extrapolate, beta, gamma, eps):
@@ -447,30 +429,24 @@ def _cap_terms_numpy(w, sink):
             float(w.max()))
 
 
-def _attempt_numpy(u, v, w, hu, hw, hnu, sink, sbdf2, dt,
-                   m, cl, cr, af, h,
-                   D_u, D_w, chi, alpha, delta, eps, w_snap,
-                   un, vn, wn, nn, work):
-    # looked up as a module global, so a patched or traced
-    # attempt_step_numpy sees every attempt
-    status, cell, *new = attempt_step_numpy(
-        u, v, w, hu, hw, hnu, sink, sbdf2, dt,
-        m, cl, cr, af, h, D_u, D_w, chi, alpha, delta, eps, w_snap)
-    if status == STATUS_OK:
-        un[:], vn[:], wn[:], nn[:] = new
-    return status, cell
-
-
-segment_numpy = _make_segment(_fill_sink_numpy, _cap_terms_numpy, _attempt_numpy)
+# attempt_step_numpy is looked up as a module global at each attempt, so a
+# patched or traced attempt_step_numpy sees every attempt
+segment_numpy = _make_segment(_fill_sink_numpy, _cap_terms_numpy,
+                              lambda *a: attempt_step_numpy(*a))
 
 
 def get_segment_runner(backend: str | None = None):
-    """Return ``(name, callable)`` for the requested/auto-selected backend."""
-    name = backend or backend_choice()
-    if name == "numba":
-        if _segment_numba is None:
-            raise ImportError("numba backend requested but numba is unavailable")
-        return "numba", _segment_numba
-    if name == "numpy":
-        return "numpy", segment_numpy
-    raise ValueError(f"unknown backend {name!r}")
+    """Return ``(name, runner)`` for ``backend``: ``"numba"``, ``"numpy"``
+    or ``"loops"`` (the uncompiled loop reference).
+
+    ``None`` picks ``"numba"`` when numba imports and ``"numpy"`` otherwise.
+    The runners are read from the module globals at each call.
+    """
+    name = backend or ("numba" if NUMBA_AVAILABLE else "numpy")
+    runners = {"numba": _segment_numba, "numpy": segment_numpy,
+               "loops": segment_loops}
+    if name not in runners:
+        raise ValueError(f"unknown backend {name!r}")
+    if runners[name] is None:
+        raise ImportError("numba backend requested but numba is unavailable")
+    return name, runners[name]

@@ -1,5 +1,5 @@
 """Space-free and comparison models: the well-mixed ODE system, the pure
-heat problem, and the strict Jensen gap.
+heat problem, and the stabilization constants built on the Jensen gap.
 
 The ODE system drops all transport:
 
@@ -23,7 +23,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .diagnostics import NonpositiveField
+from .diagnostics import NonpositiveField, jensen_gap
 from .experiments import OutputSchedule, output_times
 from .grid import Grid
 from .model import ModelParams
@@ -41,8 +41,6 @@ __all__ = [
     "sign_law_check",
     "HeatTrajectory",
     "heat_solve",
-    "JensenReport",
-    "jensen_gap",
     "stabilization_constants",
 ]
 
@@ -213,26 +211,6 @@ def heat_solve(u0: Union[Profile, np.ndarray], D: float, grid: Grid,
 
     advance(state, grid, params, cfg, t_end, observe_times=ts, observer=look)
     return HeatTrajectory(np.array(times), np.array(int_ln), np.array(sup), mean)
-
-
-@dataclass(frozen=True)
-class JensenReport:
-    """c1 = ln(mean phi) - mean(ln phi) >= 0; strict iff phi is nonconstant."""
-
-    c1: float
-    strict: bool
-
-
-def jensen_gap(phi: np.ndarray, grid: Grid) -> JensenReport:
-    """Logarithmic Jensen gap of a positive cell field (volume-weighted)."""
-    phi = np.asarray(phi, dtype=np.float64)
-    if phi.min() <= 0.0:
-        raise NonpositiveField("jensen gap needs a strictly positive field")
-    vol = grid.volume
-    mean = float(integrate(phi, grid) / vol)
-    mean_ln = float(integrate(np.log(phi), grid) / vol)
-    c1 = math.log(mean) - mean_ln
-    return JensenReport(c1=c1, strict=bool(c1 > 1e-12))
 
 
 def stabilization_constants(u0: Union[Profile, np.ndarray], D: float,

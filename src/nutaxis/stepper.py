@@ -12,8 +12,8 @@ Scheme (SBDF2): (3 y+ - 4 y + y-) / (2 dt) = A y+ + 2 N(y) - N(y-), with
 
 The first step of a run, and the first step after any dt change, is a
 backward-Euler (SBDF1) rebuild; dt is otherwise constant between changes.
-Positivity failures reject the step and halve dt (bounded by max_retries and
-dt_min).  Step-size caps, the rejection floor and the snap-to-zero of the
+Positivity failures reject the step and halve dt, at most max_retries times
+per step.  Step-size caps, the rejection floor and the snap-to-zero of the
 decaying nutrient are documented in :mod:`nutaxis.kernels`, which takes
 every step.
 """
@@ -79,21 +79,19 @@ class StepperConfig:
 
     Attributes:
         dt: base (largest allowed) time step.
-        dt_min: smallest step the rejection loop may fall to.
         cfl_safety: safety factor in (0, 1] for the chemotaxis CFL cap.
         max_retries: rejection halvings allowed per step.
         scheme: "sbdf2" (default) or "sbdf1" (first-order throughout).
     """
 
     dt: float = 0.25
-    dt_min: float = 1e-12
     cfl_safety: float = 0.5
     max_retries: int = 12
     scheme: str = "sbdf2"
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.dt_min <= self.dt):
-            raise ValueError(f"need 0 < dt_min <= dt, got {self.dt_min}, {self.dt}")
+        if not self.dt > 0.0:
+            raise ValueError(f"dt must be positive, got {self.dt}")
         if not (0.0 < self.cfl_safety <= 1.0):
             raise ValueError(f"cfl_safety must be in (0, 1], got {self.cfl_safety}")
         if self.scheme not in ("sbdf2", "sbdf1"):
@@ -186,7 +184,8 @@ def advance(state: State, grid: Grid, params: ModelParams, cfg: StepperConfig,
     Raises:
         ValueError: if t_end < state.t or observe times are out of range.
         PositivityViolation / LinearSolveFailure: from the stepping kernel,
-            with the failing step's start time and dt attached.
+            with the failing step's start time and dt attached; ``state``
+            and ``history`` are left at that step's start.
     """
     if t_end < state.t:
         raise ValueError(f"t_end = {t_end} is before state.t = {state.t}")
@@ -205,13 +204,13 @@ def advance(state: State, grid: Grid, params: ModelParams, cfg: StepperConfig,
             raise ValueError("observe times must lie in (state.t, t_end]")
         if sorted(targets) != targets:
             raise ValueError("observe times must be sorted")
-    full = targets + ([t_end] if (not targets or targets[-1] < t_end) else [])
 
     m, cl, cr, af, h = grid_coefficients(grid)
     hmeta = np.array([history.dt, 1.0 if history.valid else 0.0, history.w_snap])
     scheme2 = 1 if cfg.scheme == "sbdf2" else 0
 
-    for tt in full:
+    # a trailing t_end equal to the last target is an empty segment
+    for i, tt in enumerate(targets + [t_end]):
         rem = tt - state.t
         if rem > 0.0:
             status, cell, acc, rej, reb, mdt, dt, left = runner(
@@ -220,18 +219,18 @@ def advance(state: State, grid: Grid, params: ModelParams, cfg: StepperConfig,
                 m, cl, cr, af, h,
                 params.D_u, params.D_w, params.chi, params.alpha, params.beta,
                 params.gamma, params.delta, params.eps_reg,
-                cfg.dt, cfg.dt_min, cfg.cfl_safety, cfg.max_retries, scheme2)
+                cfg.dt, cfg.cfl_safety, cfg.max_retries, scheme2)
             stats.merge(int(acc), int(rej), int(reb), float(mdt))
+            history.dt = float(hmeta[0])
+            history.valid = hmeta[1] > 0.5
             if status != kernels.STATUS_OK:
-                t_fail = max(state.t, tt - float(left))  # the failing step's start
+                state.t = max(state.t, tt - float(left))  # the failing step's start
                 if status == kernels.STATUS_SINGULAR:
-                    raise LinearSolveFailure(t_fail, float(dt))
+                    raise LinearSolveFailure(state.t, float(dt))
                 fieldname = "u" if status == kernels.STATUS_U_POSITIVITY else "w"
-                raise PositivityViolation(fieldname, int(cell), t_fail, float(dt))
+                raise PositivityViolation(fieldname, int(cell), state.t, float(dt))
             state.t = tt
-        if observer is not None and targets and tt in targets:
+        if observer is not None and i < len(targets):
             observer(state)
 
-    history.dt = float(hmeta[0])
-    history.valid = hmeta[1] > 0.5
     return AdvanceResult(state, history, stats)

@@ -26,14 +26,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .diagnostics import dissipation
+from .diagnostics import dissipation, jensen_gap
 from .experiments import ScenarioConfig, apply_override, preset
 from .grid import Geometry, Grid, build_grid
 from .kernels import solve_tridiag
 from .model import ModelParams
 from .operators import chemotaxis_divergence, integrate
 from .profiles import State, init_state
-from .reduced import OdeState, jensen_gap, ode_solve, sign_law_check
+from .reduced import OdeState, ode_solve, sign_law_check
 from .stepper import StepperConfig, advance, grid_coefficients
 
 __all__ = [

@@ -39,6 +39,7 @@ def backend(request):
 
 
 @pytest.mark.parametrize("kwargs", [
+    dict(dt=float("nan")),
     dict(dt=0.0),
     dict(cfl_safety=0.0),
     dict(cfl_safety=1.5),

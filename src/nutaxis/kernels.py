@@ -16,9 +16,10 @@ solves), the controller is ``segment_loops``; compiled with
 ``numba.njit(cache=True)``, controller and primitives alike, it is the
 ``numba`` backend.  Uncompiled it is the slow ``loops`` reference.  Built
 over the vectorized primitives it is ``segment_numpy``, whose step attempt
-is :func:`attempt_step_numpy` (tridiagonal solves via
-``scipy.linalg.solve_banded``, taxis via
-:func:`nutaxis.operators.taxis_flux`).
+is :func:`attempt_step_numpy` (tridiagonal solves by a direct call of LAPACK
+``dgtsv`` in :func:`solve_tridiag`, taxis via
+:func:`nutaxis.operators.taxis_flux`, temporaries in the controller's
+``work`` buffer).
 
 These are the only place a step is taken; :func:`nutaxis.stepper.advance`
 drives them one output interval at a time.
@@ -362,53 +363,95 @@ def solve_tridiag(cl, cr, diag, rhs, D):
     """Solve the tridiagonal system with rows ``-D*cl[i], diag[i], -D*cr[i]``.
 
     ``cl`` and ``cr`` are the face couplings from
-    :func:`nutaxis.stepper.grid_coefficients`.
-    """
-    from scipy.linalg import solve_banded
+    :func:`nutaxis.stepper.grid_coefficients`.  Calls LAPACK ``dgtsv``
+    (elimination with partial pivoting) directly: it is the routine
+    ``scipy.linalg.solve_banded`` reaches for a ``(1, 1)`` band, so the
+    solution is bitwise the same, without the band array and the input
+    validation.  No argument is modified.
 
-    n = diag.shape[0]
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -D * cr[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = -D * cl[1:]
-    return solve_banded((1, 1), ab, rhs, check_finite=False)
+    Raises:
+        np.linalg.LinAlgError: on an exactly zero pivot.
+    """
+    from scipy.linalg.lapack import dgtsv  # deferred: scipy loads slowly
+
+    *_, x, info = dgtsv(-D * cl[1:], diag, -D * cr[:-1], rhs,
+                        overwrite_dl=1, overwrite_du=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular tridiagonal matrix: zero "
+                                    f"pivot in row {info - 1}")
+    return x
 
 
 def attempt_step_numpy(u, v, w, hu, hw, hnu, sink, sbdf2, dt,
                        m, cl, cr, af, h,
                        D_u, D_w, chi, alpha, delta, eps, w_snap,
                        un, vn, wn, nn, work):
-    """One step attempt (no retries), vectorized; ``work`` is unused.
+    """One step attempt (no retries), vectorized.
 
     Fills ``un, vn, wn, nn`` and returns ``(status, cell)`` with status one of
     the module STATUS codes, as the loop attempt does; ``nn`` is the explicit
     u-term at the entry level (the history of the next two-step stage).  The
-    other inputs are not modified.
+    other inputs are not modified, except ``work`` (shape ``(5, n + 1)``),
+    whose first ``n`` columns are scratch: row 0 holds each solve's
+    right-hand side, row 1 its diagonal, row 2 ``cl + cr`` and row 3 a
+    product term or the taxis flux difference.  Nothing is read from
+    ``work`` before it is written.  Each expression is evaluated in place
+    with the operations of its plain numpy form, so every value rounds as
+    that form does.
     """
+    n = u.shape[0]
+    rhs, diag, csum, tmp = work[0, :n], work[1, :n], work[2, :n], work[3, :n]
+    # ---- implicit w solve:  (c0 + sink) w+ - D_w lap w+ = rhs
     if sbdf2:
         c0 = 3.0 / (2.0 * dt)
-        rhs_w = (4.0 * w - hw) / (2.0 * dt)
+        np.multiply(w, 4.0, out=rhs)  # (4 w - hw) / (2 dt)
+        rhs -= hw
+        rhs /= 2.0 * dt
     else:
         c0 = 1.0 / dt
-        rhs_w = w * c0
+        np.multiply(w, c0, out=rhs)
+    np.add(cl, cr, out=csum)
+    np.multiply(csum, D_w, out=tmp)  # (c0 + sink) + D_w (cl + cr)
+    np.add(sink, c0, out=diag)
+    diag += tmp
     try:
-        wn[:] = solve_tridiag(cl, cr, c0 + sink + D_w * (cl + cr), rhs_w, D_w)
+        wn[:] = solve_tridiag(cl, cr, diag, rhs, D_w)
     except np.linalg.LinAlgError:
         return STATUS_SINGULAR, -1
     if wn.min() < -w_snap:
         return STATUS_W_POSITIVITY, int(np.argmax(wn < -w_snap))
     wn[wn < w_snap] = 0.0
-    np.multiply(v, np.exp(alpha * dt * 0.5 * (w + wn)), out=vn)
 
+    # ---- exact multiplicative v update: v exp(alpha dt/2 (w + w+))
+    np.add(w, wn, out=vn)
+    vn *= alpha * dt * 0.5
+    np.exp(vn, out=vn)
+    vn *= v
+
+    # ---- explicit u-term: -(flux difference)/m + delta F(u) w
     gflux = taxis_flux(u, w, af, h, chi, eps)
-    np.add(-np.diff(gflux) / m, delta * f_eps(u, eps) * w, out=nn)
+    np.subtract(gflux[1:], gflux[:-1], out=tmp)
+    np.negative(tmp, out=tmp)
+    tmp /= m
+    np.multiply(f_eps(u, eps), delta, out=nn)
+    nn *= w
+    nn += tmp
 
+    # ---- implicit-diffusion u solve
     if sbdf2:
-        rhs_u = (4.0 * u - hu) / (2.0 * dt) + 2.0 * nn - hnu
+        np.multiply(u, 4.0, out=rhs)  # (4 u - hu) / (2 dt) + 2 nn - hnu
+        rhs -= hu
+        rhs /= 2.0 * dt
+        np.multiply(nn, 2.0, out=tmp)
+        rhs += tmp
+        rhs -= hnu
     else:
-        rhs_u = u * c0 + nn
+        np.multiply(u, c0, out=rhs)
+        rhs += nn
+    np.multiply(csum, D_u, out=diag)  # c0 + D_u (cl + cr)
+    diag += c0
     try:
-        un[:] = solve_tridiag(cl, cr, c0 + D_u * (cl + cr), rhs_u, D_u)
+        un[:] = solve_tridiag(cl, cr, diag, rhs, D_u)
     except np.linalg.LinAlgError:
         return STATUS_SINGULAR, -1
     if un.min() <= U_FLOOR:
@@ -423,9 +466,10 @@ def _fill_sink_numpy(sink, u, v, hu, hv, extrapolate, beta, gamma, eps):
 
 
 def _cap_terms_numpy(w, sink):
-    pos = w > 0.0
-    return (float(np.abs(np.diff(w)).max()),
-            float(sink[pos].max()) if pos.any() else 0.0,
+    # as the loop form: smax starts at 0.0, and a max is exact in any order;
+    # the bare ufunc reductions skip np.diff's and np.max's Python wrappers
+    return (float(np.abs(w[1:] - w[:-1]).max()),
+            float(np.maximum.reduce(sink, where=w > 0.0, initial=0.0)),
             float(w.max()))
 
 

@@ -16,10 +16,11 @@ solves), the controller is ``segment_loops``; compiled with
 ``numba.njit(cache=True)``, controller and primitives alike, it is the
 ``numba`` backend.  Uncompiled it is the slow ``loops`` reference.  Built
 over the vectorized primitives it is ``segment_numpy``, whose step attempt
-is :func:`attempt_step_numpy` (tridiagonal solves by a direct call of LAPACK
-``dgtsv`` in :func:`solve_tridiag`, taxis via
-:func:`nutaxis.operators.taxis_flux`, temporaries in the controller's
-``work`` buffer).
+is :func:`attempt_step_numpy`: LAPACK ``dgtsv``, called directly by
+:func:`solve_tridiag`, solves in place in ``wn`` and ``un``; the diagonals,
+off-diagonals and the face fluxes of :func:`nutaxis.operators.taxis_flux`
+are kept in the controller's ``work`` rows, so with ``eps == 0`` the
+attempt allocates no float array.
 
 These are the only place a step is taken; :func:`nutaxis.stepper.advance`
 drives them one output interval at a time.
@@ -359,7 +360,10 @@ else:
 # vectorized numpy/scipy primitives
 # ---------------------------------------------------------------------------
 
-def solve_tridiag(cl, cr, diag, rhs, D):
+_dgtsv = None  # scipy.linalg.lapack.dgtsv, looked up on the first solve
+
+
+def solve_tridiag(cl, cr, diag, rhs, D, work=None):
     """Solve the tridiagonal system with rows ``-D*cl[i], diag[i], -D*cr[i]``.
 
     ``cl`` and ``cr`` are the face couplings from
@@ -367,18 +371,36 @@ def solve_tridiag(cl, cr, diag, rhs, D):
     (elimination with partial pivoting) directly: it is the routine
     ``scipy.linalg.solve_banded`` reaches for a ``(1, 1)`` band, so the
     solution is bitwise the same, without the band array and the input
-    validation.  No argument is modified.
+    validation.  scipy is imported on the first call, not with the package.
+
+    By default no argument is modified and the solution is a new array.
+    With ``work`` (two float64 rows of at least ``n - 1`` entries) the
+    solve runs in place and allocates nothing: the off-diagonals are built
+    in ``work``, ``rhs`` is overwritten with the solution and returned, and
+    ``diag`` and ``work`` are destroyed.
 
     Raises:
         np.linalg.LinAlgError: on an exactly zero pivot.
     """
-    from scipy.linalg.lapack import dgtsv  # deferred: scipy loads slowly
-
-    *_, x, info = dgtsv(-D * cl[1:], diag, -D * cr[:-1], rhs,
-                        overwrite_dl=1, overwrite_du=1)
+    global _dgtsv
+    if _dgtsv is None:  # deferred: importing scipy takes ~0.3 s
+        from scipy.linalg.lapack import dgtsv as _dgtsv
+    if work is None:
+        dl, du, in_place = -D * cl[1:], -D * cr[:-1], 0
+    else:
+        n = rhs.shape[0]
+        dl = np.multiply(cl[1:], -D, out=work[0, :n - 1])
+        du = np.multiply(cr[:-1], -D, out=work[1, :n - 1])
+        in_place = 1
+    # positional flags (overwrite_dl, _d, _du, _b): f2py's keyword parsing
+    # costs ~0.8 us per call
+    *_, x, info = _dgtsv(dl, diag, du, rhs, 1, in_place, 1, in_place)
     if info > 0:
         raise np.linalg.LinAlgError(f"singular tridiagonal matrix: zero "
                                     f"pivot in row {info - 1}")
+    if in_place and x is not rhs:  # f2py copied a non-contiguous rhs
+        rhs[...] = x
+        x = rhs
     return x
 
 
@@ -392,35 +414,40 @@ def attempt_step_numpy(u, v, w, hu, hw, hnu, sink, sbdf2, dt,
     the module STATUS codes, as the loop attempt does; ``nn`` is the explicit
     u-term at the entry level (the history of the next two-step stage).  The
     other inputs are not modified, except ``work`` (shape ``(5, n + 1)``),
-    whose first ``n`` columns are scratch: row 0 holds each solve's
-    right-hand side, row 1 its diagonal, row 2 ``cl + cr`` and row 3 a
-    product term or the taxis flux difference.  Nothing is read from
-    ``work`` before it is written.  Each expression is evaluated in place
-    with the operations of its plain numpy form, so every value rounds as
-    that form does.
+    which is scratch: row 0 holds each solve's diagonal, row 1 ``cl + cr``,
+    rows 2 and 3 each solve's off-diagonals (row 2 first holds a product
+    term or the taxis flux difference), row 4 the n + 1 taxis face fluxes.
+    Each right-hand side is built in ``wn`` or ``un``, where LAPACK solves
+    in place.  Nothing is read from ``work`` before it is written.  Each
+    expression is evaluated in place with the operations of its plain numpy
+    form, so every value rounds as that form does.  With ``eps == 0`` no
+    float array is allocated, only the n-byte masks of the upwind choice
+    and, when some ``w+`` is snapped, of the snap.
     """
     n = u.shape[0]
-    rhs, diag, csum, tmp = work[0, :n], work[1, :n], work[2, :n], work[3, :n]
+    diag, csum, tmp = work[0, :n], work[1, :n], work[2, :n]
     # ---- implicit w solve:  (c0 + sink) w+ - D_w lap w+ = rhs
     if sbdf2:
         c0 = 3.0 / (2.0 * dt)
-        np.multiply(w, 4.0, out=rhs)  # (4 w - hw) / (2 dt)
-        rhs -= hw
-        rhs /= 2.0 * dt
+        np.multiply(w, 4.0, out=wn)  # (4 w - hw) / (2 dt)
+        wn -= hw
+        wn /= 2.0 * dt
     else:
         c0 = 1.0 / dt
-        np.multiply(w, c0, out=rhs)
+        np.multiply(w, c0, out=wn)
     np.add(cl, cr, out=csum)
     np.multiply(csum, D_w, out=tmp)  # (c0 + sink) + D_w (cl + cr)
     np.add(sink, c0, out=diag)
     diag += tmp
     try:
-        wn[:] = solve_tridiag(cl, cr, diag, rhs, D_w)
+        solve_tridiag(cl, cr, diag, wn, D_w, work[2:4])
     except np.linalg.LinAlgError:
         return STATUS_SINGULAR, -1
-    if wn.min() < -w_snap:
+    wn_min = np.minimum.reduce(wn)
+    if wn_min < -w_snap:
         return STATUS_W_POSITIVITY, int(np.argmax(wn < -w_snap))
-    wn[wn < w_snap] = 0.0
+    if not wn_min >= w_snap:  # snap to zero (a NaN minimum snaps too)
+        np.copyto(wn, 0.0, where=wn < w_snap)
 
     # ---- exact multiplicative v update: v exp(alpha dt/2 (w + w+))
     np.add(w, wn, out=vn)
@@ -429,7 +456,7 @@ def attempt_step_numpy(u, v, w, hu, hw, hnu, sink, sbdf2, dt,
     vn *= v
 
     # ---- explicit u-term: -(flux difference)/m + delta F(u) w
-    gflux = taxis_flux(u, w, af, h, chi, eps)
+    gflux = taxis_flux(u, w, af, h, chi, eps, out=work[4])
     np.subtract(gflux[1:], gflux[:-1], out=tmp)
     np.negative(tmp, out=tmp)
     tmp /= m
@@ -439,38 +466,54 @@ def attempt_step_numpy(u, v, w, hu, hw, hnu, sink, sbdf2, dt,
 
     # ---- implicit-diffusion u solve
     if sbdf2:
-        np.multiply(u, 4.0, out=rhs)  # (4 u - hu) / (2 dt) + 2 nn - hnu
-        rhs -= hu
-        rhs /= 2.0 * dt
+        np.multiply(u, 4.0, out=un)  # (4 u - hu) / (2 dt) + 2 nn - hnu
+        un -= hu
+        un /= 2.0 * dt
         np.multiply(nn, 2.0, out=tmp)
-        rhs += tmp
-        rhs -= hnu
+        un += tmp
+        un -= hnu
     else:
-        np.multiply(u, c0, out=rhs)
-        rhs += nn
+        np.multiply(u, c0, out=un)
+        un += nn
     np.multiply(csum, D_u, out=diag)  # c0 + D_u (cl + cr)
     diag += c0
     try:
-        un[:] = solve_tridiag(cl, cr, diag, rhs, D_u)
+        solve_tridiag(cl, cr, diag, un, D_u, work[2:4])
     except np.linalg.LinAlgError:
         return STATUS_SINGULAR, -1
-    if un.min() <= U_FLOOR:
+    if np.minimum.reduce(un) <= U_FLOOR:
         return STATUS_U_POSITIVITY, int(np.argmax(un <= U_FLOOR))
     return STATUS_OK, -1
 
 
 def _fill_sink_numpy(sink, u, v, hu, hv, extrapolate, beta, gamma, eps):
+    # beta F(u*) + gamma v*, with u* = max(2 u - hu, 0) and v* = 2 v - hv
+    # when extrapolating; u* is built in sink, gamma v* in the one temporary
+    # (this primitive's signature, shared with the loop backends, carries
+    # no scratch buffer)
     if extrapolate:
-        u, v = np.maximum(2.0 * u - hu, 0.0), 2.0 * v - hv
-    np.add(beta * f_eps(u, eps), gamma * v, out=sink)
+        us = np.multiply(u, 2.0, out=sink)
+        us -= hu
+        np.maximum(us, 0.0, out=us)
+        gv = np.multiply(v, 2.0)
+        gv -= hv
+        gv *= gamma
+    else:
+        us = u
+        gv = np.multiply(v, gamma)
+    np.multiply(f_eps(us, eps), beta, out=sink)
+    sink += gv
 
 
 def _cap_terms_numpy(w, sink):
     # as the loop form: smax starts at 0.0, and a max is exact in any order;
-    # the bare ufunc reductions skip np.diff's and np.max's Python wrappers
-    return (float(np.abs(w[1:] - w[:-1]).max()),
+    # the bare ufunc reductions skip the Python wrappers of ndarray.max, and
+    # |w[j] - w[j-1]| is the one temporary
+    dw = np.subtract(w[1:], w[:-1])
+    np.absolute(dw, out=dw)
+    return (float(np.maximum.reduce(dw)),
             float(np.maximum.reduce(sink, where=w > 0.0, initial=0.0)),
-            float(w.max()))
+            float(np.maximum.reduce(w)))
 
 
 # attempt_step_numpy is looked up as a module global at each attempt, so a

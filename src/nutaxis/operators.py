@@ -59,7 +59,8 @@ def laplacian_neumann(f: np.ndarray, grid: Grid) -> np.ndarray:
 
 def taxis_flux(u: np.ndarray, w: np.ndarray, face_areas: np.ndarray,
                h: float, chi: float, eps: float = 0.0,
-               mode: str = "upwind") -> np.ndarray:
+               mode: str = "upwind",
+               out: Optional[np.ndarray] = None) -> np.ndarray:
     """Taxis fluxes ``a * chi*(w_{i+1}-w_i)/h * mobility`` on the n + 1 faces.
 
     The mobility ``u * f_eps_prime(u, eps)`` is taken from the donor cell
@@ -67,17 +68,30 @@ def taxis_flux(u: np.ndarray, w: np.ndarray, face_areas: np.ndarray,
     arithmetic face mean (``mode="central"``, second-order; used by
     convergence studies).  Boundary faces carry no flux.  The operations
     run in the loop kernel's order (``chi*dw/h``, then ``a*g*mobility``).
+
+    The fluxes are written into ``out`` (length n + 1) when it is given and
+    returned.  The upwind flux with ``eps == 0`` then allocates no float
+    array, only the n - 1 byte mask of faces with ``g > 0``.
     """
-    gw = chi * np.diff(w) / h
-    mob = u * f_eps_prime(u, eps)
-    if mode == "upwind":
-        mob_face = np.where(gw > 0.0, mob[:-1], mob[1:])
-    elif mode == "central":
-        mob_face = 0.5 * (mob[:-1] + mob[1:])
-    else:
+    if mode not in ("upwind", "central"):
         raise ValueError(f"unknown flux mode {mode!r}")
-    flux = np.zeros(u.shape[0] + 1)
-    flux[1:-1] = face_areas[1:-1] * gw * mob_face
+    n = u.shape[0]
+    flux = np.empty(n + 1) if out is None else out
+    flux[0] = flux[n] = 0.0
+    g = flux[1:n]
+    np.subtract(w[1:], w[:-1], out=g)  # chi (w_{i+1} - w_i) / h
+    g *= chi
+    g /= h
+    mob = u if eps == 0.0 else u * f_eps_prime(u, eps)  # u * 1.0 == u
+    if mode == "upwind":
+        donor_left = g > 0.0
+        g *= face_areas[1:-1]
+        np.multiply(g, mob[:-1], out=g, where=donor_left)
+        np.logical_not(donor_left, out=donor_left)
+        np.multiply(g, mob[1:], out=g, where=donor_left)
+    else:
+        g *= face_areas[1:-1]
+        g *= 0.5 * (mob[:-1] + mob[1:])
     return flux
 
 

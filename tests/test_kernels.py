@@ -1,8 +1,15 @@
 """The numpy backend's primitives: the LAPACK solve and the step attempt."""
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
+import nutaxis
 from nutaxis import Gaussian, Geometry, build_grid, init_state
 from nutaxis import kernels
 from nutaxis.model import f_eps
@@ -32,6 +39,37 @@ def test_solve_tridiag_matches_solve_banded_bitwise(n, D):
     assert np.array_equal(x, solve_banded((1, 1), ab, rhs))
     for a, b in zip(args, before):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [4, 401])
+def test_solve_tridiag_in_place_with_work(n):
+    cl, cr, diag, rhs = _system(n, 0.7, seed=n)
+    x = kernels.solve_tridiag(cl, cr, diag, rhs, 0.7)
+    cl0, cr0 = cl.copy(), cr.copy()
+    strided = np.zeros((n, 2))  # f2py copies a non-contiguous rhs
+    strided[:, 0] = rhs
+    for b in (rhs, strided[:, 0]):
+        work = np.full((2, n + 1), np.nan)
+        got = kernels.solve_tridiag(cl, cr, diag.copy(), b, 0.7, work)
+        assert got is b
+        assert np.array_equal(b, x)
+    assert np.array_equal(cl, cl0) and np.array_equal(cr, cr0)
+
+
+def test_import_defers_scipy_to_the_first_solve():
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "import nutaxis\n"
+            "from nutaxis import kernels\n"
+            "assert 'scipy' not in sys.modules, 'import nutaxis loaded scipy'\n"
+            "x = kernels.solve_tridiag(np.zeros(3), np.zeros(3),\n"
+            "                          np.full(3, 2.0), np.ones(3), 1.0)\n"
+            "assert x.tolist() == [0.5, 0.5, 0.5]\n")
+    src = str(Path(nutaxis.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_solve_tridiag_zero_pivot_raises():
@@ -109,3 +147,73 @@ def test_numpy_attempt_uses_work_as_scratch_only(geometry, eps, sbdf2):
                            sbdf2, dt, *consts)
     for a, b in zip(out, plain):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("sbdf2", [True, False])
+def test_numpy_attempt_allocates_no_float_array(sbdf2):
+    # one n-length float64 temporary alone reaches 8 n bytes; what the
+    # attempt does allocate (array views and the n-byte upwind mask) peaks
+    # below that at n = 401: 2568 B with numpy 2.4, against 20264 B when
+    # each solve allocated its off-diagonals, diagonal and solution
+    arrays, h = _attempt_inputs(Geometry("interval", 401), 0.0)
+    n = arrays[0].shape[0]
+    args = (*arrays[:7], sbdf2, 1e-5, *arrays[7:], h,
+            20.0, 1.0, 5.0, 2.0, 1.0, 0.0, 1e-250,
+            *[np.empty(n) for _ in range(4)], np.empty((5, n + 1)))
+    assert kernels.attempt_step_numpy(*args) == (kernels.STATUS_OK, -1)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        kernels.attempt_step_numpy(*args)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize("extrapolate", [True, False])
+def test_vectorized_primitives_match_loop_primitives(extrapolate, eps):
+    # the same operations per element, and a max is exact in any order
+    fill_sink, cap_terms, _ = kernels._loop_primitives(lambda fn: fn)
+    rng = np.random.default_rng(17)
+    n = 401
+    u, v = rng.uniform(0.0, 2.0, n), rng.uniform(0.5, 2.0, n)
+    hu, hv = u + rng.uniform(-1.0, 1.0, n), v + rng.uniform(-0.5, 0.5, n)
+    assert np.any(2.0 * u - hu < 0.0)  # some extrapolants are clamped
+    sinks = []
+    for fill in (fill_sink, kernels._fill_sink_numpy):
+        sink = np.full(n, np.nan)
+        fill(sink, u, v, hu, hv, extrapolate, 200.0, 50.0, eps)
+        sinks.append(sink)
+    assert sinks[0].tobytes() == sinks[1].tobytes()
+
+    w = rng.uniform(0.0, 3.0, n)
+    w[100:200] = 0.0  # snapped cells: their sink does not cap dt
+    sink = sinks[0]
+    sink[150] = 2.0 * sink.max()
+    terms = kernels._cap_terms_numpy(w, sink)
+    assert terms == cap_terms(w, sink)
+    assert terms[1] < sink[150]
+
+
+@pytest.mark.parametrize("sbdf2", [True, False])
+def test_numpy_attempt_snaps_like_the_plain_form(sbdf2):
+    arrays, h = _attempt_inputs(Geometry("interval", 64), 0.0)
+    u, v, w, hu, hw, hnu, sink, m, cl, cr, af = arrays
+    w, hw = w.copy(), hw.copy()
+    w[32:], hw[32:] = 0.0, 0.0  # the nutrient is gone from half the domain
+    n = u.shape[0]
+    consts = (20.0, 1.0, 5.0, 2.0, 1.0, 0.0, 1e-30)
+    out = [np.empty(n) for _ in range(4)]
+    status = kernels.attempt_step_numpy(u, v, w, hu, hw, hnu, sink, sbdf2,
+                                        1e-5, m, cl, cr, af, h, *consts,
+                                        *out, np.empty((5, n + 1)))
+    assert status == (kernels.STATUS_OK, -1)
+    wn = out[2]
+    assert np.any(wn[32:] == 0.0) and np.any(wn[32:] > 0.0)
+    plain = _plain_attempt(u, v, w, hu, hw, hnu, sink, m, cl, cr, af, h,
+                           sbdf2, 1e-5, *consts)
+    for a, b in zip(out, plain):
+        assert a.tobytes() == b.tobytes()

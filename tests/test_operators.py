@@ -11,6 +11,8 @@ from nutaxis import (
     laplacian_neumann,
     weighted_gradient_energy,
 )
+from nutaxis.model import f_eps_prime
+from nutaxis.operators import taxis_flux
 
 
 @pytest.fixture
@@ -108,6 +110,36 @@ def test_chemotaxis_saturation_reduces_flux(interval):
     plain = chemotaxis_divergence(u, w, interval, chi=1.0, eps=0.0)
     saturated = chemotaxis_divergence(u, w, interval, chi=1.0, eps=10.0)
     assert np.max(np.abs(saturated)) < np.max(np.abs(plain))
+
+
+def _plain_taxis_flux(u, w, af, h, chi, eps, mode):
+    """taxis_flux in plain, allocating numpy."""
+    gw = chi * np.diff(w) / h
+    mob = u * f_eps_prime(u, eps)
+    if mode == "upwind":
+        mob_face = np.where(gw > 0.0, mob[:-1], mob[1:])
+    else:
+        mob_face = 0.5 * (mob[:-1] + mob[1:])
+    flux = np.zeros(u.shape[0] + 1)
+    flux[1:-1] = af[1:-1] * gw * mob_face
+    return flux
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize("mode", ["upwind", "central"])
+def test_taxis_flux_into_out_buffer(mode, eps):
+    grid = build_grid(Geometry("radial", 48, d=3))
+    rng = np.random.default_rng(5)
+    u, w = 0.5 + rng.random(48), rng.random(48)
+    w[10:14] = w[9]  # faces with a zero gradient
+    args = (u, w, grid.face_areas, grid.h, 3.0, eps, mode)
+    buf = np.full(49, np.nan)
+    flux = taxis_flux(*args, out=buf)
+    assert flux is buf
+    assert flux[0] == 0.0 and flux[-1] == 0.0
+    plain = _plain_taxis_flux(*args).tobytes()  # bitwise, signed zeros too
+    assert flux.tobytes() == plain
+    assert taxis_flux(*args).tobytes() == plain
 
 
 def test_chemotaxis_unknown_mode(interval):

@@ -8,8 +8,8 @@ The package is organized around a small set of layers:
 * :mod:`nutaxis.operators`, :mod:`nutaxis.stepper`, :mod:`nutaxis.kernels` —
   spatial discretization and the adaptive IMEX time integrator (numba
   kernels when numba imports, a pure-numpy fallback otherwise).
-* :mod:`nutaxis.diagnostics` — competition index, quasi-energy, dissipation,
-  Lyapunov functional, per-run audits.
+* :mod:`nutaxis.diagnostics` — one record pass (competition index,
+  quasi-energy, dissipation, Lyapunov value), per-run audits.
 * :mod:`nutaxis.reduced` — well-mixed ODE reduction, heat comparison,
   Jensen-gap constants.
 * :mod:`nutaxis.experiments`, :mod:`nutaxis.io`, :mod:`nutaxis.cli` —
@@ -26,12 +26,9 @@ from .diagnostics import (
     NonpositiveField,
     competition_index,
     derived_constants,
-    dissipation,
     evaluate_record,
     integrated_inequality_audit,
     jensen_gap,
-    lyapunov,
-    quasi_energy,
     record_fields,
 )
 from .experiments import (
@@ -51,12 +48,11 @@ from .experiments import (
 from .grid import Geometry, Grid, build_grid
 from .model import ModelParams, f_eps, f_eps_prime
 from .operators import (
-    WeightFloorError,
     chemotaxis_divergence,
+    face_energy,
     face_gradient,
     integrate,
     laplacian_neumann,
-    weighted_gradient_energy,
 )
 from .profiles import Constant, Gaussian, Mirrored, State, init_state, sample
 from .reduced import (
@@ -113,7 +109,6 @@ __all__ = [
     "StepperConfig",
     "SweepSpec",
     "UnknownVariant",
-    "WeightFloorError",
     "advance",
     "apply_override",
     "build_grid",
@@ -121,10 +116,10 @@ __all__ = [
     "competition_index",
     "conserved_quantity",
     "derived_constants",
-    "dissipation",
     "evaluate_record",
     "f_eps",
     "f_eps_prime",
+    "face_energy",
     "face_gradient",
     "heat_solve",
     "init_state",
@@ -132,17 +127,14 @@ __all__ = [
     "integrated_inequality_audit",
     "jensen_gap",
     "laplacian_neumann",
-    "lyapunov",
     "ode_solve",
     "ode_step_rk4",
     "output_times",
     "preset",
-    "quasi_energy",
     "record_fields",
     "run_scenario",
     "run_sweep",
     "sample",
     "sign_law_check",
     "stabilization_constants",
-    "weighted_gradient_energy",
 ]

@@ -1,20 +1,17 @@
 """Scalar functionals evaluated on states, and the trajectory audits.
 
-Everything here is read-only: records are assembled from a `State` plus the
+Everything here is read-only: a record is assembled from a `State` plus the
 grid, the model parameters, and a small set of constants derived from the
-initial data.  The audits check, at output resolution, the discrete analogues
-of the bounds the scheme is supposed to respect:
+initial data.  `evaluate_record` is the one place the record's functionals
+(the competition index, quasi-energy, dissipation and Lyapunov value) are
+written.  The audits check, at output resolution, the discrete analogues of
+the bounds the scheme is supposed to respect, among them the time-integrated
+inequality
 
-* the competition index I(t) = integral of ln(v/u),
-* the quasi-energy F = beta*int u ln u + (gamma*chi/2alpha)*int |grad v|^2/v
-  + (chi/2)*int |grad w|^2/w and its dissipation partner
-  D = int |grad u|^2/u + int |lap w|^2 + int |grad w|^4,
-* the Lyapunov combination L = I + a*int w + b*int w^2 with
-  a = (alpha + 1/4)/kappa, b = chi^2/(4 D_u), kappa = gamma*min v0,
-* the time-integrated inequality
   I(t) + (D_u/2)*int_0^t int |grad u|^2/u^2 + (1/4)*int_0^t int w
   <= I(0) + a*int w0 + b*int w0^2,
-  together with the gradient budget int_0^t int |grad w|^2 <= (1/2) int w0^2.
+
+together with the gradient budget int_0^t int |grad w|^2 <= (1/2) int w0^2.
 
 All logarithms floor their argument at 1e-300; nonpositive u or v raise
 NonpositiveField instead of propagating NaNs.  Cumulative quantities use the
@@ -30,12 +27,7 @@ import numpy as np
 
 from .grid import Grid
 from .model import ModelParams
-from .operators import (
-    face_gradient,
-    integrate,
-    laplacian_neumann,
-    weighted_gradient_energy,
-)
+from .operators import face_energy, integrate, laplacian_neumann
 from .profiles import State
 
 __all__ = [
@@ -46,9 +38,6 @@ __all__ = [
     "JensenReport",
     "competition_index",
     "derived_constants",
-    "quasi_energy",
-    "dissipation",
-    "lyapunov",
     "evaluate_record",
     "record_fields",
     "integrated_inequality_audit",
@@ -116,6 +105,11 @@ def _require_positive(name: str, arr: np.ndarray) -> None:
         raise NonpositiveField(f"{name} is nonpositive at cell {cell}: {arr[cell]!r}")
 
 
+def _require_nonnegative(name: str, arr: np.ndarray) -> None:
+    if arr.size and float(arr.min()) < 0.0:
+        raise NonpositiveField(f"{name} has negative entries")
+
+
 def _ln(arr: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(arr, _LN_FLOOR))
 
@@ -151,16 +145,16 @@ def derived_constants(v0: np.ndarray, w0: np.ndarray, params: ModelParams,
                       grid: Grid, u0: Optional[np.ndarray] = None) -> DerivedConstants:
     """Constants of the initial data (see class docstring).
 
-    v0 must be positive and w0 nonnegative.  M_star uses the floored
-    weighted gradient energy, so a vanishing w0 simply contributes zero.
+    v0 must be positive and w0 nonnegative.  M_star uses the floored face
+    energy, so a vanishing w0 simply contributes zero.
     """
     _require_positive("v0", v0)
-    if w0.size and float(w0.min()) < 0.0:
-        raise NonpositiveField("w0 has negative entries")
+    _require_nonnegative("w0", w0)
     kappa = params.gamma * float(v0.min())
     a = (params.alpha + 0.25) / kappa if kappa > 0.0 else np.inf
     b = params.chi ** 2 / (4.0 * params.D_u)
-    m_star = weighted_gradient_energy(w0, w0, 2, grid)
+    grad_w0 = np.diff(w0) / grid.h
+    m_star = face_energy(grad_w0 * grad_w0, w0, grid)
     sigma_star = float(w0.max()) if w0.size else 0.0
     if u0 is None:
         c1 = float("nan")
@@ -171,52 +165,49 @@ def derived_constants(v0: np.ndarray, w0: np.ndarray, params: ModelParams,
                             sigma_star=sigma_star, jensen_c1=c1)
 
 
-def quasi_energy(state: State, params: ModelParams, grid: Grid) -> float:
-    """F(t); the w-weight is floored so snapped-to-zero nutrient is harmless."""
-    _require_positive("u", state.u)
-    _require_positive("v", state.v)
-    if state.w.size and float(state.w.min()) < 0.0:
-        raise NonpositiveField("w has negative entries")
-    total = params.beta * integrate(state.u * _ln(state.u), grid)
-    gc = params.gamma * params.chi
-    if gc > 0.0:
-        total += gc / (2.0 * params.alpha) * weighted_gradient_energy(
-            state.v, state.v, 2, grid)
-    if params.chi > 0.0:
-        total += 0.5 * params.chi * weighted_gradient_energy(
-            state.w, state.w, 2, grid)
-    return float(total)
-
-
-def dissipation(state: State, grid: Grid) -> float:
-    """D(t) = int |grad u|^2/u + int |lap w|^2 + int |grad w|^4 (>= 0)."""
-    _require_positive("u", state.u)
-    lap_w = laplacian_neumann(state.w, grid)
-    return float(weighted_gradient_energy(state.u, state.u, 2, grid)
-                 + integrate(lap_w * lap_w, grid)
-                 + weighted_gradient_energy(state.w, None, 4, grid))
-
-
-def lyapunov(state: State, consts: DerivedConstants, grid: Grid) -> float:
-    """L(t) = I(t) + a*int w + b*int w^2 (nonincreasing along trajectories)."""
-    w = state.w
-    return (competition_index(state, grid)
-            + consts.a * integrate(w, grid)
-            + consts.b * integrate(w * w, grid))
-
-
 def evaluate_record(state: State, consts: DerivedConstants, params: ModelParams,
                     grid: Grid, prev: Optional[DiagnosticsRecord] = None
                     ) -> DiagnosticsRecord:
-    """Assemble the full record at state.t, chaining cum fields off ``prev``."""
-    u, w = state.u, state.w
+    """Assemble the full record at state.t, chaining cum fields off ``prev``.
+
+    u and v must be positive and w nonnegative.  With face gradients
+    grad f = diff(f)/h and face weights floored at 1e-12:
+
+    * I = int ln(v/u) (see `competition_index`);
+    * F = beta*int u ln u + (gamma*chi/2alpha)*int |grad v|^2/v
+      + (chi/2)*int |grad w|^2/w, the quasi-energy;
+    * D = int |grad u|^2/u + int |lap w|^2 + int |grad w|^4, its dissipation
+      partner (>= 0);
+    * L = I + a*int w + b*int w^2, the Lyapunov value (nonincreasing along
+      trajectories), with a = (alpha + 1/4)/kappa, b = chi^2/(4 D_u),
+      kappa = gamma*min v0;
+    * fisher_u = int |grad u|^2/u^2, grad_w_L2 = int |grad w|^2 and
+      max_grad_u = max |grad u|.
+
+    The weight floor keeps snapped-to-zero nutrient harmless in F.
+    """
+    u, v, w = state.u, state.v, state.w
     i_val = competition_index(state, grid)
-    d_val = dissipation(state, grid)
-    mass_w = float(integrate(w, grid))
+    _require_nonnegative("w", w)
+    grad_u = np.diff(u) / grid.h
+    grad_w = np.diff(w) / grid.h
+    sq_u = grad_u * grad_u
+    sq_w = grad_w * grad_w
+    lap_w = laplacian_neumann(w, grid)
+    d_val = (face_energy(sq_u, u, grid) + integrate(lap_w * lap_w, grid)
+             + face_energy(sq_w * sq_w, None, grid))
+    f_val = params.beta * integrate(u * _ln(u), grid)
+    gc = params.gamma * params.chi
+    if gc > 0.0:
+        grad_v = np.diff(v) / grid.h
+        f_val += gc / (2.0 * params.alpha) * face_energy(grad_v * grad_v, v, grid)
+    if params.chi > 0.0:
+        f_val += 0.5 * params.chi * face_energy(sq_w, w, grid)
+    mass_w = integrate(w, grid)
     # the 1e-100 weight floor keeps near-vacuum u cells from zero-division
     # while staying far below any physically reachable u^2
-    fisher = float(weighted_gradient_energy(u, u * u, 2, grid, g_floor=1e-100))
-    lyap = i_val + consts.a * mass_w + consts.b * float(integrate(w * w, grid))
+    fisher = face_energy(sq_u, u * u, grid, g_floor=1e-100)
+    lyap = i_val + consts.a * mass_w + consts.b * integrate(w * w, grid)
     if prev is None:
         cum_d, cum_w = 0.0, 0.0
     else:
@@ -226,16 +217,16 @@ def evaluate_record(state: State, consts: DerivedConstants, params: ModelParams,
     return DiagnosticsRecord(
         t=state.t,
         I=i_val,
-        mass_u=float(integrate(u, grid)),
+        mass_u=integrate(u, grid),
         mass_w=mass_w,
         max_w=float(w.max()),
         min_u=float(u.min()),
-        F_quasi=quasi_energy(state, params, grid),
+        F_quasi=f_val,
         D_dissip=d_val,
         L_lyap=lyap,
         fisher_u=fisher,
-        grad_w_L2=float(weighted_gradient_energy(w, None, 2, grid)),
-        max_grad_u=float(np.max(np.abs(face_gradient(u, grid)))),
+        grad_w_L2=face_energy(sq_w, None, grid),
+        max_grad_u=float(np.abs(grad_u).max(initial=0.0)),
         cum_D=cum_d,
         cum_w=cum_w,
     )

@@ -252,10 +252,11 @@ def _audit_trajectory(records: Sequence[DiagnosticsRecord],
         "lower": lower, "upper": float(upper),
     }
 
-    dt_gap = np.diff(t)
-    tol = 1e-3 * dt_gap * (1.0 + np.abs(lyap[:-1]))
-    viol = lyap[1:] - lyap[:-1] - tol
-    worst = float(viol.max()) if viol.size else -np.inf
+    # with kappa = 0 the weight a and so every L are infinite: vacuous
+    worst = -np.inf
+    if len(lyap) > 1 and np.isfinite(consts.a):
+        tol = 1e-3 * np.diff(t) * (1.0 + np.abs(lyap[:-1]))
+        worst = float((lyap[1:] - lyap[:-1] - tol).max())
     audits["lyapunov_monotone"] = {"ok": bool(worst <= 0.0), "margin": float(-worst)}
 
     rep = integrated_inequality_audit(records, consts, params.D_u, mass_w0_sq)

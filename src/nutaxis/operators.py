@@ -21,18 +21,13 @@ from .grid import Grid
 from .model import f_eps_prime
 
 __all__ = [
-    "WeightFloorError",
     "face_gradient",
     "laplacian_neumann",
     "taxis_flux",
     "chemotaxis_divergence",
     "integrate",
-    "weighted_gradient_energy",
+    "face_energy",
 ]
-
-
-class WeightFloorError(ZeroDivisionError):
-    """A face weight fell below the floor while flooring was disabled."""
 
 
 def face_gradient(f: np.ndarray, grid: Grid) -> np.ndarray:
@@ -112,36 +107,20 @@ def integrate(f: np.ndarray, grid: Grid) -> float:
     return float(np.dot(grid.m, f))
 
 
-def weighted_gradient_energy(f: np.ndarray, g: Optional[np.ndarray], p: float,
-                             grid: Grid, g_floor: float = 1e-12,
-                             floor_weights: bool = True) -> float:
-    """Discrete ``integral |grad f|^p / g`` over interior faces.
+def face_energy(sq: np.ndarray, g: Optional[np.ndarray], grid: Grid,
+                g_floor: float = 1e-12) -> float:
+    """Discrete ``integral sq / g`` over the interior faces.
 
-    Each interior face contributes ``a_{i+1/2} * h * |grad_face|^p / g_face``
-    where ``g_face`` is the arithmetic mean of the two adjacent cells, floored
-    at ``g_floor`` (the floor avoids spurious blowup when the weight decays to
-    zero, which the nutrient provably does).  Pass ``g=None`` for the
-    unweighted energy ``integral |grad f|^p``.
-
-    Raises:
-        WeightFloorError: if ``floor_weights`` is False and some face weight
-            is below ``g_floor``.
+    ``sq`` holds one value per interior face (length n - 1), typically a
+    squared face gradient ``(diff(f) / h)**2``.  Each face contributes
+    ``a_{i+1/2} * h * sq / g_face``, where ``g_face`` is the arithmetic mean
+    of the two adjacent cells of ``g``, floored at ``g_floor`` (the floor
+    avoids spurious blowup when the weight decays to zero, which the
+    nutrient provably does).  Pass ``g=None`` for the unweighted
+    ``integral sq``.
     """
-    grad = np.diff(f) / grid.h
     fm = grid.face_areas[1:-1] * grid.h
-    if p == 2.0:
-        num = grad * grad
-    elif p == 4.0:
-        num = (grad * grad) ** 2
-    else:
-        num = np.abs(grad) ** p
     if g is None:
-        return float(np.dot(fm, num))
-    gf = 0.5 * (g[1:] + g[:-1])
-    if floor_weights:
-        gf = np.maximum(gf, g_floor)
-    elif np.any(gf < g_floor):
-        i = int(np.argmax(gf < g_floor))
-        raise WeightFloorError(
-            f"face weight {gf[i]:.3e} below floor {g_floor:.3e} at face {i + 1}")
-    return float(np.dot(fm, num / gf))
+        return float(np.dot(fm, sq))
+    gf = np.maximum(0.5 * (g[1:] + g[:-1]), g_floor)
+    return float(np.dot(fm, sq / gf))

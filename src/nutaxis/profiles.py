@@ -14,6 +14,7 @@ from typing import Union
 import numpy as np
 
 from .grid import Grid
+from .operators import integrate
 
 __all__ = ["Constant", "Gaussian", "Mirrored", "Profile", "State", "init_state"]
 
@@ -105,5 +106,5 @@ def init_state(u0: Profile, v0: Profile, w0: Profile, grid: Grid) -> tuple[State
         raise ValueError("v0 must be strictly positive at every cell center")
     if not np.all(w >= 0.0):
         raise ValueError("w0 must be nonnegative at every cell center")
-    i0 = float(np.sum(grid.m * (np.log(v) - np.log(u))))
+    i0 = integrate(np.log(v) - np.log(u), grid)
     return State(t=0.0, u=u, v=v, w=w), i0

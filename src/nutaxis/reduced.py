@@ -23,7 +23,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .diagnostics import NonpositiveField, jensen_gap
+from .diagnostics import NonpositiveField, _ln, jensen_gap
 from .experiments import OutputSchedule, output_times
 from .grid import Grid
 from .model import ModelParams
@@ -40,6 +40,7 @@ __all__ = [
     "conserved_quantity",
     "sign_law_check",
     "HeatTrajectory",
+    "heat_params",
     "heat_solve",
     "stabilization_constants",
 ]
@@ -177,6 +178,12 @@ class HeatTrajectory:
     mean: float
 
 
+def heat_params(D: float) -> ModelParams:
+    """Parameters of the pure heat flow U_t = D*lap(U): taxis and reactions off."""
+    return ModelParams(D_u=D, D_w=1.0, chi=0.0, alpha=0.0, beta=0.0,
+                       gamma=0.0, delta=0.0)
+
+
 def heat_solve(u0: Union[Profile, np.ndarray], D: float, grid: Grid,
                t_end: float, dt: float = 1e-3, t_first: float = 1e-3,
                factor: float = 1.25) -> HeatTrajectory:
@@ -194,8 +201,6 @@ def heat_solve(u0: Union[Profile, np.ndarray], D: float, grid: Grid,
         u0, dtype=np.float64).copy()
     if arr.min() <= 0.0:
         raise NonpositiveField("heat initial data must be positive")
-    params = ModelParams(D_u=D, D_w=1.0, chi=0.0, alpha=0.0, beta=0.0,
-                         gamma=0.0, delta=0.0)
     cfg = StepperConfig(dt=dt)
     state = State(t=0.0, u=arr.copy(), v=np.ones_like(arr), w=np.zeros_like(arr))
 
@@ -206,10 +211,11 @@ def heat_solve(u0: Union[Profile, np.ndarray], D: float, grid: Grid,
 
     def look(s: State) -> None:
         times.append(s.t)
-        int_ln.append(float(integrate(np.log(np.maximum(s.u, 1e-300)), grid)))
+        int_ln.append(float(integrate(_ln(s.u), grid)))
         sup.append(float(np.max(np.abs(s.u - mean))))
 
-    advance(state, grid, params, cfg, t_end, observe_times=ts, observer=look)
+    advance(state, grid, heat_params(D), cfg, t_end, observe_times=ts,
+            observer=look)
     return HeatTrajectory(np.array(times), np.array(int_ln), np.array(sup), mean)
 
 

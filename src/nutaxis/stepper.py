@@ -123,10 +123,6 @@ class History:
         z = np.zeros(n)
         return cls(u=z.copy(), v=z.copy(), w=z.copy(), n_u=z.copy())
 
-    def copy(self) -> "History":
-        return History(self.u.copy(), self.v.copy(), self.w.copy(),
-                       self.n_u.copy(), self.dt, self.valid, self.w_snap)
-
 
 @dataclass
 class AdvanceStats:

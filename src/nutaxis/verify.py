@@ -26,14 +26,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .diagnostics import dissipation, jensen_gap
+from .diagnostics import derived_constants, evaluate_record, jensen_gap
 from .experiments import ScenarioConfig, apply_override, preset
 from .grid import Geometry, Grid, build_grid
 from .kernels import solve_tridiag
 from .model import ModelParams
 from .operators import chemotaxis_divergence, integrate
 from .profiles import State, init_state
-from .reduced import OdeState, ode_solve, sign_law_check
+from .reduced import OdeState, heat_params, ode_solve, sign_law_check
 from .stepper import StepperConfig, advance, grid_coefficients
 
 __all__ = [
@@ -80,18 +80,13 @@ def _order(hs, errors) -> float:
     return float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
 
 
-def _heat_params(D: float) -> ModelParams:
-    return ModelParams(D_u=D, D_w=1.0, chi=0.0, alpha=0.0, beta=0.0,
-                       gamma=0.0, delta=0.0)
-
-
 def _heat_run(n: int, D: float, t: float, dt: float,
               scheme: str = "sbdf2") -> tuple[Grid, np.ndarray]:
     """Advance u0 = 2 + cos(pi x) under pure diffusion to t: (grid, u(t))."""
     grid = build_grid(Geometry("interval", n))
     u0 = 2.0 + np.cos(np.pi * grid.centers)
     state = State(0.0, u0, np.ones(n), np.zeros(n))
-    advance(state, grid, _heat_params(D), StepperConfig(dt=dt, scheme=scheme), t)
+    advance(state, grid, heat_params(D), StepperConfig(dt=dt, scheme=scheme), t)
     return grid, state.u
 
 
@@ -286,11 +281,12 @@ def run_all(seed: int = 0, printer: Optional[Callable[[str], None]] = print
 
     rng = np.random.default_rng(seed)
     g32 = build_grid(Geometry("interval", 32))
+    consts = derived_constants(np.ones(32), np.ones(32), params, g32)
     worst = math.inf
     for _ in range(1000):
         s = State(0.0, np.exp(rng.normal(size=32)), np.ones(32),
                   np.abs(rng.normal(size=32)))
-        worst = min(worst, dissipation(s, g32))
+        worst = min(worst, evaluate_record(s, consts, params, g32).D_dissip)
     _check(out, "dissipation_nonnegative_random", worst >= 0.0,
            f"min over 1000 trials = {worst:.3e}", printer)
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,8 @@ from nutaxis import (
     build_grid,
     competition_index,
     derived_constants,
-    dissipation,
     evaluate_record,
     integrated_inequality_audit,
-    lyapunov,
-    quasi_energy,
     record_fields,
 )
 
@@ -31,6 +30,11 @@ def _state(grid, u, v, w):
     return State(0.0, np.full(n, float(u)) if np.isscalar(u) else u,
                  np.full(n, float(v)) if np.isscalar(v) else v,
                  np.full(n, float(w)) if np.isscalar(w) else w)
+
+
+def _record(state, grid, params=PARAMS):
+    consts = derived_constants(np.ones(grid.n), np.ones(grid.n), params, grid)
+    return evaluate_record(state, consts, params, grid)
 
 
 def test_competition_index_antisymmetry(grid):
@@ -70,24 +74,24 @@ def test_competition_index_rejects_nonpositive(grid):
 def test_quasi_energy_constant_fields(grid):
     # gradients vanish, so F reduces to beta * int u ln u = beta * e
     st = _state(grid, np.e, 1.0, 2.0)
-    assert quasi_energy(st, PARAMS, grid) == pytest.approx(
+    assert _record(st, grid).F_quasi == pytest.approx(
         PARAMS.beta * np.e, rel=1e-13)
 
 
 def test_quasi_energy_accepts_snapped_nutrient(grid):
     st = _state(grid, 1.0, 1.0, 0.0)
-    assert np.isfinite(quasi_energy(st, PARAMS, grid))
+    assert np.isfinite(_record(st, grid).F_quasi)
     st.w[5] = -1e-9
     with pytest.raises(NonpositiveField):
-        quasi_energy(st, PARAMS, grid)
+        _record(st, grid)
 
 
 def test_dissipation_nonnegative_and_zero_on_constants(grid):
-    assert dissipation(_state(grid, 2.0, 1.0, 3.0), grid) == 0.0
+    assert _record(_state(grid, 2.0, 1.0, 3.0), grid).D_dissip == 0.0
     rng = np.random.default_rng(5)
     worst = min(
-        dissipation(_state(grid, 0.05 + rng.random(grid.n), 1.0,
-                           rng.random(grid.n)), grid)
+        _record(_state(grid, 0.05 + rng.random(grid.n), 1.0,
+                       rng.random(grid.n)), grid).D_dissip
         for _ in range(200))
     assert worst >= 0.0
 
@@ -99,7 +103,8 @@ def test_lyapunov_constant_state_value(grid):
     st = _state(grid, 1.0, 1.0, 3.0)
     # I = 0, so L = a*int w + b*int w^2 = 3a + 9b on the unit interval
     expected = consts.a * 3.0 + consts.b * 9.0
-    assert lyapunov(st, consts, grid) == pytest.approx(expected, rel=1e-13)
+    rec = evaluate_record(st, consts, PARAMS, grid)
+    assert rec.L_lyap == pytest.approx(expected, rel=1e-13)
 
 
 def test_derived_constants_values(grid):
@@ -233,4 +238,77 @@ def test_dissipation_random_trials_nonnegative():
         u = 10.0 ** rng.uniform(-6, 3) * (0.1 + rng.random(32))
         w = rng.random(32) * 10.0 ** rng.uniform(-3, 2)
         st = State(0.0, u, np.ones(32), w)
-        assert dissipation(st, grid) >= 0.0
+        assert _record(st, grid).D_dissip >= 0.0
+
+
+def _plain_record(state, consts, params, grid, prev):
+    """The record as composed before the one-pass evaluate_record: each
+    functional on its own, with its own face differences, in plain numpy."""
+    u, v, w = state.u, state.v, state.w
+    h, m = grid.h, grid.m
+    fm = grid.face_areas[1:-1] * h
+
+    def energy(f, g, p, g_floor=1e-12):
+        grad = np.diff(f) / h
+        num = grad * grad if p == 2 else (grad * grad) ** 2
+        if g is None:
+            return float(np.dot(fm, num))
+        gf = np.maximum(0.5 * (g[1:] + g[:-1]), g_floor)
+        return float(np.dot(fm, num / gf))
+
+    def ln(a):
+        return np.log(np.maximum(a, 1e-300))
+
+    i_val = float(np.dot(m, ln(v) - ln(u)))
+    face_w = np.zeros(grid.n + 1)
+    face_w[1:-1] = np.diff(w) / h
+    lap_w = np.diff(grid.face_areas * face_w) / m
+    d_val = float(energy(u, u, 2) + float(np.dot(m, lap_w * lap_w))
+                  + energy(w, None, 4))
+    f_val = params.beta * float(np.dot(m, u * ln(u)))
+    gc = params.gamma * params.chi
+    if gc > 0.0:
+        f_val += gc / (2.0 * params.alpha) * energy(v, v, 2)
+    if params.chi > 0.0:
+        f_val += 0.5 * params.chi * energy(w, w, 2)
+    mass_w = float(np.dot(m, w))
+    face_u = np.zeros(grid.n + 1)
+    face_u[1:-1] = np.diff(u) / h
+    gap = state.t - prev.t
+    return (
+        state.t, i_val, float(np.dot(m, u)), mass_w, float(w.max()),
+        float(u.min()), float(f_val), d_val,
+        i_val + consts.a * mass_w + consts.b * float(np.dot(m, w * w)),
+        energy(u, u * u, 2, g_floor=1e-100), energy(w, None, 2),
+        float(np.max(np.abs(face_u))),
+        prev.cum_D + 0.5 * gap * (prev.D_dissip + d_val),
+        prev.cum_w + 0.5 * gap * (prev.mass_w + mass_w),
+    )
+
+
+@pytest.mark.parametrize("geometry", [Geometry("interval", 41),
+                                      Geometry("radial", 40, d=3)],
+                         ids=["interval", "radial3"])
+@pytest.mark.parametrize("chi,gamma", [(0.5, 200.0), (0.0, 200.0),
+                                       (0.5, 0.0)],
+                         ids=["taxis", "chi0", "gamma0"])
+def test_evaluate_record_matches_plain_composition(geometry, chi, gamma):
+    grid = build_grid(geometry)
+    params = ModelParams(D_u=20.0, D_w=1.0, chi=chi, alpha=2.0, beta=200.0,
+                         gamma=gamma, delta=1.0)
+    rng = np.random.default_rng(11)
+    n = grid.n
+    u = np.exp(rng.normal(size=n))
+    u[7:9] = 1e-52, 3e-52  # a u^2 face weight below its 1e-100 floor
+    v = 0.05 + rng.random(n)
+    w = 3.0 * rng.random(n)
+    w[rng.random(n) < 0.3] = 0.0  # snapped cells: zero face weights
+    w[-5:] = 0.0
+    w[-3] = 1e-13  # a face weight below the 1e-12 floor, with a gradient
+    consts = derived_constants(v, w, params, grid, u0=u)
+    prev = evaluate_record(State(0.0, u, v, w), consts, params, grid)
+    state = State(0.25, u * 1.5, v * 0.5, w * 0.25)
+    rec = evaluate_record(state, consts, params, grid, prev=prev)
+    want = _plain_record(state, consts, params, grid, prev)
+    assert [x.hex() for x in dataclasses.astuple(rec)] == [
+        float(x).hex() for x in want]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,17 @@ def test_run_scenario_records_and_manifest():
                                "grad_w_budget"}
     assert all(a["ok"] for a in man.audits.values())
 
+
+
+def test_lyapunov_audit_is_vacuous_without_decay_rate():
+    # gamma = 0 gives kappa = 0, so a = inf and every L_lyap is infinite
+    base = preset("fig1_right", 14)
+    cfg = replace(base, t_end=0.05, params=replace(base.params, gamma=0.0))
+    result = run_scenario(cfg)
+    assert result.manifest.constants.kappa == 0.0
+    assert all(np.isinf(r.L_lyap) for r in result.records)
+    assert result.manifest.audits["lyapunov_monotone"] == {
+        "ok": True, "margin": np.inf}
 
 def test_run_scenario_is_deterministic():
     a = run_scenario(_tiny())

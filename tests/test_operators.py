@@ -3,13 +3,12 @@ import pytest
 
 from nutaxis import (
     Geometry,
-    WeightFloorError,
     build_grid,
     chemotaxis_divergence,
+    face_energy,
     face_gradient,
     integrate,
     laplacian_neumann,
-    weighted_gradient_energy,
 )
 from nutaxis.model import f_eps_prime
 from nutaxis.operators import taxis_flux
@@ -154,24 +153,25 @@ def test_integrate_midpoint(interval):
     assert integrate(interval.centers.copy(), interval) == pytest.approx(0.5, rel=1e-13)
 
 
-def test_weighted_gradient_energy_linear_profile():
+def _sq_grad(f, grid):
+    grad = np.diff(f) / grid.h
+    return grad * grad
+
+
+def test_face_energy_linear_profile():
     grid = build_grid(Geometry("interval", 50))
-    f = grid.centers.copy()
+    sq = _sq_grad(grid.centers.copy(), grid)
     # interior faces only: (n-1) faces of weight h with unit slope
-    assert weighted_gradient_energy(f, None, 2, grid) == pytest.approx(
+    assert face_energy(sq, None, grid) == pytest.approx(
         (50 - 1) * grid.h, rel=1e-14)
     g = np.full(50, 4.0)
-    assert weighted_gradient_energy(f, g, 2, grid) == pytest.approx(
+    assert face_energy(sq, g, grid) == pytest.approx(
         (50 - 1) * grid.h / 4.0, rel=1e-14)
-    assert weighted_gradient_energy(f, None, 4, grid) == pytest.approx(
+    assert face_energy(sq * sq, None, grid) == pytest.approx(
         (50 - 1) * grid.h, rel=1e-14)
 
 
-def test_weighted_gradient_energy_floor_behavior(interval):
-    f = interval.centers.copy()
-    g = np.zeros(50)
-    floored = weighted_gradient_energy(f, g, 2, interval, g_floor=1e-6)
-    assert np.isfinite(floored) and floored > 0.0
-    with pytest.raises(WeightFloorError):
-        weighted_gradient_energy(f, g, 2, interval, g_floor=1e-6,
-                                 floor_weights=False)
+def test_face_energy_floors_vanishing_weights(interval):
+    sq = _sq_grad(interval.centers.copy(), interval)
+    floored = face_energy(sq, np.zeros(50), interval, g_floor=1e-6)
+    assert floored == pytest.approx((50 - 1) * interval.h / 1e-6, rel=1e-14)

@@ -323,12 +323,3 @@ def test_advance_stats_merge():
     assert (s.accepted, s.rejected, s.rebuilds) == (5, 1, 1)
     assert s.min_dt == 0.25
 
-
-def test_history_copy_is_independent():
-    h = History.fresh(4)
-    h.valid = True
-    h.dt = 0.1
-    dup = h.copy()
-    dup.u[0] = 5.0
-    dup.dt = 0.2
-    assert h.u[0] == 0.0 and h.dt == 0.1

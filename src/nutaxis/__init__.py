@@ -27,6 +27,7 @@ from .diagnostics import (
     competition_index,
     derived_constants,
     evaluate_record,
+    evaluate_records,
     integrated_inequality_audit,
     jensen_gap,
     record_fields,
@@ -117,6 +118,7 @@ __all__ = [
     "conserved_quantity",
     "derived_constants",
     "evaluate_record",
+    "evaluate_records",
     "f_eps",
     "f_eps_prime",
     "face_energy",

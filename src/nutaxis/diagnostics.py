@@ -2,10 +2,18 @@
 
 Everything here is read-only: a record is assembled from a `State` plus the
 grid, the model parameters, and a small set of constants derived from the
-initial data.  `evaluate_record` is the one place the record's functionals
+initial data.  `evaluate_records` is the one place the record's functionals
 (the competition index, quasi-energy, dissipation and Lyapunov value) are
-written.  The audits check, at output resolution, the discrete analogues of
-the bounds the scheme is supposed to respect, among them the time-integrated
+written.  It takes a block of k states as ``(k, n)`` arrays, so each numpy
+call of a record is paid once per block, and returns the k records; each
+weighted sum is one BLAS ddot per row, so a record is bitwise the same in
+any block.  `evaluate_record` is its one-row call.  `run_scenario`
+evaluates RECORD_BLOCK output states at a time, so a NonpositiveField is
+raised when the block is evaluated: stepping may run up to RECORD_BLOCK - 1
+output times past the offending one first.
+
+The audits check, at output resolution, the discrete analogues of the
+bounds the scheme is supposed to respect, among them the time-integrated
 inequality
 
   I(t) + (D_u/2)*int_0^t int |grad u|^2/u^2 + (1/4)*int_0^t int w
@@ -27,7 +35,7 @@ import numpy as np
 
 from .grid import Grid
 from .model import ModelParams
-from .operators import face_energy, integrate, laplacian_neumann
+from .operators import face_energy, face_gradient, integrate, laplacian_neumann
 from .profiles import State
 
 __all__ = [
@@ -39,12 +47,19 @@ __all__ = [
     "competition_index",
     "derived_constants",
     "evaluate_record",
+    "evaluate_records",
     "record_fields",
     "integrated_inequality_audit",
     "jensen_gap",
 ]
 
 _LN_FLOOR = 1e-300
+
+# states per `evaluate_records` block in `run_scenario` and `verify`: a
+# record is ~40 small numpy calls, whose call overhead a block pays once;
+# 16 rows cost ~1 MB of peak memory at n = 401, 64 rows ~3 MB for little
+# further gain
+RECORD_BLOCK = 16
 
 
 class NonpositiveField(ValueError):
@@ -114,11 +129,15 @@ def _ln(arr: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(arr, _LN_FLOOR))
 
 
+def _index(ln_u: np.ndarray, ln_v: np.ndarray, grid: Grid):
+    return integrate(ln_v - ln_u, grid)
+
+
 def competition_index(state: State, grid: Grid) -> float:
     """I(t) = integral of ln(v/u); negative means u leads in log average."""
     _require_positive("u", state.u)
     _require_positive("v", state.v)
-    return float(integrate(_ln(state.v) - _ln(state.u), grid))
+    return _index(_ln(state.u), _ln(state.v), grid)
 
 
 @dataclass(frozen=True)
@@ -165,13 +184,18 @@ def derived_constants(v0: np.ndarray, w0: np.ndarray, params: ModelParams,
                             sigma_star=sigma_star, jensen_c1=c1)
 
 
-def evaluate_record(state: State, consts: DerivedConstants, params: ModelParams,
-                    grid: Grid, prev: Optional[DiagnosticsRecord] = None
-                    ) -> DiagnosticsRecord:
-    """Assemble the full record at state.t, chaining cum fields off ``prev``.
+def evaluate_records(ts: Sequence[float], U: np.ndarray, V: np.ndarray,
+                     W: np.ndarray, consts: DerivedConstants,
+                     params: ModelParams, grid: Grid,
+                     prev: Optional[DiagnosticsRecord] = None
+                     ) -> list[DiagnosticsRecord]:
+    """The records of a block of k states, chaining cum fields off ``prev``.
 
-    u and v must be positive and w nonnegative.  With face gradients
-    grad f = diff(f)/h and face weights floored at 1e-12:
+    Row j of the ``(k, n)`` arrays ``U``, ``V``, ``W`` is the state at
+    ``ts[j]``; record j chains off record j - 1, record 0 off ``prev``.
+    u and v must be positive and w nonnegative; the first row that is not
+    raises NonpositiveField with the message a one-row call would give.
+    With face gradients grad f = diff(f)/h and face weights floored at 1e-12:
 
     * I = int ln(v/u) (see `competition_index`);
     * F = beta*int u ln u + (gamma*chi/2alpha)*int |grad v|^2/v
@@ -184,52 +208,76 @@ def evaluate_record(state: State, consts: DerivedConstants, params: ModelParams,
     * fisher_u = int |grad u|^2/u^2, grad_w_L2 = int |grad w|^2 and
       max_grad_u = max |grad u|.
 
-    The weight floor keeps snapped-to-zero nutrient harmless in F.
+    The weight floor keeps snapped-to-zero nutrient harmless in F.  Each
+    weighted sum is one ddot per row, so a record does not depend on the
+    block it was evaluated in.
     """
-    u, v, w = state.u, state.v, state.w
-    i_val = competition_index(state, grid)
-    _require_nonnegative("w", w)
-    grad_u = np.diff(u) / grid.h
-    grad_w = np.diff(w) / grid.h
+    min_u = U.min(axis=1)
+    bad = (min_u <= 0.0) | (V.min(axis=1) <= 0.0) | (W.min(axis=1) < 0.0)
+    if bad.any():
+        row = int(bad.argmax())
+        _require_positive("u", U[row])
+        _require_positive("v", V[row])
+        _require_nonnegative("w", W[row])
+    ln_u = _ln(U)
+    grad_u = np.diff(U) / grid.h
+    face_w = face_gradient(W, grid)
     sq_u = grad_u * grad_u
-    sq_w = grad_w * grad_w
-    lap_w = laplacian_neumann(w, grid)
-    d_val = (face_energy(sq_u, u, grid) + integrate(lap_w * lap_w, grid)
-             + face_energy(sq_w * sq_w, None, grid))
-    f_val = params.beta * integrate(u * _ln(u), grid)
+    sq_w = face_w[:, 1:-1] * face_w[:, 1:-1]
+    lap_w = laplacian_neumann(W, grid, grad=face_w)
     gc = params.gamma * params.chi
+    e_v = e_w = [0.0] * len(ts)
     if gc > 0.0:
-        grad_v = np.diff(v) / grid.h
-        f_val += gc / (2.0 * params.alpha) * face_energy(grad_v * grad_v, v, grid)
+        grad_v = np.diff(V) / grid.h
+        e_v = face_energy(grad_v * grad_v, V, grid).tolist()
     if params.chi > 0.0:
-        f_val += 0.5 * params.chi * face_energy(sq_w, w, grid)
-    mass_w = integrate(w, grid)
-    # the 1e-100 weight floor keeps near-vacuum u cells from zero-division
-    # while staying far below any physically reachable u^2
-    fisher = face_energy(sq_u, u * u, grid, g_floor=1e-100)
-    lyap = i_val + consts.a * mass_w + consts.b * integrate(w * w, grid)
-    if prev is None:
-        cum_d, cum_w = 0.0, 0.0
-    else:
-        gap = state.t - prev.t
-        cum_d = prev.cum_D + 0.5 * gap * (prev.D_dissip + d_val)
-        cum_w = prev.cum_w + 0.5 * gap * (prev.mass_w + mass_w)
-    return DiagnosticsRecord(
-        t=state.t,
-        I=i_val,
-        mass_u=integrate(u, grid),
-        mass_w=mass_w,
-        max_w=float(w.max()),
-        min_u=float(u.min()),
-        F_quasi=f_val,
-        D_dissip=d_val,
-        L_lyap=lyap,
-        fisher_u=fisher,
-        grad_w_L2=face_energy(sq_w, None, grid),
-        max_grad_u=float(np.abs(grad_u).max(initial=0.0)),
-        cum_D=cum_d,
-        cum_w=cum_w,
-    )
+        e_w = face_energy(sq_w, W, grid).tolist()
+    rows = zip(
+        ts, _index(ln_u, _ln(V), grid).tolist(),
+        face_energy(sq_u, U, grid).tolist(),
+        integrate(lap_w * lap_w, grid).tolist(),
+        face_energy(sq_w * sq_w, None, grid).tolist(),
+        integrate(U * ln_u, grid).tolist(),
+        e_v, e_w,
+        integrate(U, grid).tolist(), integrate(W, grid).tolist(),
+        integrate(W * W, grid).tolist(), W.max(axis=1).tolist(),
+        min_u.tolist(),
+        # the 1e-100 weight floor keeps near-vacuum u cells from zero-division
+        # while staying far below any physically reachable u^2
+        face_energy(sq_u, U * U, grid, g_floor=1e-100).tolist(),
+        face_energy(sq_w, None, grid).tolist(),
+        np.abs(grad_u).max(axis=1, initial=0.0).tolist())
+    out = []
+    for (t, i_val, d_u, d_lap, d_w4, u_ln_u, ev, ew, mass_u, mass_w, int_w2,
+         max_w, mu, fisher, grad_w_l2, max_grad_u) in rows:
+        d_val = d_u + d_lap + d_w4
+        f_val = params.beta * u_ln_u
+        if gc > 0.0:
+            f_val += gc / (2.0 * params.alpha) * ev
+        if params.chi > 0.0:
+            f_val += 0.5 * params.chi * ew
+        if prev is None:
+            cum_d, cum_w = 0.0, 0.0
+        else:
+            gap = t - prev.t
+            cum_d = prev.cum_D + 0.5 * gap * (prev.D_dissip + d_val)
+            cum_w = prev.cum_w + 0.5 * gap * (prev.mass_w + mass_w)
+        prev = DiagnosticsRecord(
+            t=t, I=i_val, mass_u=mass_u, mass_w=mass_w, max_w=max_w,
+            min_u=mu, F_quasi=f_val, D_dissip=d_val,
+            L_lyap=i_val + consts.a * mass_w + consts.b * int_w2,
+            fisher_u=fisher, grad_w_L2=grad_w_l2, max_grad_u=max_grad_u,
+            cum_D=cum_d, cum_w=cum_w)
+        out.append(prev)
+    return out
+
+
+def evaluate_record(state: State, consts: DerivedConstants, params: ModelParams,
+                    grid: Grid, prev: Optional[DiagnosticsRecord] = None
+                    ) -> DiagnosticsRecord:
+    """The record at state.t: `evaluate_records` on a one-row block."""
+    return evaluate_records([state.t], state.u[None], state.v[None],
+                            state.w[None], consts, params, grid, prev)[0]
 
 
 @dataclass(frozen=True)

@@ -28,10 +28,11 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from .diagnostics import (
+    RECORD_BLOCK,
     DerivedConstants,
     DiagnosticsRecord,
     derived_constants,
-    evaluate_record,
+    evaluate_records,
     integrated_inequality_audit,
 )
 from .grid import Geometry, Grid, build_grid
@@ -270,9 +271,15 @@ def _audit_trajectory(records: Sequence[DiagnosticsRecord],
 def run_scenario(cfg: ScenarioConfig, backend: Optional[str] = None) -> RunResult:
     """Realize and integrate a scenario; see the module docstring.
 
+    The records are evaluated ``RECORD_BLOCK`` output states at a time
+    (see `diagnostics.evaluate_records`).
+
     Raises:
         ScenarioFailure: wrapping any integrator error, with the scenario
             name in the message and the original exception as the cause.
+        NonpositiveField: for the first record state with u <= 0, v <= 0 or
+            w < 0; it is raised when that state's block is evaluated, so
+            stepping may have run up to RECORD_BLOCK - 1 output times past it.
     """
     began = time.perf_counter()
     grid = build_grid(cfg.geometry)
@@ -281,23 +288,38 @@ def run_scenario(cfg: ScenarioConfig, backend: Optional[str] = None) -> RunResul
     consts = derived_constants(state.v, state.w, cfg.params, grid, u0=state.u)
     mass_w0_sq = float(integrate(state.w * state.w, grid))
 
-    records = [evaluate_record(state, consts, cfg.params, grid)]
-    v_min_obs = float(state.v.min())
-    v_max_obs = float(state.v.max())
+    # records are evaluated RECORD_BLOCK states at a time: the observer
+    # copies each state into the next row of ``block`` and flushes when full
+    block = np.empty((3, RECORD_BLOCK, grid.n))
+    ts: list[float] = []
+    records: list[DiagnosticsRecord] = []
+    v_min_obs, v_max_obs = np.inf, -np.inf
+
+    def flush() -> None:
+        nonlocal v_min_obs, v_max_obs
+        u, v, w = block[:, :len(ts)]
+        records.extend(evaluate_records(ts, u, v, w, consts, cfg.params, grid,
+                                        records[-1] if records else None))
+        v_min_obs = min(v_min_obs, float(v.min()))
+        v_max_obs = max(v_max_obs, float(v.max()))
+        ts.clear()
 
     def observe(s: State) -> None:
-        nonlocal v_min_obs, v_max_obs
-        records.append(evaluate_record(s, consts, cfg.params, grid,
-                                       prev=records[-1]))
-        v_min_obs = min(v_min_obs, float(s.v.min()))
-        v_max_obs = max(v_max_obs, float(s.v.max()))
+        row = len(ts)
+        block[0, row], block[1, row], block[2, row] = s.u, s.v, s.w
+        ts.append(s.t)
+        if len(ts) == RECORD_BLOCK:
+            flush()
 
+    observe(state)
     times = output_times(cfg.output, cfg.t_end)
     try:
         result = advance(state, grid, cfg.params, cfg.stepper, cfg.t_end,
                          observe_times=times, observer=observe, backend=backend)
     except (PositivityViolation, LinearSolveFailure) as exc:
         raise ScenarioFailure(f"scenario {cfg.name!r}: {exc}") from exc
+    if ts:
+        flush()
 
     audits = _audit_trajectory(records, consts, cfg.params, mass_w0_sq,
                                v_min_obs, v_max_obs, v0_max)

@@ -5,6 +5,10 @@ Boundary faces carry zero flux (homogeneous Neumann at walls, symmetry at a
 radial origin); consequently the Laplacian and the taxis divergence are
 discretely conservative — their m-weighted sums telescope to exactly zero.
 
+``face_gradient``, ``laplacian_neumann``, ``integrate`` and ``face_energy``
+also take a stack of fields, one per row of a ``(k, n)`` array, and then
+return one result per row.
+
 Note on gradient functionals: face gradients vanish at the two boundary faces
 by construction, so energies like ``integral |grad f|^2 / g`` slightly
 underestimate the continuum value when the profile has nonzero boundary
@@ -34,22 +38,25 @@ def face_gradient(f: np.ndarray, grid: Grid) -> np.ndarray:
     """Two-point gradients on faces; boundary faces are 0 (Neumann).
 
     Returns an array of length ``n + 1`` with ``(f[i] - f[i-1]) / h`` on
-    interior faces.
+    interior faces (one such row per row of a stacked ``f``).
     """
-    g = np.zeros(grid.n + 1)
-    g[1:-1] = np.diff(f) / grid.h
+    g = np.zeros(f.shape[:-1] + (grid.n + 1,))
+    g[..., 1:-1] = np.diff(f) / grid.h
     return g
 
 
-def laplacian_neumann(f: np.ndarray, grid: Grid) -> np.ndarray:
+def laplacian_neumann(f: np.ndarray, grid: Grid,
+                      grad: Optional[np.ndarray] = None) -> np.ndarray:
     """Conservative three-point Laplacian with zero-flux boundaries.
 
     (lap f)_i = [a_{i+1/2} (f_{i+1}-f_i)/h - a_{i-1/2} (f_i-f_{i-1})/h] / m_i
     with both boundary-face fluxes forced to zero.  Exactly conservative:
-    sum_i m_i (lap f)_i telescopes to 0.
+    sum_i m_i (lap f)_i telescopes to 0.  ``grad`` is
+    ``face_gradient(f, grid)`` when the caller has already taken it.
     """
-    flux = grid.face_areas * face_gradient(f, grid)
-    return np.diff(flux) / grid.m
+    if grad is None:
+        grad = face_gradient(f, grid)
+    return np.diff(grid.face_areas * grad) / grid.m
 
 
 def taxis_flux(u: np.ndarray, w: np.ndarray, face_areas: np.ndarray,
@@ -102,13 +109,25 @@ def chemotaxis_divergence(u: np.ndarray, w: np.ndarray, grid: Grid,
     return -np.diff(flux) / grid.m
 
 
-def integrate(f: np.ndarray, grid: Grid) -> float:
+def _weighted_sum(weights: np.ndarray, f: np.ndarray):
+    """``sum_i weights_i f_i``: a float for 1-D ``f``, one per row otherwise.
+
+    Stacked rows go through ``np.matmul``'s vector-vector path, one BLAS
+    ddot per row, so every row's sum is bitwise the 1-D ``np.dot``; the
+    matrix-vector product ``f @ weights`` (dgemv) is not.
+    """
+    if f.ndim == 1:
+        return float(np.dot(weights, f))
+    return np.matmul(f[..., None, :], weights[:, None])[..., 0, 0]
+
+
+def integrate(f: np.ndarray, grid: Grid):
     """Measure-weighted sum ``sum_i m_i f_i`` (midpoint quadrature)."""
-    return float(np.dot(grid.m, f))
+    return _weighted_sum(grid.m, f)
 
 
 def face_energy(sq: np.ndarray, g: Optional[np.ndarray], grid: Grid,
-                g_floor: float = 1e-12) -> float:
+                g_floor: float = 1e-12):
     """Discrete ``integral sq / g`` over the interior faces.
 
     ``sq`` holds one value per interior face (length n - 1), typically a
@@ -121,6 +140,6 @@ def face_energy(sq: np.ndarray, g: Optional[np.ndarray], grid: Grid,
     """
     fm = grid.face_areas[1:-1] * grid.h
     if g is None:
-        return float(np.dot(fm, sq))
-    gf = np.maximum(0.5 * (g[1:] + g[:-1]), g_floor)
-    return float(np.dot(fm, sq / gf))
+        return _weighted_sum(fm, sq)
+    gf = np.maximum(0.5 * (g[..., 1:] + g[..., :-1]), g_floor)
+    return _weighted_sum(fm, sq / gf)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from nutaxis import (
     competition_index,
     derived_constants,
     evaluate_record,
+    evaluate_records,
+    integrate,
     integrated_inequality_audit,
     record_fields,
 )
@@ -312,3 +315,74 @@ def test_evaluate_record_matches_plain_composition(geometry, chi, gamma):
     want = _plain_record(state, consts, params, grid, prev)
     assert [x.hex() for x in dataclasses.astuple(rec)] == [
         float(x).hex() for x in want]
+
+
+def _hex(records):
+    return [[float(x).hex() for x in dataclasses.astuple(r)] for r in records]
+
+
+@pytest.mark.parametrize("geometry", [Geometry("interval", 41),
+                                      Geometry("radial", 40, d=3)],
+                         ids=["interval", "radial3"])
+@pytest.mark.parametrize("chi,gamma", [(0.5, 200.0), (0.0, 200.0),
+                                       (0.5, 0.0)],
+                         ids=["taxis", "chi0", "gamma0"])
+def test_evaluate_records_matches_record_chain(geometry, chi, gamma):
+    grid = build_grid(geometry)
+    params = ModelParams(D_u=20.0, D_w=1.0, chi=chi, alpha=2.0, beta=200.0,
+                         gamma=gamma, delta=1.0)
+    rng = np.random.default_rng(12)
+    lengths = (1, 15, 16, 17)
+    k, n = sum(lengths), grid.n
+    buf = np.empty((3, k, n))  # rows of the blocks are views into this
+    buf[0] = np.exp(rng.normal(size=(k, n)))
+    buf[0, 4, 7:9] = 1e-52, 3e-52  # a u^2 face weight below its floor
+    buf[1] = 0.05 + rng.random((k, n))
+    buf[2] = 3.0 * rng.random((k, n))
+    buf[2][rng.random((k, n)) < 0.3] = 0.0  # snapped nutrient cells
+    buf[2, 20] = 0.0  # a fully snapped row
+    ts = np.cumsum(rng.random(k)).tolist()
+    consts = derived_constants(buf[1, 0], buf[2, 0], params, grid,
+                               u0=buf[0, 0])
+
+    chain = []
+    for j in range(k):
+        state = State(ts[j], buf[0, j], buf[1, j], buf[2, j])
+        chain.append(evaluate_record(state, consts, params, grid,
+                                     prev=chain[-1] if chain else None))
+    blocked, start = [], 0
+    for length in lengths:
+        rows = slice(start, start + length)
+        blocked += evaluate_records(ts[rows], *buf[:, rows], consts, params,
+                                    grid, blocked[-1] if blocked else None)
+        start += length
+    assert _hex(blocked) == _hex(chain)
+
+
+@pytest.mark.parametrize("field,value", [("u", 0.0), ("v", -1.0),
+                                         ("w", -1e-9)])
+def test_evaluate_records_reports_first_bad_row(grid, field, value):
+    k, n = 8, grid.n
+    fields = {"u": np.ones((k, n)), "v": np.ones((k, n)),
+              "w": np.ones((k, n))}
+    fields[field][5, 3] = value
+    fields["w"][7, 0] = -1.0  # a later bad row does not mask row 5
+    consts = derived_constants(np.ones(n), np.ones(n), PARAMS, grid)
+    with pytest.raises(NonpositiveField) as one:
+        evaluate_record(State(0.0, fields["u"][5], fields["v"][5],
+                              fields["w"][5]), consts, PARAMS, grid)
+    with pytest.raises(NonpositiveField, match=re.escape(str(one.value))):
+        evaluate_records([0.0] * k, fields["u"], fields["v"], fields["w"],
+                         consts, PARAMS, grid)
+
+
+@pytest.mark.parametrize("n", [4, 401, 801])
+def test_stacked_weighted_sum_is_row_dot(n):
+    # evaluate_records relies on the stacked sum being np.dot bit for bit
+    grid = build_grid(Geometry("radial", n, d=3))
+    rng = np.random.default_rng(n)
+    rows = rng.normal(size=(17, n)) * 10.0 ** rng.uniform(-8, 8, (17, 1))
+    stacked = integrate(rows, grid)
+    assert stacked.shape == (17,)
+    assert [x.hex() for x in stacked.tolist()] == [
+        float(np.dot(grid.m, r)).hex() for r in rows]

@@ -5,6 +5,7 @@
         [--checkout DIR] [--trace 0 1] [--workloads NAME ...]
     python3 benchmarks/bench_report.py report --out BENCH_6.json
         --side parent=parent.jsonl --side change=change.jsonl
+        [--spans parent=PARENT_DIR --spans change=CHANGE_DIR]
 
 ``run`` calls ``perfbench/suite.py run`` of the checkout at ``--checkout``
 (default: this one) once per ``--trace`` mode, appending its JSON lines to
@@ -21,13 +22,19 @@ at a time, so that both sides see the same host.
   per run and the environment (library versions, ``nproc``, commit);
 * when a side is named ``parent`` and another ``change``: per workload and
   end-to-end metric, the relative change of the median, the bound of
-  ``BENCHMARK.json``, and the seeds on which the change was better.
+  ``BENCHMARK.json``, and the seeds on which the change was better;
+* with ``--spans NAME=CHECKOUT``, per side and workload, the record layer
+  of the checkout's last traced repetition (its ``.perfbench/trace`` spans
+  and ``.perfbench/out`` records): calls and seconds of each record span,
+  and microseconds per output record.  Nested record spans (a one-row
+  ``evaluate_record`` calls ``evaluate_records``) count in both.
 
 All runs must share one kernel backend; it is stated at the top level.
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import subprocess
 import sys
@@ -38,6 +45,14 @@ sys.path.insert(0, str(ROOT))
 
 from perfbench.suite import benchmark, load, quartiles  # noqa: E402
 
+RECORD_SPANS = ("diagnostics.evaluate_record", "diagnostics.evaluate_records")
+RECORD_NOTE = (
+    "per-layer diagnostics.records and diagnostics.record_us_p50/p99 count "
+    "only diagnostics.evaluate_record spans; where run_scenario evaluates "
+    "records in blocks through diagnostics.evaluate_records they read 0 "
+    "(evaluate_record then runs only on the verify path), and the record "
+    "cost is the evaluate_records span time per record given here; span "
+    "times include the tracer's cost for the operators spans nested in them")
 ENV_KEYS = ("python", "numpy", "scipy", "numba", "nproc", "git_commit",
             "source_sha256", "seconds", "setup_probes")
 
@@ -113,6 +128,28 @@ def compare(parent: list[dict], change: list[dict], spec: dict) -> dict:
     return out
 
 
+def record_layer(checkout: Path) -> dict:
+    """Record spans of the last traced repetition of each workload."""
+    out: dict = {}
+    perf = checkout / ".perfbench"
+    for path in sorted((perf / "trace").glob("*.spans.csv")):
+        workload = path.name.removesuffix(".spans.csv")
+        with open(path, encoding="utf-8") as fh:
+            spans = list(csv.DictReader(fh))
+        records = 0
+        for rec in (perf / "out" / workload).glob("run_*/records.csv"):
+            with open(rec, encoding="utf-8") as fh:
+                records += sum(1 for _ in fh) - 1
+        entry: dict = {"records": records}
+        for name in RECORD_SPANS:
+            secs = [float(s["duration_s"]) for s in spans if s["name"] == name]
+            entry[name] = {"calls": len(secs), "s": sum(secs),
+                           "us_per_record": (sum(secs) / records * 1e6
+                                             if records else 0.0)}
+        out[workload] = entry
+    return out
+
+
 def report(sides: dict[str, list[dict]]) -> dict:
     spec = benchmark()
     backends = sorted({r["env"]["backend"] for recs in sides.values()
@@ -157,12 +194,20 @@ def main(argv=None) -> int:
     s.add_argument("--out", required=True)
     s.add_argument("--side", action="append", required=True,
                    metavar="NAME=FILE.jsonl")
+    s.add_argument("--spans", action="append", default=[],
+                   metavar="NAME=CHECKOUT")
     args = p.parse_args(argv)
 
     if args.cmd == "run":
         return run(args)
     sides = dict(item.split("=", 1) for item in args.side)
     doc = report({name: load(path) for name, path in sides.items()})
+    if args.spans:
+        doc["record_layer"] = {
+            "note": RECORD_NOTE,
+            "sides": {name: record_layer(Path(path).resolve())
+                      for name, path in (item.split("=", 1)
+                                         for item in args.spans)}}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -109,7 +109,7 @@ def chemotaxis_divergence(u: np.ndarray, w: np.ndarray, grid: Grid,
     return -np.diff(flux) / grid.m
 
 
-def _weighted_sum(weights: np.ndarray, f: np.ndarray):
+def _weighted_sum(weights: np.ndarray, f: np.ndarray) -> float | np.ndarray:
     """``sum_i weights_i f_i``: a float for 1-D ``f``, one per row otherwise.
 
     Stacked rows go through ``np.matmul``'s vector-vector path, one BLAS
@@ -121,13 +121,13 @@ def _weighted_sum(weights: np.ndarray, f: np.ndarray):
     return np.matmul(f[..., None, :], weights[:, None])[..., 0, 0]
 
 
-def integrate(f: np.ndarray, grid: Grid):
+def integrate(f: np.ndarray, grid: Grid) -> float | np.ndarray:
     """Measure-weighted sum ``sum_i m_i f_i`` (midpoint quadrature)."""
     return _weighted_sum(grid.m, f)
 
 
 def face_energy(sq: np.ndarray, g: Optional[np.ndarray], grid: Grid,
-                g_floor: float = 1e-12):
+                g_floor: float = 1e-12) -> float | np.ndarray:
     """Discrete ``integral sq / g`` over the interior faces.
 
     ``sq`` holds one value per interior face (length n - 1), typically a

@@ -1,0 +1,151 @@
+#!/usr/bin/env python3
+"""Digest a golden set of runs, to show that a refactor changes no result.
+
+    python3 benchmarks/golden_digest.py run --out FILE [--checkout DIR]
+    python3 benchmarks/golden_digest.py compare A B
+
+``run`` integrates, in one subprocess on ``DIR/src`` (default: this
+checkout), the eight presets to their ``t_end`` and the seed-1
+``dense-records`` config of ``perfbench.workloads``, and writes one JSON
+object per run to ``FILE``:
+
+* ``sha256_u``, ``sha256_v``, ``sha256_w`` -- of the final arrays' bytes,
+* ``sha256_records`` -- of the ``records.csv`` the run writes,
+* ``manifest`` -- ``manifest.json`` as a dict, without ``wall_time``,
+* ``accepted``, ``rejected``, ``rebuilds`` -- the step counts,
+* ``min_dt`` and ``I_end`` (the last record's ``I``) as ``float.hex``.
+
+``compare`` prints every value that differs between two such files, by run
+and dotted key, and exits 1 if there is any.  Equal digests mean bitwise
+equal final arrays and records.  One ``run`` takes about two minutes on a
+2-vCPU host, most of it in the two fig3 presets.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PRESETS = [("fig1_left", 60), ("fig1_left", 120), ("fig1_left", 240),
+           ("fig1_right", 1.4), ("fig1_right", 14), ("fig1_right", 20),
+           ("fig3", 1), ("fig3", 3)]
+DENSE_SEED = 1
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest(result, out_dir: str) -> dict:
+    """The digest of one finished run; writes its artifacts under out_dir."""
+    from nutaxis import io as nio
+
+    records_path, _ = nio.write_run(result, out_dir)
+    manifest = nio.manifest_to_dict(result.manifest)
+    del manifest["wall_time"]
+    stats = result.manifest.stats
+    return {
+        **{f"sha256_{k}": _sha256(getattr(result.state, k).tobytes())
+           for k in ("u", "v", "w")},
+        "sha256_records": _sha256(Path(records_path).read_bytes()),
+        "manifest": manifest,
+        "accepted": stats["accepted"],
+        "rejected": stats["rejected"],
+        "rebuilds": stats["rebuilds"],
+        "min_dt": float(stats["min_dt"]).hex(),
+        "I_end": float(result.records[-1].I).hex(),
+    }
+
+
+def digest_all() -> dict:
+    """Run the golden set in this process (the subprocess side of ``run``)."""
+    import nutaxis
+    from nutaxis import experiments
+    from perfbench import workloads
+
+    configs = [(f"{name}[{value:g}]", experiments.preset(name, value))
+               for name, value in PRESETS]
+    dense = workloads.make("dense-records", DENSE_SEED).configs[0]
+    configs.append((f"dense-records[seed={DENSE_SEED}]", dense))
+    out = {"nutaxis": nutaxis.__file__, "runs": {}}
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (label, cfg) in enumerate(configs):
+            result = experiments.run_scenario(cfg)
+            out["runs"][label] = digest(result, os.path.join(tmp, str(i)))
+            print(f"  {label}: {result.manifest.stats['accepted']} steps",
+                  file=sys.stderr, flush=True)
+    return out
+
+
+def run(out: str, checkout: str) -> int:
+    root = Path(checkout).resolve()
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])}
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+            "import golden_digest; "
+            "json.dump(golden_digest.digest_all(), sys.stdout)")
+    done = subprocess.run([sys.executable, "-c", code, str(ROOT / "benchmarks")],
+                          env=env, cwd=root, stdout=subprocess.PIPE, text=True)
+    if done.returncode != 0:
+        return done.returncode
+    doc = json.loads(done.stdout)
+    if not Path(doc["nutaxis"]).resolve().is_relative_to(root / "src"):
+        raise RuntimeError(f"imported {doc['nutaxis']}, not {root / 'src'}")
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(doc["runs"], fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {out}: {len(doc['runs'])} runs of {root}")
+    return 0
+
+
+def differences(a, b, path: str = "") -> list[str]:
+    """Every dotted key whose value differs between a and b."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        out = []
+        for k in sorted(set(a) | set(b)):
+            sub = f"{path}.{k}" if path else str(k)
+            if k not in a or k not in b:
+                which = "A" if k in a else "B"
+                out.append(f"{sub}: only in {which}")
+            else:
+                out.extend(differences(a[k], b[k], sub))
+        return out
+    return [] if a == b else [f"{path}: {a!r} != {b!r}"]
+
+
+def compare(path_a: str, path_b: str) -> int:
+    docs = []
+    for path in (path_a, path_b):
+        with open(path, encoding="utf-8") as fh:
+            docs.append(json.load(fh))
+    diffs = differences(*docs)
+    for line in diffs:
+        print(line)
+    print(f"{len(diffs)} difference(s) over {len(set(docs[0]) | set(docs[1]))}"
+          " runs")
+    return 1 if diffs else 0
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = p.add_subparsers(dest="cmd", required=True)
+    r = sub.add_parser("run")
+    r.add_argument("--out", required=True)
+    r.add_argument("--checkout", default=str(ROOT))
+    c = sub.add_parser("compare")
+    c.add_argument("a")
+    c.add_argument("b")
+    args = p.parse_args(argv)
+    if args.cmd == "run":
+        return run(args.out, args.checkout)
+    return compare(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -71,7 +71,6 @@ from .reduced import (
 from .stepper import (
     AdvanceResult,
     AdvanceStats,
-    History,
     LinearSolveFailure,
     PositivityViolation,
     StepperConfig,
@@ -90,7 +89,6 @@ __all__ = [
     "Geometry",
     "Grid",
     "HeatTrajectory",
-    "History",
     "HorizonTooShort",
     "IntegratedAuditReport",
     "JensenReport",

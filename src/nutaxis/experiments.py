@@ -268,7 +268,7 @@ def _audit_trajectory(records: Sequence[DiagnosticsRecord],
     return audits
 
 
-def run_scenario(cfg: ScenarioConfig, backend: Optional[str] = None) -> RunResult:
+def run_scenario(cfg: ScenarioConfig) -> RunResult:
     """Realize and integrate a scenario; see the module docstring.
 
     The records are evaluated ``RECORD_BLOCK`` output states at a time
@@ -315,7 +315,7 @@ def run_scenario(cfg: ScenarioConfig, backend: Optional[str] = None) -> RunResul
     times = output_times(cfg.output, cfg.t_end)
     try:
         result = advance(state, grid, cfg.params, cfg.stepper, cfg.t_end,
-                         observe_times=times, observer=observe, backend=backend)
+                         observe_times=times, observer=observe)
     except (PositivityViolation, LinearSolveFailure) as exc:
         raise ScenarioFailure(f"scenario {cfg.name!r}: {exc}") from exc
     if ts:
@@ -437,7 +437,8 @@ def run_sweep(spec: SweepSpec, processes: int = 1,
     With ``out_dir`` set, each run writes ``records.csv`` and
     ``manifest.json`` under ``out_dir/run_<index>/``.  Overrides are applied
     in the run's own isolation: a value that a config rejects fails only
-    that run, with the error in its row.
+    that run, with the error in its row.  With ``processes > 1`` the runs go
+    to a pool of at most one worker per run.
     """
     jobs = [(i, spec.base, combo,
              None if out_dir is None else os.path.join(out_dir, f"run_{i:03d}"))
@@ -446,7 +447,7 @@ def run_sweep(spec: SweepSpec, processes: int = 1,
     if processes > 1 and len(jobs) > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(processes) as pool:
+        with multiprocessing.Pool(min(processes, len(jobs))) as pool:
             rows = pool.map(_sweep_worker, jobs)
     else:
         rows = [_sweep_worker(job) for job in jobs]

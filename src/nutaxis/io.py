@@ -22,7 +22,7 @@ Config schema (all keys shown; (*) optional)::
       "profiles": {"u0": P, "v0": P, "w0": P},
       "t_end": float,
       "output"*: {"t_first"*: float, "factor"*: float},
-      "stepper"*: {"dt"*, "cfl_safety"*, "max_retries"*, "scheme"*}
+      "stepper"*: {"dt"*, "cfl_safety"*, "scheme"*}
     }
 
 with profile P one of ``{"type": "constant", "value": float}``,

@@ -30,6 +30,8 @@ imports and ``numpy`` otherwise; ``loops`` is chosen only by name.  Each
 backend is bitwise deterministic run-to-run (single-threaded, no fastmath);
 the loop and numpy backends agree to roundoff (~1e-12 relative), not
 bitwise, because LAPACK and the in-kernel Thomas sweep round differently.
+The ``numpy`` and ``loops`` runners read the module constants (such as
+``MAX_RETRIES``) at each call; ``numba`` freezes them when it compiles.
 
 Segment algorithm:
   repeat until the remaining gap is exhausted:
@@ -48,7 +50,7 @@ Segment algorithm:
     5. exact multiplicative v update with trapezoidal w average,
     6. implicit-diffusion u solve with explicit upwind taxis + growth terms,
        rejection if u <= U_FLOOR,
-    7. on rejection: halve dt and retry (up to max_retries times);
+    7. on rejection: halve dt and retry (up to MAX_RETRIES times);
        dt may grow back (step 3) only after the next accepted step.
 
 A runner returns ``(status, cell, accepted, rejected, rebuilds, min_dt, dt,
@@ -91,6 +93,7 @@ U_FLOOR = 1e-14  # a step with some u+ <= U_FLOOR is rejected
 # over-damped (real roots need dt * rate <= 0.5)
 SINK_DT_CAP = 0.45
 SOURCE_DT_CAP = 0.45  # bound on dt * max(delta, alpha) * max w
+MAX_RETRIES = 12  # rejection halvings allowed per step
 W_SNAP_REL = 1e-250  # snap-to-zero floor for w, relative to the initial max
 
 
@@ -104,7 +107,7 @@ def _make_segment(fill_sink, cap_terms, attempt):
     def segment(u, v, w, hu, hv, hw, hnu, hmeta, rem,
                 m, cl, cr, af, h,
                 D_u, D_w, chi, alpha, beta, gamma, delta, eps,
-                dt_base, cfl_safety, max_retries, scheme2):
+                dt_base, cfl_safety, scheme2):
         n = u.shape[0]
         sink = np.empty(n)
         un = np.empty(n)
@@ -183,7 +186,7 @@ def _make_segment(fill_sink, cap_terms, attempt):
             if status != STATUS_OK:
                 rejected += 1
                 retries += 1
-                if retries > max_retries:
+                if retries > MAX_RETRIES:
                     break
                 halve = True
                 rebuild_pending = True

@@ -133,8 +133,8 @@ def _sgn(x: float) -> int:
 
 
 def sign_law_check(u0: float, v0: float, w0: float, params: ModelParams,
-                   t_end: float, dt: float = 1e-2) -> int:
-    """Integrate until w < 1e-10*w0 and return sgn(u - v).
+                   t_end: float) -> int:
+    """Integrate (RK4, dt = 1e-2) until w < 1e-10*w0 and return sgn(u - v).
 
     The law requires equal initial densities, so u0 != v0 is rejected.  The
     returned sign is also checked against sgn(delta - alpha) and a mismatch
@@ -147,8 +147,7 @@ def sign_law_check(u0: float, v0: float, w0: float, params: ModelParams,
         raise ValueError("sign law is stated for u0 == v0")
     if min(u0, v0) <= 0.0 or w0 < 0.0:
         raise ValueError("need u0, v0 > 0 and w0 >= 0")
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    dt = 1e-2
     threshold = 1e-10 * w0
     u, v, w, t = u0, v0, w0, 0.0
     while w > threshold:
@@ -185,23 +184,23 @@ def heat_params(D: float) -> ModelParams:
 
 
 def heat_solve(u0: Union[Profile, np.ndarray], D: float, grid: Grid,
-               t_end: float, dt: float = 1e-3, t_first: float = 1e-3,
-               factor: float = 1.25) -> HeatTrajectory:
+               t_end: float) -> HeatTrajectory:
     """Run U_t = D*lap(U) and record int ln U and sup|U - mean|.
 
-    Reuses the full integrator with taxis and all reactions off.  The mean is
-    the discrete volume average of the initial data (mass is conserved).
-    Observation times are t = 0, then t_first*factor^k, then t_end.
+    Reuses the full integrator, with dt = 1e-3 and taxis and all reactions
+    off.  The mean is the discrete volume average of the initial data (mass
+    is conserved).  Observation times are t = 0, then those of the default
+    ``OutputSchedule`` (1e-3 * 1.25^k), then t_end.
 
     Raises:
-        ValueError: unless t_first > 0 and factor > 1.
+        ValueError: if t_end is negative or NaN.
     """
-    ts = output_times(OutputSchedule(t_first, factor), t_end)
+    ts = output_times(OutputSchedule(), t_end)
     arr = sample(u0, grid) if not isinstance(u0, np.ndarray) else np.asarray(
         u0, dtype=np.float64).copy()
     if arr.min() <= 0.0:
         raise NonpositiveField("heat initial data must be positive")
-    cfg = StepperConfig(dt=dt)
+    cfg = StepperConfig(dt=1e-3)
     state = State(t=0.0, u=arr.copy(), v=np.ones_like(arr), w=np.zeros_like(arr))
 
     mean = float(integrate(arr, grid) / grid.volume)
@@ -220,7 +219,7 @@ def heat_solve(u0: Union[Profile, np.ndarray], D: float, grid: Grid,
 
 
 def stabilization_constants(u0: Union[Profile, np.ndarray], D: float,
-                            grid: Grid, dt: float = 1e-3) -> tuple[float, float]:
+                            grid: Grid) -> tuple[float, float]:
     """Return (L, t0): L = c1*|Omega|/2 and the first sampled time with
     int ln U(t) - int ln u0 >= L.
 
@@ -241,7 +240,7 @@ def stabilization_constants(u0: Union[Profile, np.ndarray], D: float,
     span = float(hi - lo)
     t_end = 5.0 * span * span / (D * math.pi ** 2)
     for _ in range(3):
-        traj = heat_solve(arr, D, grid, t_end, dt=dt)
+        traj = heat_solve(arr, D, grid, t_end)
         gap = traj.int_ln_u - traj.int_ln_u[0]
         hit = np.nonzero(gap >= L)[0]
         if hit.size:

@@ -12,14 +12,14 @@ Scheme (SBDF2): (3 y+ - 4 y + y-) / (2 dt) = A y+ + 2 N(y) - N(y-), with
 
 The first step of a run, and the first step after any dt change, is a
 backward-Euler (SBDF1) rebuild; dt is otherwise constant between changes.
-Positivity failures reject the step and halve dt, at most max_retries times
-per step.  Step-size caps, the rejection floor and the snap-to-zero of the
-decaying nutrient are documented in :mod:`nutaxis.kernels`, which takes
-every step.
+Positivity failures reject the step and halve dt, at most MAX_RETRIES times
+per step.  That limit, the step-size caps, the rejection floor and the
+snap-to-zero of the decaying nutrient are documented in
+:mod:`nutaxis.kernels`, which takes every step.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -31,7 +31,6 @@ from .profiles import State
 
 __all__ = [
     "StepperConfig",
-    "History",
     "AdvanceStats",
     "AdvanceResult",
     "PositivityViolation",
@@ -80,13 +79,11 @@ class StepperConfig:
     Attributes:
         dt: base (largest allowed) time step.
         cfl_safety: safety factor in (0, 1] for the chemotaxis CFL cap.
-        max_retries: rejection halvings allowed per step.
         scheme: "sbdf2" (default) or "sbdf1" (first-order throughout).
     """
 
     dt: float = 0.25
     cfl_safety: float = 0.5
-    max_retries: int = 12
     scheme: str = "sbdf2"
 
     def __post_init__(self) -> None:
@@ -96,37 +93,11 @@ class StepperConfig:
             raise ValueError(f"cfl_safety must be in (0, 1], got {self.cfl_safety}")
         if self.scheme not in ("sbdf2", "sbdf1"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-
-
-@dataclass
-class History:
-    """Previous accepted level and its explicit terms (two-step bookkeeping).
-
-    ``dt`` is the gap between the stored level and the current state;
-    ``valid`` is False before the first accepted step.  ``w_snap`` is the
-    absolute snap-to-zero floor, anchored to the run's initial max w so that
-    later segments keep the same floor.
-    """
-
-    u: np.ndarray = field(repr=False)
-    v: np.ndarray = field(repr=False)
-    w: np.ndarray = field(repr=False)
-    n_u: np.ndarray = field(repr=False)
-    dt: float = 0.0
-    valid: bool = False
-    w_snap: float = 0.0
-
-    @classmethod
-    def fresh(cls, n: int) -> "History":
-        z = np.zeros(n)
-        return cls(u=z.copy(), v=z.copy(), w=z.copy(), n_u=z.copy())
 
 
 @dataclass
 class AdvanceStats:
-    """Accumulated step statistics for one or more advance calls."""
+    """Step statistics of one advance call, summed over its segments."""
 
     accepted: int = 0
     rejected: int = 0
@@ -144,7 +115,6 @@ class AdvanceStats:
 @dataclass
 class AdvanceResult:
     state: State
-    history: History
     stats: AdvanceStats
 
 
@@ -168,41 +138,43 @@ def advance(state: State, grid: Grid, params: ModelParams, cfg: StepperConfig,
             t_end: float,
             observe_times: Optional[Iterable[float]] = None,
             observer: Optional[Callable[[State], None]] = None,
-            history: Optional[History] = None,
             backend: Optional[str] = None) -> AdvanceResult:
     """Advance the state to ``t_end``, landing exactly on every observe time.
 
     ``observe_times`` must lie in ``(state.t, t_end]``; ``observer(state)``
-    is called each time one is reached.  The returned history can be threaded
-    into a subsequent call, making two half-horizon advances bitwise
-    identical to one full advance when no step-size adaptation intervenes.
+    is called each time one is reached.  Each call starts the two-step
+    scheme afresh with a backward-Euler step; the snap-to-zero floor of w
+    is anchored to the max of ``state.w`` on entry.
 
     Raises:
-        ValueError: if t_end < state.t or observe times are out of range.
+        ValueError: unless state.t <= t_end and, for t_end > state.t, every
+            observe time lies in (state.t, t_end], in order (a NaN time is
+            never in range).
         PositivityViolation / LinearSolveFailure: from the stepping kernel,
             with the failing step's start time and dt attached; ``state``
-            and ``history`` are left at that step's start.
+            is left at that step's start.
     """
-    if t_end < state.t:
-        raise ValueError(f"t_end = {t_end} is before state.t = {state.t}")
+    if not t_end >= state.t:
+        raise ValueError(f"t_end = {t_end} is not at or after state.t = {state.t}")
     name, runner = kernels.get_segment_runner(backend)
     stats = AdvanceStats(backend=name)
-    if history is None:
-        history = History.fresh(grid.n)
-        history.w_snap = kernels.W_SNAP_REL * float(np.max(state.w, initial=0.0))
     if t_end == state.t:
-        return AdvanceResult(state, history, stats)
+        return AdvanceResult(state, stats)
 
     targets = []
     if observe_times is not None:
         targets = [float(t) for t in observe_times]
-        if any(t <= state.t or t > t_end for t in targets):
+        if not all(state.t < t <= t_end for t in targets):
             raise ValueError("observe times must lie in (state.t, t_end]")
         if sorted(targets) != targets:
             raise ValueError("observe times must be sorted")
 
     m, cl, cr, af, h = grid_coefficients(grid)
-    hmeta = np.array([history.dt, 1.0 if history.valid else 0.0, history.w_snap])
+    # the previous accepted level and its explicit u-term; hmeta holds its
+    # dt, whether it is valid, and the absolute snap-to-zero floor of w
+    hu, hv, hw, hnu = np.zeros((4, grid.n))
+    hmeta = np.array([0.0, 0.0,
+                      kernels.W_SNAP_REL * float(np.max(state.w, initial=0.0))])
     scheme2 = 1 if cfg.scheme == "sbdf2" else 0
 
     # a trailing t_end equal to the last target is an empty segment
@@ -211,14 +183,12 @@ def advance(state: State, grid: Grid, params: ModelParams, cfg: StepperConfig,
         if rem > 0.0:
             status, cell, acc, rej, reb, mdt, dt, left = runner(
                 state.u, state.v, state.w,
-                history.u, history.v, history.w, history.n_u, hmeta, rem,
+                hu, hv, hw, hnu, hmeta, rem,
                 m, cl, cr, af, h,
                 params.D_u, params.D_w, params.chi, params.alpha, params.beta,
                 params.gamma, params.delta, params.eps_reg,
-                cfg.dt, cfg.cfl_safety, cfg.max_retries, scheme2)
+                cfg.dt, cfg.cfl_safety, scheme2)
             stats.merge(int(acc), int(rej), int(reb), float(mdt))
-            history.dt = float(hmeta[0])
-            history.valid = hmeta[1] > 0.5
             if status != kernels.STATUS_OK:
                 state.t = max(state.t, tt - float(left))  # the failing step's start
                 if status == kernels.STATUS_SINGULAR:
@@ -229,4 +199,4 @@ def advance(state: State, grid: Grid, params: ModelParams, cfg: StepperConfig,
         if observer is not None and i < len(targets):
             observer(state)
 
-    return AdvanceResult(state, history, stats)
+    return AdvanceResult(state, stats)

@@ -278,14 +278,40 @@ def test_run_sweep_parallel_matches_serial():
     assert serial == parallel
 
 
+def test_run_sweep_pool_has_at_most_one_worker_per_run(monkeypatch):
+    import multiprocessing
+
+    sizes = []
+
+    class SerialPool:  # records its size and starts no process
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    spec = SweepSpec(base=_tiny(0.01),
+                     overrides=(("t_end", (0.01, 0.015, 0.02)),))
+    rows = run_sweep(spec, processes=8)
+    assert sizes == [3]
+    assert [r["error"] for r in rows] == ["", "", ""]
+
+
 def test_run_sweep_captures_per_run_errors(monkeypatch):
     calls = {"n": 0}
 
-    def flaky(cfg, backend=None):
+    def flaky(cfg):
         calls["n"] += 1
         if calls["n"] == 1:
             raise ScenarioFailure("synthetic failure")
-        return real(cfg, backend=backend)
+        return real(cfg)
 
     real = experiments.run_scenario
     monkeypatch.setattr(experiments, "run_scenario", flaky)

@@ -89,7 +89,8 @@ def test_config_errors_carry_the_offending_path(mutate, needle):
 
 
 @pytest.mark.parametrize("key", ["flux", "positivity_floor", "sink_dt_cap",
-                                 "source_dt_cap", "w_snap_rel", "dt_min"])
+                                 "source_dt_cap", "w_snap_rel", "dt_min",
+                                 "max_retries"])
 def test_retired_stepper_keys_are_rejected(key):
     doc = json.loads(json.dumps(MINIMAL))
     doc["stepper"] = {key: "upwind" if key == "flux" else 0.45}

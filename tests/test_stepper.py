@@ -8,7 +8,6 @@ from nutaxis import (
     Constant,
     Gaussian,
     Geometry,
-    History,
     LinearSolveFailure,
     ModelParams,
     PositivityViolation,
@@ -44,7 +43,6 @@ def backend(request):
     dict(cfl_safety=0.0),
     dict(cfl_safety=1.5),
     dict(scheme="rk4"),
-    dict(max_retries=-1),
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
@@ -105,18 +103,16 @@ def test_advance_lands_exactly_and_validates():
         advance(res.state, grid, HEAT, cfg, t_end=1.0, observe_times=[0.9, 0.8])
     with pytest.raises(ValueError):
         advance(res.state, grid, HEAT, cfg, t_end=1.0, observe_times=[2.0])
+    # a NaN time is never in range: it must not skip a segment unnoticed
+    with pytest.raises(ValueError):
+        advance(res.state, grid, HEAT, cfg, t_end=float("nan"))
+    with pytest.raises(ValueError):
+        advance(res.state, grid, HEAT, cfg, t_end=1.0,
+                observe_times=[float("nan"), 0.5])
+    assert res.state.t == 0.37
 
     unchanged = advance(res.state, grid, HEAT, cfg, t_end=res.state.t)
     assert unchanged.stats.accepted == 0
-
-
-def test_advance_noop_horizon_keeps_history_identity():
-    grid = build_grid(Geometry("interval", 8))
-    state = State(0.0, np.ones(8), np.ones(8), np.zeros(8))
-    hist = History.fresh(8)
-    hist.w_snap = 1.0
-    res = advance(state, grid, HEAT, StepperConfig(), t_end=0.0, history=hist)
-    assert res.history is hist
 
 
 def test_observer_called_at_requested_times():
@@ -127,32 +123,6 @@ def test_observer_called_at_requested_times():
     advance(state, grid, FULL, StepperConfig(), t_end=0.1,
             observe_times=times, observer=lambda s: seen.append(s.t))
     assert seen == times
-
-
-def test_split_advance_is_bitwise_equal_to_observed_midpoint():
-    grid = build_grid(Geometry("interval", 64))
-    state0 = _bump_state(grid)
-    cfg = StepperConfig()
-    full = advance(state0.copy(), grid, FULL, cfg, t_end=0.02,
-                   observe_times=[0.01], backend="numpy")
-    half = advance(state0.copy(), grid, FULL, cfg, t_end=0.01, backend="numpy")
-    rest = advance(half.state, grid, FULL, cfg, t_end=0.02,
-                   history=half.history, backend="numpy")
-    for name in ("u", "v", "w"):
-        np.testing.assert_array_equal(getattr(full.state, name),
-                                      getattr(rest.state, name))
-    assert full.stats.accepted == half.stats.accepted + rest.stats.accepted
-
-
-def test_threaded_history_continues_without_rebuild():
-    grid = build_grid(Geometry("interval", 24))
-    state = State(0.0, 1.0 + grid.centers, np.ones(24), np.zeros(24))
-    cfg = StepperConfig(dt=0.01)
-    first = advance(state, grid, HEAT, cfg, t_end=0.1)
-    assert first.stats.rebuilds == 1  # the initial backward-Euler start
-    second = advance(first.state, grid, HEAT, cfg, t_end=0.2,
-                     history=first.history)
-    assert second.stats.rebuilds == 0
 
 
 def test_advance_is_deterministic():
@@ -210,25 +180,28 @@ def _sawtooth_collapse_setup():
     return grid, state, params
 
 
-def test_advance_raises_positivity_violation_when_retries_exhausted(backend):
+def test_advance_raises_positivity_violation_when_retries_exhausted(
+        monkeypatch, backend):
+    monkeypatch.setattr(kernels, "MAX_RETRIES", 0)
     grid, state, params = _sawtooth_collapse_setup()
-    cfg = StepperConfig(dt=grid.h / 2.0, max_retries=0)
+    cfg = StepperConfig(dt=grid.h / 2.0)
     with pytest.raises(PositivityViolation) as err:
         advance(state, grid, params, cfg, t_end=grid.h / 2.0, backend=backend)
     assert err.value.field == "u"
     assert 0 <= err.value.cell < grid.n
 
 
-def test_advance_recovers_by_halving(backend):
+def test_advance_recovers_by_halving(monkeypatch, backend):
     # the CFL cap equals dt here, so only the rejection loop can shrink dt;
     # dt must not grow back before the halved step is accepted
+    monkeypatch.setattr(kernels, "MAX_RETRIES", 4)
     grid, state, params = _sawtooth_collapse_setup()
-    cfg = StepperConfig(dt=grid.h / 2.0, max_retries=4)
+    cfg = StepperConfig(dt=grid.h / 2.0)
     res = advance(state, grid, params, cfg, t_end=grid.h / 2.0, backend=backend)
     assert res.state.t == grid.h / 2.0
     assert np.all(res.state.u > 0.0)
     assert res.stats.rejected >= 1
-    assert res.history.valid and res.stats.min_dt < cfg.dt
+    assert res.stats.min_dt < cfg.dt
 
 
 def _fail_from_call(monkeypatch, n_fail, status):
@@ -260,7 +233,8 @@ def test_failure_reports_the_failing_step_start_and_dt(monkeypatch, status,
     # so the failing step starts after 7 accepted steps, inside segment two
     grid = build_grid(Geometry("interval", 16))
     state = State(0.0, 1.0 + grid.centers, np.ones(16), np.zeros(16))
-    cfg = StepperConfig(dt=0.01, max_retries=2)
+    monkeypatch.setattr(kernels, "MAX_RETRIES", 2)
+    cfg = StepperConfig(dt=0.01)
     dts = _fail_from_call(monkeypatch, 8, status)
     with pytest.raises(error) as err:
         advance(state, grid, HEAT, cfg, t_end=0.1, observe_times=[0.05],
@@ -270,7 +244,7 @@ def test_failure_reports_the_failing_step_start_and_dt(monkeypatch, status,
     assert state.t == err.value.t
     assert err.value.dt == dts[-1]
     if error is PositivityViolation:
-        assert len(dts) == 7 + cfg.max_retries + 1  # halved twice, then given up
+        assert len(dts) == 7 + 2 + 1  # halved twice, then given up
         assert err.value.dt == pytest.approx(0.0025, rel=1e-12)
         assert err.value.field == ("u" if status == kernels.STATUS_U_POSITIVITY
                                    else "w")
@@ -307,11 +281,12 @@ def test_nutrient_snaps_to_exact_zero_and_stays():
                           grid)
     params = ModelParams(D_u=1.0, D_w=1.0, chi=0.5, alpha=2.0, beta=200.0,
                          gamma=200.0, delta=1.0)
-    res = advance(state, grid, params, StepperConfig(), t_end=2.0)
-    assert np.all(res.state.w == 0.0)
-    v_frozen = res.state.v.copy()
-    more = advance(res.state, grid, params, StepperConfig(), t_end=3.0,
-                   history=res.history)
+    at_2 = []
+    more = advance(state, grid, params, StepperConfig(), t_end=3.0,
+                   observe_times=[2.0],
+                   observer=lambda s: at_2.append((s.w.copy(), s.v.copy())))
+    w_2, v_frozen = at_2[0]
+    assert np.all(w_2 == 0.0)
     assert np.all(more.state.w == 0.0)
     np.testing.assert_array_equal(more.state.v, v_frozen)
 

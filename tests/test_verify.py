@@ -37,8 +37,6 @@ def test_transport_zero_data_is_exact():
 def test_convergence_validation():
     with pytest.raises(ValueError):
         manufactured_convergence("stokes")
-    with pytest.raises(ValueError):
-        manufactured_convergence("heat", resolutions=(100, 200))
 
 
 def test_regularization_distances_decrease():

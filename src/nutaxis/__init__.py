@@ -6,8 +6,8 @@ The package is organized around a small set of layers:
 * :mod:`nutaxis.model`, :mod:`nutaxis.grid`, :mod:`nutaxis.profiles` —
   parameters, cell-centered meshes (interval or radial ball), initial data.
 * :mod:`nutaxis.operators`, :mod:`nutaxis.stepper`, :mod:`nutaxis.kernels` —
-  spatial discretization and the adaptive IMEX time integrator (numba
-  kernels when numba imports, a pure-numpy fallback otherwise).
+  spatial discretization and the adaptive IMEX time integrator (one
+  numpy/LAPACK stepping kernel).
 * :mod:`nutaxis.diagnostics` — one record pass (competition index,
   quasi-energy, dissipation, Lyapunov value), per-run audits.
 * :mod:`nutaxis.reduced` — well-mixed ODE reduction, heat comparison,

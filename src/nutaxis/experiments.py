@@ -333,7 +333,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                       "d": cfg.geometry.d if cfg.geometry.kind == "radial" else 1},
         stats={"accepted": stats.accepted, "rejected": stats.rejected,
                "rebuilds": stats.rebuilds, "min_dt": stats.min_dt,
-               "backend": stats.backend, "outputs": len(records)},
+               "backend": "numpy", "outputs": len(records)},
         audits=audits,
         wall_time=time.perf_counter() - began,
     )

@@ -1,9 +1,9 @@
-"""Hot time-stepping kernels: one segment controller over two backends.
+"""Hot time-stepping kernels: one segment controller over array primitives.
 
 The adaptive segment controller is written once, by ``_make_segment``: the
 dt caps, the dt schedule, the SBDF1/SBDF2 and rebuild decision, retry
-halving, the step statistics and the history swap.  A backend supplies only
-three array primitives:
+halving, the step statistics and the history swap.  It takes three array
+primitives:
 
 * ``fill_sink`` — the nutrient sink from ``(u, v)`` or their extrapolants,
 * ``cap_terms`` — ``max|w[j] - w[j-1]|``, the max sink over cells with
@@ -11,27 +11,19 @@ three array primitives:
 * ``attempt`` — one step attempt; fills ``un, vn, wn, nn`` in place and
   returns ``(status, cell)``.
 
-Built over the explicit-loop primitives (one Thomas sweep serves both
-solves), the controller is ``segment_loops``; compiled with
-``numba.njit(cache=True)``, controller and primitives alike, it is the
-``numba`` backend.  Uncompiled it is the slow ``loops`` reference.  Built
-over the vectorized primitives it is ``segment_numpy``, whose step attempt
-is :func:`attempt_step_numpy`: LAPACK ``dgtsv``, called directly by
+Built over the vectorized primitives it is ``segment_numpy``, whose step
+attempt is :func:`attempt_step_numpy`: LAPACK ``dgtsv``, called directly by
 :func:`solve_tridiag`, solves in place in ``wn`` and ``un``; the diagonals,
 off-diagonals and the face fluxes of :func:`nutaxis.operators.taxis_flux`
 are kept in the controller's ``work`` rows, so with ``eps == 0`` the
-attempt allocates no float array.
+attempt allocates no float array.  The runner is bitwise deterministic
+run-to-run and reads the module constants (such as ``MAX_RETRIES``) at
+each call.  The test suite builds a second controller over explicit-loop
+primitives as a reference; it agrees to roundoff (~1e-12 relative), not
+bitwise, because LAPACK and a Thomas sweep round differently.
 
-These are the only place a step is taken; :func:`nutaxis.stepper.advance`
-drives them one output interval at a time.
-
-Backend selection: :func:`get_segment_runner` picks ``numba`` when numba
-imports and ``numpy`` otherwise; ``loops`` is chosen only by name.  Each
-backend is bitwise deterministic run-to-run (single-threaded, no fastmath);
-the loop and numpy backends agree to roundoff (~1e-12 relative), not
-bitwise, because LAPACK and the in-kernel Thomas sweep round differently.
-The ``numpy`` and ``loops`` runners read the module constants (such as
-``MAX_RETRIES``) at each call; ``numba`` freezes them when it compiles.
+This is the only place a step is taken; :func:`nutaxis.stepper.advance`
+drives it one output interval at a time.
 
 Segment algorithm:
   repeat until the remaining gap is exhausted:
@@ -68,17 +60,8 @@ import numpy as np
 from .model import f_eps
 from .operators import taxis_flux
 
-try:  # pragma: no cover - numba is an optional extra
-    import numba
-except ImportError:  # pragma: no cover
-    numba = None
-NUMBA_AVAILABLE = numba is not None
-
 __all__ = [
-    "NUMBA_AVAILABLE",
-    "get_segment_runner",
     "segment_numpy",
-    "segment_loops",
     "solve_tridiag",
 ]
 
@@ -98,11 +81,11 @@ W_SNAP_REL = 1e-250  # snap-to-zero floor for w, relative to the initial max
 
 
 # ---------------------------------------------------------------------------
-# the segment controller (numba-compilable when its primitives are)
+# the segment controller
 # ---------------------------------------------------------------------------
 
 def _make_segment(fill_sink, cap_terms, attempt):
-    """The segment controller over one backend's array primitives."""
+    """The segment controller over the given array primitives."""
 
     def segment(u, v, w, hu, hv, hw, hnu, hmeta, rem,
                 m, cl, cr, af, h,
@@ -114,7 +97,7 @@ def _make_segment(fill_sink, cap_terms, attempt):
         vn = np.empty(n)
         wn = np.empty(n)
         nn = np.empty(n)
-        work = np.empty((5, n + 1))  # scratch of the loop attempt
+        work = np.empty((5, n + 1))  # scratch of the step attempt
 
         hdt = hmeta[0]
         hvalid = hmeta[1] > 0.5
@@ -219,147 +202,6 @@ def _make_segment(fill_sink, cap_terms, attempt):
 
 
 # ---------------------------------------------------------------------------
-# explicit-loop primitives (njit-compiled when numba is present)
-# ---------------------------------------------------------------------------
-
-def _loop_primitives(jit):
-    """``(fill_sink, cap_terms, attempt)`` as explicit loops, each passed
-    through ``jit``."""
-
-    @jit
-    def thomas(cl, cr, diag, rhs, D, cp, dp, out):
-        # rows -D*cl[i], diag[i], -D*cr[i]; returns the zero pivot's row or -1
-        n = out.shape[0]
-        piv = diag[0]
-        if piv == 0.0:
-            return 0
-        cp[0] = -D * cr[0] / piv
-        dp[0] = rhs[0] / piv
-        for i in range(1, n):
-            low = -D * cl[i]
-            piv = diag[i] - low * cp[i - 1]
-            if piv == 0.0:
-                return i
-            cp[i] = -D * cr[i] / piv
-            dp[i] = (rhs[i] - low * dp[i - 1]) / piv
-        out[n - 1] = dp[n - 1]
-        for i in range(n - 2, -1, -1):
-            out[i] = dp[i] - cp[i] * out[i + 1]
-        return -1
-
-    @jit
-    def f(x, eps):  # the uptake response F, as model.f_eps
-        return x if eps == 0.0 else x / (1.0 + eps * x)
-
-    @jit
-    def fill_sink(sink, u, v, hu, hv, extrapolate, beta, gamma, eps):
-        for i in range(u.shape[0]):
-            if extrapolate:
-                e = 2.0 * u[i] - hu[i]
-                us = e if e > 0.0 else 0.0
-                vs = 2.0 * v[i] - hv[i]
-            else:
-                us = u[i]
-                vs = v[i]
-            sink[i] = beta * f(us, eps) + gamma * vs
-
-    @jit
-    def cap_terms(w, sink):
-        dw = smax = wmax = 0.0
-        for i in range(w.shape[0]):
-            if i > 0:
-                dw = max(dw, abs(w[i] - w[i - 1]))
-            if w[i] > 0.0:
-                smax = max(smax, sink[i])
-            wmax = max(wmax, w[i])
-        return dw, smax, wmax
-
-    @jit
-    def attempt(u, v, w, hu, hw, hnu, sink, sbdf2, dt,
-                m, cl, cr, af, h,
-                D_u, D_w, chi, alpha, delta, eps, w_snap,
-                un, vn, wn, nn, work):
-        n = u.shape[0]
-        diag = work[0]
-        rhs = work[1]
-        cp = work[2]
-        dp = work[3]
-        gflux = work[4]
-
-        # ---- implicit w solve:  (c0 + sink) w+ - D_w lap w+ = rhs
-        r2 = 1.0 / (2.0 * dt)
-        if sbdf2:
-            c0 = 3.0 / (2.0 * dt)
-            for i in range(n):
-                rhs[i] = (4.0 * w[i] - hw[i]) * r2
-        else:
-            c0 = 1.0 / dt
-            for i in range(n):
-                rhs[i] = w[i] * c0
-        for i in range(n):
-            diag[i] = c0 + sink[i] + D_w * (cl[i] + cr[i])
-        bad = thomas(cl, cr, diag, rhs, D_w, cp, dp, wn)
-        if bad >= 0:
-            return STATUS_SINGULAR, bad
-        for i in range(n):
-            if wn[i] < -w_snap:
-                return STATUS_W_POSITIVITY, i
-            if wn[i] < w_snap:
-                wn[i] = 0.0
-
-        # ---- exact multiplicative v update (trapezoidal w average)
-        for i in range(n):
-            vn[i] = v[i] * math.exp(alpha * dt * 0.5 * (w[i] + wn[i]))
-
-        # ---- explicit terms for u at the current level (upwind taxis)
-        gflux[0] = 0.0
-        gflux[n] = 0.0
-        for j in range(1, n):
-            gw = chi * (w[j] - w[j - 1]) / h
-            if gw > 0.0:
-                ud = u[j - 1]
-            else:
-                ud = u[j]
-            if eps == 0.0:
-                mo = ud
-            else:
-                q = 1.0 + eps * ud
-                mo = ud / (q * q)
-            gflux[j] = af[j] * gw * mo
-        for i in range(n):
-            nn[i] = -(gflux[i + 1] - gflux[i]) / m[i] + delta * f(u[i], eps) * w[i]
-
-        # ---- implicit-diffusion u solve
-        if sbdf2:
-            for i in range(n):
-                rhs[i] = (4.0 * u[i] - hu[i]) * r2 + 2.0 * nn[i] - hnu[i]
-        else:
-            for i in range(n):
-                rhs[i] = u[i] * c0 + nn[i]
-        for i in range(n):
-            diag[i] = c0 + D_u * (cl[i] + cr[i])
-        bad = thomas(cl, cr, diag, rhs, D_u, cp, dp, un)
-        if bad >= 0:
-            return STATUS_SINGULAR, bad
-        for i in range(n):
-            if un[i] <= U_FLOOR:
-                return STATUS_U_POSITIVITY, i
-        return STATUS_OK, -1
-
-    return fill_sink, cap_terms, attempt
-
-
-# segment_loops itself stays python-callable (slow) as a reference
-segment_loops = _make_segment(*_loop_primitives(lambda fn: fn))
-
-if NUMBA_AVAILABLE:  # pragma: no cover
-    _njit = numba.njit(cache=True, fastmath=False)
-    _segment_numba = _njit(_make_segment(*_loop_primitives(_njit)))
-else:
-    _segment_numba = None
-
-
-# ---------------------------------------------------------------------------
 # vectorized numpy/scipy primitives
 # ---------------------------------------------------------------------------
 
@@ -414,7 +256,7 @@ def attempt_step_numpy(u, v, w, hu, hw, hnu, sink, sbdf2, dt,
     """One step attempt (no retries), vectorized.
 
     Fills ``un, vn, wn, nn`` and returns ``(status, cell)`` with status one of
-    the module STATUS codes, as the loop attempt does; ``nn`` is the explicit
+    the module STATUS codes, as the controller expects; ``nn`` is the explicit
     u-term at the entry level (the history of the next two-step stage).  The
     other inputs are not modified, except ``work`` (shape ``(5, n + 1)``),
     which is scratch: row 0 holds each solve's diagonal, row 1 ``cl + cr``,
@@ -492,8 +334,8 @@ def attempt_step_numpy(u, v, w, hu, hw, hnu, sink, sbdf2, dt,
 def _fill_sink_numpy(sink, u, v, hu, hv, extrapolate, beta, gamma, eps):
     # beta F(u*) + gamma v*, with u* = max(2 u - hu, 0) and v* = 2 v - hv
     # when extrapolating; u* is built in sink, gamma v* in the one temporary
-    # (this primitive's signature, shared with the loop backends, carries
-    # no scratch buffer)
+    # (this primitive's signature, shared with the loop reference of the
+    # tests, carries no scratch buffer)
     if extrapolate:
         us = np.multiply(u, 2.0, out=sink)
         us -= hu
@@ -509,9 +351,9 @@ def _fill_sink_numpy(sink, u, v, hu, hv, extrapolate, beta, gamma, eps):
 
 
 def _cap_terms_numpy(w, sink):
-    # as the loop form: smax starts at 0.0, and a max is exact in any order;
-    # the bare ufunc reductions skip the Python wrappers of ndarray.max, and
-    # |w[j] - w[j-1]| is the one temporary
+    # as the loop reference: smax starts at 0.0, and a max is exact in any
+    # order; the bare ufunc reductions skip the Python wrappers of
+    # ndarray.max, and |w[j] - w[j-1]| is the one temporary
     dw = np.subtract(w[1:], w[:-1])
     np.absolute(dw, out=dw)
     return (float(np.maximum.reduce(dw)),
@@ -524,19 +366,3 @@ def _cap_terms_numpy(w, sink):
 segment_numpy = _make_segment(_fill_sink_numpy, _cap_terms_numpy,
                               lambda *a: attempt_step_numpy(*a))
 
-
-def get_segment_runner(backend: str | None = None):
-    """Return ``(name, runner)`` for ``backend``: ``"numba"``, ``"numpy"``
-    or ``"loops"`` (the uncompiled loop reference).
-
-    ``None`` picks ``"numba"`` when numba imports and ``"numpy"`` otherwise.
-    The runners are read from the module globals at each call.
-    """
-    name = backend or ("numba" if NUMBA_AVAILABLE else "numpy")
-    runners = {"numba": _segment_numba, "numpy": segment_numpy,
-               "loops": segment_loops}
-    if name not in runners:
-        raise ValueError(f"unknown backend {name!r}")
-    if runners[name] is None:
-        raise ImportError("numba backend requested but numba is unavailable")
-    return name, runners[name]

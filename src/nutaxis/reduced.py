@@ -193,8 +193,10 @@ def heat_solve(u0: Union[Profile, np.ndarray], D: float, grid: Grid,
     ``OutputSchedule`` (1e-3 * 1.25^k), then t_end.
 
     Raises:
-        ValueError: if t_end is negative or NaN.
+        ValueError: unless t_end > 0 (a run of no time has nothing to record).
     """
+    if not t_end > 0.0:
+        raise ValueError(f"heat run needs t_end > 0, got {t_end}")
     ts = output_times(OutputSchedule(), t_end)
     arr = sample(u0, grid) if not isinstance(u0, np.ndarray) else np.asarray(
         u0, dtype=np.float64).copy()
@@ -227,9 +229,11 @@ def stabilization_constants(u0: Union[Profile, np.ndarray], D: float,
     decay times and is extended (x4, twice) before giving up.
 
     Raises:
+        ValueError: unless D is positive and finite.
         HorizonTooShort: if the threshold is never crossed (cannot happen for
             genuinely nonconstant data; guards quadrature-degenerate input).
     """
+    heat_params(D)  # validates D, which the horizon divides by
     arr = sample(u0, grid) if not isinstance(u0, np.ndarray) else np.asarray(
         u0, dtype=np.float64)
     report = jensen_gap(arr, grid)

@@ -103,7 +103,6 @@ class AdvanceStats:
     rejected: int = 0
     rebuilds: int = 0  # backward-Euler (re)start steps taken
     min_dt: float = np.inf
-    backend: str = ""
 
     def merge(self, accepted: int, rejected: int, rebuilds: int, min_dt: float) -> None:
         self.accepted += accepted
@@ -137,8 +136,7 @@ def grid_coefficients(grid: Grid):
 def advance(state: State, grid: Grid, params: ModelParams, cfg: StepperConfig,
             t_end: float,
             observe_times: Optional[Iterable[float]] = None,
-            observer: Optional[Callable[[State], None]] = None,
-            backend: Optional[str] = None) -> AdvanceResult:
+            observer: Optional[Callable[[State], None]] = None) -> AdvanceResult:
     """Advance the state to ``t_end``, landing exactly on every observe time.
 
     ``observe_times`` must lie in ``(state.t, t_end]``; ``observer(state)``
@@ -147,20 +145,14 @@ def advance(state: State, grid: Grid, params: ModelParams, cfg: StepperConfig,
     is anchored to the max of ``state.w`` on entry.
 
     Raises:
-        ValueError: unless state.t <= t_end and, for t_end > state.t, every
-            observe time lies in (state.t, t_end], in order (a NaN time is
-            never in range).
+        ValueError: unless state.t <= t_end and every observe time lies in
+            (state.t, t_end], in order (a NaN time is never in range).
         PositivityViolation / LinearSolveFailure: from the stepping kernel,
             with the failing step's start time and dt attached; ``state``
             is left at that step's start.
     """
     if not t_end >= state.t:
         raise ValueError(f"t_end = {t_end} is not at or after state.t = {state.t}")
-    name, runner = kernels.get_segment_runner(backend)
-    stats = AdvanceStats(backend=name)
-    if t_end == state.t:
-        return AdvanceResult(state, stats)
-
     targets = []
     if observe_times is not None:
         targets = [float(t) for t in observe_times]
@@ -176,12 +168,14 @@ def advance(state: State, grid: Grid, params: ModelParams, cfg: StepperConfig,
     hmeta = np.array([0.0, 0.0,
                       kernels.W_SNAP_REL * float(np.max(state.w, initial=0.0))])
     scheme2 = 1 if cfg.scheme == "sbdf2" else 0
+    stats = AdvanceStats()
 
     # a trailing t_end equal to the last target is an empty segment
     for i, tt in enumerate(targets + [t_end]):
         rem = tt - state.t
         if rem > 0.0:
-            status, cell, acc, rej, reb, mdt, dt, left = runner(
+            # looked up at each call, so a patched or traced runner is used
+            status, cell, acc, rej, reb, mdt, dt, left = kernels.segment_numpy(
                 state.u, state.v, state.w,
                 hu, hv, hw, hnu, hmeta, rem,
                 m, cl, cr, af, h,

@@ -34,6 +34,7 @@ def test_help_exits_zero(capsys):
     ["run", "--preset", "fig1_left"],               # preset without variant
     ["run", "--preset", "fig1_left", "--variant", "sigma=61"],
     ["run", "nope.json", "--preset", "fig1_left", "--variant", "sigma=60"],
+    ["heat", "--diffusion", "0"],                   # D_u must be positive
 ])
 def test_bad_run_invocations_exit_one(argv, capsys):
     assert main(argv) == 1

@@ -1,4 +1,4 @@
-"""The numpy backend's primitives: the LAPACK solve and the step attempt."""
+"""The numpy kernel's primitives: the LAPACK solve and the step attempt."""
 import os
 import subprocess
 import sys
@@ -15,6 +15,8 @@ from nutaxis import kernels
 from nutaxis.model import f_eps
 from nutaxis.operators import taxis_flux
 from nutaxis.stepper import grid_coefficients
+
+import loop_reference
 
 
 def _system(n, D, seed):
@@ -176,14 +178,13 @@ def test_numpy_attempt_allocates_no_float_array(sbdf2):
 @pytest.mark.parametrize("extrapolate", [True, False])
 def test_vectorized_primitives_match_loop_primitives(extrapolate, eps):
     # the same operations per element, and a max is exact in any order
-    fill_sink, cap_terms, _ = kernels._loop_primitives(lambda fn: fn)
     rng = np.random.default_rng(17)
     n = 401
     u, v = rng.uniform(0.0, 2.0, n), rng.uniform(0.5, 2.0, n)
     hu, hv = u + rng.uniform(-1.0, 1.0, n), v + rng.uniform(-0.5, 0.5, n)
     assert np.any(2.0 * u - hu < 0.0)  # some extrapolants are clamped
     sinks = []
-    for fill in (fill_sink, kernels._fill_sink_numpy):
+    for fill in (loop_reference.fill_sink, kernels._fill_sink_numpy):
         sink = np.full(n, np.nan)
         fill(sink, u, v, hu, hv, extrapolate, 200.0, 50.0, eps)
         sinks.append(sink)
@@ -194,7 +195,7 @@ def test_vectorized_primitives_match_loop_primitives(extrapolate, eps):
     sink = sinks[0]
     sink[150] = 2.0 * sink.max()
     terms = kernels._cap_terms_numpy(w, sink)
-    assert terms == cap_terms(w, sink)
+    assert terms == loop_reference.cap_terms(w, sink)
     assert terms[1] < sink[150]
 
 

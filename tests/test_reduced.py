@@ -132,6 +132,10 @@ def test_heat_solve_rejects_nonpositive_data():
     grid = build_grid(Geometry("interval", 16))
     with pytest.raises(NonpositiveField):
         heat_solve(np.zeros(16), 1.0, grid, t_end=0.1)
+    # a nonpositive horizon is rejected too, with its own message
+    for t_end in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="t_end > 0"):
+            heat_solve(np.ones(16), 1.0, grid, t_end=t_end)
 
 
 def test_jensen_gap_constant_field():

@@ -43,6 +43,9 @@ class Geometry:
             raise ValueError(f"unknown geometry kind {self.kind!r}")
         if int(self.n_cells) != self.n_cells or self.n_cells < 4:
             raise ValueError(f"n_cells must be an integer >= 4, got {self.n_cells}")
+        for name in ("x_lo", "x_hi", "R"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.kind == "interval":
             if not self.x_lo < self.x_hi:
                 raise ValueError(f"need x_lo < x_hi, got [{self.x_lo}, {self.x_hi}]")

@@ -210,8 +210,13 @@ def read_sweep_spec(path: str) -> SweepSpec:
     _check_keys(doc, name, {"base": True, "overrides": False, "mode": False})
     base_doc = doc["base"]
     if isinstance(base_doc, Mapping) and "preset" in base_doc:
-        _check_keys(base_doc, f"{name}.base", {"preset": True, "variant": True})
-        base = preset(base_doc["preset"], base_doc["variant"])
+        bpath = f"{name}.base"
+        _check_keys(base_doc, bpath, {"preset": True, "variant": True})
+        variant = base_doc["variant"]
+        if isinstance(variant, bool) or not isinstance(variant, (str, int, float)):
+            raise ConfigError(f"{bpath}.variant: expected a string or a number, "
+                              f"got {variant!r}")
+        base = preset(_decode(str, base_doc["preset"], f"{bpath}.preset"), variant)
     else:
         base = config_from_dict(base_doc, path=f"{name}.base")
     overrides = []

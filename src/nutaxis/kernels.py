@@ -1,29 +1,28 @@
-"""Hot time-stepping kernels: one segment controller over array primitives.
+"""Hot time-stepping kernel: one segment controller over array primitives.
 
-The adaptive segment controller is written once, by ``_make_segment``: the
-dt caps, the dt schedule, the SBDF1/SBDF2 and rebuild decision, retry
-halving, the step statistics and the history swap.  It takes three array
-primitives:
+:func:`segment_numpy` advances a state to the end of one output segment:
+the dt caps, the dt schedule, the SBDF1/SBDF2 and rebuild decision, retry
+halving, the step statistics and the history swap.  It works in the
+:class:`Workspace` that :func:`nutaxis.stepper.advance` builds once per
+run, so the two-step scheme carries across output segments, and it raises
+:class:`PositivityViolation` and :class:`LinearSolveFailure` itself.
 
-* ``fill_sink`` — the nutrient sink from ``(u, v)`` or their extrapolants,
-* ``cap_terms`` — ``max|w[j] - w[j-1]|``, the max sink over cells with
-  ``w > 0`` and ``max w``,
-* ``attempt`` — one step attempt; fills ``un, vn, wn, nn`` in place and
-  returns ``(status, cell)``.
+The controller looks up three array primitives as module globals at each
+use, so a patched or traced primitive sees every call:
 
-Built over the vectorized primitives it is ``segment_numpy``, whose step
-attempt is :func:`attempt_step_numpy`: LAPACK ``dgtsv``, called directly by
-:func:`solve_tridiag`, solves in place in ``wn`` and ``un``; the diagonals,
-off-diagonals and the face fluxes of :func:`nutaxis.operators.taxis_flux`
-are kept in the controller's ``work`` rows, so with ``eps == 0`` the
-attempt allocates no float array.  The runner is bitwise deterministic
-run-to-run and reads the module constants (such as ``MAX_RETRIES``) at
-each call.  The test suite builds a second controller over explicit-loop
-primitives as a reference; it agrees to roundoff (~1e-12 relative), not
-bitwise, because LAPACK and a Thomas sweep round differently.
+* ``_fill_sink_numpy`` — the nutrient sink from ``(u, v)`` or their
+  extrapolants,
+* ``_cap_terms_numpy`` — ``max|w[j] - w[j-1]|``, the max sink over cells
+  with ``w > 0`` and ``max w``,
+* :func:`attempt_step_numpy` — one step attempt; fills the workspace's
+  ``un, vn, wn, nn`` and returns ``None``, or ``(field, cell)`` on a
+  positivity failure.
 
-This is the only place a step is taken; :func:`nutaxis.stepper.advance`
-drives it one output interval at a time.
+A run is bitwise deterministic, and the module constants (such as
+``MAX_RETRIES``) are read at each use.  The test suite swaps the three
+primitives for explicit loops as a reference; it agrees to roundoff
+(~1e-12 relative), not bitwise, because LAPACK and a Thomas sweep round
+differently.
 
 Segment algorithm:
   repeat until the remaining gap is exhausted:
@@ -44,16 +43,11 @@ Segment algorithm:
        rejection if u <= U_FLOOR,
     7. on rejection: halve dt and retry (up to MAX_RETRIES times);
        dt may grow back (step 3) only after the next accepted step.
-
-A runner returns ``(status, cell, accepted, rejected, rebuilds, min_dt, dt,
-left)``.  Status codes: 0 ok, 1 u-positivity failure, 2 w-positivity
-failure, 3 singular tridiagonal solve.  On failure ``dt`` is the failing
-attempt's step and ``left`` the time from the state it started from to the
-end of the segment.
 """
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -61,14 +55,14 @@ from .model import f_eps
 from .operators import taxis_flux
 
 __all__ = [
+    "LinearSolveFailure",
+    "PositivityViolation",
+    "Workspace",
+    "attempt_step_numpy",
+    "grid_coefficients",
     "segment_numpy",
     "solve_tridiag",
 ]
-
-STATUS_OK = 0
-STATUS_U_POSITIVITY = 1
-STATUS_W_POSITIVITY = 2
-STATUS_SINGULAR = 3
 
 _GROWTH_FACTOR = 2.0  # dt may grow only when the caps allow at least 2x
 U_FLOOR = 1e-14  # a step with some u+ <= U_FLOOR is rejected
@@ -80,125 +74,190 @@ MAX_RETRIES = 12  # rejection halvings allowed per step
 W_SNAP_REL = 1e-250  # snap-to-zero floor for w, relative to the initial max
 
 
+class PositivityViolation(RuntimeError):
+    """A field left its positive cone and dt could not be reduced further.
+
+    ``t`` is the time of the state the failing step started from and ``dt``
+    the size of its last attempt.
+    """
+
+    def __init__(self, fieldname: str, cell: int, t: float,
+                 dt: Optional[float] = None):
+        self.field = fieldname
+        self.cell = cell
+        self.t = t
+        self.dt = dt
+        at_dt = "" if dt is None else f", dt = {dt:.6g}"
+        super().__init__(
+            f"positivity violation in {fieldname!r} at cell {cell}, t = {t:.6g}"
+            f"{at_dt}")
+
+
+class LinearSolveFailure(RuntimeError):
+    """The banded system was singular (cannot occur for dt > 0; internal).
+
+    ``t`` and ``dt`` are as for :class:`PositivityViolation`.
+    """
+
+    def __init__(self, t: float, dt: float):
+        self.t = t
+        self.dt = dt
+        super().__init__(f"singular tridiagonal system in the step from "
+                         f"t = {t:.6g} with dt = {dt:.6g}")
+
+
+def grid_coefficients(grid):
+    """Per-grid coefficients ``(m, cl, cr, af, h)`` of the stepping kernel.
+
+    Cell measures, the left and right face couplings of the implicit
+    operators (see :func:`solve_tridiag`), face areas and the spacing.
+    """
+    n = grid.n
+    af = grid.face_areas
+    cl = np.zeros(n)
+    cr = np.zeros(n)
+    cl[1:] = af[1:-1] / (grid.h * grid.m[1:])
+    cr[:-1] = af[1:-1] / (grid.h * grid.m[:-1])
+    return grid.m, cl, cr, af, grid.h
+
+
+class Workspace:
+    """What the segments of one run share.
+
+    ``m, cl, cr, af, h`` are the :func:`grid_coefficients`.  ``hu, hv, hw``
+    are the previous accepted level, ``hnu`` its explicit u-term and
+    ``hdt > 0`` the step that left it; ``hdt == 0`` while there is no such
+    level.  ``w_snap`` is the snap-to-zero floor of w, ``W_SNAP_REL`` times
+    the max of ``w0``.  ``sink``, the new level ``un, vn, wn, nn`` and
+    ``work`` (shape ``(5, n + 1)``) are scratch of each attempt.
+    """
+
+    def __init__(self, grid, w0: np.ndarray):
+        n = grid.n
+        self.m, self.cl, self.cr, self.af, self.h = grid_coefficients(grid)
+        self.hu, self.hv, self.hw, self.hnu = np.zeros((4, n))
+        self.hdt = 0.0
+        self.w_snap = W_SNAP_REL * float(np.max(w0, initial=0.0))
+        self.sink, self.un, self.vn, self.wn, self.nn = np.empty((5, n))
+        self.work = np.empty((5, n + 1))
+
+
 # ---------------------------------------------------------------------------
 # the segment controller
 # ---------------------------------------------------------------------------
 
-def _make_segment(fill_sink, cap_terms, attempt):
-    """The segment controller over the given array primitives."""
+def segment_numpy(state, t_to, ws, params, cfg):
+    """Advance ``state`` in place from ``state.t`` to ``t_to`` in ``ws``.
 
-    def segment(u, v, w, hu, hv, hw, hnu, hmeta, rem,
-                m, cl, cr, af, h,
-                D_u, D_w, chi, alpha, beta, gamma, delta, eps,
-                dt_base, cfl_safety, scheme2):
-        n = u.shape[0]
-        sink = np.empty(n)
-        un = np.empty(n)
-        vn = np.empty(n)
-        wn = np.empty(n)
-        nn = np.empty(n)
-        work = np.empty((5, n + 1))  # scratch of the step attempt
+    ``params`` is the :class:`nutaxis.model.ModelParams` and ``cfg`` the
+    :class:`nutaxis.stepper.StepperConfig` of the run.  Continues the
+    two-step scheme from the history in ``ws`` and leaves the last accepted
+    step's history there.  Returns ``(accepted, rejected, rebuilds,
+    min_dt)``.
 
-        hdt = hmeta[0]
-        hvalid = hmeta[1] > 0.5
-        w_snap = hmeta[2]
+    Raises:
+        PositivityViolation: a step was rejected MAX_RETRIES + 1 times.
+        LinearSolveFailure: a tridiagonal solve was singular (not retried).
+        Either carries the failing step's start time and last dt; ``state``
+        is left at that start, ``state.t`` included.
+    """
+    u, v, w, sink = state.u, state.v, state.w, ws.sink
+    beta, gamma, eps = params.beta, params.gamma, params.eps_reg
+    chi, h, dt_base, cfl_safety = params.chi, ws.h, cfg.dt, cfg.cfl_safety
+    rmax = max(params.delta, params.alpha)
+    second_order = cfg.scheme == "sbdf2"
 
-        accepted = 0
-        rejected = 0
-        rebuilds = 0
-        min_dt = np.inf
-        status = STATUS_OK
-        cell = -1
+    accepted = 0
+    rejected = 0
+    rebuilds = 0
+    min_dt = math.inf
 
-        dt = hdt if hvalid else 0.0  # continue the two-step scheme across segments
-        k = 0  # steps remaining at the current dt
-        retries = 0
-        halve = False
-        rebuild_pending = not hvalid
+    rem = t_to - state.t
+    dt = ws.hdt  # continue the two-step scheme across segments
+    k = 0  # steps remaining at the current dt
+    retries = 0
+    halve = False
+    rebuild_pending = not dt > 0.0  # no valid history yet
 
-        while k > 0 or rem > 0.0:
-            # ---- sink at the extrapolants of the next attempt, and the caps
-            two_step = scheme2 == 1 and hvalid and not rebuild_pending
-            fill_sink(sink, u, v, hu, hv, two_step, beta, gamma, eps)
-            dw, smax, wmax = cap_terms(w, sink)
-            cap = dt_base
-            if chi > 0.0:
-                gmax = chi * dw / h
-                if gmax > 0.0:
-                    cap = min(cap, cfl_safety * h / gmax)
-            if smax > 0.0:
-                cap = min(cap, SINK_DT_CAP / smax)
-            rmax = max(delta, alpha)
-            if rmax * wmax > 0.0:
-                cap = min(cap, SOURCE_DT_CAP / (rmax * wmax))
+    while k > 0 or rem > 0.0:
+        # ---- sink at the extrapolants of the next attempt, and the caps
+        two_step = second_order and not rebuild_pending
+        _fill_sink_numpy(sink, u, v, ws.hu, ws.hv, two_step, beta, gamma, eps)
+        dw, smax, wmax = _cap_terms_numpy(w, sink)
+        cap = dt_base
+        if chi > 0.0:
+            gmax = chi * dw / h
+            # compared before dividing: a subnormal gmax would overflow
+            if cfl_safety * h < cap * gmax:
+                cap = cfl_safety * h / gmax
+        if smax > 0.0:
+            cap = min(cap, SINK_DT_CAP / smax)
+        if rmax * wmax > 0.0:
+            cap = min(cap, SOURCE_DT_CAP / (rmax * wmax))
 
-            # ---- fit dt so the remaining gap is an exact multiple of it;
-            # a rejected step's halved dt is fitted first, then capped
-            while True:
-                if halve:
-                    dt_cand = 0.5 * dt
-                elif k == 0 or cap < dt:
-                    dt_cand = cap
-                elif (cap >= _GROWTH_FACTOR * dt and dt < dt_base and k > 1
-                      and retries == 0):
-                    dt_cand = min(_GROWTH_FACTOR * dt, cap)
-                else:
-                    break
-                if k > 0:
-                    rem = k * dt
-                k = max(int(math.ceil(rem / dt_cand - 1e-12)), 1)
-                dt_new = rem / k
-                if dt_new != dt:
-                    rebuild_pending = True
-                dt = dt_new
-                if not halve:
-                    break
-                halve = False
-
-            sbdf2 = scheme2 == 1 and hvalid and not rebuild_pending and hdt == dt
-            if two_step and not sbdf2:
-                # the sink must match the scheme actually used
-                fill_sink(sink, u, v, hu, hv, False, beta, gamma, eps)
-
-            status, cell = attempt(u, v, w, hu, hw, hnu, sink, sbdf2, dt,
-                                   m, cl, cr, af, h,
-                                   D_u, D_w, chi, alpha, delta, eps, w_snap,
-                                   un, vn, wn, nn, work)
-            if status == STATUS_SINGULAR:
+        # ---- fit dt so the remaining gap is an exact multiple of it;
+        # a rejected step's halved dt is fitted first, then capped
+        while True:
+            if halve:
+                dt_cand = 0.5 * dt
+            elif k == 0 or cap < dt:
+                dt_cand = cap
+            elif (cap >= _GROWTH_FACTOR * dt and dt < dt_base and k > 1
+                  and retries == 0):
+                dt_cand = min(_GROWTH_FACTOR * dt, cap)
+            else:
                 break
-            if status != STATUS_OK:
-                rejected += 1
-                retries += 1
-                if retries > MAX_RETRIES:
-                    break
-                halve = True
+            if k > 0:
+                rem = k * dt
+            k = max(int(math.ceil(rem / dt_cand - 1e-12)), 1)
+            dt_new = rem / k
+            if dt_new != dt:
                 rebuild_pending = True
-                continue
+            dt = dt_new
+            if not halve:
+                break
+            halve = False
 
-            # ---- accept: the entry level becomes the history
-            retries = 0
-            hu[:] = u
-            hv[:] = v
-            hw[:] = w
-            hnu[:] = nn
-            u[:] = un
-            v[:] = vn
-            w[:] = wn
-            hdt = dt
-            hvalid = True
-            rebuild_pending = False
-            if not sbdf2:
-                rebuilds += 1
-            accepted += 1
-            min_dt = min(min_dt, dt)
-            k -= 1
-            rem = k * dt
+        sbdf2 = second_order and not rebuild_pending and ws.hdt == dt
+        if two_step and not sbdf2:
+            # the sink must match the scheme actually used
+            _fill_sink_numpy(sink, u, v, ws.hu, ws.hv, False, beta, gamma, eps)
 
-        hmeta[0] = hdt
-        hmeta[1] = 1.0 if hvalid else 0.0
-        return status, cell, accepted, rejected, rebuilds, min_dt, dt, k * dt
+        try:
+            failure = attempt_step_numpy(state, ws, sbdf2, dt, params)
+        except np.linalg.LinAlgError as exc:
+            state.t = max(state.t, t_to - k * dt)  # the failing step's start
+            raise LinearSolveFailure(state.t, dt) from exc
+        if failure is not None:
+            rejected += 1
+            retries += 1
+            if retries > MAX_RETRIES:
+                state.t = max(state.t, t_to - k * dt)
+                raise PositivityViolation(*failure, state.t, dt)
+            halve = True
+            rebuild_pending = True
+            continue
 
-    return segment
+        # ---- accept: the entry level becomes the history
+        retries = 0
+        ws.hu[:] = u
+        ws.hv[:] = v
+        ws.hw[:] = w
+        ws.hnu[:] = ws.nn
+        u[:] = ws.un
+        v[:] = ws.vn
+        w[:] = ws.wn
+        ws.hdt = dt
+        rebuild_pending = False
+        if not sbdf2:
+            rebuilds += 1
+        accepted += 1
+        min_dt = min(min_dt, dt)
+        k -= 1
+        rem = k * dt
+
+    state.t = t_to
+    return accepted, rejected, rebuilds, float(min_dt)
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +270,12 @@ _dgtsv = None  # scipy.linalg.lapack.dgtsv, looked up on the first solve
 def solve_tridiag(cl, cr, diag, rhs, D, work=None):
     """Solve the tridiagonal system with rows ``-D*cl[i], diag[i], -D*cr[i]``.
 
-    ``cl`` and ``cr`` are the face couplings from
-    :func:`nutaxis.stepper.grid_coefficients`.  Calls LAPACK ``dgtsv``
-    (elimination with partial pivoting) directly: it is the routine
-    ``scipy.linalg.solve_banded`` reaches for a ``(1, 1)`` band, so the
-    solution is bitwise the same, without the band array and the input
-    validation.  scipy is imported on the first call, not with the package.
+    ``cl`` and ``cr`` are the face couplings from :func:`grid_coefficients`.
+    Calls LAPACK ``dgtsv`` (elimination with partial pivoting) directly: it
+    is the routine ``scipy.linalg.solve_banded`` reaches for a ``(1, 1)``
+    band, so the solution is bitwise the same, without the band array and
+    the input validation.  scipy is imported on the first call, not with
+    the package.
 
     By default no argument is modified and the solution is a new array.
     With ``work`` (two float64 rows of at least ``n - 1`` entries) the
@@ -249,86 +308,85 @@ def solve_tridiag(cl, cr, diag, rhs, D, work=None):
     return x
 
 
-def attempt_step_numpy(u, v, w, hu, hw, hnu, sink, sbdf2, dt,
-                       m, cl, cr, af, h,
-                       D_u, D_w, chi, alpha, delta, eps, w_snap,
-                       un, vn, wn, nn, work):
-    """One step attempt (no retries), vectorized.
+def attempt_step_numpy(state, ws, sbdf2, dt, params):
+    """One step attempt of ``dt`` from ``state`` in ``ws`` (no retries).
 
-    Fills ``un, vn, wn, nn`` and returns ``(status, cell)`` with status one of
-    the module STATUS codes, as the controller expects; ``nn`` is the explicit
-    u-term at the entry level (the history of the next two-step stage).  The
-    other inputs are not modified, except ``work`` (shape ``(5, n + 1)``),
-    which is scratch: row 0 holds each solve's diagonal, row 1 ``cl + cr``,
-    rows 2 and 3 each solve's off-diagonals (row 2 first holds a product
-    term or the taxis flux difference), row 4 the n + 1 taxis face fluxes.
-    Each right-hand side is built in ``wn`` or ``un``, where LAPACK solves
-    in place.  Nothing is read from ``work`` before it is written.  Each
-    expression is evaluated in place with the operations of its plain numpy
-    form, so every value rounds as that form does.  With ``eps == 0`` no
-    float array is allocated, only the n-byte masks of the upwind choice
-    and, when some ``w+`` is snapped, of the snap.
+    Fills ``ws.un, ws.vn, ws.wn, ws.nn`` and returns ``None``, or
+    ``(field, cell)`` when ``w+ < -w_snap`` or ``u+ <= U_FLOOR`` at
+    ``cell``; ``nn`` is the explicit u-term at the entry level (the history
+    of the next two-step stage).  Of the rest of ``ws`` only ``work`` is
+    written: row 0 holds each solve's diagonal, row 1 ``cl + cr``, rows 2
+    and 3 each solve's off-diagonals (row 2 first holds a product term or
+    the taxis flux difference), row 4 the n + 1 taxis face fluxes.  Each
+    right-hand side is built in ``wn`` or ``un``, where LAPACK ``dgtsv``
+    (:func:`solve_tridiag`) solves in place.  Nothing is read from
+    ``work`` before it is written.  Each expression is evaluated in place
+    with the operations of its plain numpy form, so every value rounds as
+    that form does.  With ``eps == 0`` no float array is allocated, only
+    the n-byte masks of the upwind choice and, when some ``w+`` is
+    snapped, of the snap.
+
+    Raises:
+        np.linalg.LinAlgError: from a singular tridiagonal solve.
     """
+    u, v, w = state.u, state.v, state.w
+    un, vn, wn, nn, work = ws.un, ws.vn, ws.wn, ws.nn, ws.work
+    cl, cr, w_snap = ws.cl, ws.cr, ws.w_snap
+    D_u, D_w, eps = params.D_u, params.D_w, params.eps_reg
     n = u.shape[0]
     diag, csum, tmp = work[0, :n], work[1, :n], work[2, :n]
     # ---- implicit w solve:  (c0 + sink) w+ - D_w lap w+ = rhs
     if sbdf2:
         c0 = 3.0 / (2.0 * dt)
         np.multiply(w, 4.0, out=wn)  # (4 w - hw) / (2 dt)
-        wn -= hw
+        wn -= ws.hw
         wn /= 2.0 * dt
     else:
         c0 = 1.0 / dt
         np.multiply(w, c0, out=wn)
     np.add(cl, cr, out=csum)
     np.multiply(csum, D_w, out=tmp)  # (c0 + sink) + D_w (cl + cr)
-    np.add(sink, c0, out=diag)
+    np.add(ws.sink, c0, out=diag)
     diag += tmp
-    try:
-        solve_tridiag(cl, cr, diag, wn, D_w, work[2:4])
-    except np.linalg.LinAlgError:
-        return STATUS_SINGULAR, -1
+    solve_tridiag(cl, cr, diag, wn, D_w, work[2:4])
     wn_min = np.minimum.reduce(wn)
     if wn_min < -w_snap:
-        return STATUS_W_POSITIVITY, int(np.argmax(wn < -w_snap))
+        return "w", int(np.argmax(wn < -w_snap))
     if not wn_min >= w_snap:  # snap to zero (a NaN minimum snaps too)
         np.copyto(wn, 0.0, where=wn < w_snap)
 
     # ---- exact multiplicative v update: v exp(alpha dt/2 (w + w+))
     np.add(w, wn, out=vn)
-    vn *= alpha * dt * 0.5
+    vn *= params.alpha * dt * 0.5
     np.exp(vn, out=vn)
     vn *= v
 
     # ---- explicit u-term: -(flux difference)/m + delta F(u) w
-    gflux = taxis_flux(u, w, af, h, chi, eps, out=work[4])
+    gflux = taxis_flux(u, w, ws.af, ws.h, params.chi, eps, out=work[4])
     np.subtract(gflux[1:], gflux[:-1], out=tmp)
     np.negative(tmp, out=tmp)
-    tmp /= m
-    np.multiply(f_eps(u, eps), delta, out=nn)
+    tmp /= ws.m
+    np.multiply(f_eps(u, eps), params.delta, out=nn)
     nn *= w
     nn += tmp
 
     # ---- implicit-diffusion u solve
     if sbdf2:
         np.multiply(u, 4.0, out=un)  # (4 u - hu) / (2 dt) + 2 nn - hnu
-        un -= hu
+        un -= ws.hu
         un /= 2.0 * dt
         np.multiply(nn, 2.0, out=tmp)
         un += tmp
-        un -= hnu
+        un -= ws.hnu
     else:
         np.multiply(u, c0, out=un)
         un += nn
     np.multiply(csum, D_u, out=diag)  # c0 + D_u (cl + cr)
     diag += c0
-    try:
-        solve_tridiag(cl, cr, diag, un, D_u, work[2:4])
-    except np.linalg.LinAlgError:
-        return STATUS_SINGULAR, -1
+    solve_tridiag(cl, cr, diag, un, D_u, work[2:4])
     if np.minimum.reduce(un) <= U_FLOOR:
-        return STATUS_U_POSITIVITY, int(np.argmax(un <= U_FLOOR))
-    return STATUS_OK, -1
+        return "u", int(np.argmax(un <= U_FLOOR))
+    return None
 
 
 def _fill_sink_numpy(sink, u, v, hu, hv, extrapolate, beta, gamma, eps):
@@ -359,10 +417,3 @@ def _cap_terms_numpy(w, sink):
     return (float(np.maximum.reduce(dw)),
             float(np.maximum.reduce(sink, where=w > 0.0, initial=0.0)),
             float(np.maximum.reduce(w)))
-
-
-# attempt_step_numpy is looked up as a module global at each attempt, so a
-# patched or traced attempt_step_numpy sees every attempt
-segment_numpy = _make_segment(_fill_sink_numpy, _cap_terms_numpy,
-                              lambda *a: attempt_step_numpy(*a))
-

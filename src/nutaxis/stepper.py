@@ -15,7 +15,8 @@ backward-Euler (SBDF1) rebuild; dt is otherwise constant between changes.
 Positivity failures reject the step and halve dt, at most MAX_RETRIES times
 per step.  That limit, the step-size caps, the rejection floor and the
 snap-to-zero of the decaying nutrient are documented in
-:mod:`nutaxis.kernels`, which takes every step.
+:mod:`nutaxis.kernels`, which takes every step and raises the errors
+re-exported here.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ import numpy as np
 
 from . import kernels
 from .grid import Grid
+from .kernels import LinearSolveFailure, PositivityViolation, grid_coefficients
 from .model import ModelParams
 from .profiles import State
 
@@ -38,38 +40,6 @@ __all__ = [
     "grid_coefficients",
     "advance",
 ]
-
-
-class PositivityViolation(RuntimeError):
-    """A field left its positive cone and dt could not be reduced further.
-
-    ``t`` is the time of the state the failing step started from and ``dt``
-    the size of its last attempt.
-    """
-
-    def __init__(self, fieldname: str, cell: int, t: float,
-                 dt: Optional[float] = None):
-        self.field = fieldname
-        self.cell = cell
-        self.t = t
-        self.dt = dt
-        at_dt = "" if dt is None else f", dt = {dt:.6g}"
-        super().__init__(
-            f"positivity violation in {fieldname!r} at cell {cell}, t = {t:.6g}"
-            f"{at_dt}")
-
-
-class LinearSolveFailure(RuntimeError):
-    """The banded system was singular (cannot occur for dt > 0; internal).
-
-    ``t`` and ``dt`` are as for :class:`PositivityViolation`.
-    """
-
-    def __init__(self, t: float, dt: float):
-        self.t = t
-        self.dt = dt
-        super().__init__(f"singular tridiagonal system in the step from "
-                         f"t = {t:.6g} with dt = {dt:.6g}")
 
 
 @dataclass(frozen=True)
@@ -117,22 +87,6 @@ class AdvanceResult:
     stats: AdvanceStats
 
 
-def grid_coefficients(grid: Grid):
-    """Per-grid coefficients ``(m, cl, cr, af, h)`` of the stepping kernels.
-
-    Cell measures, the left and right face couplings of the implicit
-    operators (see :func:`nutaxis.kernels.solve_tridiag`), face areas and
-    the spacing.
-    """
-    n = grid.n
-    af = grid.face_areas
-    cl = np.zeros(n)
-    cr = np.zeros(n)
-    cl[1:] = af[1:-1] / (grid.h * grid.m[1:])
-    cr[:-1] = af[1:-1] / (grid.h * grid.m[:-1])
-    return grid.m, cl, cr, af, grid.h
-
-
 def advance(state: State, grid: Grid, params: ModelParams, cfg: StepperConfig,
             t_end: float,
             observe_times: Optional[Iterable[float]] = None,
@@ -161,35 +115,13 @@ def advance(state: State, grid: Grid, params: ModelParams, cfg: StepperConfig,
         if sorted(targets) != targets:
             raise ValueError("observe times must be sorted")
 
-    m, cl, cr, af, h = grid_coefficients(grid)
-    # the previous accepted level and its explicit u-term; hmeta holds its
-    # dt, whether it is valid, and the absolute snap-to-zero floor of w
-    hu, hv, hw, hnu = np.zeros((4, grid.n))
-    hmeta = np.array([0.0, 0.0,
-                      kernels.W_SNAP_REL * float(np.max(state.w, initial=0.0))])
-    scheme2 = 1 if cfg.scheme == "sbdf2" else 0
+    ws = kernels.Workspace(grid, state.w)
     stats = AdvanceStats()
-
     # a trailing t_end equal to the last target is an empty segment
     for i, tt in enumerate(targets + [t_end]):
-        rem = tt - state.t
-        if rem > 0.0:
-            # looked up at each call, so a patched or traced runner is used
-            status, cell, acc, rej, reb, mdt, dt, left = kernels.segment_numpy(
-                state.u, state.v, state.w,
-                hu, hv, hw, hnu, hmeta, rem,
-                m, cl, cr, af, h,
-                params.D_u, params.D_w, params.chi, params.alpha, params.beta,
-                params.gamma, params.delta, params.eps_reg,
-                cfg.dt, cfg.cfl_safety, scheme2)
-            stats.merge(int(acc), int(rej), int(reb), float(mdt))
-            if status != kernels.STATUS_OK:
-                state.t = max(state.t, tt - float(left))  # the failing step's start
-                if status == kernels.STATUS_SINGULAR:
-                    raise LinearSolveFailure(state.t, float(dt))
-                fieldname = "u" if status == kernels.STATUS_U_POSITIVITY else "w"
-                raise PositivityViolation(fieldname, int(cell), state.t, float(dt))
-            state.t = tt
+        if tt > state.t:
+            # looked up at each call, so a traced runner is used
+            stats.merge(*kernels.segment_numpy(state, tt, ws, params, cfg))
         if observer is not None and i < len(targets):
             observer(state)
 

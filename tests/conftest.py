@@ -2,6 +2,8 @@ import pytest
 
 from nutaxis import preset, run_scenario
 
+import loop_reference
+
 PRESET_IDS = [
     ("fig1_left", "sigma=60"),
     ("fig1_left", "sigma=120"),
@@ -21,3 +23,10 @@ def preset_runs():
     for name, variant in PRESET_IDS:
         runs[(name, variant)] = run_scenario(preset(name, variant))
     return runs
+
+
+@pytest.fixture(params=["numpy", "loops"])
+def backend(request, monkeypatch):
+    """Run the test on the numpy kernel, then on the loop reference."""
+    if request.param == "loops":
+        loop_reference.install(monkeypatch)

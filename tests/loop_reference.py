@@ -1,43 +1,46 @@
-"""The explicit-loop reference of the stepping kernel.
+"""The explicit-loop reference of the stepping kernel's primitives.
 
-``segment_loops`` is :func:`nutaxis.kernels._make_segment`, the controller
-``segment_numpy`` runs, built over plain-loop primitives: one Thomas sweep
-serves both implicit solves.  It is slow and exists for tests, which run it
-with ``monkeypatch.setattr(kernels, "segment_numpy", segment_loops)``.  It
-agrees with the numpy kernel to roundoff (~1e-12 relative), not bitwise,
-because LAPACK ``dgtsv`` and the Thomas sweep round differently.
+:func:`install` replaces the three array primitives that
+:func:`nutaxis.kernels.segment_numpy` looks up at each use
+(``attempt_step_numpy``, ``_fill_sink_numpy`` and ``_cap_terms_numpy``) by
+the plain loops below, with one Thomas sweep for both implicit solves; the
+controller is shared.  It is slow and exists for tests.  It agrees with
+the numpy kernel to roundoff (~1e-12 relative), not bitwise, because
+LAPACK ``dgtsv`` and the Thomas sweep round differently.
 """
 import math
 
+import numpy as np
+
 from nutaxis import kernels
-from nutaxis.kernels import (
-    STATUS_OK,
-    STATUS_SINGULAR,
-    STATUS_U_POSITIVITY,
-    STATUS_W_POSITIVITY,
-    U_FLOOR,
-)
+from nutaxis.kernels import U_FLOOR
+
+
+def install(monkeypatch):
+    """Run the kernel over the loop primitives for the monkeypatch's life."""
+    monkeypatch.setattr(kernels, "attempt_step_numpy", attempt)
+    monkeypatch.setattr(kernels, "_fill_sink_numpy", fill_sink)
+    monkeypatch.setattr(kernels, "_cap_terms_numpy", cap_terms)
 
 
 def thomas(cl, cr, diag, rhs, D, cp, dp, out):
-    # rows -D*cl[i], diag[i], -D*cr[i]; returns the zero pivot's row or -1
+    # rows -D*cl[i], diag[i], -D*cr[i]
     n = out.shape[0]
     piv = diag[0]
     if piv == 0.0:
-        return 0
+        raise np.linalg.LinAlgError("zero pivot in row 0")
     cp[0] = -D * cr[0] / piv
     dp[0] = rhs[0] / piv
     for i in range(1, n):
         low = -D * cl[i]
         piv = diag[i] - low * cp[i - 1]
         if piv == 0.0:
-            return i
+            raise np.linalg.LinAlgError(f"zero pivot in row {i}")
         cp[i] = -D * cr[i] / piv
         dp[i] = (rhs[i] - low * dp[i - 1]) / piv
     out[n - 1] = dp[n - 1]
     for i in range(n - 2, -1, -1):
         out[i] = dp[i] - cp[i] * out[i + 1]
-    return -1
 
 
 def f(x, eps):  # the uptake response F, as model.f_eps
@@ -67,16 +70,14 @@ def cap_terms(w, sink):
     return dw, smax, wmax
 
 
-def attempt(u, v, w, hu, hw, hnu, sink, sbdf2, dt,
-            m, cl, cr, af, h,
-            D_u, D_w, chi, alpha, delta, eps, w_snap,
-            un, vn, wn, nn, work):
+def attempt(state, ws, sbdf2, dt, params):
+    u, v, w, hu, hw, hnu = state.u, state.v, state.w, ws.hu, ws.hw, ws.hnu
+    un, vn, wn, nn, sink = ws.un, ws.vn, ws.wn, ws.nn, ws.sink
+    m, cl, cr, af, h, w_snap = ws.m, ws.cl, ws.cr, ws.af, ws.h, ws.w_snap
+    D_u, D_w, chi, eps = params.D_u, params.D_w, params.chi, params.eps_reg
+    alpha, delta = params.alpha, params.delta
     n = u.shape[0]
-    diag = work[0]
-    rhs = work[1]
-    cp = work[2]
-    dp = work[3]
-    gflux = work[4]
+    diag, rhs, cp, dp, gflux = ws.work
 
     # ---- implicit w solve:  (c0 + sink) w+ - D_w lap w+ = rhs
     r2 = 1.0 / (2.0 * dt)
@@ -90,12 +91,10 @@ def attempt(u, v, w, hu, hw, hnu, sink, sbdf2, dt,
             rhs[i] = w[i] * c0
     for i in range(n):
         diag[i] = c0 + sink[i] + D_w * (cl[i] + cr[i])
-    bad = thomas(cl, cr, diag, rhs, D_w, cp, dp, wn)
-    if bad >= 0:
-        return STATUS_SINGULAR, bad
+    thomas(cl, cr, diag, rhs, D_w, cp, dp, wn)
     for i in range(n):
         if wn[i] < -w_snap:
-            return STATUS_W_POSITIVITY, i
+            return "w", i
         if wn[i] < w_snap:
             wn[i] = 0.0
 
@@ -130,13 +129,9 @@ def attempt(u, v, w, hu, hw, hnu, sink, sbdf2, dt,
             rhs[i] = u[i] * c0 + nn[i]
     for i in range(n):
         diag[i] = c0 + D_u * (cl[i] + cr[i])
-    bad = thomas(cl, cr, diag, rhs, D_u, cp, dp, un)
-    if bad >= 0:
-        return STATUS_SINGULAR, bad
+    thomas(cl, cr, diag, rhs, D_u, cp, dp, un)
     for i in range(n):
         if un[i] <= U_FLOOR:
-            return STATUS_U_POSITIVITY, i
-    return STATUS_OK, -1
+            return "u", i
+    return None
 
-
-segment_loops = kernels._make_segment(fill_sink, cap_terms, attempt)

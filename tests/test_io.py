@@ -198,6 +198,11 @@ def test_read_sweep_spec_decodes_object_values_as_the_field_type(tmp_path):
      "overrides[0].values[0]"),
     ({"base": MINIMAL, "overrides": [{"path": "t_end", "values": [True]}]},
      "overrides[0].values[0]"),
+    # a bool is not a variant, nor are null and a list; a preset is a string
+    ({"base": {"preset": "fig3", "variant": True}}, "base.variant"),
+    ({"base": {"preset": "fig3", "variant": None}}, "base.variant"),
+    ({"base": {"preset": "fig3", "variant": [3]}}, "base.variant"),
+    ({"base": {"preset": [], "variant": 3}}, "base.preset"),
 ])
 def test_read_sweep_spec_errors(tmp_path, doc, needle):
     path = tmp_path / "sweep.json"
@@ -205,6 +210,21 @@ def test_read_sweep_spec_errors(tmp_path, doc, needle):
     with pytest.raises((ConfigError, ValueError)) as err:
         read_sweep_spec(str(path))
     assert needle in str(err.value)
+
+
+@pytest.mark.parametrize("geometry", [
+    {"kind": "interval", "n_cells": 32, "x_hi": math.inf},
+    {"kind": "interval", "n_cells": 32, "x_lo": -math.inf},
+    {"kind": "radial", "n_cells": 32, "d": 3, "R": math.inf},
+])
+def test_read_config_rejects_infinite_geometry_bounds(tmp_path, geometry):
+    doc = dict(MINIMAL, geometry=geometry)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))  # as the JSON literal Infinity
+    with pytest.raises(ConfigError) as err:
+        read_config(str(path))
+    assert "config.json.geometry" in str(err.value)
+    assert "must be finite" in str(err.value)
 
 
 def test_write_sweep_table(tmp_path):

@@ -10,11 +10,10 @@ import pytest
 from scipy.linalg import solve_banded
 
 import nutaxis
-from nutaxis import Gaussian, Geometry, build_grid, init_state
+from nutaxis import Gaussian, Geometry, ModelParams, build_grid, init_state
 from nutaxis import kernels
 from nutaxis.model import f_eps
 from nutaxis.operators import taxis_flux
-from nutaxis.stepper import grid_coefficients
 
 import loop_reference
 
@@ -82,40 +81,53 @@ def test_solve_tridiag_zero_pivot_raises():
         kernels.solve_tridiag(cl, cr, diag, rhs, 2.0)
 
 
-def _attempt_inputs(geometry, eps):
+# D_u, D_w, chi, alpha, beta, gamma, delta of the step attempts below
+PARAMS = (20.0, 1.0, 5.0, 2.0, 200.0, 200.0, 1.0)
+
+
+def _attempt_inputs(geometry, eps, w_snap=1e-250):
+    """A state and a workspace with a history and the sink filled."""
     grid = build_grid(geometry)
-    n = grid.n
     bump = Gaussian(base=0.1, amp=1.0, rate=15.0, center=0.0)
     state, _ = init_state(bump, bump, Gaussian(base=1.0, amp=2.0, rate=15.0,
                                                center=0.0), grid)
     u, v, w = state.u, state.v, state.w
-    hu, hv, hw = 0.99 * u, 1.01 * v, 1.02 * w
-    hnu = np.linspace(-1.0, 1.0, n)
-    sink = np.empty(n)
-    kernels._fill_sink_numpy(sink, u, v, hu, hv, True, 200.0, 200.0, eps)
-    m, cl, cr, af, h = grid_coefficients(grid)
-    return [u, v, w, hu, hw, hnu, sink, m, cl, cr, af], h
+    ws = kernels.Workspace(grid, w)
+    ws.w_snap = w_snap
+    ws.hu[:], ws.hv[:], ws.hw[:] = 0.99 * u, 1.01 * v, 1.02 * w
+    ws.hnu[:] = np.linspace(-1.0, 1.0, grid.n)
+    kernels._fill_sink_numpy(ws.sink, u, v, ws.hu, ws.hv, True, 200.0, 200.0,
+                             eps)
+    return state, ws, ModelParams(*PARAMS, eps_reg=eps)
 
 
-def _plain_attempt(u, v, w, hu, hw, hnu, sink, m, cl, cr, af, h, sbdf2, dt,
-                   D_u, D_w, chi, alpha, delta, eps, w_snap):
+def _inputs(state, ws):
+    """Every array the attempt reads."""
+    return [state.u, state.v, state.w, ws.hu, ws.hw, ws.hnu, ws.sink,
+            ws.m, ws.cl, ws.cr, ws.af]
+
+
+def _plain_attempt(state, ws, sbdf2, dt, p):
     """The attempt's arithmetic in plain, allocating numpy (no rejections)."""
+    u, v, w, hu, hw, hnu, sink, m, cl, cr, af = _inputs(state, ws)
+    eps = p.eps_reg
     if sbdf2:
         c0 = 3.0 / (2.0 * dt)
         rhs_w = (4.0 * w - hw) / (2.0 * dt)
     else:
         c0 = 1.0 / dt
         rhs_w = w * c0
-    wn = kernels.solve_tridiag(cl, cr, c0 + sink + D_w * (cl + cr), rhs_w, D_w)
-    wn[wn < w_snap] = 0.0
-    vn = v * np.exp(alpha * dt * 0.5 * (w + wn))
-    nn = (-np.diff(taxis_flux(u, w, af, h, chi, eps)) / m
-          + delta * f_eps(u, eps) * w)
+    wn = kernels.solve_tridiag(cl, cr, c0 + sink + p.D_w * (cl + cr), rhs_w,
+                               p.D_w)
+    wn[wn < ws.w_snap] = 0.0
+    vn = v * np.exp(p.alpha * dt * 0.5 * (w + wn))
+    nn = (-np.diff(taxis_flux(u, w, af, ws.h, p.chi, eps)) / m
+          + p.delta * f_eps(u, eps) * w)
     if sbdf2:
         rhs_u = (4.0 * u - hu) / (2.0 * dt) + 2.0 * nn - hnu
     else:
         rhs_u = u * c0 + nn
-    un = kernels.solve_tridiag(cl, cr, c0 + D_u * (cl + cr), rhs_u, D_u)
+    un = kernels.solve_tridiag(cl, cr, c0 + p.D_u * (cl + cr), rhs_u, p.D_u)
     return un, vn, wn, nn
 
 
@@ -125,28 +137,24 @@ def _plain_attempt(u, v, w, hu, hw, hnu, sink, m, cl, cr, af, h, sbdf2, dt,
 @pytest.mark.parametrize("eps", [0.0, 0.1])
 @pytest.mark.parametrize("sbdf2", [True, False])
 def test_numpy_attempt_uses_work_as_scratch_only(geometry, eps, sbdf2):
-    arrays, h = _attempt_inputs(geometry, eps)
-    before = [a.copy() for a in arrays]
-    u, v, w, hu, hw, hnu, sink, m, cl, cr, af = arrays
-    n = u.shape[0]
-    dt, consts = 1e-5, (20.0, 1.0, 5.0, 2.0, 1.0, eps, 1e-250)
+    state, ws, params = _attempt_inputs(geometry, eps)
+    before = [a.copy() for a in _inputs(state, ws)]
+    dt = 1e-5
 
     results = []
     for fill in (0.0, np.nan):
-        out = [np.zeros(n) for _ in range(4)]
-        work = np.full((5, n + 1), fill)
-        status = kernels.attempt_step_numpy(u, v, w, hu, hw, hnu, sink, sbdf2,
-                                            dt, m, cl, cr, af, h, *consts,
-                                            *out, work)
-        for a, b in zip(arrays, before):
+        ws.un[:] = ws.vn[:] = ws.wn[:] = ws.nn[:] = 0.0
+        ws.work[:] = fill
+        failure = kernels.attempt_step_numpy(state, ws, sbdf2, dt, params)
+        for a, b in zip(_inputs(state, ws), before):
             assert np.array_equal(a, b)
-        results.append((status, out))
-    (status, out), (status_nan, out_nan) = results
-    assert status == status_nan == (kernels.STATUS_OK, -1)
+        results.append((failure, [ws.un.copy(), ws.vn.copy(), ws.wn.copy(),
+                                  ws.nn.copy()]))
+    (failure, out), (failure_nan, out_nan) = results
+    assert failure is None and failure_nan is None
     for a, b in zip(out, out_nan):
         assert np.array_equal(a, b)
-    plain = _plain_attempt(u, v, w, hu, hw, hnu, sink, m, cl, cr, af, h,
-                           sbdf2, dt, *consts)
+    plain = _plain_attempt(state, ws, sbdf2, dt, params)
     for a, b in zip(out, plain):
         assert np.array_equal(a, b)
 
@@ -157,12 +165,10 @@ def test_numpy_attempt_allocates_no_float_array(sbdf2):
     # attempt does allocate (array views and the n-byte upwind mask) peaks
     # below that at n = 401: 2568 B with numpy 2.4, against 20264 B when
     # each solve allocated its off-diagonals, diagonal and solution
-    arrays, h = _attempt_inputs(Geometry("interval", 401), 0.0)
-    n = arrays[0].shape[0]
-    args = (*arrays[:7], sbdf2, 1e-5, *arrays[7:], h,
-            20.0, 1.0, 5.0, 2.0, 1.0, 0.0, 1e-250,
-            *[np.empty(n) for _ in range(4)], np.empty((5, n + 1)))
-    assert kernels.attempt_step_numpy(*args) == (kernels.STATUS_OK, -1)
+    state, ws, params = _attempt_inputs(Geometry("interval", 401), 0.0)
+    n = state.u.shape[0]
+    args = (state, ws, sbdf2, 1e-5, params)
+    assert kernels.attempt_step_numpy(*args) is None
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -201,20 +207,12 @@ def test_vectorized_primitives_match_loop_primitives(extrapolate, eps):
 
 @pytest.mark.parametrize("sbdf2", [True, False])
 def test_numpy_attempt_snaps_like_the_plain_form(sbdf2):
-    arrays, h = _attempt_inputs(Geometry("interval", 64), 0.0)
-    u, v, w, hu, hw, hnu, sink, m, cl, cr, af = arrays
-    w, hw = w.copy(), hw.copy()
-    w[32:], hw[32:] = 0.0, 0.0  # the nutrient is gone from half the domain
-    n = u.shape[0]
-    consts = (20.0, 1.0, 5.0, 2.0, 1.0, 0.0, 1e-30)
-    out = [np.empty(n) for _ in range(4)]
-    status = kernels.attempt_step_numpy(u, v, w, hu, hw, hnu, sink, sbdf2,
-                                        1e-5, m, cl, cr, af, h, *consts,
-                                        *out, np.empty((5, n + 1)))
-    assert status == (kernels.STATUS_OK, -1)
-    wn = out[2]
-    assert np.any(wn[32:] == 0.0) and np.any(wn[32:] > 0.0)
-    plain = _plain_attempt(u, v, w, hu, hw, hnu, sink, m, cl, cr, af, h,
-                           sbdf2, 1e-5, *consts)
-    for a, b in zip(out, plain):
+    state, ws, params = _attempt_inputs(Geometry("interval", 64), 0.0,
+                                        w_snap=1e-30)
+    # the nutrient is gone from half the domain
+    state.w[32:], ws.hw[32:] = 0.0, 0.0
+    assert kernels.attempt_step_numpy(state, ws, sbdf2, 1e-5, params) is None
+    assert np.any(ws.wn[32:] == 0.0) and np.any(ws.wn[32:] > 0.0)
+    plain = _plain_attempt(state, ws, sbdf2, 1e-5, params)
+    for a, b in zip((ws.un, ws.vn, ws.wn, ws.nn), plain):
         assert a.tobytes() == b.tobytes()

@@ -34,14 +34,6 @@ def _bump_state(grid, w0=60.0):
     return state
 
 
-@pytest.fixture(params=["numpy", "loops"])
-def backend(request, monkeypatch):
-    """Run the test on the numpy kernel, then on the loop reference."""
-    if request.param == "loops":
-        monkeypatch.setattr(kernels, "segment_numpy",
-                            loop_reference.segment_loops)
-
-
 @pytest.mark.parametrize("kwargs", [
     dict(dt=float("nan")),
     dict(dt=0.0),
@@ -159,8 +151,7 @@ def test_backends_agree(monkeypatch):
         state0 = _bump_state(grid)
         np_ = advance(state0.copy(), grid, params, cfg, t_end=0.02)
         with monkeypatch.context() as patched:
-            patched.setattr(kernels, "segment_numpy",
-                            loop_reference.segment_loops)
+            loop_reference.install(patched)
             nb = advance(state0.copy(), grid, params, cfg, t_end=0.02)
         # the Thomas sweep rounds unlike LAPACK: equal bytes would mean the
         # loop reference never ran
@@ -172,6 +163,20 @@ def test_backends_agree(monkeypatch):
             np.testing.assert_allclose(getattr(nb.state, name),
                                        getattr(np_.state, name),
                                        rtol=1e-12, atol=1e-13)
+
+
+def test_two_step_history_carries_across_output_segments(backend):
+    # 10 steps of 0.01 with one rebuild: an observe time at 0.05 neither
+    # restarts the two-step scheme nor changes a bit of the result
+    grid = build_grid(Geometry("interval", 16))
+    runs = []
+    for times in (None, [0.05]):
+        state = State(0.0, 1.0 + grid.centers, np.ones(16), np.zeros(16))
+        runs.append(advance(state, grid, HEAT, StepperConfig(dt=0.01),
+                            t_end=0.1, observe_times=times))
+    for res in runs:
+        assert (res.stats.accepted, res.stats.rebuilds) == (10, 1)
+    assert runs[0].state.u.tobytes() == runs[1].state.u.tobytes()
 
 
 def _sawtooth_collapse_setup():
@@ -211,30 +216,33 @@ def test_advance_recovers_by_halving(monkeypatch, backend):
     assert res.stats.min_dt < cfg.dt
 
 
-def _fail_from_call(monkeypatch, n_fail, status):
-    """Make kernels.attempt_step_numpy return ``status`` from call n_fail on.
+def _fail_from_call(monkeypatch, n_fail, field):
+    """Make kernels.attempt_step_numpy fail from call n_fail on.
 
-    Returns the list of every attempt's dt.
+    It rejects ``field`` at cell 2, or with ``field=None`` raises the
+    singular-solve error.  Returns the list of every attempt's dt.
     """
     dts = []
     real = kernels.attempt_step_numpy
 
-    def attempt(*args):
-        dts.append(args[8])
-        if len(dts) >= n_fail:
-            return status, 2
-        return real(*args)
+    def attempt(state, ws, sbdf2, dt, params):
+        dts.append(dt)
+        if len(dts) < n_fail:
+            return real(state, ws, sbdf2, dt, params)
+        if field is None:
+            raise np.linalg.LinAlgError("zero pivot")
+        return field, 2
 
     monkeypatch.setattr(kernels, "attempt_step_numpy", attempt)
     return dts
 
 
-@pytest.mark.parametrize("status, error", [
-    (kernels.STATUS_U_POSITIVITY, PositivityViolation),
-    (kernels.STATUS_W_POSITIVITY, PositivityViolation),
-    (kernels.STATUS_SINGULAR, LinearSolveFailure),
+@pytest.mark.parametrize("field, error", [
+    ("u", PositivityViolation),
+    ("w", PositivityViolation),
+    (None, LinearSolveFailure),
 ])
-def test_failure_reports_the_failing_step_start_and_dt(monkeypatch, status,
+def test_failure_reports_the_failing_step_start_and_dt(monkeypatch, field,
                                                         error):
     # 10 steps of 0.01 in two output segments; attempts from the 8th on fail,
     # so the failing step starts after 7 accepted steps, inside segment two
@@ -242,7 +250,7 @@ def test_failure_reports_the_failing_step_start_and_dt(monkeypatch, status,
     state = State(0.0, 1.0 + grid.centers, np.ones(16), np.zeros(16))
     monkeypatch.setattr(kernels, "MAX_RETRIES", 2)
     cfg = StepperConfig(dt=0.01)
-    dts = _fail_from_call(monkeypatch, 8, status)
+    dts = _fail_from_call(monkeypatch, 8, field)
     with pytest.raises(error) as err:
         advance(state, grid, HEAT, cfg, t_end=0.1, observe_times=[0.05])
     assert err.value.t == pytest.approx(sum(dts[:7]), rel=1e-12)
@@ -252,9 +260,7 @@ def test_failure_reports_the_failing_step_start_and_dt(monkeypatch, status,
     if error is PositivityViolation:
         assert len(dts) == 7 + 2 + 1  # halved twice, then given up
         assert err.value.dt == pytest.approx(0.0025, rel=1e-12)
-        assert err.value.field == ("u" if status == kernels.STATUS_U_POSITIVITY
-                                   else "w")
-        assert err.value.cell == 2
+        assert (err.value.field, err.value.cell) == (field, 2)
     else:
         assert len(dts) == 8  # a singular solve is not retried
     assert f"t = {err.value.t:.6g}" in str(err.value)

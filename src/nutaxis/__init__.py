@@ -49,7 +49,6 @@ from .experiments import (
 from .grid import Geometry, Grid, build_grid
 from .model import ModelParams, f_eps, f_eps_prime
 from .operators import (
-    chemotaxis_divergence,
     face_energy,
     face_gradient,
     integrate,
@@ -111,7 +110,6 @@ __all__ = [
     "advance",
     "apply_override",
     "build_grid",
-    "chemotaxis_divergence",
     "competition_index",
     "conserved_quantity",
     "derived_constants",

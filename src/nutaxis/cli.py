@@ -161,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one scenario, write records + manifest")
     p_run.add_argument("config", nargs="?", default=None,
                        help="JSON scenario config")
-    p_run.add_argument("--preset", choices=["fig1_left", "fig1_right", "fig3"])
+    p_run.add_argument("--preset", help="shipped preset name, e.g. fig3")
     p_run.add_argument("--variant", default=None,
                        help="e.g. sigma=60, l=14, d=3")
     p_run.add_argument("--out-dir", default=".", help="artifact directory")
@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_const = sub.add_parser("constants",
                              help="print derived constants without simulating")
     p_const.add_argument("config", nargs="?", default=None)
-    p_const.add_argument("--preset", choices=["fig1_left", "fig1_right", "fig3"])
+    p_const.add_argument("--preset", help="shipped preset name")
     p_const.add_argument("--variant", default=None)
     _add_overrides(p_const)
     p_const.set_defaults(func=_cmd_constants)

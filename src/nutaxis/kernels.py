@@ -1,7 +1,7 @@
 """Hot time-stepping kernel: one segment controller over array primitives.
 
 :func:`segment_numpy` advances a state to the end of one output segment:
-the dt caps, the dt schedule, the SBDF1/SBDF2 and rebuild decision, retry
+the dt caps, the dt schedule, the SBDF2-or-rebuild decision, retry
 halving, the step statistics and the history swap.  It works in the
 :class:`Workspace` that :func:`nutaxis.stepper.advance` builds once per
 run, so the two-step scheme carries across output segments, and it raises
@@ -165,7 +165,6 @@ def segment_numpy(state, t_to, ws, params, cfg):
     beta, gamma, eps = params.beta, params.gamma, params.eps_reg
     chi, h, dt_base, cfl_safety = params.chi, ws.h, cfg.dt, cfg.cfl_safety
     rmax = max(params.delta, params.alpha)
-    second_order = cfg.scheme == "sbdf2"
 
     accepted = 0
     rejected = 0
@@ -181,7 +180,7 @@ def segment_numpy(state, t_to, ws, params, cfg):
 
     while k > 0 or rem > 0.0:
         # ---- sink at the extrapolants of the next attempt, and the caps
-        two_step = second_order and not rebuild_pending
+        two_step = not rebuild_pending
         _fill_sink_numpy(sink, u, v, ws.hu, ws.hv, two_step, beta, gamma, eps)
         dw, smax, wmax = _cap_terms_numpy(w, sink)
         cap = dt_base
@@ -218,7 +217,7 @@ def segment_numpy(state, t_to, ws, params, cfg):
                 break
             halve = False
 
-        sbdf2 = second_order and not rebuild_pending and ws.hdt == dt
+        sbdf2 = not rebuild_pending and ws.hdt == dt
         if two_step and not sbdf2:
             # the sink must match the scheme actually used
             _fill_sink_numpy(sink, u, v, ws.hu, ws.hv, False, beta, gamma, eps)

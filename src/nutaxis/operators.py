@@ -2,8 +2,9 @@
 
 All operators are pure functions of cell fields and a :class:`~nutaxis.grid.Grid`.
 Boundary faces carry zero flux (homogeneous Neumann at walls, symmetry at a
-radial origin); consequently the Laplacian and the taxis divergence are
-discretely conservative — their m-weighted sums telescope to exactly zero.
+radial origin); consequently the Laplacian and the taxis divergence (the
+differences of the upwind flux) are discretely conservative — their
+m-weighted sums telescope to exactly zero.
 
 ``face_gradient``, ``laplacian_neumann``, ``integrate`` and ``face_energy``
 also take a stack of fields, one per row of a ``(k, n)`` array, and then
@@ -28,7 +29,6 @@ __all__ = [
     "face_gradient",
     "laplacian_neumann",
     "taxis_flux",
-    "chemotaxis_divergence",
     "integrate",
     "face_energy",
 ]
@@ -61,22 +61,19 @@ def laplacian_neumann(f: np.ndarray, grid: Grid,
 
 def taxis_flux(u: np.ndarray, w: np.ndarray, face_areas: np.ndarray,
                h: float, chi: float, eps: float = 0.0,
-               mode: str = "upwind",
                out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Taxis fluxes ``a * chi*(w_{i+1}-w_i)/h * mobility`` on the n + 1 faces.
+    """Upwind taxis fluxes ``a * chi*(w_{i+1}-w_i)/h * mobility`` (n + 1).
 
-    The mobility ``u * f_eps_prime(u, eps)`` is taken from the donor cell
-    (``mode="upwind"``, positivity-preserving under a CFL bound) or from the
-    arithmetic face mean (``mode="central"``, second-order; used by
-    convergence studies).  Boundary faces carry no flux.  The operations
-    run in the loop kernel's order (``chi*dw/h``, then ``a*g*mobility``).
+    The mobility ``u * f_eps_prime(u, eps)`` is taken from the donor cell,
+    which keeps ``u`` positive under a CFL bound.  Boundary faces carry no
+    flux, so the flux differences are discretely conservative.  The
+    operations run in the loop kernel's order (``chi*dw/h``, then
+    ``a*g*mobility``).
 
     The fluxes are written into ``out`` (length n + 1) when it is given and
-    returned.  The upwind flux with ``eps == 0`` then allocates no float
-    array, only the n - 1 byte mask of faces with ``g > 0``.
+    returned.  With ``eps == 0`` no float array is then allocated, only the
+    n - 1 byte mask of faces with ``g > 0``.
     """
-    if mode not in ("upwind", "central"):
-        raise ValueError(f"unknown flux mode {mode!r}")
     n = u.shape[0]
     flux = np.empty(n + 1) if out is None else out
     flux[0] = flux[n] = 0.0
@@ -85,28 +82,12 @@ def taxis_flux(u: np.ndarray, w: np.ndarray, face_areas: np.ndarray,
     g *= chi
     g /= h
     mob = u if eps == 0.0 else u * f_eps_prime(u, eps)  # u * 1.0 == u
-    if mode == "upwind":
-        donor_left = g > 0.0
-        g *= face_areas[1:-1]
-        np.multiply(g, mob[:-1], out=g, where=donor_left)
-        np.logical_not(donor_left, out=donor_left)
-        np.multiply(g, mob[1:], out=g, where=donor_left)
-    else:
-        g *= face_areas[1:-1]
-        g *= 0.5 * (mob[:-1] + mob[1:])
+    donor_left = g > 0.0
+    g *= face_areas[1:-1]
+    np.multiply(g, mob[:-1], out=g, where=donor_left)
+    np.logical_not(donor_left, out=donor_left)
+    np.multiply(g, mob[1:], out=g, where=donor_left)
     return flux
-
-
-def chemotaxis_divergence(u: np.ndarray, w: np.ndarray, grid: Grid,
-                          chi: float, eps: float = 0.0,
-                          mode: str = "upwind") -> np.ndarray:
-    """Finite-volume form of ``-div(chi * u * F'(u) * grad w)``.
-
-    Differences the fluxes of :func:`taxis_flux`; since boundary faces carry
-    no flux, the result is discretely conservative.
-    """
-    flux = taxis_flux(u, w, grid.face_areas, grid.h, chi, eps, mode)
-    return -np.diff(flux) / grid.m
 
 
 def _weighted_sum(weights: np.ndarray, f: np.ndarray) -> float | np.ndarray:

@@ -91,9 +91,9 @@ def _rk4(u: float, v: float, w: float, dt: float,
 
 
 def ode_step_rk4(s: OdeState, params: ModelParams, dt: float) -> OdeState:
-    """One classical fourth-order step."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    """One classical fourth-order step (a finite dt > 0)."""
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     u, v, w = _rk4(s.u, s.v, s.w, dt, params.delta, params.alpha,
                    params.beta, params.gamma)
     return OdeState(s.t + dt, u, v, w)
@@ -104,11 +104,15 @@ def ode_solve(s0: OdeState, params: ModelParams, t_end: float,
     """Fixed-step trajectory from s0 to t_end inclusive (final step shortened).
 
     Along the result u and v are nondecreasing and w nonincreasing.
+
+    Raises:
+        ValueError: unless dt > 0 and t_end >= s0.t are both finite.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if t_end < s0.t:
-        raise ValueError("t_end is before the initial time")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not s0.t <= t_end < math.inf:
+        raise ValueError(f"t_end = {t_end} is not finite and at or after "
+                         f"the initial time {s0.t}")
     out = [s0]
     n_full = int(math.floor((t_end - s0.t) / dt + 1e-12))
     s = s0
@@ -193,10 +197,11 @@ def heat_solve(u0: Union[Profile, np.ndarray], D: float, grid: Grid,
     ``OutputSchedule`` (1e-3 * 1.25^k), then t_end.
 
     Raises:
-        ValueError: unless t_end > 0 (a run of no time has nothing to record).
+        ValueError: unless 0 < t_end < inf (a run of no time has nothing to
+            record, and an infinite one never ends).
     """
-    if not t_end > 0.0:
-        raise ValueError(f"heat run needs t_end > 0, got {t_end}")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError(f"heat run needs a finite t_end > 0, got {t_end}")
     ts = output_times(OutputSchedule(), t_end)
     arr = sample(u0, grid) if not isinstance(u0, np.ndarray) else np.asarray(
         u0, dtype=np.float64).copy()

@@ -1,6 +1,7 @@
 """Semi-implicit two-step time integration with positivity enforcement.
 
-Scheme (SBDF2): (3 y+ - 4 y + y-) / (2 dt) = A y+ + 2 N(y) - N(y-), with
+Every run takes one scheme, SBDF2:
+(3 y+ - 4 y + y-) / (2 dt) = A y+ + 2 N(y) - N(y-), with
 
 * u: A = D_u * lap (implicit tridiagonal solve); N = taxis divergence plus
   the growth term delta * f_eps(u) * w (explicit);
@@ -20,6 +21,7 @@ re-exported here.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -49,20 +51,16 @@ class StepperConfig:
     Attributes:
         dt: base (largest allowed) time step.
         cfl_safety: safety factor in (0, 1] for the chemotaxis CFL cap.
-        scheme: "sbdf2" (default) or "sbdf1" (first-order throughout).
     """
 
     dt: float = 0.25
     cfl_safety: float = 0.5
-    scheme: str = "sbdf2"
 
     def __post_init__(self) -> None:
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not (0.0 < self.cfl_safety <= 1.0):
             raise ValueError(f"cfl_safety must be in (0, 1], got {self.cfl_safety}")
-        if self.scheme not in ("sbdf2", "sbdf1"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
 @dataclass
@@ -99,14 +97,16 @@ def advance(state: State, grid: Grid, params: ModelParams, cfg: StepperConfig,
     is anchored to the max of ``state.w`` on entry.
 
     Raises:
-        ValueError: unless state.t <= t_end and every observe time lies in
-            (state.t, t_end], in order (a NaN time is never in range).
+        ValueError: unless state.t <= t_end < inf and every observe time
+            lies in (state.t, t_end], in order (a NaN time is never in
+            range).
         PositivityViolation / LinearSolveFailure: from the stepping kernel,
             with the failing step's start time and dt attached; ``state``
             is left at that step's start.
     """
-    if not t_end >= state.t:
-        raise ValueError(f"t_end = {t_end} is not at or after state.t = {state.t}")
+    if not state.t <= t_end < math.inf:
+        raise ValueError(f"t_end = {t_end} is not finite and at or after "
+                         f"state.t = {state.t}")
     targets = []
     if observe_times is not None:
         targets = [float(t) for t in observe_times]

@@ -7,11 +7,13 @@ form, an independent fine-step reference, or a structural identity.
   the discrete Neumann Laplacian with eigenvalue lam_h = 2(cos(pi h)-1)/h^2.
   Spatial order is measured against the continuum solution (error ~ h^2 from
   lam_h - lam); temporal order against the *semi-discrete* closed form
-  exp(lam_h D t), which isolates the time-stepping error cleanly.
+  exp(lam_h D t), which isolates the time-stepping error cleanly: the
+  global order of SBDF2, and the local order of its backward-Euler
+  starter (one ``advance`` of a single dt takes only that step).
 * Advection-diffusion: a translating Gaussian under a frozen unit-slope
-  potential, integrated by a small dedicated two-step loop built from the
-  public spatial operators with the central flux (the production stepper
-  cannot freeze its nutrient field, and upwind would cap the order at one).
+  potential, integrated by a small dedicated two-step loop with its own
+  central taxis flux (the production stepper cannot freeze its nutrient
+  field, and its upwind flux would cap the order at one).
 * Regularization: distances to the unregularized run decrease as the uptake
   saturation eps is lowered.
 * ODE: Richardson self-consistency of the fourth-order integration, exact
@@ -36,7 +38,7 @@ from .experiments import ScenarioConfig, apply_override, preset
 from .grid import Geometry, Grid, build_grid
 from .kernels import solve_tridiag
 from .model import ModelParams
-from .operators import chemotaxis_divergence, integrate
+from .operators import integrate
 from .profiles import State, init_state
 from .reduced import OdeState, heat_params, ode_solve, sign_law_check
 from .stepper import StepperConfig, advance, grid_coefficients
@@ -59,7 +61,8 @@ class ConvergenceReport:
     resolutions: tuple[int, ...]
     errors: tuple[float, ...]
     spatial_order: float
-    # for the heat problem only: scheme -> (dts, errors, observed order)
+    # for the heat problem only: "sbdf2" (global error at t = 0.5) and
+    # "starter" (local error of one step) -> (dts, errors, observed order)
     temporal: Optional[dict] = None
 
 
@@ -85,13 +88,12 @@ def _order(hs, errors) -> float:
     return float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
 
 
-def _heat_run(n: int, D: float, t: float, dt: float,
-              scheme: str = "sbdf2") -> tuple[Grid, np.ndarray]:
+def _heat_run(n: int, D: float, t: float, dt: float) -> tuple[Grid, np.ndarray]:
     """Advance u0 = 2 + cos(pi x) under pure diffusion to t: (grid, u(t))."""
     grid = build_grid(Geometry("interval", n))
     u0 = 2.0 + np.cos(np.pi * grid.centers)
     state = State(0.0, u0, np.ones(n), np.zeros(n))
-    advance(state, grid, heat_params(D), StepperConfig(dt=dt, scheme=scheme), t)
+    advance(state, grid, heat_params(D), StepperConfig(dt=dt), t)
     return grid, state.u
 
 
@@ -101,9 +103,8 @@ def _heat_error_spatial(n: int, D: float, t: float, dt: float) -> float:
     return float(np.max(np.abs(u - exact)))
 
 
-def _heat_error_temporal(n: int, D: float, t: float, dt: float,
-                         scheme: str) -> float:
-    grid, u = _heat_run(n, D, t, dt, scheme)
+def _heat_error_temporal(n: int, D: float, t: float, dt: float) -> float:
+    grid, u = _heat_run(n, D, t, dt)
     lam_h = 2.0 * (math.cos(math.pi * grid.h) - 1.0) / grid.h ** 2
     semi = 2.0 + math.exp(lam_h * D * t) * np.cos(np.pi * grid.centers)
     return float(np.max(np.abs(u - semi)))
@@ -124,7 +125,9 @@ def transport_error(n: int, u0: Optional[np.ndarray] = None) -> float:
     grid = build_grid(Geometry("interval", n))
     x = grid.centers
     m, cl, cr, af, h = grid_coefficients(grid)
-    w_lin = x.copy()
+    # central flux a * chi*(w_{i+1}-w_i)/h * (u_i + u_{i+1})/2 of w = x
+    vel = chi * np.diff(x) / h * af[1:-1]
+    flux = np.zeros(n + 1)
 
     def exact(t: float) -> np.ndarray:
         s2 = 4.0 * D * (t + t_offset)
@@ -135,7 +138,8 @@ def transport_error(n: int, u0: Optional[np.ndarray] = None) -> float:
     u_prev: Optional[np.ndarray] = None
     n_prev: Optional[np.ndarray] = None
     for _ in range(nsteps):
-        taxis = chemotaxis_divergence(u, w_lin, grid, chi, 0.0, "central")
+        flux[1:-1] = vel * (0.5 * (u[:-1] + u[1:]))
+        taxis = -np.diff(flux) / m
         if u_prev is None:
             c0 = 1.0 / dt
             rhs = u * c0 + taxis
@@ -157,12 +161,13 @@ def manufactured_convergence(problem: str = "heat") -> ConvergenceReport:
     if problem == "heat":
         errors = tuple(_heat_error_spatial(n, D=1.0, t=0.1, dt=1e-5)
                        for n in resolutions)
-        temporal = {}
         dts = (0.025, 0.0125, 0.00625)
-        for scheme in ("sbdf2", "sbdf1"):
-            errs = tuple(_heat_error_temporal(50, D=1.0, t=0.5, dt=dt,
-                                              scheme=scheme) for dt in dts)
-            temporal[scheme] = (dts, errs, _order(dts, errs))
+        errs = tuple(_heat_error_temporal(50, 1.0, 0.5, dt) for dt in dts)
+        # a run to t = dt is the backward-Euler starter step alone
+        dts1 = (0.004, 0.002, 0.001)
+        errs1 = tuple(_heat_error_temporal(50, 1.0, dt, dt) for dt in dts1)
+        temporal = {"sbdf2": (dts, errs, _order(dts, errs)),
+                    "starter": (dts1, errs1, _order(dts1, errs1))}
         return ConvergenceReport(problem, resolutions, errors,
                                  _order(hs, errors), temporal)
     if problem == "advection-diffusion":
@@ -219,8 +224,8 @@ def run_all(seed: int = 0, printer: Optional[Callable[[str], None]] = print
     dts2, errs2, order2 = heat.temporal["sbdf2"]
     _check(out, "heat_temporal_order_sbdf2", order2 >= 1.9,
            f"observed {order2:.3f} (errors {errs2})", printer)
-    dts1, errs1, order1 = heat.temporal["sbdf1"]
-    _check(out, "heat_temporal_order_sbdf1", 0.8 <= order1 <= 1.2,
+    dts1, errs1, order1 = heat.temporal["starter"]
+    _check(out, "heat_starter_local_order", 1.8 <= order1 <= 2.2,
            f"observed {order1:.3f} (errors {errs1})", printer)
 
     adv = manufactured_convergence("advection-diffusion")

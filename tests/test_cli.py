@@ -12,6 +12,10 @@ from nutaxis.stepper import PositivityViolation
 from nutaxis.verify import CheckResult
 
 
+ODE = ["ode", "--delta", "1", "--alpha", "2", "--beta", "1", "--gamma", "1",
+       "--u0", "1", "--v0", "1", "--w0", "1"]
+
+
 def _line_value(out, key):
     for line in out.splitlines():
         if line.startswith(key + " ="):
@@ -35,10 +39,21 @@ def test_help_exits_zero(capsys):
     ["run", "--preset", "fig1_left", "--variant", "sigma=61"],
     ["run", "nope.json", "--preset", "fig1_left", "--variant", "sigma=60"],
     ["heat", "--diffusion", "0"],                   # D_u must be positive
+    ["run", "--preset", "fig4", "--variant", "d=1"],  # unknown preset
+    ["constants", "--preset", "fig4", "--variant", "d=1"],
+    [*ODE, "--t-end", "inf"],                       # non-finite horizon
+    [*ODE, "--t-end", "nan"],
+    [*ODE, "--dt", "nan"],                          # non-finite step
+    [*ODE, "--dt", "inf"],
 ])
 def test_bad_run_invocations_exit_one(argv, capsys):
     assert main(argv) == 1
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error" in err
+    if "fig4" in argv:  # the preset names come from one list
+        assert "expected one of ['fig1_left', 'fig1_right', 'fig3']" in err
+    if argv[0] == "ode":  # the message names the non-finite value
+        assert argv[-2][2:].replace("-", "_") in err
 
 
 def test_missing_config_file_exits_one(tmp_path, capsys):
@@ -93,9 +108,7 @@ def test_constants_subcommand(capsys):
 
 
 def test_ode_subcommand(capsys):
-    code = main(["ode", "--delta", "1", "--alpha", "2", "--beta", "1",
-                 "--gamma", "1", "--u0", "1", "--v0", "1", "--w0", "1"])
-    assert code == 0
+    assert main(ODE) == 0
     out = capsys.readouterr().out
     assert _line_value(out, "u_final") == pytest.approx(math.sqrt(6.0) - 1.0,
                                                         rel=1e-8)

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -90,10 +92,10 @@ def test_config_errors_carry_the_offending_path(mutate, needle):
 
 @pytest.mark.parametrize("key", ["flux", "positivity_floor", "sink_dt_cap",
                                  "source_dt_cap", "w_snap_rel", "dt_min",
-                                 "max_retries"])
+                                 "max_retries", "scheme"])
 def test_retired_stepper_keys_are_rejected(key):
     doc = json.loads(json.dumps(MINIMAL))
-    doc["stepper"] = {key: "upwind" if key == "flux" else 0.45}
+    doc["stepper"] = {key: {"flux": "upwind", "scheme": "sbdf2"}.get(key, 0.45)}
     with pytest.raises(ConfigError) as err:
         config_from_dict(doc)
     assert key in str(err.value)
@@ -227,6 +229,15 @@ def test_read_config_rejects_infinite_geometry_bounds(tmp_path, geometry):
     assert "must be finite" in str(err.value)
 
 
+def test_read_config_rejects_an_infinite_base_step(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(MINIMAL, stepper={"dt": math.inf})))
+    with pytest.raises(ConfigError) as err:
+        read_config(str(path))
+    assert "config.json.stepper" in str(err.value)
+    assert "positive and finite" in str(err.value)
+
+
 def test_write_sweep_table(tmp_path):
     rows = [{"run": 0, "t_end": 0.5, "final_I": -0.25, "error": ""},
             {"run": 1, "t_end": 1.0, "final_I": 0.125, "error": ""}]
@@ -237,3 +248,16 @@ def test_write_sweep_table(tmp_path):
     assert lines[1].startswith("0,0.5,-0.25")
     with pytest.raises(ValueError):
         write_sweep_table([], str(path))
+
+
+def test_readme_json_examples_decode(tmp_path):
+    # the README's config and sweep spec examples, so that a retired key
+    # cannot linger in the docs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    config, sweep = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+    assert config_from_dict(json.loads(config)).stepper == StepperConfig()
+    path = tmp_path / "sweep.json"
+    path.write_text(sweep)
+    spec = read_sweep_spec(str(path))
+    assert spec.base == preset("fig1_left", 60)
+    assert spec.overrides == (("params.chi", (0.25, 0.5, 1.0)),)

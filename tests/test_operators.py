@@ -4,7 +4,6 @@ import pytest
 from nutaxis import (
     Geometry,
     build_grid,
-    chemotaxis_divergence,
     face_energy,
     face_gradient,
     integrate,
@@ -17,6 +16,11 @@ from nutaxis.operators import taxis_flux
 @pytest.fixture
 def interval():
     return build_grid(Geometry("interval", 50))
+
+
+def _divergence(u, w, grid, chi, eps=0.0):
+    """-div(chi u F'(u) grad w): the differences of the upwind taxis flux."""
+    return -np.diff(taxis_flux(u, w, grid.face_areas, grid.h, chi, eps)) / grid.m
 
 
 def test_face_gradient_linear_field(interval):
@@ -60,23 +64,23 @@ def test_laplacian_is_conservative(geom):
     assert abs(integrate(laplacian_neumann(f, grid), grid)) < 1e-12 * grid.n
 
 
-@pytest.mark.parametrize("mode", ["upwind", "central"])
-def test_chemotaxis_divergence_is_conservative(mode):
+@pytest.mark.parametrize("eps", [0.0, 0.1], ids=["upwind", "upwind-saturated"])
+def test_chemotaxis_divergence_is_conservative(eps):
     grid = build_grid(Geometry("radial", 48, d=3))
     rng = np.random.default_rng(11)
     u = 0.5 + rng.random(48)
     w = rng.random(48)
-    div = chemotaxis_divergence(u, w, grid, chi=2.0, mode=mode)
+    div = _divergence(u, w, grid, chi=2.0, eps=eps)
     assert abs(integrate(div, grid)) < 1e-12
 
 
 def test_chemotaxis_zero_without_gradient_or_chi(interval):
     u = 1.0 + interval.centers
     np.testing.assert_array_equal(
-        chemotaxis_divergence(u, np.full(50, 2.0), interval, chi=1.0),
+        _divergence(u, np.full(50, 2.0), interval, chi=1.0),
         np.zeros(50))
     np.testing.assert_array_equal(
-        chemotaxis_divergence(u, interval.centers.copy(), interval, chi=0.0),
+        _divergence(u, interval.centers.copy(), interval, chi=0.0),
         np.zeros(50))
 
 
@@ -84,7 +88,7 @@ def test_chemotaxis_upwind_takes_donor_cell():
     grid = build_grid(Geometry("interval", 4))
     u = np.array([1.0, 2.0, 3.0, 4.0])
     w = np.array([0.0, 1.0, 1.0, 0.0])  # gradient +, 0, - on interior faces
-    div = chemotaxis_divergence(u, w, grid, chi=1.0, mode="upwind")
+    div = _divergence(u, w, grid, chi=1.0)
     h, m = grid.h, grid.m[0]
     # face 1 carries u[0] (flow up-gradient, donor left), face 3 carries u[3]
     flux1 = 1.0 / h * u[0]
@@ -95,43 +99,31 @@ def test_chemotaxis_upwind_takes_donor_cell():
                                      flux3 / m], rtol=1e-13)
 
 
-def test_chemotaxis_modes_agree_for_uniform_mobility(interval):
-    u = np.full(50, 2.0)
-    w = np.sin(2 * np.pi * interval.centers)
-    up = chemotaxis_divergence(u, w, interval, chi=0.7, mode="upwind")
-    ce = chemotaxis_divergence(u, w, interval, chi=0.7, mode="central")
-    np.testing.assert_array_equal(up, ce)
-
-
 def test_chemotaxis_saturation_reduces_flux(interval):
     u = 1.0 + interval.centers
     w = interval.centers ** 2
-    plain = chemotaxis_divergence(u, w, interval, chi=1.0, eps=0.0)
-    saturated = chemotaxis_divergence(u, w, interval, chi=1.0, eps=10.0)
+    plain = _divergence(u, w, interval, chi=1.0, eps=0.0)
+    saturated = _divergence(u, w, interval, chi=1.0, eps=10.0)
     assert np.max(np.abs(saturated)) < np.max(np.abs(plain))
 
 
-def _plain_taxis_flux(u, w, af, h, chi, eps, mode):
+def _plain_taxis_flux(u, w, af, h, chi, eps):
     """taxis_flux in plain, allocating numpy."""
     gw = chi * np.diff(w) / h
     mob = u * f_eps_prime(u, eps)
-    if mode == "upwind":
-        mob_face = np.where(gw > 0.0, mob[:-1], mob[1:])
-    else:
-        mob_face = 0.5 * (mob[:-1] + mob[1:])
+    mob_face = np.where(gw > 0.0, mob[:-1], mob[1:])
     flux = np.zeros(u.shape[0] + 1)
     flux[1:-1] = af[1:-1] * gw * mob_face
     return flux
 
 
-@pytest.mark.parametrize("eps", [0.0, 0.1])
-@pytest.mark.parametrize("mode", ["upwind", "central"])
-def test_taxis_flux_into_out_buffer(mode, eps):
+@pytest.mark.parametrize("eps", [0.0, 0.1], ids=lambda eps: f"upwind-{eps}")
+def test_taxis_flux_into_out_buffer(eps):
     grid = build_grid(Geometry("radial", 48, d=3))
     rng = np.random.default_rng(5)
     u, w = 0.5 + rng.random(48), rng.random(48)
     w[10:14] = w[9]  # faces with a zero gradient
-    args = (u, w, grid.face_areas, grid.h, 3.0, eps, mode)
+    args = (u, w, grid.face_areas, grid.h, 3.0, eps)
     buf = np.full(49, np.nan)
     flux = taxis_flux(*args, out=buf)
     assert flux is buf
@@ -139,12 +131,6 @@ def test_taxis_flux_into_out_buffer(mode, eps):
     plain = _plain_taxis_flux(*args).tobytes()  # bitwise, signed zeros too
     assert flux.tobytes() == plain
     assert taxis_flux(*args).tobytes() == plain
-
-
-def test_chemotaxis_unknown_mode(interval):
-    with pytest.raises(ValueError):
-        chemotaxis_divergence(np.ones(50), np.ones(50), interval, 1.0,
-                              mode="downwind")
 
 
 def test_integrate_midpoint(interval):

@@ -32,8 +32,7 @@ bumps = st.builds(Gaussian, base=st.floats(0.1, 1.0), amp=st.floats(0.0, 1.0),
                   rate=st.floats(0.0, 20.0), center=st.floats(0.0, 1.0))
 # a base dt of t_end/50 .. t_end, so most runs take the two-step scheme
 # past its first (backward-Euler) step
-configs = st.builds(StepperConfig, dt=st.floats(1e-3, 0.05),
-                    scheme=st.sampled_from(["sbdf2", "sbdf1"]))
+configs = st.builds(StepperConfig, dt=st.floats(1e-3, 0.05))
 
 
 @SETTINGS

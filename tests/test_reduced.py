@@ -46,6 +46,15 @@ def test_ode_solve_validation():
         ode_solve(OdeState(1.0, 1, 1, 1), params, 0.5, 0.1)
     with pytest.raises(ValueError):
         ode_step_rk4(OdeState(0.0, 1, 1, 1), params, -0.1)
+    # non-finite steps and horizons: no float-to-int error, no single step
+    # of dt = inf across the whole horizon
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            ode_solve(OdeState(0.0, 1, 1, 1), params, 1.0, bad)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            ode_step_rk4(OdeState(0.0, 1, 1, 1), params, bad)
+        with pytest.raises(ValueError, match="t_end = "):
+            ode_solve(OdeState(0.0, 1, 1, 1), params, bad, 0.1)
 
 
 def test_ode_monotonicity():
@@ -132,8 +141,8 @@ def test_heat_solve_rejects_nonpositive_data():
     grid = build_grid(Geometry("interval", 16))
     with pytest.raises(NonpositiveField):
         heat_solve(np.zeros(16), 1.0, grid, t_end=0.1)
-    # a nonpositive horizon is rejected too, with its own message
-    for t_end in (0.0, float("nan")):
+    # a nonpositive or infinite horizon is rejected too, with its own message
+    for t_end in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="t_end > 0"):
             heat_solve(np.ones(16), 1.0, grid, t_end=t_end)
 

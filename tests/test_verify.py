@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
 
-from nutaxis import ModelParams, OdeState, apply_override, ode_solve, preset
+from nutaxis import (
+    Geometry,
+    ModelParams,
+    OdeState,
+    State,
+    StepperConfig,
+    advance,
+    apply_override,
+    build_grid,
+    ode_solve,
+    preset,
+)
+from nutaxis.reduced import heat_params
 from nutaxis.verify import (
     manufactured_convergence,
     ode_reference,
@@ -18,9 +30,24 @@ def test_heat_convergence_report():
     assert all(a > b for a, b in zip(rep.errors, rep.errors[1:]))
     assert rep.spatial_order >= 1.9
     _, _, order2 = rep.temporal["sbdf2"]
-    _, _, order1 = rep.temporal["sbdf1"]
+    dts1, _, order1 = rep.temporal["starter"]
     assert order2 >= 1.9
-    assert 0.8 <= order1 <= 1.2  # the one-step starter scheme is first order
+    # one backward-Euler step has a second-order local error
+    assert 1.8 <= order1 <= 2.2
+    assert dts1 == (0.004, 0.002, 0.001)
+
+
+@pytest.mark.parametrize("dt", [0.004, 0.002, 0.001])
+def test_a_run_of_one_dt_is_the_starter_alone(dt):
+    # the premise of the starter's local order: advance to t = dt takes
+    # one step, and it is the backward-Euler rebuild
+    grid = build_grid(Geometry("interval", 50))
+    state = State(0.0, 2.0 + np.cos(np.pi * grid.centers), np.ones(50),
+                  np.zeros(50))
+    stats = advance(state, grid, heat_params(1.0), StepperConfig(dt=dt),
+                    t_end=dt).stats
+    assert (stats.accepted, stats.rebuilds, stats.rejected) == (1, 1, 0)
+    assert state.t == dt
 
 
 def test_transport_convergence_report():

@@ -30,6 +30,7 @@ from .diagnostics import (
     evaluate_records,
     integrated_inequality_audit,
     jensen_gap,
+    long_time_index,
     record_fields,
 )
 from .experiments import (
@@ -124,6 +125,7 @@ __all__ = [
     "integrate",
     "integrated_inequality_audit",
     "jensen_gap",
+    "long_time_index",
     "laplacian_neumann",
     "ode_solve",
     "ode_step_rk4",

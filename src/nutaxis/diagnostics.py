@@ -51,6 +51,7 @@ __all__ = [
     "record_fields",
     "integrated_inequality_audit",
     "jensen_gap",
+    "long_time_index",
 ]
 
 _LN_FLOOR = 1e-300
@@ -139,6 +140,18 @@ def competition_index(state: State, grid: Grid) -> float:
     _require_positive("u", state.u)
     _require_positive("v", state.v)
     return _index(_ln(state.u), _ln(state.v), grid)
+
+
+def long_time_index(state: State, grid: Grid) -> float:
+    """I(inf) = int ln v - |Omega| ln(ubar), with ubar = int u / |Omega|.
+
+    Once w is 0, v is frozen and u tends to its conserved mean ubar under
+    the heat flow, so I(t) decreases to this value (Jensen).
+    """
+    _require_positive("u", state.u)
+    _require_positive("v", state.v)
+    mean = float(integrate(state.u, grid)) / grid.volume
+    return float(integrate(_ln(state.v), grid)) - grid.volume * math.log(mean)
 
 
 @dataclass(frozen=True)

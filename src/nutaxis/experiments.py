@@ -34,6 +34,7 @@ from .diagnostics import (
     derived_constants,
     evaluate_records,
     integrated_inequality_audit,
+    long_time_index,
 )
 from .grid import Geometry, Grid, build_grid
 from .model import ModelParams
@@ -333,7 +334,10 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                       "d": cfg.geometry.d if cfg.geometry.kind == "radial" else 1},
         stats={"accepted": stats.accepted, "rejected": stats.rejected,
                "rebuilds": stats.rebuilds, "min_dt": stats.min_dt,
-               "backend": "numpy", "outputs": len(records)},
+               "backend": "numpy", "outputs": len(records),
+               "w_exhausted_t": stats.w_exhausted_t,
+               "I_inf": (None if stats.w_exhausted_t is None
+                         else long_time_index(state, grid))},
         audits=audits,
         wall_time=time.perf_counter() - began,
     )

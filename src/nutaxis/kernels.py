@@ -18,6 +18,10 @@ use, so a patched or traced primitive sees every call:
   ``un, vn, wn, nn`` and returns ``None``, or ``(field, cell)`` on a
   positivity failure.
 
+A run that starts with ``w0 == 0`` (``w_snap == 0``) never takes the
+exhaustion step 3 below: it steps the heat flow with SBDF2, which is what
+the heat oracles of :mod:`nutaxis.verify` measure.
+
 A run is bitwise deterministic, and the module constants (such as
 ``MAX_RETRIES``) are read at each use.  The test suite swaps the three
 primitives for explicit loops as a reference; it agrees to roundoff
@@ -33,16 +37,23 @@ Segment algorithm:
        sink cap SINK_DT_CAP/max(beta f(u*) + gamma v*) over cells with w > 0
        (keeps the implicit two-step decay in its over-damped regime);
        source cap SOURCE_DT_CAP/(max(delta, alpha) * max w),
-    3. integerize dt so the segment lands exactly on its end time; any dt
+    3. exhaustion: if the run started with nutrient (w_snap > 0) and max w
+       is now 0, w stays 0, v is frozen and u follows the discrete Neumann
+       heat flow.  That flow is taken exactly over the whole remaining gap
+       (heat_flow over the heat_modes of D_u, built once per workspace at
+       the first exhaustion); v and w are left untouched, no step is
+       counted, the two-step history is dropped (hdt = 0) and the segment
+       ends; a u <= U_FLOOR raises PositivityViolation,
+    4. integerize dt so the segment lands exactly on its end time; any dt
        change rebuilds the two-step history with one backward-Euler step,
-    4. implicit w solve with frozen extrapolated sink, rejection if
+    5. implicit w solve with frozen extrapolated sink, rejection if
        w < -w_snap, then snap-to-zero of entries below w_snap (W_SNAP_REL
        times the run's initial max w),
-    5. exact multiplicative v update with trapezoidal w average,
-    6. implicit-diffusion u solve with explicit upwind taxis + growth terms,
+    6. exact multiplicative v update with trapezoidal w average,
+    7. implicit-diffusion u solve with explicit upwind taxis + growth terms,
        rejection if u <= U_FLOOR,
-    7. on rejection: halve dt and retry (up to MAX_RETRIES times);
-       dt may grow back (step 3) only after the next accepted step.
+    8. on rejection: halve dt and retry (up to MAX_RETRIES times);
+       dt may grow back (step 4) only after the next accepted step.
 """
 from __future__ import annotations
 
@@ -60,6 +71,8 @@ __all__ = [
     "Workspace",
     "attempt_step_numpy",
     "grid_coefficients",
+    "heat_flow",
+    "heat_modes",
     "segment_numpy",
     "solve_tridiag",
 ]
@@ -130,6 +143,9 @@ class Workspace:
     level.  ``w_snap`` is the snap-to-zero floor of w, ``W_SNAP_REL`` times
     the max of ``w0``.  ``sink``, the new level ``un, vn, wn, nn`` and
     ``work`` (shape ``(5, n + 1)``) are scratch of each attempt.
+    ``heat`` holds the :func:`heat_modes` of ``D_u``, built at the first
+    exhaustion of w, and ``w_exhausted_t`` the time of that exhaustion
+    (``None`` before it).
     """
 
     def __init__(self, grid, w0: np.ndarray):
@@ -138,6 +154,8 @@ class Workspace:
         self.hu, self.hv, self.hw, self.hnu = np.zeros((4, n))
         self.hdt = 0.0
         self.w_snap = W_SNAP_REL * float(np.max(w0, initial=0.0))
+        self.heat = None
+        self.w_exhausted_t = None
         self.sink, self.un, self.vn, self.wn, self.nn = np.empty((5, n))
         self.work = np.empty((5, n + 1))
 
@@ -152,8 +170,10 @@ def segment_numpy(state, t_to, ws, params, cfg):
     ``params`` is the :class:`nutaxis.model.ModelParams` and ``cfg`` the
     :class:`nutaxis.stepper.StepperConfig` of the run.  Continues the
     two-step scheme from the history in ``ws`` and leaves the last accepted
-    step's history there.  Returns ``(accepted, rejected, rebuilds,
-    min_dt)``.
+    step's history there.  Once the run's nutrient is exhausted, the rest
+    of the segment is the exact heat flow of u (step 3 of the module's
+    algorithm), and ``ws.w_exhausted_t`` holds the time this first
+    happened.  Returns ``(accepted, rejected, rebuilds, min_dt)``.
 
     Raises:
         PositivityViolation: a step was rejected MAX_RETRIES + 1 times.
@@ -183,6 +203,21 @@ def segment_numpy(state, t_to, ws, params, cfg):
         two_step = not rebuild_pending
         _fill_sink_numpy(sink, u, v, ws.hu, ws.hv, two_step, beta, gamma, eps)
         dw, smax, wmax = _cap_terms_numpy(w, sink)
+        if wmax == 0.0 and ws.w_snap > 0.0:
+            # all of the run's nutrient is snapped away: w stays 0, v is
+            # frozen and u follows the heat flow, taken exactly over the rest
+            t_now = max(state.t, t_to - rem)
+            if ws.heat is None:
+                ws.heat = heat_modes(ws.m, ws.cl, ws.cr, params.D_u)
+                ws.w_exhausted_t = t_now
+            heat_flow(ws.heat, u, rem, ws.un)
+            if np.minimum.reduce(ws.un) <= U_FLOOR:
+                state.t = t_now
+                raise PositivityViolation(
+                    "u", int(np.argmax(ws.un <= U_FLOOR)), t_now)
+            u[:] = ws.un
+            ws.hdt = 0.0
+            break
         cap = dt_base
         if chi > 0.0:
             gmax = chi * dw / h
@@ -305,6 +340,70 @@ def solve_tridiag(cl, cr, diag, rhs, D, work=None):
         rhs[...] = x
         x = rhs
     return x
+
+
+_dstemr = None  # scipy's dstemr and dstemr_lwork, looked up on first use
+
+
+def heat_modes(m, cl, cr, D):
+    """The eigenmodes of the discrete Neumann heat operator ``D * lap``.
+
+    ``m, cl, cr`` are the cell measures and face couplings of
+    :func:`grid_coefficients`.  The operator, with rows ``D*cl[i]``,
+    ``-D*(cl[i] + cr[i])``, ``D*cr[i]``, is self-adjoint in the
+    ``m``-weighted inner product, so ``S = M^(1/2) (D lap) M^(-1/2)`` is
+    symmetric tridiagonal: its diagonal is ``-D (cl + cr)`` and its
+    off-diagonal ``D cr[:-1] sqrt(m[:-1] / m[1:])``, on interval and radial
+    grids alike.  LAPACK ``dstemr`` (called directly, after its workspace
+    query) gives its eigenvalues ``lam`` in ascending order and orthonormal
+    eigenvectors, the columns of ``q``.  The top eigenvalue, that of the
+    constant mode, is 0; the computed one is ~-1e-9 at n = 400 and is
+    pinned to 0.
+
+    Returns ``(lam, q, s, m, volume)``, with ``s = sqrt(m)`` and ``volume =
+    sum(m)``, for :func:`heat_flow`.
+
+    Raises:
+        np.linalg.LinAlgError: if ``dstemr`` fails.
+    """
+    global _dstemr
+    if _dstemr is None:  # deferred: importing scipy takes ~0.3 s
+        from scipy.linalg import lapack
+        _dstemr = lapack.dstemr, lapack.dstemr_lwork
+    stemr, stemr_lwork = _dstemr
+    diag = -D * (cl + cr)
+    off = np.zeros_like(diag)  # dstemr takes n entries and overwrites them
+    off[:-1] = D * cr[:-1] * np.sqrt(m[:-1] / m[1:])
+    # range 0 ("A"): every eigenpair; vl, vu, il, iu are then unused
+    lwork, liwork, info = stemr_lwork(diag, off, 0, 0.0, 0.0, 0, 0)
+    if info == 0:
+        _, lam, q, info = stemr(diag, off, 0, 0.0, 0.0, 0, 0, 1,
+                                int(lwork), int(liwork))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstemr failed with info = {info}")
+    lam[-1] = 0.0
+    return lam, q, np.sqrt(m), m, float(np.sum(m))
+
+
+def heat_flow(modes, u, tau, out):
+    """``u`` advanced by ``tau >= 0`` under the discrete heat flow, in ``out``.
+
+    Exact in time: ``out = ubar + s^-1 q exp(tau lam) q^T (s (u - ubar))``
+    with the :func:`heat_modes` ``(lam, q, s)`` and the mean ``ubar =
+    (m . u) / volume``.  The mean is carried apart from the modes, so the
+    mass ``m . out`` is ``m . u`` to roundoff for every ``tau``.  ``out``
+    must not be ``u``; it is returned.
+    """
+    lam, q, s, m, volume = modes
+    mean = float(np.dot(m, u)) / volume
+    np.subtract(u, mean, out=out)
+    out *= s
+    c = np.dot(out, q)
+    c *= np.exp(tau * lam)
+    np.dot(q, c, out=out)
+    out /= s
+    out += mean
+    return out
 
 
 def attempt_step_numpy(state, ws, sbdf2, dt, params):

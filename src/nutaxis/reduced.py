@@ -9,9 +9,11 @@ so (beta/delta)*u + (gamma/alpha)*v + w is conserved exactly (it is linear,
 hence preserved by any Runge-Kutta method up to rounding).  Its end state
 obeys the sign law sgn(u_inf - v_inf) = sgn(delta - alpha) when u0 = v0.
 
-The heat problem U_t = D*lap(U) is run through the regular integrator with
-taxis and reactions switched off; its observables int ln U and
-sup|U - mean| feed the stabilization constants L = c1*|Omega|/2 and t0,
+The heat problem U_t = D*lap(U) is the discrete Neumann heat flow of the
+integrator's Laplacian, taken exactly in time through its eigenmodes (the
+map the integrator takes once the nutrient is exhausted); its observables
+int ln U and sup|U - mean| feed the stabilization constants
+L = c1*|Omega|/2 and t0,
 where c1 = ln(mean phi) - mean(ln phi) is the Jensen gap of the initial
 data (strictly positive for nonconstant data).
 """
@@ -26,10 +28,10 @@ import numpy as np
 from .diagnostics import NonpositiveField, _ln, jensen_gap
 from .experiments import OutputSchedule, output_times
 from .grid import Grid
+from .kernels import grid_coefficients, heat_flow, heat_modes
 from .model import ModelParams
 from .operators import integrate
-from .profiles import Profile, State, sample
-from .stepper import StepperConfig, advance
+from .profiles import Profile, sample
 
 __all__ = [
     "OdeState",
@@ -103,10 +105,14 @@ def ode_solve(s0: OdeState, params: ModelParams, t_end: float,
               dt: float) -> list[OdeState]:
     """Fixed-step trajectory from s0 to t_end inclusive (final step shortened).
 
-    Along the result u and v are nondecreasing and w nonincreasing.
+    Along the result u and v are nondecreasing and w nonincreasing and
+    nonnegative: a step that leaves this invariant region (RK4 is unstable
+    for too large a dt) raises.
 
     Raises:
-        ValueError: unless dt > 0 and t_end >= s0.t are both finite.
+        ValueError: unless dt > 0 and t_end >= s0.t are both finite, or
+            when a step leaves the invariant region; the message names dt
+            and the step's start time.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -117,12 +123,24 @@ def ode_solve(s0: OdeState, params: ModelParams, t_end: float,
     n_full = int(math.floor((t_end - s0.t) / dt + 1e-12))
     s = s0
     for _ in range(n_full):
-        s = ode_step_rk4(s, params, dt)
+        s = _invariant_step(s, params, dt)
         out.append(s)
     if s.t < t_end - 1e-12 * max(1.0, abs(t_end)):
-        s = ode_step_rk4(s, params, t_end - s.t)
+        s = _invariant_step(s, params, t_end - s.t)
         out.append(s)
     return out
+
+
+def _invariant_step(s: OdeState, params: ModelParams, dt: float) -> OdeState:
+    # one RK4 step that must keep u, v nondecreasing and w in [0, s.w],
+    # written so that a NaN fails too
+    nxt = ode_step_rk4(s, params, dt)
+    if not (nxt.u >= s.u and nxt.v >= s.v and 0.0 <= nxt.w <= s.w):
+        raise ValueError(
+            f"RK4 step of dt = {dt:.6g} from t = {s.t:.6g} left the "
+            f"invariant region (u = {nxt.u:.6g}, v = {nxt.v:.6g}, "
+            f"w = {nxt.w:.6g}); take a smaller dt")
+    return nxt
 
 
 def conserved_quantity(s: OdeState, params: ModelParams) -> float:
@@ -191,37 +209,36 @@ def heat_solve(u0: Union[Profile, np.ndarray], D: float, grid: Grid,
                t_end: float) -> HeatTrajectory:
     """Run U_t = D*lap(U) and record int ln U and sup|U - mean|.
 
-    Reuses the full integrator, with dt = 1e-3 and taxis and all reactions
-    off.  The mean is the discrete volume average of the initial data (mass
-    is conserved).  Observation times are t = 0, then those of the default
+    The flow is exact in time: each observed U is `kernels.heat_flow` of
+    the initial data over the grid's `kernels.heat_modes`.  The mean is the
+    discrete volume average of the initial data (mass is conserved).
+    Observation times are t = 0, then those of the default
     ``OutputSchedule`` (1e-3 * 1.25^k), then t_end.
 
     Raises:
         ValueError: unless 0 < t_end < inf (a run of no time has nothing to
-            record, and an infinite one never ends).
+            record, and an infinite one never ends), or unless D is
+            positive and finite.
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"heat run needs a finite t_end > 0, got {t_end}")
-    ts = output_times(OutputSchedule(), t_end)
+    heat_params(D)  # validates D
     arr = sample(u0, grid) if not isinstance(u0, np.ndarray) else np.asarray(
-        u0, dtype=np.float64).copy()
+        u0, dtype=np.float64)
     if arr.min() <= 0.0:
         raise NonpositiveField("heat initial data must be positive")
-    cfg = StepperConfig(dt=1e-3)
-    state = State(t=0.0, u=arr.copy(), v=np.ones_like(arr), w=np.zeros_like(arr))
+    m, cl, cr, _, _ = grid_coefficients(grid)
+    modes = heat_modes(m, cl, cr, D)
 
     mean = float(integrate(arr, grid) / grid.volume)
-    times = [0.0]
+    times = [0.0, *output_times(OutputSchedule(), t_end)]
     int_ln = [float(integrate(np.log(arr), grid))]
     sup = [float(np.max(np.abs(arr - mean)))]
-
-    def look(s: State) -> None:
-        times.append(s.t)
-        int_ln.append(float(integrate(_ln(s.u), grid)))
-        sup.append(float(np.max(np.abs(s.u - mean))))
-
-    advance(state, grid, heat_params(D), cfg, t_end, observe_times=ts,
-            observer=look)
+    u = np.empty_like(arr)
+    for t in times[1:]:
+        heat_flow(modes, arr, t, u)
+        int_ln.append(float(integrate(_ln(u), grid)))
+        sup.append(float(np.max(np.abs(u - mean))))
     return HeatTrajectory(np.array(times), np.array(int_ln), np.array(sup), mean)
 
 

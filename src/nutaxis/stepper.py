@@ -13,6 +13,13 @@ Every run takes one scheme, SBDF2:
 
 The first step of a run, and the first step after any dt change, is a
 backward-Euler (SBDF1) rebuild; dt is otherwise constant between changes.
+
+Once a run that started with nutrient has all of it snapped to zero, the
+system decouples: w stays 0, v is frozen, and u follows the discrete
+Neumann heat flow, which conserves its mass.  From then on no step is
+taken: each segment applies that flow exactly in time, through the
+eigenmodes of the u operator, and ``AdvanceStats.w_exhausted_t`` records
+when this began.
 Positivity failures reject the step and halve dt, at most MAX_RETRIES times
 per step.  That limit, the step-size caps, the rejection floor and the
 snap-to-zero of the decaying nutrient are documented in
@@ -65,12 +72,17 @@ class StepperConfig:
 
 @dataclass
 class AdvanceStats:
-    """Step statistics of one advance call, summed over its segments."""
+    """Step statistics of one advance call, summed over its segments.
+
+    ``w_exhausted_t`` is the time from which all of the nutrient was snapped
+    away and the heat flow of u was taken exactly, or ``None``.
+    """
 
     accepted: int = 0
     rejected: int = 0
     rebuilds: int = 0  # backward-Euler (re)start steps taken
     min_dt: float = np.inf
+    w_exhausted_t: Optional[float] = None
 
     def merge(self, accepted: int, rejected: int, rebuilds: int, min_dt: float) -> None:
         self.accepted += accepted
@@ -124,5 +136,6 @@ def advance(state: State, grid: Grid, params: ModelParams, cfg: StepperConfig,
             stats.merge(*kernels.segment_numpy(state, tt, ws, params, cfg))
         if observer is not None and i < len(targets):
             observer(state)
+    stats.w_exhausted_t = ws.w_exhausted_t
 
     return AdvanceResult(state, stats)

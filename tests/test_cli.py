@@ -45,6 +45,8 @@ def test_help_exits_zero(capsys):
     [*ODE, "--t-end", "nan"],
     [*ODE, "--dt", "nan"],                          # non-finite step
     [*ODE, "--dt", "inf"],
+    [*ODE, "--dt", "100"],                          # RK4 leaves the invariant
+    [*ODE, "--dt", "5"],                            # region of the law
 ])
 def test_bad_run_invocations_exit_one(argv, capsys):
     assert main(argv) == 1
@@ -52,7 +54,7 @@ def test_bad_run_invocations_exit_one(argv, capsys):
     assert "error" in err
     if "fig4" in argv:  # the preset names come from one list
         assert "expected one of ['fig1_left', 'fig1_right', 'fig3']" in err
-    if argv[0] == "ode":  # the message names the non-finite value
+    if argv[0] == "ode":  # the message names the bad value
         assert argv[-2][2:].replace("-", "_") in err
 
 

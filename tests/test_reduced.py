@@ -57,6 +57,16 @@ def test_ode_solve_validation():
             ode_solve(OdeState(0.0, 1, 1, 1), params, bad, 0.1)
 
 
+@pytest.mark.parametrize("dt", [100.0, 5.0])
+def test_ode_solve_rejects_steps_that_leave_the_invariant_region(dt):
+    # RK4 is unstable at these steps: u and v went negative (dt = 100) or
+    # to -inf (dt = 5) and the run used to finish with a wrong sign
+    params = _params(1.0, 2.0)
+    with pytest.raises(ValueError, match=r"dt = \S+ from t = 0 left the "
+                                         r"invariant region"):
+        ode_solve(OdeState(0.0, 1.0, 1.0, 1.0), params, 50.0, dt)
+
+
 def test_ode_monotonicity():
     traj = ode_solve(OdeState(0.0, 1.0, 1.0, 1.0), _params(1.0, 2.0), 10.0, 1e-2)
     u = np.array([s.u for s in traj])
@@ -133,6 +143,10 @@ def test_heat_solve_eigenmode_decay_rate():
     lam = 2.0 * (math.cos(math.pi * grid.h) - 1.0) / grid.h ** 2
     slope = np.polyfit(traj.times, np.log(traj.sup_dist), 1)[0]
     assert slope == pytest.approx(lam, rel=5e-3)
+    # the flow is exact in time, so the decay is exact to roundoff
+    np.testing.assert_allclose(traj.sup_dist,
+                               np.exp(lam * traj.times) * traj.sup_dist[0],
+                               rtol=1e-10, atol=0.0)
     assert np.all(np.diff(traj.sup_dist) < 0.0)
     assert np.all(np.diff(traj.int_ln_u) > -1e-12)  # entropy is nondecreasing
 

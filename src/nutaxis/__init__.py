@@ -21,9 +21,9 @@ from __future__ import annotations
 from .diagnostics import (
     DerivedConstants,
     DiagnosticsRecord,
-    IntegratedAuditReport,
     JensenReport,
     NonpositiveField,
+    audit_trajectory,
     competition_index,
     derived_constants,
     evaluate_record,
@@ -90,7 +90,6 @@ __all__ = [
     "Grid",
     "HeatTrajectory",
     "HorizonTooShort",
-    "IntegratedAuditReport",
     "JensenReport",
     "LinearSolveFailure",
     "Mirrored",
@@ -110,6 +109,7 @@ __all__ = [
     "UnknownVariant",
     "advance",
     "apply_override",
+    "audit_trajectory",
     "build_grid",
     "competition_index",
     "conserved_quantity",

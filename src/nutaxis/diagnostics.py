@@ -12,14 +12,25 @@ evaluates RECORD_BLOCK output states at a time, so a NonpositiveField is
 raised when the block is evaluated: stepping may run up to RECORD_BLOCK - 1
 output times past the offending one first.
 
-The audits check, at output resolution, the discrete analogues of the
-bounds the scheme is supposed to respect, among them the time-integrated
-inequality
+`audit_trajectory` holds the run's six audits: the discrete analogues, at
+output resolution, of the a-priori bounds of the continuous system.  Each
+is one manifest entry {"ok", "margin", ...} whose margin is the least slack
+of its bound over the recorded times, and ``ok`` is ``margin >= 0`` by
+construction.  With w0, v0 the initial data and t_0 = 0 the first record:
 
-  I(t) + (D_u/2)*int_0^t int |grad u|^2/u^2 + (1/4)*int_0^t int w
-  <= I(0) + a*int w0 + b*int w0^2,
-
-together with the gradient budget int_0^t int |grad w|^2 <= (1/2) int w0^2.
+* ``mass_bound``: int u <= (int u0 + (delta/beta)*int w0)*(1 + 1e-8)
+  (infinite when beta = 0); extra key ``bound``;
+* ``sup_decay``: max w <= sigma_star*exp(-kappa*t)*(1 + 1e-6);
+* ``v_bounds``: min v0 <= v <= max v0*exp((alpha/kappa)*sigma_star)*(1 + 1e-6)
+  over every cell of every recorded state, the exponent capped at 700 and
+  the upper bound infinite when kappa = 0; extra keys ``observed_min``,
+  ``observed_max``, ``lower``, ``upper``;
+* ``lyapunov_monotone``: L(t_k) - L(t_{k-1})
+  <= 1e-3*(t_k - t_{k-1})*(1 + |L(t_{k-1})|); vacuous (margin infinite)
+  with one record, or when kappa = 0 makes a and so every L infinite;
+* ``integrated_inequality``: I(t) + (D_u/2)*int_0^t int |grad u|^2/u^2
+  + (1/4)*int_0^t int w <= I(0) + a*int w0 + b*int w0^2;
+* ``grad_w_budget``: int_0^t int |grad w|^2 <= (1/2)*int w0^2.
 
 All logarithms floor their argument at 1e-300; nonpositive u or v raise
 NonpositiveField instead of propagating NaNs.  Cumulative quantities use the
@@ -29,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -42,13 +54,13 @@ __all__ = [
     "NonpositiveField",
     "DiagnosticsRecord",
     "DerivedConstants",
-    "IntegratedAuditReport",
     "JensenReport",
     "competition_index",
     "derived_constants",
     "evaluate_record",
     "evaluate_records",
     "record_fields",
+    "audit_trajectory",
     "integrated_inequality_audit",
     "jensen_gap",
     "long_time_index",
@@ -309,22 +321,16 @@ def evaluate_record(state: State, consts: DerivedConstants, params: ModelParams,
                             state.w[None], consts, params, grid, prev)[0]
 
 
-@dataclass(frozen=True)
-class IntegratedAuditReport:
-    """Outcome of the time-integrated inequality checks.
+def _verdict(margin: float, **extra) -> dict:
+    """One audit entry; ``ok`` is ``margin >= 0`` by construction."""
+    return {"ok": bool(margin >= 0.0), "margin": float(margin), **extra}
 
-    ``slack`` holds, per output time, RHS minus LHS of the integrated
-    Lyapunov inequality (must stay >= 0); ``grad_slack`` the remaining
-    gradient budget (1/2) int w0^2 - int_0^t int |grad w|^2.
-    """
 
-    ok: bool
-    inequality_ok: bool
-    grad_budget_ok: bool
-    min_slack: float
-    min_grad_slack: float
-    slack: np.ndarray
-    grad_slack: np.ndarray
+def _series(records: Sequence[DiagnosticsRecord],
+            *names: str) -> list[np.ndarray]:
+    """The named record fields over the series, one array per name."""
+    return [np.fromiter(map(attrgetter(n), records), float, len(records))
+            for n in names]
 
 
 def _cumtrapz(t: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -336,35 +342,71 @@ def _cumtrapz(t: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def integrated_inequality_audit(records: Sequence[DiagnosticsRecord],
                                 consts: DerivedConstants, D_u: float,
-                                mass_w0_sq: float) -> IntegratedAuditReport:
-    """Check the integrated Lyapunov inequality and the gradient budget.
+                                mass_w0_sq: float) -> dict:
+    """The ``integrated_inequality`` and ``grad_w_budget`` audit entries.
 
-    The inequality is anchored at the first record (normally t = 0):
-    I(t) + (D_u/2)*cum(fisher_u) + (1/4)*cum_w <= I(0) + a*mass_w(0)
-    + b*mass_w0_sq at every recorded time, and
-    cum(grad_w_L2) <= mass_w0_sq / 2.  ``mass_w0_sq`` is int w0^2, which is
-    not part of the record series and must be supplied by the caller.
+    Both are stated in the module docstring; the margin is the least slack
+    over the recorded times.  The inequality is anchored at the first
+    record (normally t = 0).  ``mass_w0_sq`` is int w0^2, which is not part
+    of the record series and must be supplied by the caller.
+
+    Raises:
+        ValueError: on an empty series.
     """
     if not records:
         raise ValueError("need at least one record")
-    t = np.array([r.t for r in records])
-    i_series = np.array([r.I for r in records])
-    fisher = np.array([r.fisher_u for r in records])
-    cum_w = np.array([r.cum_w for r in records])
-    grad_w = np.array([r.grad_w_L2 for r in records])
-
+    t, i_series, fisher, cum_w, grad_w = _series(
+        records, "t", "I", "fisher_u", "cum_w", "grad_w_L2")
     rhs = records[0].I + consts.a * records[0].mass_w + consts.b * mass_w0_sq
     lhs = i_series + 0.5 * D_u * _cumtrapz(t, fisher) + 0.25 * cum_w
-    slack = rhs - lhs
     grad_slack = 0.5 * mass_w0_sq - _cumtrapz(t, grad_w)
-    ineq_ok = bool(slack.min() >= 0.0)
-    grad_ok = bool(grad_slack.min() >= 0.0)
-    return IntegratedAuditReport(
-        ok=ineq_ok and grad_ok,
-        inequality_ok=ineq_ok,
-        grad_budget_ok=grad_ok,
-        min_slack=float(slack.min()),
-        min_grad_slack=float(grad_slack.min()),
-        slack=slack,
-        grad_slack=grad_slack,
-    )
+    return {"integrated_inequality": _verdict((rhs - lhs).min()),
+            "grad_w_budget": _verdict(grad_slack.min())}
+
+
+def audit_trajectory(records: Sequence[DiagnosticsRecord],
+                     consts: DerivedConstants, params: ModelParams,
+                     mass_w0_sq: float, v0_range: tuple[float, float],
+                     v_range: tuple[float, float]) -> dict:
+    """The six audit entries of a run, keyed as in the module docstring.
+
+    ``v0_range`` is (min v0, max v0) and ``v_range`` the least and largest
+    v over every cell of every recorded state.
+
+    Raises:
+        ValueError: on an empty series.
+    """
+    integrated = integrated_inequality_audit(records, consts, params.D_u,
+                                             mass_w0_sq)
+    t, mass_u, max_w, lyap = _series(records, "t", "mass_u", "max_w", "L_lyap")
+
+    if params.beta > 0.0:
+        bound = records[0].mass_u + (params.delta / params.beta) * records[0].mass_w
+    else:
+        bound = np.inf
+    decay = consts.sigma_star * np.exp(-consts.kappa * t) * (1.0 + 1e-6) - max_w
+
+    lower, v0_max = v0_range
+    if consts.kappa > 0.0:
+        exponent = params.alpha / consts.kappa * consts.sigma_star
+        upper = v0_max * float(np.exp(min(exponent, 700.0)))
+    else:
+        upper = np.inf
+    v_min, v_max = v_range
+
+    # with kappa = 0 the weight a and so every L are infinite: vacuous
+    worst = -np.inf
+    if len(lyap) > 1 and np.isfinite(consts.a):
+        tol = 1e-3 * np.diff(t) * (1.0 + np.abs(lyap[:-1]))
+        worst = float((lyap[1:] - lyap[:-1] - tol).max())
+
+    return {
+        "mass_bound": _verdict((bound * (1.0 + 1e-8) - mass_u).min(),
+                               bound=float(bound)),
+        "sup_decay": _verdict(decay.min()),
+        "v_bounds": _verdict(min(v_min - lower, upper * (1.0 + 1e-6) - v_max),
+                             observed_min=v_min, observed_max=v_max,
+                             lower=lower, upper=float(upper)),
+        "lyapunov_monotone": _verdict(-worst),
+        **integrated,
+    }

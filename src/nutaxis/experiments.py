@@ -3,14 +3,8 @@
 A ScenarioConfig fully determines a run: geometry, model parameters, the
 three initial profiles, the horizon, the geometric output schedule, and the
 stepper policy.  ``run_scenario`` realizes it, records a DiagnosticsRecord at
-t = 0 and at every output time, and audits the discrete trajectory against
-the bounds that hold for the continuous system:
-
-* total u-mass stays below mass_u(0) + (delta/beta) * mass_w(0),
-* max w decays at least like sigma_star * exp(-kappa*t),
-* v stays within [min v0, max v0 * exp((alpha/kappa) * sigma_star)],
-* the Lyapunov value is nonincreasing up to an output-resolution tolerance,
-* the time-integrated inequality and the gradient budget (see diagnostics).
+t = 0 and at every output time, and audits the discrete trajectory with
+`diagnostics.audit_trajectory`, whose docstring lists the six bounds.
 
 Sweeps run a base config under a list of (attribute path, values) overrides,
 optionally in parallel processes, and tabulate per-run outcomes; one failed
@@ -23,7 +17,7 @@ import os
 import time
 from dataclasses import dataclass, field, replace
 from importlib.metadata import PackageNotFoundError, version as _dist_version
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 import numpy as np
 
@@ -31,12 +25,12 @@ from .diagnostics import (
     RECORD_BLOCK,
     DerivedConstants,
     DiagnosticsRecord,
+    audit_trajectory,
     derived_constants,
     evaluate_records,
-    integrated_inequality_audit,
     long_time_index,
 )
-from .grid import Geometry, Grid, build_grid
+from .grid import Geometry, build_grid
 from .model import ModelParams
 from .operators import integrate
 from .profiles import Constant, Gaussian, Mirrored, Profile, State, init_state
@@ -217,58 +211,6 @@ class RunResult:
     manifest: RunManifest
 
 
-def _audit_trajectory(records: Sequence[DiagnosticsRecord],
-                      consts: DerivedConstants, params: ModelParams,
-                      mass_w0_sq: float, v_min_obs: float, v_max_obs: float,
-                      v0_max: float) -> dict:
-    t = np.array([r.t for r in records])
-    mass_u = np.array([r.mass_u for r in records])
-    max_w = np.array([r.max_w for r in records])
-    lyap = np.array([r.L_lyap for r in records])
-
-    audits: dict[str, dict] = {}
-
-    if params.beta > 0.0:
-        bound = records[0].mass_u + (params.delta / params.beta) * records[0].mass_w
-    else:
-        bound = np.inf
-    slack = bound * (1.0 + 1e-8) - mass_u
-    audits["mass_bound"] = {"ok": bool(slack.min() >= 0.0),
-                            "margin": float(slack.min()), "bound": float(bound)}
-
-    decay = consts.sigma_star * np.exp(-consts.kappa * t) * (1.0 + 1e-6) - max_w
-    audits["sup_decay"] = {"ok": bool(decay.min() >= 0.0),
-                           "margin": float(decay.min())}
-
-    lower = float(consts.kappa / params.gamma) if params.gamma > 0.0 else 0.0
-    if consts.kappa > 0.0:
-        exponent = params.alpha / consts.kappa * consts.sigma_star
-        upper = v0_max * float(np.exp(min(exponent, 700.0)))
-    else:
-        upper = np.inf
-    audits["v_bounds"] = {
-        "ok": bool(v_min_obs >= lower and v_max_obs <= upper * (1.0 + 1e-6)),
-        "margin": float(min(v_min_obs - lower,
-                            upper * (1.0 + 1e-6) - v_max_obs)),
-        "observed_min": v_min_obs, "observed_max": v_max_obs,
-        "lower": lower, "upper": float(upper),
-    }
-
-    # with kappa = 0 the weight a and so every L are infinite: vacuous
-    worst = -np.inf
-    if len(lyap) > 1 and np.isfinite(consts.a):
-        tol = 1e-3 * np.diff(t) * (1.0 + np.abs(lyap[:-1]))
-        worst = float((lyap[1:] - lyap[:-1] - tol).max())
-    audits["lyapunov_monotone"] = {"ok": bool(worst <= 0.0), "margin": float(-worst)}
-
-    rep = integrated_inequality_audit(records, consts, params.D_u, mass_w0_sq)
-    audits["integrated_inequality"] = {"ok": rep.inequality_ok,
-                                       "margin": rep.min_slack}
-    audits["grad_w_budget"] = {"ok": rep.grad_budget_ok,
-                               "margin": rep.min_grad_slack}
-    return audits
-
-
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
     """Realize and integrate a scenario; see the module docstring.
 
@@ -285,7 +227,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     began = time.perf_counter()
     grid = build_grid(cfg.geometry)
     state, _ = init_state(cfg.u0, cfg.v0, cfg.w0, grid)
-    v0_max = float(state.v.max())
+    v0_range = (float(state.v.min()), float(state.v.max()))
     consts = derived_constants(state.v, state.w, cfg.params, grid, u0=state.u)
     mass_w0_sq = float(integrate(state.w * state.w, grid))
 
@@ -322,8 +264,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     if ts:
         flush()
 
-    audits = _audit_trajectory(records, consts, cfg.params, mass_w0_sq,
-                               v_min_obs, v_max_obs, v0_max)
+    audits = audit_trajectory(records, consts, cfg.params, mass_w0_sq,
+                              v0_range, (v_min_obs, v_max_obs))
     stats: AdvanceStats = result.stats
     manifest = RunManifest(
         version=_VERSION,
@@ -443,7 +385,12 @@ def run_sweep(spec: SweepSpec, processes: int = 1,
     in the run's own isolation: a value that a config rejects fails only
     that run, with the error in its row.  With ``processes > 1`` the runs go
     to a pool of at most one worker per run.
+
+    Raises:
+        ValueError: if ``processes < 1``, before any run starts.
     """
+    if processes < 1:
+        raise ValueError(f"processes must be at least 1, got {processes}")
     jobs = [(i, spec.base, combo,
              None if out_dir is None else os.path.join(out_dir, f"run_{i:03d}"))
             for i, combo in enumerate(spec.combos())]

@@ -156,7 +156,13 @@ def _sgn(x: float) -> int:
 
 def sign_law_check(u0: float, v0: float, w0: float, params: ModelParams,
                    t_end: float) -> int:
-    """Integrate (RK4, dt = 1e-2) until w < 1e-10*w0 and return sgn(u - v).
+    """Integrate until w < 1e-10*w0 and return sgn(u - v).
+
+    The steps are `ode_solve`'s checked RK4 step at dt = min(1e-2, 1/lam),
+    lam = beta*u0 + gamma*v0 + (alpha + delta)*w0: since
+    (beta/delta)*(u - u0) <= w0 and (gamma/alpha)*(v - v0) <= w0, lam bounds
+    the nutrient's decay rate beta*u + gamma*v along the trajectory, and
+    dt*lam <= 1 keeps RK4 stable.
 
     The law requires equal initial densities, so u0 != v0 is rejected.  The
     returned sign is also checked against sgn(delta - alpha) and a mismatch
@@ -169,23 +175,22 @@ def sign_law_check(u0: float, v0: float, w0: float, params: ModelParams,
         raise ValueError("sign law is stated for u0 == v0")
     if min(u0, v0) <= 0.0 or w0 < 0.0:
         raise ValueError("need u0, v0 > 0 and w0 >= 0")
-    dt = 1e-2
+    lam = (params.beta * u0 + params.gamma * v0
+           + (params.alpha + params.delta) * w0)
+    dt = 1.0 / max(100.0, lam)
     threshold = 1e-10 * w0
-    u, v, w, t = u0, v0, w0, 0.0
-    while w > threshold:
-        if t >= t_end:
+    s = OdeState(0.0, u0, v0, w0)
+    while s.w > threshold:
+        if s.t >= t_end:
             raise HorizonTooShort(
-                f"w = {w:.3e} > threshold {threshold:.3e} at t_end = {t_end}")
-        step = min(dt, t_end - t)
-        u, v, w = _rk4(u, v, w, step, params.delta, params.alpha,
-                       params.beta, params.gamma)
-        t += step
-    sign = _sgn(u - v)
+                f"w = {s.w:.3e} > threshold {threshold:.3e} at t_end = {t_end}")
+        s = _invariant_step(s, params, min(dt, t_end - s.t))
+    sign = _sgn(s.u - s.v)
     expected = _sgn(params.delta - params.alpha)
     if sign != expected:
         raise SignLawMismatch(
             f"sgn(u-v) = {sign} but sgn(delta-alpha) = {expected} "
-            f"(u = {u!r}, v = {v!r})")
+            f"(u = {s.u!r}, v = {s.v!r})")
     return sign
 
 

@@ -88,11 +88,12 @@ def test_04_lyapunov_and_integrated_inequality(preset_runs):
         cfg = res.manifest.scenario
         grid = build_grid(cfg.geometry)
         w0 = sample(cfg.w0, grid)
-        rep = integrated_inequality_audit(recs, res.manifest.constants,
-                                          cfg.params.D_u,
-                                          float(integrate(w0 * w0, grid)))
-        min_slack = min(min_slack, rep.min_slack)
-        min_grad_slack = min(min_grad_slack, rep.min_grad_slack)
+        audits = integrated_inequality_audit(recs, res.manifest.constants,
+                                             cfg.params.D_u,
+                                             float(integrate(w0 * w0, grid)))
+        min_slack = min(min_slack, audits["integrated_inequality"]["margin"])
+        min_grad_slack = min(min_grad_slack,
+                             audits["grad_w_budget"]["margin"])
     ok = monotone and min_slack >= 0.0 and min_grad_slack >= 0.0
     _gate("C04 Lyapunov decay, integrated inequality, gradient budget",
           ok, f"monotone={monotone}, min slack {min_slack:.3e}, "

@@ -15,6 +15,9 @@ from nutaxis.verify import CheckResult
 ODE = ["ode", "--delta", "1", "--alpha", "2", "--beta", "1", "--gamma", "1",
        "--u0", "1", "--v0", "1", "--w0", "1"]
 
+SWEEP = {"base": {"preset": "fig1_right", "variant": "l=14"},
+         "overrides": [{"path": "t_end", "values": [0.02, 0.04]}]}
+
 
 def _line_value(out, key):
     for line in out.splitlines():
@@ -47,11 +50,18 @@ def test_help_exits_zero(capsys):
     [*ODE, "--dt", "inf"],
     [*ODE, "--dt", "100"],                          # RK4 leaves the invariant
     [*ODE, "--dt", "5"],                            # region of the law
+    ["sweep", "sweep.json", "--threads", "0"],      # no worker process
+    ["sweep", "sweep.json", "--threads", "-4"],
 ])
-def test_bad_run_invocations_exit_one(argv, capsys):
+def test_bad_run_invocations_exit_one(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sweep.json").write_text(json.dumps(SWEEP))
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "error" in err
+    if argv[0] == "sweep":  # rejected before any run starts
+        assert f"got {argv[-1]}" in err
+        assert not list(tmp_path.rglob("run_*"))
     if "fig4" in argv:  # the preset names come from one list
         assert "expected one of ['fig1_left', 'fig1_right', 'fig3']" in err
     if argv[0] == "ode":  # the message names the bad value
@@ -130,10 +140,7 @@ def test_heat_subcommand(capsys):
 
 def test_sweep_subcommand(tmp_path, capsys):
     spec_path = tmp_path / "sweep.json"
-    spec_path.write_text(json.dumps({
-        "base": {"preset": "fig1_right", "variant": "l=14"},
-        "overrides": [{"path": "t_end", "values": [0.02, 0.04]}],
-    }))
+    spec_path.write_text(json.dumps(SWEEP))
     out_dir = tmp_path / "sweep_out"
     code = main(["sweep", str(spec_path), "--out-dir", str(out_dir),
                  "--threads", "1"])

@@ -189,6 +189,38 @@ def test_run_scenario_records_and_manifest():
 
 
 
+# the manifest's audit entries and their keys, in order
+AUDIT_KEYS = {
+    "mass_bound": ["ok", "margin", "bound"],
+    "sup_decay": ["ok", "margin"],
+    "v_bounds": ["ok", "margin", "observed_min", "observed_max", "lower",
+                 "upper"],
+    "lyapunov_monotone": ["ok", "margin"],
+    "integrated_inequality": ["ok", "margin"],
+    "grad_w_budget": ["ok", "margin"],
+}
+
+
+def test_preset_audits_are_their_margins_sign(preset_runs):
+    for key, res in preset_runs.items():
+        audits = res.manifest.audits
+        assert [(k, list(a)) for k, a in audits.items()] == list(
+            AUDIT_KEYS.items()), key
+        for name, a in audits.items():
+            assert a["ok"] == (a["margin"] >= 0.0), (key, name)
+
+
+def test_v_bounds_lower_is_min_v0():
+    # gamma*m/gamma rounds above m = min v0 for this m at gamma = 200, which
+    # failed v_bounds by an ulp although v never drops below v0
+    m = 1.3398815210314088
+    cfg = replace(preset("fig1_left", 60), v0=Constant(m), t_end=0.01)
+    audit = run_scenario(cfg).manifest.audits["v_bounds"]
+    assert audit["lower"] == audit["observed_min"] == m
+    assert audit["margin"] == 0.0
+    assert audit["ok"] is True
+
+
 def test_lyapunov_audit_is_vacuous_without_decay_rate():
     # gamma = 0 gives kappa = 0, so a = inf and every L_lyap is infinite
     base = preset("fig1_right", 14)

@@ -1,0 +1,33 @@
+"""The spans the benchmark's per-layer metrics read must all be recorded.
+
+``perfbench/run.py`` sums spans by function name, so a renamed or inlined
+function reads 0 there instead of failing; this test traces one short run.
+"""
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.append(str(ROOT))
+
+import nutaxis.experiments as experiments  # noqa: E402
+import nutaxis.io as nio  # noqa: E402
+from perfbench import trace  # noqa: E402
+
+# every span name a per-layer metric of perfbench/run.py totals, except
+# diagnostics.evaluate_record, which run_scenario no longer calls
+READ_BY_RUN = ("stepper.advance", "kernels.segment_numpy",
+               "kernels.attempt_step_numpy",
+               "diagnostics.integrated_inequality_audit",
+               "experiments.run_scenario", "io.write_run")
+
+
+def test_traced_run_records_every_span_the_benchmark_reads(tmp_path):
+    cfg = replace(experiments.preset("fig1_left", 60), t_end=0.01)
+    tracer = trace.Tracer()
+    with trace.installed(tracer):
+        tracer.active = True
+        nio.write_run(experiments.run_scenario(cfg), str(tmp_path))
+    spans = trace.Spans(tracer.spans)
+    assert [name for name in READ_BY_RUN if spans.count(name) == 0] == []

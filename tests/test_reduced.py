@@ -122,6 +122,14 @@ def test_sign_law_depends_on_initial_nutrient_only_through_sign():
         assert sign_law_check(1.0, 1.0, w0, params, 200.0) == -1
 
 
+@pytest.mark.parametrize("delta, expected", [(1.0, -1), (3.0, 1)])
+def test_sign_law_with_stiff_consumption(delta, expected):
+    # beta*u*dt reaches 3 at dt = 1e-2, past RK4's stability limit; the
+    # step is cut to 1/lam with lam = beta*u0 + gamma*v0 + (alpha+delta)*w0
+    params = _params(delta, 2.0, beta=300.0, gamma=300.0)
+    assert sign_law_check(1.0, 1.0, 1.0, params, 200.0) == expected
+
+
 def test_sign_law_validation():
     params = _params(1.0, 2.0)
     with pytest.raises(ValueError):

@@ -101,14 +101,16 @@ def _cmd_ode(args: argparse.Namespace) -> int:
                          beta=args.beta, gamma=args.gamma, delta=args.delta)
     s0 = OdeState(0.0, args.u0, args.v0, args.w0)
     traj = ode_solve(s0, params, args.t_end, args.dt)
-    q0 = conserved_quantity(s0, params)
-    drift = max(abs(conserved_quantity(s, params) - q0) for s in traj)
     end = traj[-1]
     sign = (end.u > end.v) - (end.u < end.v)
     print(f"u_final = {end.u:.12g}")
     print(f"v_final = {end.v:.12g}")
     print(f"w_final = {end.w:.6g}")
-    print(f"Q_drift_rel = {drift / abs(q0):.3e}" if q0 else "Q_drift_rel = 0")
+    if params.delta > 0.0 and params.alpha > 0.0:  # Q is defined
+        q0 = conserved_quantity(s0, params)
+        drift = max(abs(conserved_quantity(s, params) - q0) for s in traj)
+        print(f"Q_drift_rel = {drift / abs(q0):.3e}" if q0
+              else "Q_drift_rel = 0")
     print(f"sign(u - v) = {sign}  (sign(delta - alpha) = "
           f"{(args.delta > args.alpha) - (args.delta < args.alpha)})")
     return 0

@@ -126,6 +126,8 @@ _VARIANT_VALUES = {
 
 def _parse_variant(name: str, variant) -> float:
     key = _VARIANT_KEYS[name]
+    if isinstance(variant, bool):
+        raise UnknownVariant(f"cannot parse variant {variant!r}")
     if isinstance(variant, str):
         text = variant.strip()
         if "=" in text:

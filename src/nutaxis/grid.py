@@ -41,7 +41,8 @@ class Geometry:
     def __post_init__(self) -> None:
         if self.kind not in ("interval", "radial"):
             raise ValueError(f"unknown geometry kind {self.kind!r}")
-        if int(self.n_cells) != self.n_cells or self.n_cells < 4:
+        if (not np.isfinite(self.n_cells) or int(self.n_cells) != self.n_cells
+                or self.n_cells < 4):
             raise ValueError(f"n_cells must be an integer >= 4, got {self.n_cells}")
         for name in ("x_lo", "x_hi", "R"):
             if not np.isfinite(getattr(self, name)):

@@ -1,5 +1,12 @@
 """Hot time-stepping kernel: one segment controller over array primitives.
 
+Each step is SBDF2, (3 y+ - 4 y + y-) / (2 dt) = A y+ + 2 N(y) - N(y-),
+or backward Euler where no two-step history of its dt exists.  For u, A is
+D_u * lap and N the upwind taxis divergence plus the growth
+delta * f_eps(u) * w; for w, A is D_w * lap minus the sink
+beta f_eps(u*) + gamma v* at the extrapolants, and N = 0; v takes the
+exact nodal exponential v+ = v * exp(alpha dt (w + w+) / 2).
+
 :func:`segment_numpy` advances a state to the end of one output segment:
 the dt caps, the dt schedule, the SBDF2-or-rebuild decision, retry
 halving, the step statistics and the history swap.  It works in the
@@ -44,20 +51,26 @@ Segment algorithm:
        the first exhaustion); v and w are left untouched, no step is
        counted, the two-step history is dropped (hdt = 0) and the segment
        ends; a u <= U_FLOOR raises PositivityViolation,
-    4. integerize dt so the segment lands exactly on its end time; any dt
-       change rebuilds the two-step history with one backward-Euler step,
+    4. fit dt below the cap so the segment lands exactly on its end time;
+       dt grows (by _GROWTH_FACTOR, up to the cap and the base dt) only
+       after an accepted step.  The step is SBDF2 when the history was left
+       by a step of this very dt (hdt == dt), else a backward-Euler rebuild,
+       with the sink of (u, v) in place of the extrapolants,
     5. implicit w solve with frozen extrapolated sink, rejection if
        w < -w_snap, then snap-to-zero of entries below w_snap (W_SNAP_REL
        times the run's initial max w),
     6. exact multiplicative v update with trapezoidal w average,
     7. implicit-diffusion u solve with explicit upwind taxis + growth terms,
        rejection if u <= U_FLOOR,
-    8. on rejection: halve dt and retry (up to MAX_RETRIES times);
-       dt may grow back (step 4) only after the next accepted step.
+    8. on rejection: drop the history (hdt = 0), halve dt and refit it, so
+       the retry is a backward-Euler step; raise PositivityViolation instead
+       once the halved dt would fall below the attempt's cap times
+       2**-MAX_RETRIES, a floor that an accepted step does not reset.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -66,6 +79,7 @@ from .model import f_eps
 from .operators import taxis_flux
 
 __all__ = [
+    "AdvanceStats",
     "LinearSolveFailure",
     "PositivityViolation",
     "Workspace",
@@ -83,7 +97,7 @@ U_FLOOR = 1e-14  # a step with some u+ <= U_FLOOR is rejected
 # over-damped (real roots need dt * rate <= 0.5)
 SINK_DT_CAP = 0.45
 SOURCE_DT_CAP = 0.45  # bound on dt * max(delta, alpha) * max w
-MAX_RETRIES = 12  # rejection halvings allowed per step
+MAX_RETRIES = 12  # a retried dt stays >= its cap * 2**-MAX_RETRIES
 W_SNAP_REL = 1e-250  # snap-to-zero floor for w, relative to the initial max
 
 
@@ -134,6 +148,21 @@ def grid_coefficients(grid):
     return grid.m, cl, cr, af, grid.h
 
 
+@dataclass
+class AdvanceStats:
+    """Step statistics of one run, summed over its segments.
+
+    ``w_exhausted_t`` is the time from which all of the nutrient was snapped
+    away and the heat flow of u was taken exactly, or ``None``.
+    """
+
+    accepted: int = 0
+    rejected: int = 0
+    rebuilds: int = 0  # backward-Euler (re)start steps taken
+    min_dt: float = math.inf
+    w_exhausted_t: Optional[float] = None
+
+
 class Workspace:
     """What the segments of one run share.
 
@@ -144,8 +173,7 @@ class Workspace:
     the max of ``w0``.  ``sink``, the new level ``un, vn, wn, nn`` and
     ``work`` (shape ``(5, n + 1)``) are scratch of each attempt.
     ``heat`` holds the :func:`heat_modes` of ``D_u``, built at the first
-    exhaustion of w, and ``w_exhausted_t`` the time of that exhaustion
-    (``None`` before it).
+    exhaustion of w, and ``stats`` the run's :class:`AdvanceStats`.
     """
 
     def __init__(self, grid, w0: np.ndarray):
@@ -155,7 +183,7 @@ class Workspace:
         self.hdt = 0.0
         self.w_snap = W_SNAP_REL * float(np.max(w0, initial=0.0))
         self.heat = None
-        self.w_exhausted_t = None
+        self.stats = AdvanceStats()
         self.sink, self.un, self.vn, self.wn, self.nn = np.empty((5, n))
         self.work = np.empty((5, n + 1))
 
@@ -169,39 +197,30 @@ def segment_numpy(state, t_to, ws, params, cfg):
 
     ``params`` is the :class:`nutaxis.model.ModelParams` and ``cfg`` the
     :class:`nutaxis.stepper.StepperConfig` of the run.  Continues the
-    two-step scheme from the history in ``ws`` and leaves the last accepted
-    step's history there.  Once the run's nutrient is exhausted, the rest
-    of the segment is the exact heat flow of u (step 3 of the module's
-    algorithm), and ``ws.w_exhausted_t`` holds the time this first
-    happened.  Returns ``(accepted, rejected, rebuilds, min_dt)``.
+    two-step scheme from the history in ``ws``, leaves the last accepted
+    step's history there and counts its steps in ``ws.stats``.  Once the
+    run's nutrient is exhausted, the rest of the segment is the exact heat
+    flow of u (step 3 of the module's algorithm), and
+    ``ws.stats.w_exhausted_t`` holds the time this first happened.
 
     Raises:
-        PositivityViolation: a step was rejected MAX_RETRIES + 1 times.
+        PositivityViolation: a rejected step's halved dt would fall below
+            its cap times 2**-MAX_RETRIES.
         LinearSolveFailure: a tridiagonal solve was singular (not retried).
         Either carries the failing step's start time and last dt; ``state``
         is left at that start, ``state.t`` included.
     """
-    u, v, w, sink = state.u, state.v, state.w, ws.sink
+    u, v, w, sink, stats = state.u, state.v, state.w, ws.sink, ws.stats
     beta, gamma, eps = params.beta, params.gamma, params.eps_reg
     chi, h, dt_base, cfl_safety = params.chi, ws.h, cfg.dt, cfg.cfl_safety
     rmax = max(params.delta, params.alpha)
 
-    accepted = 0
-    rejected = 0
-    rebuilds = 0
-    min_dt = math.inf
-
-    rem = t_to - state.t
-    dt = ws.hdt  # continue the two-step scheme across segments
-    k = 0  # steps remaining at the current dt
-    retries = 0
-    halve = False
-    rebuild_pending = not dt > 0.0  # no valid history yet
-
-    while k > 0 or rem > 0.0:
+    rem = t_to - state.t  # k * dt once dt is fitted
+    k, dt = 0, math.inf  # k steps of dt remain; the first pass fits dt
+    while rem > 0.0:
         # ---- sink at the extrapolants of the next attempt, and the caps
-        two_step = not rebuild_pending
-        _fill_sink_numpy(sink, u, v, ws.hu, ws.hv, two_step, beta, gamma, eps)
+        _fill_sink_numpy(sink, u, v, ws.hu, ws.hv, ws.hdt > 0.0, beta, gamma,
+                         eps)
         dw, smax, wmax = _cap_terms_numpy(w, sink)
         if wmax == 0.0 and ws.w_snap > 0.0:
             # all of the run's nutrient is snapped away: w stays 0, v is
@@ -209,7 +228,7 @@ def segment_numpy(state, t_to, ws, params, cfg):
             t_now = max(state.t, t_to - rem)
             if ws.heat is None:
                 ws.heat = heat_modes(ws.m, ws.cl, ws.cr, params.D_u)
-                ws.w_exhausted_t = t_now
+                stats.w_exhausted_t = t_now
             heat_flow(ws.heat, u, rem, ws.un)
             if np.minimum.reduce(ws.un) <= U_FLOOR:
                 state.t = t_now
@@ -229,51 +248,37 @@ def segment_numpy(state, t_to, ws, params, cfg):
         if rmax * wmax > 0.0:
             cap = min(cap, SOURCE_DT_CAP / (rmax * wmax))
 
-        # ---- fit dt so the remaining gap is an exact multiple of it;
-        # a rejected step's halved dt is fitted first, then capped
-        while True:
-            if halve:
-                dt_cand = 0.5 * dt
-            elif k == 0 or cap < dt:
-                dt_cand = cap
-            elif (cap >= _GROWTH_FACTOR * dt and dt < dt_base and k > 1
-                  and retries == 0):
-                dt_cand = min(_GROWTH_FACTOR * dt, cap)
-            else:
-                break
-            if k > 0:
-                rem = k * dt
-            k = max(int(math.ceil(rem / dt_cand - 1e-12)), 1)
-            dt_new = rem / k
-            if dt_new != dt:
-                rebuild_pending = True
-            dt = dt_new
-            if not halve:
-                break
-            halve = False
-
-        sbdf2 = not rebuild_pending and ws.hdt == dt
-        if two_step and not sbdf2:
+        # ---- fit dt so the remaining gap is an exact multiple of it; it
+        # grows only after an accepted step
+        if cap < dt:
+            k, dt = _fit(rem, cap)
+        elif (cap >= _GROWTH_FACTOR * dt and dt < dt_base and k > 1
+              and ws.hdt > 0.0):
+            k, dt = _fit(rem, min(_GROWTH_FACTOR * dt, cap))
+        rem = k * dt
+        sbdf2 = ws.hdt == dt  # a two-step history of this very dt
+        if ws.hdt > 0.0 and not sbdf2:
             # the sink must match the scheme actually used
             _fill_sink_numpy(sink, u, v, ws.hu, ws.hv, False, beta, gamma, eps)
 
         try:
             failure = attempt_step_numpy(state, ws, sbdf2, dt, params)
         except np.linalg.LinAlgError as exc:
-            state.t = max(state.t, t_to - k * dt)  # the failing step's start
+            state.t = max(state.t, t_to - rem)  # the failing step's start
             raise LinearSolveFailure(state.t, dt) from exc
         if failure is not None:
-            rejected += 1
-            retries += 1
-            if retries > MAX_RETRIES:
-                state.t = max(state.t, t_to - k * dt)
+            # retry with backward Euler at half dt, fitted to the gap; the
+            # caps do not depend on dt, so the next pass may only lower it
+            stats.rejected += 1
+            ws.hdt = 0.0
+            if 0.5 * dt < cap * 2.0 ** -MAX_RETRIES:
+                state.t = max(state.t, t_to - rem)
                 raise PositivityViolation(*failure, state.t, dt)
-            halve = True
-            rebuild_pending = True
+            k, dt = _fit(rem, 0.5 * dt)
+            rem = k * dt
             continue
 
         # ---- accept: the entry level becomes the history
-        retries = 0
         ws.hu[:] = u
         ws.hv[:] = v
         ws.hw[:] = w
@@ -282,16 +287,21 @@ def segment_numpy(state, t_to, ws, params, cfg):
         v[:] = ws.vn
         w[:] = ws.wn
         ws.hdt = dt
-        rebuild_pending = False
         if not sbdf2:
-            rebuilds += 1
-        accepted += 1
-        min_dt = min(min_dt, dt)
+            stats.rebuilds += 1
+        stats.accepted += 1
+        stats.min_dt = min(stats.min_dt, dt)
         k -= 1
         rem = k * dt
 
     state.t = t_to
-    return accepted, rejected, rebuilds, float(min_dt)
+
+
+def _fit(span, cap):
+    # the fewest steps of at most cap (to 1e-12 relative) that land exactly
+    # on the end of span, and their size
+    k = max(int(math.ceil(span / cap - 1e-12)), 1)
+    return k, span / k
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,19 @@ def test_ode_subcommand(capsys):
     assert "sign(u - v) = -1" in out
 
 
+@pytest.mark.parametrize("flag", ["--delta", "--alpha"])
+def test_ode_without_a_conserved_quantity(capsys, flag):
+    # Q = (beta/delta) u + (gamma/alpha) v + w needs delta, alpha > 0; the
+    # trajectory does not, and only the drift line is left out
+    argv = list(ODE)
+    argv[argv.index(flag) + 1] = "0"
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "Q_drift_rel" not in out
+    assert _line_value(out, "w_final") < 1e-10
+    assert "sign(u - v) = " in out
+
+
 def test_heat_subcommand(capsys):
     assert main(["heat", "--n-cells", "100"]) == 0
     out = capsys.readouterr().out

@@ -89,6 +89,7 @@ def test_preset_variant_forms_are_equivalent():
     ("fig1_left", 61),
     ("fig1_left", "sigma=abc"),
     ("fig3", 2),
+    ("fig3", True),             # a bool is not the number 1
 ])
 def test_preset_rejects_unknown(name, variant):
     with pytest.raises(UnknownVariant):

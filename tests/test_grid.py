@@ -62,6 +62,7 @@ def test_radial_scaling_with_radius():
     dict(kind="radial", n_cells=8, d=2, R=-1.0),
     dict(kind="interval", n_cells=8, x_hi=float("inf")),
     dict(kind="radial", n_cells=8, d=3, R=float("inf")),
+    dict(kind="interval", n_cells=float("inf")),
 ])
 def test_geometry_validation(kwargs):
     with pytest.raises(ValueError):

@@ -55,10 +55,9 @@ def test_tail_does_not_fire_while_any_cell_has_nutrient(backend, monkeypatch,
     w[cell] = 1e-200
     state = State(0.0, 1.0 + grid.centers, np.ones(16), w)
     _forbid_the_map(monkeypatch)
-    accepted, *_ = kernels.segment_numpy(state, 0.01, ws, PARAMS,
-                                         StepperConfig(dt=0.005))
-    assert accepted >= 2
-    assert ws.w_exhausted_t is None and ws.heat is None
+    kernels.segment_numpy(state, 0.01, ws, PARAMS, StepperConfig(dt=0.005))
+    assert ws.stats.accepted >= 2
+    assert ws.stats.w_exhausted_t is None and ws.heat is None
     assert state.t == 0.01
 
 
@@ -67,9 +66,9 @@ def test_tail_fires_at_once_when_the_nutrient_is_spent(backend):
     ws = kernels.Workspace(grid, np.full(16, 60.0))
     u0 = 1.0 + grid.centers
     state = State(0.5, u0.copy(), np.ones(16), np.zeros(16))
-    got = kernels.segment_numpy(state, 0.75, ws, PARAMS, StepperConfig())
-    assert got == (0, 0, 0, np.inf)  # no step is counted
-    assert ws.w_exhausted_t == 0.5 and ws.hdt == 0.0
+    kernels.segment_numpy(state, 0.75, ws, PARAMS, StepperConfig())
+    assert ws.stats == kernels.AdvanceStats(w_exhausted_t=0.5)  # no step
+    assert ws.hdt == 0.0
     assert state.t == 0.75
     want = kernels.heat_flow(_modes(grid, PARAMS.D_u), u0, 0.25,
                              np.empty(16))

@@ -1,10 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from nutaxis import (
-    AdvanceStats,
     Constant,
     Gaussian,
     Geometry,
@@ -218,25 +218,26 @@ def test_advance_recovers_by_halving(monkeypatch, backend):
     assert res.stats.min_dt < cfg.dt
 
 
-def _fail_from_call(monkeypatch, n_fail, field):
-    """Make kernels.attempt_step_numpy fail from call n_fail on.
+def _fail_from_call(monkeypatch, n_fail, field, count=math.inf):
+    """Make kernels.attempt_step_numpy fail ``count`` times from call n_fail on.
 
     It rejects ``field`` at cell 2, or with ``field=None`` raises the
-    singular-solve error.  Returns the list of every attempt's dt.
+    singular-solve error.  Returns the list of every attempt's
+    ``(dt, sbdf2)``.
     """
-    dts = []
+    attempts = []
     real = kernels.attempt_step_numpy
 
     def attempt(state, ws, sbdf2, dt, params):
-        dts.append(dt)
-        if len(dts) < n_fail:
+        attempts.append((dt, sbdf2))
+        if not n_fail <= len(attempts) < n_fail + count:
             return real(state, ws, sbdf2, dt, params)
         if field is None:
             raise np.linalg.LinAlgError("zero pivot")
         return field, 2
 
     monkeypatch.setattr(kernels, "attempt_step_numpy", attempt)
-    return dts
+    return attempts
 
 
 @pytest.mark.parametrize("field, error", [
@@ -252,9 +253,10 @@ def test_failure_reports_the_failing_step_start_and_dt(monkeypatch, field,
     state = State(0.0, 1.0 + grid.centers, np.ones(16), np.zeros(16))
     monkeypatch.setattr(kernels, "MAX_RETRIES", 2)
     cfg = StepperConfig(dt=0.01)
-    dts = _fail_from_call(monkeypatch, 8, field)
+    attempts = _fail_from_call(monkeypatch, 8, field)
     with pytest.raises(error) as err:
         advance(state, grid, HEAT, cfg, t_end=0.1, observe_times=[0.05])
+    dts = [dt for dt, _ in attempts]
     assert err.value.t == pytest.approx(sum(dts[:7]), rel=1e-12)
     assert err.value.t == pytest.approx(0.07, rel=1e-12)
     assert state.t == err.value.t
@@ -267,6 +269,56 @@ def test_failure_reports_the_failing_step_start_and_dt(monkeypatch, field,
         assert len(dts) == 8  # a singular solve is not retried
     assert f"t = {err.value.t:.6g}" in str(err.value)
     assert f"dt = {err.value.dt:.6g}" in str(err.value)
+
+
+def test_a_rejection_retries_with_backward_euler_at_half_dt(monkeypatch):
+    # 10 steps of 0.01 in two output segments; only the third attempt fails.
+    # The retry is a backward-Euler step at half dt, refitted to the 0.03
+    # left in segment one; dt grows only after that retry is accepted, and
+    # SBDF2 resumes once the history was left by a step of the same dt
+    grid = build_grid(Geometry("interval", 16))
+    state = State(0.0, 1.0 + grid.centers, np.ones(16), np.zeros(16))
+    attempts = _fail_from_call(monkeypatch, 3, "u", count=1)
+    res = advance(state, grid, HEAT, StepperConfig(dt=0.01), t_end=0.1,
+                  observe_times=[0.05])
+    want = [(0.01, False), (0.01, True), (0.01, True),  # rejected
+            (0.005, False),  # the retry: 6 steps of 0.005 fit 0.03
+            (0.025 / 3, False), (0.025 / 3, True), (0.025 / 3, True),
+            (0.01, False)] + [(0.01, True)] * 4
+    assert [sbdf2 for _, sbdf2 in attempts] == [s for _, s in want]
+    assert [dt for dt, _ in attempts] == pytest.approx(
+        [dt for dt, _ in want], rel=1e-12)
+    stats = res.stats
+    assert (stats.accepted, stats.rejected, stats.rebuilds) == (11, 1, 4)
+    assert stats.min_dt == pytest.approx(0.005, rel=1e-12)
+    assert res.state.t == 0.1
+
+
+def test_a_draining_cell_raises_instead_of_stalling(monkeypatch):
+    # u in the last cell drains toward U_FLOOR: steps there are rejected
+    # down to a tiny dt.  An accepted step must not reset the dt floor, or
+    # dt doubles straight back, is rejected again, and the run makes no
+    # progress; the attempt budget makes such a run fail, not hang
+    budget = 20_000
+    attempts = []
+    real = kernels.attempt_step_numpy
+
+    def attempt(*args):
+        attempts.append(None)
+        if len(attempts) > budget:
+            raise AssertionError(f"no end after {budget} attempts")
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "attempt_step_numpy", attempt)
+    grid = build_grid(Geometry("interval", 100))
+    params = ModelParams(D_u=1e-3, D_w=1.0, chi=50.0, alpha=2.0, beta=200.0,
+                         gamma=200.0, delta=1.0)
+    state, _ = init_state(Gaussian(1e-12, 1.0, 400.0, 0.3), Constant(1.0),
+                          Gaussian(0.0, 20.0, 15.0, 0.7), grid)
+    with pytest.raises(PositivityViolation) as err:
+        advance(state, grid, params, StepperConfig(), t_end=1e-3)
+    assert (err.value.field, err.value.cell) == ("u", 99)
+    assert 0.0 < err.value.t < 1e-3 and state.t == err.value.t
 
 
 def test_positivity_violation_message_without_dt():
@@ -303,12 +355,3 @@ def test_nutrient_snaps_to_exact_zero_and_stays():
     assert np.all(w_2 == 0.0)
     assert np.all(more.state.w == 0.0)
     np.testing.assert_array_equal(more.state.v, v_frozen)
-
-
-def test_advance_stats_merge():
-    s = AdvanceStats()
-    s.merge(3, 1, 1, 0.5)
-    s.merge(2, 0, 0, 0.25)
-    assert (s.accepted, s.rejected, s.rebuilds) == (5, 1, 1)
-    assert s.min_dt == 0.25
-

@@ -280,6 +280,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                "rebuilds": stats.rebuilds, "min_dt": stats.min_dt,
                "backend": "numpy", "outputs": len(records),
                "w_exhausted_t": stats.w_exhausted_t,
+               "I_bracket": (None if stats.I_bracket is None
+                             else list(stats.I_bracket)),
                "I_inf": (None if stats.w_exhausted_t is None
                          else long_time_index(state, grid))},
         audits=audits,

@@ -25,8 +25,8 @@ use, so a patched or traced primitive sees every call:
   ``un, vn, wn, nn`` and returns ``None``, or ``(field, cell)`` on a
   positivity failure.
 
-A run that starts with ``w0 == 0`` (``w_snap == 0``) never takes the
-exhaustion step 3 below: it steps the heat flow with SBDF2, which is what
+A run that starts with ``w0 == 0`` (``w_tail < 0``) never takes the
+tail of step 3 below: it steps the heat flow with SBDF2, which is what
 the heat oracles of :mod:`nutaxis.verify` measure.
 
 A run is bitwise deterministic, and the module constants (such as
@@ -44,13 +44,19 @@ Segment algorithm:
        sink cap SINK_DT_CAP/max(beta f(u*) + gamma v*) over cells with w > 0
        (keeps the implicit two-step decay in its over-damped regime);
        source cap SOURCE_DT_CAP/(max(delta, alpha) * max w),
-    3. exhaustion: if the run started with nutrient (w_snap > 0) and max w
-       is now 0, w stays 0, v is frozen and u follows the discrete Neumann
-       heat flow.  That flow is taken exactly over the whole remaining gap
-       (heat_flow over the heat_modes of D_u, built once per workspace at
-       the first exhaustion); v and w are left untouched, no step is
-       counted, the two-step history is dropped (hdt = 0) and the segment
-       ends; a u <= U_FLOOR raises PositivityViolation,
+    3. end of the nutrient phase: once max w <= w_tail (TAIL_TOL over
+       the bracket constant C of _tail_level), what nutrient is left
+       moves I(inf) = int ln v - |Omega| ln(ubar) by at most
+       TAIL_TOL * |Omega|.  From then on w = 0, v is frozen and u follows
+       the discrete Neumann heat flow, taken exactly: the switch state's
+       mean and heat_modes coefficients are kept (heat_project), and u at
+       each later segment end is their heat_evolve over the time since
+       the switch.  No step is counted, the two-step history is dropped
+       (hdt = 0), and the I(inf) bracket at the switch is kept in
+       stats.I_bracket; a u <= U_FLOOR raises PositivityViolation.  Where
+       the bracket has no finite constant (beta = 0 or gamma = 0, or
+       alpha = delta = 0) w_tail = 0, so the switch waits until every
+       cell of w has snapped to 0,
     4. fit dt below the cap so the segment lands exactly on its end time;
        dt grows (by _GROWTH_FACTOR, up to the cap and the base dt) only
        after an accepted step.  The step is SBDF2 when the history was left
@@ -85,8 +91,9 @@ __all__ = [
     "Workspace",
     "attempt_step_numpy",
     "grid_coefficients",
-    "heat_flow",
+    "heat_evolve",
     "heat_modes",
+    "heat_project",
     "segment_numpy",
     "solve_tridiag",
 ]
@@ -99,6 +106,9 @@ SINK_DT_CAP = 0.45
 SOURCE_DT_CAP = 0.45  # bound on dt * max(delta, alpha) * max w
 MAX_RETRIES = 12  # a retried dt stays >= its cap * 2**-MAX_RETRIES
 W_SNAP_REL = 1e-250  # snap-to-zero floor for w, relative to the initial max
+# the nutrient phase ends once what is left of it can move I(inf) by at most
+# TAIL_TOL * |Omega| (step 3 of the algorithm)
+TAIL_TOL = 1e-12
 
 
 class PositivityViolation(RuntimeError):
@@ -152,8 +162,10 @@ def grid_coefficients(grid):
 class AdvanceStats:
     """Step statistics of one run, summed over its segments.
 
-    ``w_exhausted_t`` is the time from which all of the nutrient was snapped
-    away and the heat flow of u was taken exactly, or ``None``.
+    ``w_exhausted_t`` is the time at which the nutrient phase ended and the
+    heat flow of u was taken exactly from then on, or ``None``.
+    ``I_bracket = (lo, hi)`` bounds ``I(inf) = int ln v - |Omega| ln(ubar)``
+    of the semi-discrete flow from the state at that time, or is ``None``.
     """
 
     accepted: int = 0
@@ -161,6 +173,7 @@ class AdvanceStats:
     rebuilds: int = 0  # backward-Euler (re)start steps taken
     min_dt: float = math.inf
     w_exhausted_t: Optional[float] = None
+    I_bracket: Optional[tuple[float, float]] = None
 
 
 class Workspace:
@@ -170,19 +183,24 @@ class Workspace:
     are the previous accepted level, ``hnu`` its explicit u-term and
     ``hdt > 0`` the step that left it; ``hdt == 0`` while there is no such
     level.  ``w_snap`` is the snap-to-zero floor of w, ``W_SNAP_REL`` times
-    the max of ``w0``.  ``sink``, the new level ``un, vn, wn, nn`` and
-    ``work`` (shape ``(5, n + 1)``) are scratch of each attempt.
-    ``heat`` holds the :func:`heat_modes` of ``D_u``, built at the first
-    exhaustion of w, and ``stats`` the run's :class:`AdvanceStats`.
+    the max of ``w0``, and ``w_tail`` the max w at which the nutrient
+    phase ends (:func:`_tail_level` of the entry ``state`` and ``params``).
+    ``sink``, the new level ``un, vn, wn, nn`` and ``work`` (shape
+    ``(5, n + 1)``) are scratch of each attempt.  ``tail`` is ``None``
+    until the nutrient phase ends, then ``(t, modes, mean, coef)``: the
+    switch time, the :func:`heat_modes` of ``D_u`` and the
+    :func:`heat_project` of u at that time.  ``stats`` holds the run's
+    :class:`AdvanceStats`.
     """
 
-    def __init__(self, grid, w0: np.ndarray):
+    def __init__(self, grid, state, params):
         n = grid.n
         self.m, self.cl, self.cr, self.af, self.h = grid_coefficients(grid)
         self.hu, self.hv, self.hw, self.hnu = np.zeros((4, n))
         self.hdt = 0.0
-        self.w_snap = W_SNAP_REL * float(np.max(w0, initial=0.0))
-        self.heat = None
+        self.w_snap = W_SNAP_REL * float(np.max(state.w, initial=0.0))
+        self.w_tail = _tail_level(self.m, state, params)
+        self.tail = None
         self.stats = AdvanceStats()
         self.sink, self.un, self.vn, self.wn, self.nn = np.empty((5, n))
         self.work = np.empty((5, n + 1))
@@ -199,9 +217,9 @@ def segment_numpy(state, t_to, ws, params, cfg):
     :class:`nutaxis.stepper.StepperConfig` of the run.  Continues the
     two-step scheme from the history in ``ws``, leaves the last accepted
     step's history there and counts its steps in ``ws.stats``.  Once the
-    run's nutrient is exhausted, the rest of the segment is the exact heat
-    flow of u (step 3 of the module's algorithm), and
-    ``ws.stats.w_exhausted_t`` holds the time this first happened.
+    run's nutrient phase has ended (step 3 of the module's algorithm), u at
+    ``t_to`` is the exact heat flow of the switch state, and
+    ``ws.stats.w_exhausted_t`` holds the switch time.
 
     Raises:
         PositivityViolation: a rejected step's halved dt would fall below
@@ -217,25 +235,16 @@ def segment_numpy(state, t_to, ws, params, cfg):
 
     rem = t_to - state.t  # k * dt once dt is fitted
     k, dt = 0, math.inf  # k steps of dt remain; the first pass fits dt
-    while rem > 0.0:
+    while rem > 0.0 and ws.tail is None:
         # ---- sink at the extrapolants of the next attempt, and the caps
         _fill_sink_numpy(sink, u, v, ws.hu, ws.hv, ws.hdt > 0.0, beta, gamma,
                          eps)
         dw, smax, wmax = _cap_terms_numpy(w, sink)
-        if wmax == 0.0 and ws.w_snap > 0.0:
-            # all of the run's nutrient is snapped away: w stays 0, v is
-            # frozen and u follows the heat flow, taken exactly over the rest
-            t_now = max(state.t, t_to - rem)
-            if ws.heat is None:
-                ws.heat = heat_modes(ws.m, ws.cl, ws.cr, params.D_u)
-                stats.w_exhausted_t = t_now
-            heat_flow(ws.heat, u, rem, ws.un)
-            if np.minimum.reduce(ws.un) <= U_FLOOR:
-                state.t = t_now
-                raise PositivityViolation(
-                    "u", int(np.argmax(ws.un <= U_FLOOR)), t_now)
-            u[:] = ws.un
-            ws.hdt = 0.0
+        if wmax <= ws.w_tail:
+            # what nutrient is left can no longer move I(inf): w is dropped,
+            # v frozen, and u follows the heat flow from here, exactly
+            state.t = max(state.t, t_to - rem)
+            _end_nutrient_phase(state, ws, params)
             break
         cap = dt_base
         if chi > 0.0:
@@ -294,7 +303,62 @@ def segment_numpy(state, t_to, ws, params, cfg):
         k -= 1
         rem = k * dt
 
+    if ws.tail is not None:
+        t_sw, modes, mean, coef = ws.tail
+        heat_evolve(modes, mean, coef, t_to - t_sw, ws.un)
+        if np.minimum.reduce(ws.un) <= U_FLOOR:
+            raise PositivityViolation(
+                "u", int(np.argmax(ws.un <= U_FLOOR)), state.t)
+        u[:] = ws.un
     state.t = t_to
+
+
+def _tail_level(m, state, params):
+    """The max w at which a run from ``state`` ends its nutrient phase.
+
+    For t >= t0 the semi-discrete ``w`` lies below ``exp(-(t - t0) A) w(t0)``
+    with ``A = -D_w lap + gamma diag(v(t0))``, an M-matrix with ``A^-1 1 <=
+    1 / (gamma min v)``.  So ``int ln v`` can still rise by at most
+    ``alpha m.A^-1 w <= alpha W / (gamma min v)`` and ``int u`` by at most
+    ``(delta / beta) W``, with ``W = m.w <= |Omega| max w``.  As ``v`` and
+    ``int u`` do not decrease, ``I(inf)`` then lies in a bracket of width at
+    most ``|Omega| max w C``, ``C = alpha / (gamma min v0) + delta |Omega| /
+    (beta U0)`` with ``U0 = m.u0``; ``TAIL_TOL / C`` bounds it by
+    ``TAIL_TOL |Omega|``.  The level is 0 (the phase ends once every cell
+    of w has snapped to 0) where ``C`` is not a positive finite number:
+    ``beta = 0``, ``gamma = 0`` or ``alpha = delta = 0`` (where w still
+    moves u by taxis but never moves ``I(inf)``).  It is -1, never reached,
+    when ``w0 == 0``.
+    """
+    if not np.max(state.w, initial=0.0) > 0.0:
+        return -1.0
+    volume = float(np.sum(m))
+    gv = params.gamma * float(np.min(state.v))
+    bu = params.beta * float(np.dot(m, state.u))
+    if not (gv > 0.0 and bu > 0.0):  # also where the products underflow
+        return 0.0
+    c = params.alpha / gv + params.delta * volume / bu
+    return TAIL_TOL / c if 0.0 < c < math.inf else 0.0
+
+
+def _end_nutrient_phase(state, ws, params):
+    # the I(inf) bracket of _tail_level from the state at the switch, then
+    # w = 0 and the heat tail's coefficients of u
+    u, v, w, m = state.u, state.v, state.w, ws.m
+    modes = heat_modes(m, ws.cl, ws.cr, params.D_u)
+    volume = modes[4]
+    mass_u, mass_w = float(np.dot(m, u)), float(np.dot(m, w))
+    ln_v = float(np.dot(m, np.log(v)))
+    gain_v = gain_u = 0.0
+    if mass_w > 0.0:  # then beta > 0 and gamma > 0
+        gain_v = params.alpha * mass_w / (params.gamma * float(np.min(v)))
+        gain_u = params.delta / params.beta * mass_w
+    ws.stats.I_bracket = (ln_v - volume * math.log((mass_u + gain_u) / volume),
+                          ln_v + gain_v - volume * math.log(mass_u / volume))
+    ws.stats.w_exhausted_t = state.t
+    w[:] = 0.0
+    ws.hdt = 0.0
+    ws.tail = (state.t, modes, *heat_project(modes, u))
 
 
 def _fit(span, cap):
@@ -353,6 +417,7 @@ def solve_tridiag(cl, cr, diag, rhs, D, work=None):
 
 
 _dstemr = None  # scipy's dstemr and dstemr_lwork, looked up on first use
+_modes_cache = None  # (key, modes) of the last heat_modes call
 
 
 def heat_modes(m, cl, cr, D):
@@ -371,12 +436,18 @@ def heat_modes(m, cl, cr, D):
     pinned to 0.
 
     Returns ``(lam, q, s, m, volume)``, with ``s = sqrt(m)`` and ``volume =
-    sum(m)``, for :func:`heat_flow`.
+    sum(m)``, for :func:`heat_project` and :func:`heat_evolve`.  The
+    arrays are read-only: the last
+    result is cached on ``(m, cl, cr, D)``, so the runs of a sweep on one
+    grid and ``D`` share one set of modes.
 
     Raises:
         np.linalg.LinAlgError: if ``dstemr`` fails.
     """
-    global _dstemr
+    global _dstemr, _modes_cache
+    key = (m.tobytes(), cl.tobytes(), cr.tobytes(), float(D))
+    if _modes_cache is not None and _modes_cache[0] == key:
+        return _modes_cache[1]
     if _dstemr is None:  # deferred: importing scipy takes ~0.3 s
         from scipy.linalg import lapack
         _dstemr = lapack.dstemr, lapack.dstemr_lwork
@@ -392,25 +463,38 @@ def heat_modes(m, cl, cr, D):
     if info != 0:
         raise np.linalg.LinAlgError(f"dstemr failed with info = {info}")
     lam[-1] = 0.0
-    return lam, q, np.sqrt(m), m, float(np.sum(m))
+    m = np.array(m)
+    modes = lam, q, np.sqrt(m), m, float(np.sum(m))
+    for a in modes[:4]:
+        a.flags.writeable = False
+    _modes_cache = key, modes
+    return modes
 
 
-def heat_flow(modes, u, tau, out):
-    """``u`` advanced by ``tau >= 0`` under the discrete heat flow, in ``out``.
-
-    Exact in time: ``out = ubar + s^-1 q exp(tau lam) q^T (s (u - ubar))``
-    with the :func:`heat_modes` ``(lam, q, s)`` and the mean ``ubar =
-    (m . u) / volume``.  The mean is carried apart from the modes, so the
-    mass ``m . out`` is ``m . u`` to roundoff for every ``tau``.  ``out``
-    must not be ``u``; it is returned.
+def heat_project(modes, u):
+    """The mean ``ubar = (m . u) / volume`` of ``u`` and the coefficients
+    ``q^T (s (u - ubar))`` of the rest over the :func:`heat_modes`.
     """
-    lam, q, s, m, volume = modes
+    _, q, s, m, volume = modes
     mean = float(np.dot(m, u)) / volume
-    np.subtract(u, mean, out=out)
-    out *= s
-    c = np.dot(out, q)
-    c *= np.exp(tau * lam)
-    np.dot(q, c, out=out)
+    return mean, np.dot((u - mean) * s, q)
+
+
+def heat_evolve(modes, mean, coef, tau, out):
+    """The discrete heat flow over ``tau >= 0`` of a :func:`heat_project`.
+
+    Exact in time: ``out = mean + s^-1 q (exp(tau lam) coef)`` with the
+    :func:`heat_modes` ``(lam, q, s)``, summed over the modes from the first
+    whose factor ``exp(tau lam)`` has not underflowed to 0 (``lam`` ascends
+    to 0), so a late time costs only the slow modes.  The mean is carried
+    apart from the modes, so the mass ``m . out`` is that of the projected
+    u to roundoff for every ``tau``.  ``out`` is returned.
+    """
+    lam, q, s, _, _ = modes
+    c = np.exp(tau * lam)
+    j0 = int(np.argmax(c > 0.0))  # lam[-1] == 0, so c[-1] == 1
+    c *= coef
+    np.dot(q[:, j0:], c[j0:], out=out)
     out /= s
     out += mean
     return out

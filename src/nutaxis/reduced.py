@@ -28,7 +28,7 @@ import numpy as np
 from .diagnostics import NonpositiveField, _ln, jensen_gap
 from .experiments import OutputSchedule, output_times
 from .grid import Grid
-from .kernels import grid_coefficients, heat_flow, heat_modes
+from .kernels import grid_coefficients, heat_evolve, heat_modes, heat_project
 from .model import ModelParams
 from .operators import integrate
 from .profiles import Profile, sample
@@ -214,9 +214,10 @@ def heat_solve(u0: Union[Profile, np.ndarray], D: float, grid: Grid,
                t_end: float) -> HeatTrajectory:
     """Run U_t = D*lap(U) and record int ln U and sup|U - mean|.
 
-    The flow is exact in time: each observed U is `kernels.heat_flow` of
-    the initial data over the grid's `kernels.heat_modes`.  The mean is the
-    discrete volume average of the initial data (mass is conserved).
+    The flow is exact in time: the initial data is projected once on the
+    grid's `kernels.heat_modes` (`kernels.heat_project`), and each observed
+    U is that projection's `kernels.heat_evolve`.  The mean is the discrete
+    volume average of the initial data (mass is conserved).
     Observation times are t = 0, then those of the default
     ``OutputSchedule`` (1e-3 * 1.25^k), then t_end.
 
@@ -234,14 +235,13 @@ def heat_solve(u0: Union[Profile, np.ndarray], D: float, grid: Grid,
         raise NonpositiveField("heat initial data must be positive")
     m, cl, cr, _, _ = grid_coefficients(grid)
     modes = heat_modes(m, cl, cr, D)
-
-    mean = float(integrate(arr, grid) / grid.volume)
+    mean, coef = heat_project(modes, arr)
     times = [0.0, *output_times(OutputSchedule(), t_end)]
     int_ln = [float(integrate(np.log(arr), grid))]
     sup = [float(np.max(np.abs(arr - mean)))]
     u = np.empty_like(arr)
     for t in times[1:]:
-        heat_flow(modes, arr, t, u)
+        heat_evolve(modes, mean, coef, t, u)
         int_ln.append(float(integrate(_ln(u), grid)))
         sup.append(float(np.max(np.abs(u - mean))))
     return HeatTrajectory(np.array(times), np.array(int_ln), np.array(sup), mean)

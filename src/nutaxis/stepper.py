@@ -4,9 +4,10 @@
 :func:`nutaxis.kernels.segment_numpy`, in one workspace, so the two-step
 scheme carries across output times.  The scheme (SBDF2 with a
 backward-Euler starter), the step-size caps, the rejection and its dt
-floor, the snap-to-zero of the nutrient and the exact heat flow once it is
-exhausted are documented in :mod:`nutaxis.kernels`, which takes every step
-and raises the errors re-exported here.
+floor, the snap-to-zero of the nutrient and the exact heat flow once what
+is left of it can no longer move I(inf) are documented in
+:mod:`nutaxis.kernels`, which takes every step and raises the errors
+re-exported here.
 """
 from __future__ import annotations
 
@@ -64,7 +65,8 @@ def advance(state: State, grid: Grid, params: ModelParams, cfg: StepperConfig,
     ``observe_times`` must lie in ``(state.t, t_end]``; ``observer(state)``
     is called each time one is reached.  Each call starts the two-step
     scheme afresh with a backward-Euler step; the snap-to-zero floor of w
-    is anchored to the max of ``state.w`` on entry.
+    and the max w at which the nutrient phase ends are set from ``state``
+    on entry.
 
     Raises:
         ValueError: unless state.t <= t_end < inf and every observe time
@@ -85,7 +87,7 @@ def advance(state: State, grid: Grid, params: ModelParams, cfg: StepperConfig,
         if sorted(targets) != targets:
             raise ValueError("observe times must be sorted")
 
-    ws = kernels.Workspace(grid, state.w)
+    ws = kernels.Workspace(grid, state, params)
     # a trailing t_end equal to the last target is an empty segment
     for i, tt in enumerate(targets + [t_end]):
         if tt > state.t:

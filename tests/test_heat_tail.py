@@ -1,10 +1,12 @@
-"""The exact nutrient-free tail of the stepping kernel.
+"""The end of the nutrient phase and the exact heat tail of the kernel.
 
-Once all of a run's nutrient is snapped away, ``kernels.segment_numpy``
-takes the rest of each segment with the exact heat map
-``kernels.heat_flow`` instead of SBDF2 steps.  Each kernel test runs on the
-numpy primitives and on the loop reference (``backend`` fixture); the map
-itself is shared.
+Once what is left of a run's nutrient can no longer move I(inf) by more
+than ``kernels.TAIL_TOL * |Omega|`` (or, where that bound has no finite
+constant, once all of it is snapped away), ``kernels.segment_numpy`` drops
+w, freezes v and takes u at each later segment end from the exact heat map
+of the switch state (``kernels.heat_project`` and ``heat_evolve``) instead of
+SBDF2 steps.  Each kernel test runs on the numpy primitives and on the loop
+reference (``backend`` fixture); the map itself is shared.
 """
 import numpy as np
 import pytest
@@ -23,13 +25,17 @@ from nutaxis import (
     init_state,
     integrate,
 )
-from nutaxis import kernels
+from nutaxis import kernels, long_time_index
 from nutaxis.reduced import heat_params
 
 import loop_reference
 
 PARAMS = ModelParams(D_u=1.0, D_w=1.0, chi=0.5, alpha=2.0, beta=200.0,
                      gamma=200.0, delta=1.0)
+# gamma = 0: the I(inf) bracket has no finite constant, so the run waits for
+# the snap
+SNAP_PARAMS = ModelParams(D_u=1.0, D_w=1.0, chi=0.5, alpha=2.0, beta=200.0,
+                          gamma=0.0, delta=1.0)
 
 
 def _modes(grid, D):
@@ -37,41 +43,82 @@ def _modes(grid, D):
     return kernels.heat_modes(m, cl, cr, D)
 
 
-def _forbid_the_map(monkeypatch):
-    def never(*args):
-        raise AssertionError("the heat map was taken")
+def _heat_flow(grid, D, u, tau):
+    # the exact heat map of u over tau, as the kernel's tail takes it
+    modes = _modes(grid, D)
+    return kernels.heat_evolve(modes, *kernels.heat_project(modes, u), tau,
+                               np.empty(grid.n))
 
-    monkeypatch.setattr(kernels, "heat_flow", never)
+
+def _forbid_the_tail(monkeypatch):
+    def never(*args):
+        raise AssertionError("the nutrient phase ended")
+
+    monkeypatch.setattr(kernels, "_end_nutrient_phase", never)
+    monkeypatch.setattr(kernels, "heat_evolve", never)
+
+
+def _workspace(grid, params):
+    # a workspace of a run that started from u = 1 + x, v = 1, w = 60
+    start = State(0.0, 1.0 + grid.centers, np.ones(grid.n),
+                  np.full(grid.n, 60.0))
+    return kernels.Workspace(grid, start, params)
 
 
 @pytest.mark.parametrize("cell", [0, 7, 15])
 def test_tail_does_not_fire_while_any_cell_has_nutrient(backend, monkeypatch,
                                                         cell):
-    # a run that started with nutrient (w_snap > 0) and has it left in one
-    # cell only keeps stepping
+    # with gamma = 0 the switch waits for the snap: a run that started with
+    # nutrient and has it left in one cell only keeps stepping
     grid = build_grid(Geometry("interval", 16))
-    ws = kernels.Workspace(grid, np.full(16, 60.0))
+    ws = _workspace(grid, SNAP_PARAMS)
+    assert ws.w_tail == 0.0
     w = np.zeros(16)
     w[cell] = 1e-200
     state = State(0.0, 1.0 + grid.centers, np.ones(16), w)
-    _forbid_the_map(monkeypatch)
-    kernels.segment_numpy(state, 0.01, ws, PARAMS, StepperConfig(dt=0.005))
+    _forbid_the_tail(monkeypatch)
+    kernels.segment_numpy(state, 0.01, ws, SNAP_PARAMS,
+                          StepperConfig(dt=0.005))
     assert ws.stats.accepted >= 2
-    assert ws.stats.w_exhausted_t is None and ws.heat is None
+    assert ws.stats.w_exhausted_t is None and ws.tail is None
     assert state.t == 0.01
+
+
+@pytest.mark.parametrize("cell", [0, 7, 15])
+def test_a_certified_remnant_ends_the_nutrient_phase_at_once(backend, cell):
+    # with gamma > 0 the same remnant is far below w_tail: no step is taken,
+    # w is dropped and the bracket holds the remnant's bound
+    grid = build_grid(Geometry("interval", 16))
+    ws = _workspace(grid, PARAMS)
+    u0 = 1.0 + grid.centers
+    c = (PARAMS.alpha / PARAMS.gamma
+         + PARAMS.delta * grid.volume / (PARAMS.beta * integrate(u0, grid)))
+    assert ws.w_tail == pytest.approx(kernels.TAIL_TOL / c, rel=1e-15)
+    w = np.zeros(16)
+    w[cell] = 0.5 * ws.w_tail
+    state = State(0.0, u0.copy(), np.ones(16), w)
+    kernels.segment_numpy(state, 0.01, ws, PARAMS, StepperConfig(dt=0.005))
+    assert ws.stats.accepted == 0 and ws.stats.w_exhausted_t == 0.0
+    assert np.all(state.w == 0.0) and np.all(state.v == 1.0)
+    lo, hi = ws.stats.I_bracket
+    assert lo < hi
 
 
 def test_tail_fires_at_once_when_the_nutrient_is_spent(backend):
     grid = build_grid(Geometry("interval", 16))
-    ws = kernels.Workspace(grid, np.full(16, 60.0))
+    ws = _workspace(grid, PARAMS)
     u0 = 1.0 + grid.centers
     state = State(0.5, u0.copy(), np.ones(16), np.zeros(16))
+    i_inf = long_time_index(state, grid)
     kernels.segment_numpy(state, 0.75, ws, PARAMS, StepperConfig())
-    assert ws.stats == kernels.AdvanceStats(w_exhausted_t=0.5)  # no step
+    # no step, and with no nutrient left the bracket is a point
+    assert ws.stats == kernels.AdvanceStats(w_exhausted_t=0.5,
+                                            I_bracket=ws.stats.I_bracket)
+    lo, hi = ws.stats.I_bracket
+    assert lo == hi == pytest.approx(i_inf, rel=1e-14)
     assert ws.hdt == 0.0
     assert state.t == 0.75
-    want = kernels.heat_flow(_modes(grid, PARAMS.D_u), u0, 0.25,
-                             np.empty(16))
+    want = _heat_flow(grid, PARAMS.D_u, u0, 0.25)
     np.testing.assert_array_equal(state.u, want)
 
 
@@ -79,7 +126,7 @@ def test_runs_without_nutrient_keep_their_step_counts(backend, monkeypatch):
     # w0 == 0 has w_snap == 0: the integrator's own heat oracle still steps
     grid = build_grid(Geometry("interval", 16))
     state = State(0.0, 1.0 + grid.centers, np.ones(16), np.zeros(16))
-    _forbid_the_map(monkeypatch)
+    _forbid_the_tail(monkeypatch)
     res = advance(state, grid, heat_params(1.0), StepperConfig(dt=0.01),
                   t_end=0.1, observe_times=[0.05])
     stats = res.stats
@@ -100,7 +147,8 @@ def test_after_exhaustion_mass_is_constant_and_v_w_are_frozen(backend):
                   observer=lambda s: seen.append((s.t, s.u.copy(), s.v.copy(),
                                                   s.w.copy())))
     t_ex = res.stats.w_exhausted_t
-    assert t_ex is not None and 0.25 < t_ex < 5.0
+    # the bracket closes at t ~ 0.07, long before the snap (t ~ 2)
+    assert t_ex is not None and 0.0 < t_ex < 5.0
     tail = [s for s in seen if s[0] >= t_ex]
     assert len(tail) > 150
     masses = np.array([integrate(u, grid) for _, u, _, _ in tail])
@@ -114,11 +162,117 @@ def test_after_exhaustion_mass_is_constant_and_v_w_are_frozen(backend):
     assert np.ptp(res.state.u) < 1e-12
 
 
+def _bumps(grid):
+    state, _ = init_state(Gaussian(base=0.5, amp=0.5, rate=10.0, center=0.2),
+                          Constant(1.0),
+                          Gaussian(base=0.5, amp=0.5, rate=10.0, center=0.5),
+                          grid)
+    return state
+
+
+def test_full_exhaustion_lands_in_the_bracket_of_the_switch(backend,
+                                                            monkeypatch):
+    # stepped on until every cell of w has snapped (TAIL_TOL = 0), a
+    # gamma > 0 run's I(inf) lies in the bracket the default run certified
+    # at its switch, up to the time error of the steps it took after it
+    grid = build_grid(Geometry("interval", 32))
+    runs, tail_tol = [], kernels.TAIL_TOL
+    for tol in (tail_tol, 0.0):
+        monkeypatch.setattr(kernels, "TAIL_TOL", tol)
+        runs.append(advance(_bumps(grid), grid, PARAMS, StepperConfig(),
+                            t_end=20.0))
+    default, full = runs
+    assert full.stats.w_exhausted_t > 10.0 * default.stats.w_exhausted_t
+    assert full.stats.accepted > 2 * default.stats.accepted
+    lo, hi = default.stats.I_bracket
+    assert 0.0 < hi - lo <= tail_tol * grid.volume
+    assert lo <= long_time_index(default.state, grid) <= hi
+    i_full = long_time_index(full.state, grid)
+    # measured: 8.7e-14 (numpy) and 1.8e-14 (loops) below lo
+    drift = 1e-12 * grid.volume
+    assert lo - drift <= i_full <= hi + drift
+
+
+@pytest.mark.parametrize("beta, gamma", [(0.0, 200.0), (200.0, 0.0)])
+def test_without_a_finite_bracket_the_run_waits_for_the_snap(
+        backend, monkeypatch, beta, gamma):
+    grid = build_grid(Geometry("interval", 16))
+    params = ModelParams(D_u=1.0, D_w=1.0, chi=0.5, alpha=2.0, beta=beta,
+                         gamma=gamma, delta=1.0)
+    monkeypatch.setattr(kernels, "W_SNAP_REL", 1e-6)  # a short run
+    state = _bumps(grid)
+    assert kernels.Workspace(grid, state, params).w_tail == 0.0
+    wmax = []
+    res = advance(state, grid, params, StepperConfig(), t_end=2.0,
+                  observe_times=np.linspace(0.01, 2.0, 200),
+                  observer=lambda s: wmax.append((s.t, s.w.max())))
+    t_ex = res.stats.w_exhausted_t
+    assert t_ex is not None
+    assert all(w > 0.0 for t, w in wmax if t < t_ex)
+    lo, hi = res.stats.I_bracket
+    assert lo == hi  # nothing was left at the switch
+
+
+@pytest.mark.parametrize("v0", [0.5, 1.0])
+def test_a_subnormal_gamma_waits_for_the_snap(backend, v0):
+    # gamma = 5e-324, beta = 1, as a property test drew it: gamma * min v0
+    # underflows to 0 (v0 = 0.5), or alpha / (gamma * min v0) overflows
+    # (v0 = 1); either way the level is the snap's, with no division by 0
+    grid = build_grid(Geometry("interval", 16))
+    params = ModelParams(D_u=1.0, D_w=1.0, chi=0.5, alpha=2.0, beta=1.0,
+                         gamma=5e-324, delta=1.0)
+    state, _ = init_state(Gaussian(0.5, 0.5, 10.0, 0.2), Constant(v0),
+                          Gaussian(0.5, 0.5, 10.0, 0.5), grid)
+    assert kernels.Workspace(grid, state, params).w_tail == 0.0
+    res = advance(state, grid, params, StepperConfig(dt=0.01), t_end=0.05)
+    assert res.stats.w_exhausted_t is None
+    assert np.all(res.state.u > 0.0) and np.all(res.state.w > 0.0)
+
+
+def test_modal_tail_is_the_heat_flow_of_the_switch_state(backend,
+                                                        monkeypatch):
+    grid = build_grid(Geometry("radial", 32, d=3))
+    switches = []
+    end_phase = kernels._end_nutrient_phase
+
+    def recorded(state, ws, params):
+        switches.append((state.t, state.u.copy()))
+        end_phase(state, ws, params)
+
+    monkeypatch.setattr(kernels, "_end_nutrient_phase", recorded)
+    seen = []
+    advance(_bumps(grid), grid, PARAMS, StepperConfig(), t_end=60.0,
+            observe_times=np.geomspace(0.5, 50.0, 200),
+            observer=lambda s: seen.append((s.t, s.u.copy())))
+    (t_sw, u_sw), = switches
+    assert t_sw < seen[0][0]
+    # the plain map over every mode, from the switch state
+    lam, q, s, m, volume = _modes(grid, PARAMS.D_u)
+    mean = np.dot(m, u_sw) / volume
+    coef = q.T @ (s * (u_sw - mean))
+    for t, u in seen:
+        want = mean + q @ (np.exp((t - t_sw) * lam) * coef) / s
+        np.testing.assert_allclose(u, want, rtol=1e-13, atol=0.0)
+    masses = np.array([integrate(u, grid) for _, u in seen])
+    assert np.ptp(masses) <= 1e-14 * masses[0]
+
+
+def test_heat_modes_are_built_once_per_grid_and_diffusivity():
+    grid = build_grid(Geometry("interval", 16))
+    first = _modes(grid, 1.0)
+    assert _modes(grid, 1.0) is first
+    assert not any(a.flags.writeable for a in first[:4])
+    other = _modes(grid, 2.0)
+    np.testing.assert_allclose(other[0], 2.0 * first[0], rtol=1e-12,
+                               atol=1e-12)
+    assert _modes(build_grid(Geometry("interval", 17)), 2.0)[0].shape == (17,)
+
+
 def test_map_matches_fine_sbdf2_on_a_radial_ball(backend):
     grid = build_grid(Geometry("radial", 32, d=3))
     u0 = 1.0 + np.exp(-20.0 * grid.centers ** 2)
     D, t_end = 0.7, 0.05
-    mapped = kernels.heat_flow(_modes(grid, D), u0, t_end, np.empty(32))
+    mapped = _heat_flow(grid, D, u0, t_end)
 
     def sbdf2(dt):
         state = State(0.0, u0.copy(), np.ones(32), np.zeros(32))
@@ -151,8 +305,7 @@ bumps = st.builds(Gaussian, base=st.floats(0.1, 1.0), amp=st.floats(0.0, 1.0),
 def test_heat_map_keeps_u_positive_and_its_mass(geometry, u0, D_u, tau):
     grid = build_grid(geometry)
     state, _ = init_state(u0, Constant(1.0), Constant(0.0), grid)
-    out = kernels.heat_flow(_modes(grid, D_u), state.u, tau,
-                            np.empty(grid.n))
+    out = _heat_flow(grid, D_u, state.u, tau)
     assert np.all(out > 0.0)
     mass = integrate(state.u, grid)
     assert abs(integrate(out, grid) - mass) <= 1e-14 * mass

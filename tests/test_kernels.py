@@ -92,13 +92,14 @@ def _attempt_inputs(geometry, eps, w_snap=1e-250):
     state, _ = init_state(bump, bump, Gaussian(base=1.0, amp=2.0, rate=15.0,
                                                center=0.0), grid)
     u, v, w = state.u, state.v, state.w
-    ws = kernels.Workspace(grid, w)
+    params = ModelParams(*PARAMS, eps_reg=eps)
+    ws = kernels.Workspace(grid, state, params)
     ws.w_snap = w_snap
     ws.hu[:], ws.hv[:], ws.hw[:] = 0.99 * u, 1.01 * v, 1.02 * w
     ws.hnu[:] = np.linspace(-1.0, 1.0, grid.n)
     kernels._fill_sink_numpy(ws.sink, u, v, ws.hu, ws.hv, True, 200.0, 200.0,
                              eps)
-    return state, ws, ModelParams(*PARAMS, eps_reg=eps)
+    return state, ws, params
 
 
 def _inputs(state, ws):

@@ -16,15 +16,17 @@ object per run to ``FILE``:
 * ``min_dt`` and ``I_end`` (the last record's ``I``) as ``float.hex``.
 
 ``compare`` prints every value that differs between two such files, by run
-and dotted key, and exits 1 if there is any.  Equal digests mean bitwise
-equal final arrays and records.  One ``run`` takes about two minutes on a
-2-vCPU host, most of it in the two fig3 presets.
+and dotted key, and exits 1 if there is any; a differing ``I_end`` or
+``min_dt`` is also shown in decimal, with its relative change.  Equal
+digests mean bitwise equal final arrays and records.  One ``run`` takes
+about 20 s on a 2-vCPU host, most of it in the two fig3 presets.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -36,6 +38,7 @@ PRESETS = [("fig1_left", 60), ("fig1_left", 120), ("fig1_left", 240),
            ("fig1_right", 1.4), ("fig1_right", 14), ("fig1_right", 20),
            ("fig3", 1), ("fig3", 3)]
 DENSE_SEED = 1
+HEX_KEYS = ("I_end", "min_dt")  # digested as float.hex
 
 
 def _sha256(data: bytes) -> str:
@@ -116,7 +119,21 @@ def differences(a, b, path: str = "") -> list[str]:
             else:
                 out.extend(differences(a[k], b[k], sub))
         return out
-    return [] if a == b else [f"{path}: {a!r} != {b!r}"]
+    if a == b:
+        return []
+    line = f"{path}: {a!r} != {b!r}"
+    if isinstance(a, str) and path.rsplit(".", 1)[-1] in HEX_KEYS:
+        line += f" ({moved(a, b)})"
+    return [line]
+
+
+def moved(a: str, b: str) -> str:
+    """Two float.hex strings in decimal, with the relative change."""
+    x, y = float.fromhex(a), float.fromhex(b)
+    text = f"{x!r} -> {y!r}"
+    if x != 0.0 and math.isfinite(x) and math.isfinite(y):
+        text += f", relative {(y - x) / abs(x):+.3g}"
+    return text
 
 
 def compare(path_a: str, path_b: str) -> int:

@@ -126,8 +126,9 @@ _VARIANT_VALUES = {
 
 def _parse_variant(name: str, variant) -> float:
     key = _VARIANT_KEYS[name]
-    if isinstance(variant, bool):
+    if isinstance(variant, bool):  # float() would take it as 0 or 1
         raise UnknownVariant(f"cannot parse variant {variant!r}")
+    text = variant
     if isinstance(variant, str):
         text = variant.strip()
         if "=" in text:
@@ -136,12 +137,10 @@ def _parse_variant(name: str, variant) -> float:
                 raise UnknownVariant(
                     f"preset {name!r} takes {key}=<value>, got {variant!r}")
             text = v
-        try:
-            value = float(text)
-        except ValueError:
-            raise UnknownVariant(f"cannot parse variant {variant!r}") from None
-    else:
-        value = float(variant)
+    try:
+        value = float(text)
+    except (TypeError, ValueError, OverflowError):
+        raise UnknownVariant(f"cannot parse variant {variant!r}") from None
     if value not in _VARIANT_VALUES[name]:
         allowed = ", ".join(f"{v:g}" for v in _VARIANT_VALUES[name])
         raise UnknownVariant(
@@ -157,8 +156,7 @@ def preset(name: str, variant) -> ScenarioConfig:
     fig1_right: unit interval, colonies at opposite walls, nutrient
                 l + (20-l)*gaussian with l in {1.4, 14, 20} (flat for l=20);
                 401 cells so the domain midpoint is an exact cell center.
-    fig3:       unit ball in dimension d in {1, 3}, strong taxis chi = 1000
-                and a halved CFL safety factor.
+    fig3:       unit ball in dimension d in {1, 3}, strong taxis chi = 1000.
     """
     if name not in _VARIANT_KEYS:
         raise UnknownVariant(
@@ -189,8 +187,7 @@ def preset(name: str, variant) -> ScenarioConfig:
         params=ModelParams(D_u=20.0, chi=1000.0, **_BASE),
         u0=bump, v0=bump,
         w0=Gaussian(base=0.0, amp=2.0, rate=15.0, center=0.0),
-        t_end=1000.0,
-        stepper=StepperConfig(cfl_safety=0.25))
+        t_end=1000.0)
 
 
 @dataclass(frozen=True)

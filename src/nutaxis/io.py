@@ -22,15 +22,15 @@ Config schema (all keys shown; (*) optional)::
       "profiles": {"u0": P, "v0": P, "w0": P},
       "t_end": float,
       "output"*: {"t_first"*: float, "factor"*: float},
-      "stepper"*: {"dt"*, "cfl_safety"*}
+      "stepper"*: {"dt"*}
     }
 
 with profile P one of ``{"type": "constant", "value": float}``,
 ``{"type": "gaussian", "base", "amp", "rate", "center"}`` (the field
 base + amp*exp(-rate*(x-center)^2)), or ``{"type": "mirrored", "inner": P}``.
 Any other key is unknown, among them the retired stepper keys (``scheme``,
-``flux``, ``max_retries`` and the rest): every run takes one time scheme
-and one taxis flux.
+``flux``, ``cfl_safety``, ``max_retries`` and the rest): every run takes
+one time scheme, one taxis flux and one taxis CFL number.
 
 Sweep override values are checked against the type of the config field
 their path names, by the same decoder; an object value decodes as that

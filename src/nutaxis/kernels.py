@@ -40,7 +40,7 @@ Segment algorithm:
     1. extrapolants u* = max(2u - u_prev, 0), v* = 2v - v_prev
        (u* clamped so the nutrient sink stays nonnegative; plain (u, v) when
        no valid two-step history exists),
-    2. step-size caps: chemotaxis CFL cfl_safety*h/max|chi grad w|;
+    2. step-size caps: chemotaxis CFL CFL_SAFETY*h/max|chi grad w|;
        sink cap SINK_DT_CAP/max(beta f(u*) + gamma v*) over cells with w > 0
        (keeps the implicit two-step decay in its over-damped regime);
        source cap SOURCE_DT_CAP/(max(delta, alpha) * max w),
@@ -100,6 +100,7 @@ __all__ = [
 
 _GROWTH_FACTOR = 2.0  # dt may grow only when the caps allow at least 2x
 U_FLOOR = 1e-14  # a step with some u+ <= U_FLOOR is rejected
+CFL_SAFETY = 0.5  # bound on dt * max|chi grad w| / h, the taxis CFL number
 # bound on dt * max(nutrient sink rate); 0.45 keeps the two-step decay
 # over-damped (real roots need dt * rate <= 0.5)
 SINK_DT_CAP = 0.45
@@ -230,7 +231,7 @@ def segment_numpy(state, t_to, ws, params, cfg):
     """
     u, v, w, sink, stats = state.u, state.v, state.w, ws.sink, ws.stats
     beta, gamma, eps = params.beta, params.gamma, params.eps_reg
-    chi, h, dt_base, cfl_safety = params.chi, ws.h, cfg.dt, cfg.cfl_safety
+    chi, h, dt_base = params.chi, ws.h, cfg.dt
     rmax = max(params.delta, params.alpha)
 
     rem = t_to - state.t  # k * dt once dt is fitted
@@ -250,8 +251,8 @@ def segment_numpy(state, t_to, ws, params, cfg):
         if chi > 0.0:
             gmax = chi * dw / h
             # compared before dividing: a subnormal gmax would overflow
-            if cfl_safety * h < cap * gmax:
-                cap = cfl_safety * h / gmax
+            if CFL_SAFETY * h < cap * gmax:
+                cap = CFL_SAFETY * h / gmax
         if smax > 0.0:
             cap = min(cap, SINK_DT_CAP / smax)
         if rmax * wmax > 0.0:

@@ -37,17 +37,13 @@ class StepperConfig:
 
     Attributes:
         dt: base (largest allowed) time step.
-        cfl_safety: safety factor in (0, 1] for the chemotaxis CFL cap.
     """
 
     dt: float = 0.25
-    cfl_safety: float = 0.5
 
     def __post_init__(self) -> None:
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not (0.0 < self.cfl_safety <= 1.0):
-            raise ValueError(f"cfl_safety must be in (0, 1], got {self.cfl_safety}")
 
 
 @dataclass

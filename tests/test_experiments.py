@@ -11,6 +11,7 @@ from nutaxis import (
     OutputSchedule,
     PositivityViolation,
     ScenarioFailure,
+    StepperConfig,
     SweepSpec,
     UnknownVariant,
     apply_override,
@@ -72,7 +73,7 @@ def test_preset_fig3_shape():
     cfg = preset("fig3", "d=3")
     assert cfg.geometry.kind == "radial" and cfg.geometry.d == 3
     assert cfg.params.chi == 1000.0
-    assert cfg.stepper.cfl_safety == 0.25
+    assert cfg.stepper == StepperConfig()
     grid = build_grid(cfg.geometry)
     assert grid.volume == pytest.approx(4.0 * np.pi / 3.0, rel=1e-12)
 
@@ -90,6 +91,10 @@ def test_preset_variant_forms_are_equivalent():
     ("fig1_left", "sigma=abc"),
     ("fig3", 2),
     ("fig3", True),             # a bool is not the number 1
+    ("fig3", None),             # nor are these numbers at all
+    ("fig3", [1]),
+    ("fig3", 3j),
+    pytest.param("fig3", 10 ** 400, id="fig3-10**400"),  # overflows a float
 ])
 def test_preset_rejects_unknown(name, variant):
     with pytest.raises(UnknownVariant):

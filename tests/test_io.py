@@ -92,7 +92,7 @@ def test_config_errors_carry_the_offending_path(mutate, needle):
 
 @pytest.mark.parametrize("key", ["flux", "positivity_floor", "sink_dt_cap",
                                  "source_dt_cap", "w_snap_rel", "dt_min",
-                                 "max_retries", "scheme"])
+                                 "max_retries", "scheme", "cfl_safety"])
 def test_retired_stepper_keys_are_rejected(key):
     doc = json.loads(json.dumps(MINIMAL))
     doc["stepper"] = {key: {"flux": "upwind", "scheme": "sbdf2"}.get(key, 0.45)}
@@ -205,6 +205,10 @@ def test_read_sweep_spec_decodes_object_values_as_the_field_type(tmp_path):
     ({"base": {"preset": "fig3", "variant": None}}, "base.variant"),
     ({"base": {"preset": "fig3", "variant": [3]}}, "base.variant"),
     ({"base": {"preset": [], "variant": 3}}, "base.preset"),
+    # the taxis CFL number is a kernel constant, not a config field
+    ({"base": MINIMAL,
+      "overrides": [{"path": "stepper.cfl_safety", "values": [0.25]}]},
+     "stepper.cfl_safety"),
 ])
 def test_read_sweep_spec_errors(tmp_path, doc, needle):
     path = tmp_path / "sweep.json"

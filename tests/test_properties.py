@@ -79,7 +79,7 @@ def test_advance_keeps_the_positive_cone(geometry, u0, v0, w0, cfg, D_u, D_w,
 def test_a_subnormal_chi_does_not_overflow_the_cfl_cap(backend):
     # a case the conservation property drew at random: w stays constant up
     # to roundoff, so gmax = chi * max|w[j] - w[j-1]| / h is subnormal and
-    # cfl_safety * h / gmax would overflow (with a warning, on the loop
+    # CFL_SAFETY * h / gmax would overflow (with a warning, on the loop
     # reference's numpy scalars).  chi sets no cap: the steps are those of
     # chi = 0
     grid = build_grid(Geometry("interval", 8))

@@ -17,6 +17,8 @@ from nutaxis import (
     build_grid,
     init_state,
     integrate,
+    preset,
+    run_scenario,
 )
 from nutaxis import kernels
 
@@ -37,8 +39,6 @@ def _bump_state(grid, w0=60.0):
 @pytest.mark.parametrize("kwargs", [
     dict(dt=float("nan")),
     dict(dt=0.0),
-    dict(cfl_safety=0.0),
-    dict(cfl_safety=1.5),
     dict(dt=float("inf")),
 ])
 def test_config_validation(kwargs):
@@ -47,9 +47,9 @@ def test_config_validation(kwargs):
 
 
 def test_advance_cfl_cap_scaling(backend):
-    """dt = cfl_safety * h / max(chi |grad w|) sets the step count."""
+    """dt = CFL_SAFETY * h / max(chi |grad w|) sets the step count."""
     grid = build_grid(Geometry("interval", 32))
-    cfg = StepperConfig(dt=10.0, cfl_safety=0.5)
+    cfg = StepperConfig(dt=10.0)
 
     def stats(chi, w):
         state = State(0.0, np.ones(32), np.ones(32), w.copy())
@@ -66,6 +66,26 @@ def test_advance_cfl_cap_scaling(backend):
     # no advection limit without chi or without a gradient: one step of t_end
     assert stats(0.0, ramp).accepted == 1
     assert stats(5.0, np.ones(32)).accepted == 1
+
+
+def test_fig3_front_is_converged_in_the_cfl_number(monkeypatch):
+    """Halving CFL_SAFETY on the steepest taxis front moves I by < 1e-5.
+
+    fig3 d=3 to t = 1e-3, where the CFL cap sets every step; I converges at
+    second order in the CFL number (I moved ~1e-6 relative from 0.25 to 0.5).
+    """
+    cfg = dataclasses.replace(preset("fig3", 3), t_end=1e-3)
+
+    def run():
+        res = run_scenario(cfg)
+        return res.records[-1].I, res.manifest.stats
+
+    i_base, base = run()
+    monkeypatch.setattr(kernels, "CFL_SAFETY", 0.5 * kernels.CFL_SAFETY)
+    i_half, half = run()
+    assert (base["accepted"], base["rejected"]) == (5316, 0)
+    assert (half["accepted"], half["rejected"]) == (10631, 0)
+    assert abs(i_base - i_half) <= 1e-5 * abs(i_half)
 
 
 def test_heat_decay_matches_discrete_eigenmode():

@@ -39,6 +39,8 @@ def _bump_state(grid, w0=60.0):
 @pytest.mark.parametrize("kwargs", [
     dict(dt=float("nan")),
     dict(dt=0.0),
+    dict(dt=-1.0),
+    dict(dt=-float("inf")),
     dict(dt=float("inf")),
 ])
 def test_config_validation(kwargs):

@@ -17,9 +17,13 @@ object per run to ``FILE``:
 
 ``compare`` prints every value that differs between two such files, by run
 and dotted key, and exits 1 if there is any; a differing ``I_end`` or
-``min_dt`` is also shown in decimal, with its relative change.  Equal
-digests mean bitwise equal final arrays and records.  One ``run`` takes
-about 20 s on a 2-vCPU host, most of it in the two fig3 presets.
+``min_dt`` is also shown in decimal, with its relative change.  A key
+present on one side only (a config key added or retired) is printed as a
+schema line and does not by itself make ``compare`` exit 1.  For each run
+it also prints the largest relative change over the numeric leaves both
+sides have (``I_end`` and ``min_dt`` included).  Equal digests mean
+bitwise equal final arrays and records.  One ``run`` takes about 20 s on a
+2-vCPU host, most of it in the two fig3 presets.
 """
 from __future__ import annotations
 
@@ -107,24 +111,26 @@ def run(out: str, checkout: str) -> int:
     return 0
 
 
-def differences(a, b, path: str = "") -> list[str]:
-    """Every dotted key whose value differs between a and b."""
+def differences(a, b, path: str = "") -> tuple[list[str], list[str]]:
+    """The dotted keys present on one side only (schema lines) and every
+    value that differs between a and b (value lines)."""
+    schema: list[str] = []
+    values: list[str] = []
     if isinstance(a, dict) and isinstance(b, dict):
-        out = []
         for k in sorted(set(a) | set(b)):
             sub = f"{path}.{k}" if path else str(k)
             if k not in a or k not in b:
-                which = "A" if k in a else "B"
-                out.append(f"{sub}: only in {which}")
+                schema.append(f"{sub}: only in {'A' if k in a else 'B'}")
             else:
-                out.extend(differences(a[k], b[k], sub))
-        return out
-    if a == b:
-        return []
-    line = f"{path}: {a!r} != {b!r}"
-    if isinstance(a, str) and path.rsplit(".", 1)[-1] in HEX_KEYS:
-        line += f" ({moved(a, b)})"
-    return [line]
+                more_schema, more_values = differences(a[k], b[k], sub)
+                schema += more_schema
+                values += more_values
+    elif a != b:
+        line = f"{path}: {a!r} != {b!r}"
+        if isinstance(a, str) and path.rsplit(".", 1)[-1] in HEX_KEYS:
+            line += f" ({moved(a, b)})"
+        values.append(line)
+    return schema, values
 
 
 def moved(a: str, b: str) -> str:
@@ -136,17 +142,55 @@ def moved(a: str, b: str) -> str:
     return text
 
 
+def _numbers(a, b, path: str = ""):
+    # (key, x, y) of every numeric leaf both a and b have; the HEX_KEYS
+    # strings are read as the floats they encode
+    if isinstance(a, dict) and isinstance(b, dict):
+        for k in sorted(set(a) & set(b)):
+            yield from _numbers(a[k], b[k], f"{path}.{k}" if path else str(k))
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from _numbers(x, y, f"{path}[{i}]")
+    elif isinstance(a, str) and isinstance(b, str):
+        if path.rsplit(".", 1)[-1] in HEX_KEYS:
+            yield path, float.fromhex(a), float.fromhex(b)
+    elif (isinstance(a, (int, float)) and isinstance(b, (int, float))
+          and not isinstance(a, bool) and not isinstance(b, bool)):
+        yield path, float(a), float(b)
+
+
+def largest_change(a, b) -> tuple[float, str]:
+    """The largest relative change ``|y - x| / |x|`` over the numeric
+    leaves of two digests of one run, and its key (``inf`` where a 0 or
+    non-finite value changed)."""
+    worst, where = 0.0, ""
+    for key, x, y in _numbers(a, b):
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        rel = (abs(y - x) / abs(x) if x != 0.0 and math.isfinite(x)
+               and math.isfinite(y) else math.inf)
+        if rel > worst:
+            worst, where = rel, key
+    return worst, where
+
+
 def compare(path_a: str, path_b: str) -> int:
     docs = []
     for path in (path_a, path_b):
         with open(path, encoding="utf-8") as fh:
             docs.append(json.load(fh))
-    diffs = differences(*docs)
-    for line in diffs:
+    schema, values = differences(*docs)
+    for line in schema:
+        print(f"schema: {line}")
+    for line in values:
         print(line)
-    print(f"{len(diffs)} difference(s) over {len(set(docs[0]) | set(docs[1]))}"
-          " runs")
-    return 1 if diffs else 0
+    for run in sorted(set(docs[0]) & set(docs[1])):
+        worst, where = largest_change(docs[0][run], docs[1][run])
+        print(f"{run}: largest relative change {worst:.3g}"
+              + (f" ({where})" if where else ""))
+    print(f"{len(values)} value difference(s) and {len(schema)} schema "
+          f"line(s) over {len(set(docs[0]) | set(docs[1]))} runs")
+    return 1 if values else 0
 
 
 def main(argv=None) -> int:

@@ -20,10 +20,20 @@ use, so a patched or traced primitive sees every call:
 * ``_fill_sink_numpy`` — the nutrient sink from ``(u, v)`` or their
   extrapolants,
 * ``_cap_terms_numpy`` — ``max|w[j] - w[j-1]|``, the max sink over cells
-  with ``w > 0`` and ``max w``,
-* :func:`attempt_step_numpy` — one step attempt; fills the workspace's
-  ``un, vn, wn, nn`` and returns ``None``, or ``(field, cell)`` on a
-  positivity failure.
+  with ``w > 0`` (over all cells when the level is known to have every
+  ``w >= w_snap > 0``) and ``max w``,
+* :func:`attempt_step_numpy` — one step attempt; fills the workspace's new
+  level ``yn`` and explicit u-term ``nn`` and returns ``None``, or
+  ``(field, cell)`` on a positivity failure.
+
+Both implicit operators are self-adjoint in the ``m``-weighted inner
+product, so each system is solved with its rows scaled by the cell
+measures ``m``: a symmetric positive definite tridiagonal matrix with
+diagonal ``m (c0 + sink) + D (a_{i-1/2} + a_{i+1/2})`` and off-diagonal
+``-D a_{i+1/2}``, ``a = face area / h`` (:func:`diffusion_rows`), solved
+by LAPACK's LDL^T routines (:func:`solve_tridiag`).  The u matrix depends
+only on ``c0``, so its factor is kept in the workspace and reused while
+``c0`` stays the same.
 
 A run that starts with ``w0 == 0`` (``w_tail < 0``) never takes the
 tail of step 3 below: it steps the heat flow with SBDF2, which is what
@@ -62,16 +72,23 @@ Segment algorithm:
        after an accepted step.  The step is SBDF2 when the history was left
        by a step of this very dt (hdt == dt), else a backward-Euler rebuild,
        with the sink of (u, v) in place of the extrapolants,
-    5. implicit w solve with frozen extrapolated sink, rejection if
-       w < -w_snap, then snap-to-zero of entries below w_snap (W_SNAP_REL
-       times the run's initial max w),
+    5. the m-weighted explicit u-term (upwind taxis + growth) at the
+       current level, then the m-scaled right-hand sides of w and u as one
+       stacked expression; implicit w solve (dptsv) with frozen
+       extrapolated sink, rejection if w < -w_snap, then snap-to-zero of
+       entries below w_snap (W_SNAP_REL times the run's initial max w),
     6. exact multiplicative v update with trapezoidal w average,
-    7. implicit-diffusion u solve with explicit upwind taxis + growth terms,
-       rejection if u <= U_FLOOR,
+    7. implicit-diffusion u solve, by the cached LDL^T factor of this c0
+       (dpttrs) or by a fresh one (dptsv) that is then kept; rejection if
+       u <= U_FLOOR,
     8. on rejection: drop the history (hdt = 0), halve dt and refit it, so
        the retry is a backward-Euler step; raise PositivityViolation instead
        once the halved dt would fall below the attempt's cap times
-       2**-MAX_RETRIES, a floor that an accepted step does not reset.
+       2**-MAX_RETRIES, a floor that an accepted step does not reset.  The
+       current level, the history and ``hnu`` are left as they were.  On
+       acceptance the three level arrays rotate (the current level becomes
+       the history, the new one the current) and ``nn``/``hnu`` swap;
+       nothing is copied.
 """
 from __future__ import annotations
 
@@ -90,6 +107,7 @@ __all__ = [
     "PositivityViolation",
     "Workspace",
     "attempt_step_numpy",
+    "diffusion_rows",
     "grid_coefficients",
     "heat_evolve",
     "heat_modes",
@@ -132,7 +150,8 @@ class PositivityViolation(RuntimeError):
 
 
 class LinearSolveFailure(RuntimeError):
-    """The banded system was singular (cannot occur for dt > 0; internal).
+    """A step's system was not positive definite (cannot occur for dt > 0;
+    internal).
 
     ``t`` and ``dt`` are as for :class:`PositivityViolation`.
     """
@@ -140,15 +159,17 @@ class LinearSolveFailure(RuntimeError):
     def __init__(self, t: float, dt: float):
         self.t = t
         self.dt = dt
-        super().__init__(f"singular tridiagonal system in the step from "
+        super().__init__(f"tridiagonal system not positive definite in the "
+                         f"step from "
                          f"t = {t:.6g} with dt = {dt:.6g}")
 
 
 def grid_coefficients(grid):
     """Per-grid coefficients ``(m, cl, cr, af, h)`` of the stepping kernel.
 
-    Cell measures, the left and right face couplings of the implicit
-    operators (see :func:`solve_tridiag`), face areas and the spacing.
+    Cell measures, the left and right face couplings of the Neumann
+    Laplacian (row ``i`` of ``lap`` is ``cl[i] (y[i-1] - y[i]) + cr[i]
+    (y[i+1] - y[i])``), face areas and the spacing.
     """
     n = grid.n
     af = grid.face_areas
@@ -157,6 +178,24 @@ def grid_coefficients(grid):
     cl[1:] = af[1:-1] / (grid.h * grid.m[1:])
     cr[:-1] = af[1:-1] / (grid.h * grid.m[:-1])
     return grid.m, cl, cr, af, grid.h
+
+
+def diffusion_rows(grid, D):
+    """The diffusion part ``(diag, off)`` of the m-scaled rows of ``-D lap``.
+
+    Row ``i`` of ``-D lap`` times ``m[i]`` has the diagonal ``D (a[i-1] +
+    a[i])`` and the off-diagonals ``-D a[i-1]``, ``-D a[i]``, with the
+    interior face couplings ``a = face_areas[1:-1] / h`` (no flux through
+    the boundary).  It is symmetric, so ``off`` (``n - 1`` entries) is both
+    off-diagonals.  The m-scaled system of ``(c0 + s) y - D lap y = r`` has
+    the diagonal ``m (c0 + s) + diag``, ``off`` and the right-hand side
+    ``m r``; it is positive definite for ``c0 > 0``, ``s >= 0``.
+    """
+    a = grid.face_areas[1:-1] / grid.h
+    diag = np.zeros(grid.n)
+    diag[1:] = a
+    diag[:-1] += a
+    return D * diag, -D * a
 
 
 @dataclass
@@ -180,31 +219,49 @@ class AdvanceStats:
 class Workspace:
     """What the segments of one run share.
 
-    ``m, cl, cr, af, h`` are the :func:`grid_coefficients`.  ``hu, hv, hw``
-    are the previous accepted level, ``hnu`` its explicit u-term and
-    ``hdt > 0`` the step that left it; ``hdt == 0`` while there is no such
-    level.  ``w_snap`` is the snap-to-zero floor of w, ``W_SNAP_REL`` times
-    the max of ``w0``, and ``w_tail`` the max w at which the nutrient
-    phase ends (:func:`_tail_level` of the entry ``state`` and ``params``).
-    ``sink``, the new level ``un, vn, wn, nn`` and ``work`` (shape
-    ``(5, n + 1)``) are scratch of each attempt.  ``tail`` is ``None``
-    until the nutrient phase ends, then ``(t, modes, mean, coef)``: the
-    switch time, the :func:`heat_modes` of ``D_u`` and the
-    :func:`heat_project` of u at that time.  ``stats`` holds the run's
-    :class:`AdvanceStats`.
+    ``m, cl, cr, af, h`` are the :func:`grid_coefficients`, ``m2`` is ``m``
+    stacked twice (the scale of the w and u rows together; a broadcast
+    ``m`` would make numpy allocate a buffer), and ``dw, ew`` and ``du,
+    eu`` are the :func:`diffusion_rows` of ``D_w`` and ``D_u``.  Each level
+    is one ``(3, n)`` array of rows ``[w, u, v]``: ``y`` is the current
+    level, copied from ``state`` here (once per run), ``hy`` the previous
+    accepted level and ``yn`` the new level of an attempt.  ``nn`` is the
+    m-weighted explicit u-term of ``y`` (written by each attempt), ``hnu``
+    that of ``hy``, and ``hdt > 0`` the step that left ``hy``; ``hdt == 0``
+    while there is no such level.  An accepted step rotates ``y, hy, yn``
+    and swaps ``nn, hnu``.  ``w_min`` is the min of ``y``'s w and ``wn_min``
+    that of ``yn``'s, both after the snap.  ``w_snap`` is the snap-to-zero
+    floor of w, ``W_SNAP_REL`` times the max of ``w0``, and ``w_tail`` the
+    max w at which the nutrient phase ends (:func:`_tail_level` of the
+    entry ``state`` and ``params``).  ``ufac`` (shape ``(2, n)``: the
+    diagonal, then the ``n - 1`` off-diagonal entries) holds the LDL^T
+    factor of the m-scaled u matrix of ``c0 = u_c0``, or nothing when
+    ``u_c0 == 0``.  ``sink`` and ``work`` (shape ``(4, n + 1)``) are
+    scratch of each attempt.  ``tail`` is ``None`` until the nutrient phase
+    ends, then ``(t, modes, mean, coef)``: the switch time, the
+    :func:`heat_modes` of ``D_u`` and the :func:`heat_project` of u at that
+    time.  ``stats`` holds the run's :class:`AdvanceStats`.
     """
 
     def __init__(self, grid, state, params):
         n = grid.n
         self.m, self.cl, self.cr, self.af, self.h = grid_coefficients(grid)
-        self.hu, self.hv, self.hw, self.hnu = np.zeros((4, n))
+        self.m2 = np.array((self.m, self.m))
+        self.dw, self.ew = diffusion_rows(grid, params.D_w)
+        self.du, self.eu = diffusion_rows(grid, params.D_u)
+        self.y = np.array((state.w, state.u, state.v), dtype=np.float64)
+        self.hy, self.yn = np.zeros((2, 3, n))
+        self.hnu, self.nn, self.sink = np.zeros((3, n))
         self.hdt = 0.0
         self.w_snap = W_SNAP_REL * float(np.max(state.w, initial=0.0))
+        self.w_min = float(np.min(state.w))
+        self.wn_min = 0.0
         self.w_tail = _tail_level(self.m, state, params)
+        self.ufac = np.zeros((2, n))
+        self.u_c0 = 0.0
         self.tail = None
         self.stats = AdvanceStats()
-        self.sink, self.un, self.vn, self.wn, self.nn = np.empty((5, n))
-        self.work = np.empty((5, n + 1))
+        self.work = np.empty((4, n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -212,106 +269,115 @@ class Workspace:
 # ---------------------------------------------------------------------------
 
 def segment_numpy(state, t_to, ws, params, cfg):
-    """Advance ``state`` in place from ``state.t`` to ``t_to`` in ``ws``.
+    """Advance ``state`` from ``state.t`` to ``t_to`` in ``ws``.
 
     ``params`` is the :class:`nutaxis.model.ModelParams` and ``cfg`` the
-    :class:`nutaxis.stepper.StepperConfig` of the run.  Continues the
-    two-step scheme from the history in ``ws``, leaves the last accepted
-    step's history there and counts its steps in ``ws.stats``.  Once the
-    run's nutrient phase has ended (step 3 of the module's algorithm), u at
-    ``t_to`` is the exact heat flow of the switch state, and
-    ``ws.stats.w_exhausted_t`` holds the switch time.
+    :class:`nutaxis.stepper.StepperConfig` of the run.  The level stepped
+    is the workspace's ``ws.y``, which :class:`Workspace` copied from the
+    run's state; on return ``state.w, state.u, state.v`` are views of its
+    rows and ``state.t`` its time.  Continues the two-step scheme from the
+    history in ``ws``, leaves the last accepted step's history there and
+    counts its steps in ``ws.stats``.  Once the run's nutrient phase has
+    ended (step 3 of the module's algorithm), u at ``t_to`` is the exact
+    heat flow of the switch state, and ``ws.stats.w_exhausted_t`` holds the
+    switch time.
 
     Raises:
         PositivityViolation: a rejected step's halved dt would fall below
             its cap times 2**-MAX_RETRIES.
-        LinearSolveFailure: a tridiagonal solve was singular (not retried).
+        LinearSolveFailure: a tridiagonal system was not positive definite
+            (not retried).
         Either carries the failing step's start time and last dt; ``state``
         is left at that start, ``state.t`` included.
     """
-    u, v, w, sink, stats = state.u, state.v, state.w, ws.sink, ws.stats
+    sink, stats = ws.sink, ws.stats
     beta, gamma, eps = params.beta, params.gamma, params.eps_reg
     chi, h, dt_base = params.chi, ws.h, cfg.dt
     rmax = max(params.delta, params.alpha)
 
     rem = t_to - state.t  # k * dt once dt is fitted
     k, dt = 0, math.inf  # k steps of dt remain; the first pass fits dt
-    while rem > 0.0 and ws.tail is None:
-        # ---- sink at the extrapolants of the next attempt, and the caps
-        _fill_sink_numpy(sink, u, v, ws.hu, ws.hv, ws.hdt > 0.0, beta, gamma,
-                         eps)
-        dw, smax, wmax = _cap_terms_numpy(w, sink)
-        if wmax <= ws.w_tail:
-            # what nutrient is left can no longer move I(inf): w is dropped,
-            # v frozen, and u follows the heat flow from here, exactly
-            state.t = max(state.t, t_to - rem)
-            _end_nutrient_phase(state, ws, params)
-            break
-        cap = dt_base
-        if chi > 0.0:
-            gmax = chi * dw / h
-            # compared before dividing: a subnormal gmax would overflow
-            if CFL_SAFETY * h < cap * gmax:
-                cap = CFL_SAFETY * h / gmax
-        if smax > 0.0:
-            cap = min(cap, SINK_DT_CAP / smax)
-        if rmax * wmax > 0.0:
-            cap = min(cap, SOURCE_DT_CAP / (rmax * wmax))
-
-        # ---- fit dt so the remaining gap is an exact multiple of it; it
-        # grows only after an accepted step
-        if cap < dt:
-            k, dt = _fit(rem, cap)
-        elif (cap >= _GROWTH_FACTOR * dt and dt < dt_base and k > 1
-              and ws.hdt > 0.0):
-            k, dt = _fit(rem, min(_GROWTH_FACTOR * dt, cap))
-        rem = k * dt
-        sbdf2 = ws.hdt == dt  # a two-step history of this very dt
-        if ws.hdt > 0.0 and not sbdf2:
-            # the sink must match the scheme actually used
-            _fill_sink_numpy(sink, u, v, ws.hu, ws.hv, False, beta, gamma, eps)
-
-        try:
-            failure = attempt_step_numpy(state, ws, sbdf2, dt, params)
-        except np.linalg.LinAlgError as exc:
-            state.t = max(state.t, t_to - rem)  # the failing step's start
-            raise LinearSolveFailure(state.t, dt) from exc
-        if failure is not None:
-            # retry with backward Euler at half dt, fitted to the gap; the
-            # caps do not depend on dt, so the next pass may only lower it
-            stats.rejected += 1
-            ws.hdt = 0.0
-            if 0.5 * dt < cap * 2.0 ** -MAX_RETRIES:
+    try:
+        while rem > 0.0 and ws.tail is None:
+            # ---- sink at the extrapolants of the next attempt (built in
+            # the new level's u and v rows), and the caps
+            y = ws.y
+            _fill_sink_numpy(sink, y[1:], ws.hy[1:], ws.hdt > 0.0, beta,
+                             gamma, eps, ws.yn[1:])
+            dw, smax, wmax = _cap_terms_numpy(y[0], sink,
+                                              ws.w_min >= ws.w_snap > 0.0)
+            if wmax <= ws.w_tail:
+                # what nutrient is left can no longer move I(inf): w is
+                # dropped, v frozen, and u follows the heat flow from here,
+                # exactly
                 state.t = max(state.t, t_to - rem)
-                raise PositivityViolation(*failure, state.t, dt)
-            k, dt = _fit(rem, 0.5 * dt)
+                _end_nutrient_phase(ws, params, state.t)
+                break
+            cap = dt_base
+            if chi > 0.0:
+                gmax = chi * dw / h
+                # compared before dividing: a subnormal gmax would overflow
+                if CFL_SAFETY * h < cap * gmax:
+                    cap = CFL_SAFETY * h / gmax
+            if smax > 0.0:
+                cap = min(cap, SINK_DT_CAP / smax)
+            if rmax * wmax > 0.0:
+                cap = min(cap, SOURCE_DT_CAP / (rmax * wmax))
+
+            # ---- fit dt so the remaining gap is an exact multiple of it;
+            # it grows only after an accepted step
+            if cap < dt:
+                k, dt = _fit(rem, cap)
+            elif (cap >= _GROWTH_FACTOR * dt and dt < dt_base and k > 1
+                  and ws.hdt > 0.0):
+                k, dt = _fit(rem, min(_GROWTH_FACTOR * dt, cap))
             rem = k * dt
-            continue
+            sbdf2 = ws.hdt == dt  # a two-step history of this very dt
+            if ws.hdt > 0.0 and not sbdf2:
+                # the sink must match the scheme actually used
+                _fill_sink_numpy(sink, y[1:], ws.hy[1:], False, beta, gamma,
+                                 eps, ws.yn[1:])
 
-        # ---- accept: the entry level becomes the history
-        ws.hu[:] = u
-        ws.hv[:] = v
-        ws.hw[:] = w
-        ws.hnu[:] = ws.nn
-        u[:] = ws.un
-        v[:] = ws.vn
-        w[:] = ws.wn
-        ws.hdt = dt
-        if not sbdf2:
-            stats.rebuilds += 1
-        stats.accepted += 1
-        stats.min_dt = min(stats.min_dt, dt)
-        k -= 1
-        rem = k * dt
+            try:
+                failure = attempt_step_numpy(ws, sbdf2, dt, params)
+            except np.linalg.LinAlgError as exc:
+                state.t = max(state.t, t_to - rem)  # the failing step's start
+                raise LinearSolveFailure(state.t, dt) from exc
+            if failure is not None:
+                # retry with backward Euler at half dt, fitted to the gap;
+                # the caps do not depend on dt, so the next pass may only
+                # lower it
+                stats.rejected += 1
+                ws.hdt = 0.0
+                if 0.5 * dt < cap * 2.0 ** -MAX_RETRIES:
+                    state.t = max(state.t, t_to - rem)
+                    raise PositivityViolation(*failure, state.t, dt)
+                k, dt = _fit(rem, 0.5 * dt)
+                rem = k * dt
+                continue
 
-    if ws.tail is not None:
-        t_sw, modes, mean, coef = ws.tail
-        heat_evolve(modes, mean, coef, t_to - t_sw, ws.un)
-        if np.minimum.reduce(ws.un) <= U_FLOOR:
-            raise PositivityViolation(
-                "u", int(np.argmax(ws.un <= U_FLOOR)), state.t)
-        u[:] = ws.un
-    state.t = t_to
+            # ---- accept: the entry level becomes the history
+            ws.hy, ws.y, ws.yn = y, ws.yn, ws.hy
+            ws.hnu, ws.nn = ws.nn, ws.hnu
+            ws.w_min = ws.wn_min
+            ws.hdt = dt
+            if not sbdf2:
+                stats.rebuilds += 1
+            stats.accepted += 1
+            stats.min_dt = min(stats.min_dt, dt)
+            k -= 1
+            rem = k * dt
+
+        if ws.tail is not None:
+            t_sw, modes, mean, coef = ws.tail
+            un = heat_evolve(modes, mean, coef, t_to - t_sw, ws.yn[1])
+            if np.minimum.reduce(un) <= U_FLOOR:
+                raise PositivityViolation(
+                    "u", int(np.argmax(un <= U_FLOOR)), state.t)
+            ws.y[1] = un
+        state.t = t_to
+    finally:
+        state.w, state.u, state.v = ws.y
 
 
 def _tail_level(m, state, params):
@@ -342,10 +408,10 @@ def _tail_level(m, state, params):
     return TAIL_TOL / c if 0.0 < c < math.inf else 0.0
 
 
-def _end_nutrient_phase(state, ws, params):
+def _end_nutrient_phase(ws, params, t):
     # the I(inf) bracket of _tail_level from the state at the switch, then
     # w = 0 and the heat tail's coefficients of u
-    u, v, w, m = state.u, state.v, state.w, ws.m
+    (w, u, v), m = ws.y, ws.m
     modes = heat_modes(m, ws.cl, ws.cr, params.D_u)
     volume = modes[4]
     mass_u, mass_w = float(np.dot(m, u)), float(np.dot(m, w))
@@ -356,10 +422,11 @@ def _end_nutrient_phase(state, ws, params):
         gain_u = params.delta / params.beta * mass_w
     ws.stats.I_bracket = (ln_v - volume * math.log((mass_u + gain_u) / volume),
                           ln_v + gain_v - volume * math.log(mass_u / volume))
-    ws.stats.w_exhausted_t = state.t
+    ws.stats.w_exhausted_t = t
     w[:] = 0.0
+    ws.w_min = 0.0
     ws.hdt = 0.0
-    ws.tail = (state.t, modes, *heat_project(modes, u))
+    ws.tail = (t, modes, *heat_project(modes, u))
 
 
 def _fit(span, cap):
@@ -373,48 +440,45 @@ def _fit(span, cap):
 # vectorized numpy/scipy primitives
 # ---------------------------------------------------------------------------
 
-_dgtsv = None  # scipy.linalg.lapack.dgtsv, looked up on the first solve
+_pt = None  # scipy's dptsv and dpttrs, looked up on the first solve
 
 
-def solve_tridiag(cl, cr, diag, rhs, D, work=None):
-    """Solve the tridiagonal system with rows ``-D*cl[i], diag[i], -D*cr[i]``.
+def solve_tridiag(d, e, b, factored=False):
+    """Solve a symmetric positive definite tridiagonal system in place.
 
-    ``cl`` and ``cr`` are the face couplings from :func:`grid_coefficients`.
-    Calls LAPACK ``dgtsv`` (elimination with partial pivoting) directly: it
-    is the routine ``scipy.linalg.solve_banded`` reaches for a ``(1, 1)``
-    band, so the solution is bitwise the same, without the band array and
-    the input validation.  scipy is imported on the first call, not with
-    the package.
-
-    By default no argument is modified and the solution is a new array.
-    With ``work`` (two float64 rows of at least ``n - 1`` entries) the
-    solve runs in place and allocates nothing: the off-diagonals are built
-    in ``work``, ``rhs`` is overwritten with the solution and returned, and
-    ``diag`` and ``work`` are destroyed.
+    ``d`` is the diagonal (``n`` entries) and ``e`` the off-diagonal
+    (``n - 1``); ``b`` is overwritten with the solution and returned.
+    LAPACK ``dptsv`` (LDL^T without pivoting, called directly; it is the
+    routine ``scipy.linalg.solveh_banded`` reaches for one off-diagonal, so
+    the solution is bitwise the same) factors the matrix into ``d`` and
+    ``e``.  With ``factored``, ``d`` and ``e`` already hold such a factor,
+    left there by an earlier call, and only ``dpttrs`` runs; ``dptsv`` is
+    ``dpttrf`` then ``dpttrs``, so the solution is bitwise that of a fresh
+    call.  Nothing is allocated when the three arrays are contiguous
+    float64; otherwise f2py works on copies, which are written back.  scipy
+    is imported on the first call, not with the package.
 
     Raises:
-        np.linalg.LinAlgError: on an exactly zero pivot.
+        np.linalg.LinAlgError: the matrix is not positive definite.
     """
-    global _dgtsv
-    if _dgtsv is None:  # deferred: importing scipy takes ~0.3 s
-        from scipy.linalg.lapack import dgtsv as _dgtsv
-    if work is None:
-        dl, du, in_place = -D * cl[1:], -D * cr[:-1], 0
+    global _pt
+    if _pt is None:  # deferred: importing scipy takes ~0.3 s
+        from scipy.linalg.lapack import dptsv, dpttrs
+        _pt = dptsv, dpttrs
+    # positional overwrite flags: f2py's keyword parsing costs ~0.8 us a call
+    if factored:
+        x, info = _pt[1](d, e, b, 1)
     else:
-        n = rhs.shape[0]
-        dl = np.multiply(cl[1:], -D, out=work[0, :n - 1])
-        du = np.multiply(cr[:-1], -D, out=work[1, :n - 1])
-        in_place = 1
-    # positional flags (overwrite_dl, _d, _du, _b): f2py's keyword parsing
-    # costs ~0.8 us per call
-    *_, x, info = _dgtsv(dl, diag, du, rhs, 1, in_place, 1, in_place)
+        fd, fe, x, info = _pt[0](d, e, b, 1, 1, 1)
+        for given, out in ((d, fd), (e, fe)):
+            if out is not given:  # f2py factored a copy
+                given[...] = out
     if info > 0:
-        raise np.linalg.LinAlgError(f"singular tridiagonal matrix: zero "
-                                    f"pivot in row {info - 1}")
-    if in_place and x is not rhs:  # f2py copied a non-contiguous rhs
-        rhs[...] = x
-        x = rhs
-    return x
+        raise np.linalg.LinAlgError(f"tridiagonal matrix not positive "
+                                    f"definite: leading minor {info}")
+    if x is not b:  # f2py solved in a copy of a non-contiguous b
+        b[...] = x
+    return b
 
 
 _dstemr = None  # scipy's dstemr and dstemr_lwork, looked up on first use
@@ -501,112 +565,123 @@ def heat_evolve(modes, mean, coef, tau, out):
     return out
 
 
-def attempt_step_numpy(state, ws, sbdf2, dt, params):
-    """One step attempt of ``dt`` from ``state`` in ``ws`` (no retries).
+def attempt_step_numpy(ws, sbdf2, dt, params):
+    """One step attempt of ``dt`` from the level ``ws.y`` (no retries).
 
-    Fills ``ws.un, ws.vn, ws.wn, ws.nn`` and returns ``None``, or
-    ``(field, cell)`` when ``w+ < -w_snap`` or ``u+ <= U_FLOOR`` at
-    ``cell``; ``nn`` is the explicit u-term at the entry level (the history
-    of the next two-step stage).  Of the rest of ``ws`` only ``work`` is
-    written: row 0 holds each solve's diagonal, row 1 ``cl + cr``, rows 2
-    and 3 each solve's off-diagonals (row 2 first holds a product term or
-    the taxis flux difference), row 4 the n + 1 taxis face fluxes.  Each
-    right-hand side is built in ``wn`` or ``un``, where LAPACK ``dgtsv``
-    (:func:`solve_tridiag`) solves in place.  Nothing is read from
-    ``work`` before it is written.  Each expression is evaluated in place
-    with the operations of its plain numpy form, so every value rounds as
-    that form does.  With ``eps == 0`` no float array is allocated, only
-    the n-byte masks of the upwind choice and, when some ``w+`` is
-    snapped, of the snap.
+    Fills the new level ``ws.yn`` (rows ``[w, u, v]``), ``ws.nn`` (the
+    m-weighted explicit u-term ``-(flux difference) + m delta F(u) w`` at
+    ``ws.y``, the history of the next two-step stage) and ``ws.wn_min`` and
+    returns ``None``, or ``(field, cell)`` when ``w+ < -w_snap`` or ``u+ <=
+    U_FLOOR`` at ``cell``.  Besides those it writes only ``work`` and the u
+    factor cache ``ufac, u_c0``: row 0 of ``work`` holds the w solve's
+    diagonal, row 1 its off-diagonal, row 2 the flux difference and the
+    ``2 nn`` term, row 3 the n + 1 taxis face fluxes.  The m-scaled
+    right-hand sides of w and u are built as one stacked expression in
+    ``yn[:2]``, where the solves run in place (:func:`solve_tridiag`).
+    Nothing is read from ``work`` before it is written.  With ``eps == 0``
+    no float array is allocated, only the n-byte masks of the upwind
+    choice and, when some ``w+`` is snapped, of the snap.
 
     Raises:
-        np.linalg.LinAlgError: from a singular tridiagonal solve.
+        np.linalg.LinAlgError: from a solve whose matrix is not positive
+            definite.
     """
-    u, v, w = state.u, state.v, state.w
-    un, vn, wn, nn, work = ws.un, ws.vn, ws.wn, ws.nn, ws.work
-    cl, cr, w_snap = ws.cl, ws.cr, ws.w_snap
-    D_u, D_w, eps = params.D_u, params.D_w, params.eps_reg
-    n = u.shape[0]
-    diag, csum, tmp = work[0, :n], work[1, :n], work[2, :n]
-    # ---- implicit w solve:  (c0 + sink) w+ - D_w lap w+ = rhs
+    y, yn, nn, work, m = ws.y, ws.yn, ws.nn, ws.work, ws.m
+    w, u, v = y
+    eps, w_snap = params.eps_reg, ws.w_snap
+    n = w.shape[0]
+    diag, off, tmp = work[0, :n], work[1, :n - 1], work[2, :n]
+    # ---- m-weighted explicit u-term: -(flux difference) + m delta F(u) w
+    gflux = taxis_flux(u, w, ws.af, ws.h, params.chi, eps, out=work[3])
+    np.subtract(gflux[:-1], gflux[1:], out=tmp)
+    np.multiply(f_eps(u, eps), params.delta, out=nn)
+    nn *= w
+    nn *= m
+    nn += tmp
+
+    # ---- m-scaled right-hand sides of w and u, stacked
+    rhs = yn[:2]
     if sbdf2:
         c0 = 3.0 / (2.0 * dt)
-        np.multiply(w, 4.0, out=wn)  # (4 w - hw) / (2 dt)
-        wn -= ws.hw
-        wn /= 2.0 * dt
+        np.multiply(y[:2], 4.0, out=rhs)  # m (4 y - hy) / (2 dt)
+        rhs -= ws.hy[:2]
+        rhs /= 2.0 * dt
+        rhs *= ws.m2
+        np.multiply(nn, 2.0, out=tmp)  # u: + 2 nn - hnu
+        rhs[1] += tmp
+        rhs[1] -= ws.hnu
     else:
         c0 = 1.0 / dt
-        np.multiply(w, c0, out=wn)
-    np.add(cl, cr, out=csum)
-    np.multiply(csum, D_w, out=tmp)  # (c0 + sink) + D_w (cl + cr)
+        np.multiply(y[:2], c0, out=rhs)
+        rhs *= ws.m2
+        rhs[1] += nn
+
+    # ---- implicit w solve:  m (c0 + sink) w+ - D_w m lap w+ = m rhs
+    wn = yn[0]
     np.add(ws.sink, c0, out=diag)
-    diag += tmp
-    solve_tridiag(cl, cr, diag, wn, D_w, work[2:4])
+    diag *= m
+    diag += ws.dw
+    np.copyto(off, ws.ew)
+    solve_tridiag(diag, off, wn)
     wn_min = np.minimum.reduce(wn)
     if wn_min < -w_snap:
         return "w", int(np.argmax(wn < -w_snap))
     if not wn_min >= w_snap:  # snap to zero (a NaN minimum snaps too)
         np.copyto(wn, 0.0, where=wn < w_snap)
+        wn_min = 0.0
+    ws.wn_min = float(wn_min)
 
     # ---- exact multiplicative v update: v exp(alpha dt/2 (w + w+))
+    vn = yn[2]
     np.add(w, wn, out=vn)
     vn *= params.alpha * dt * 0.5
     np.exp(vn, out=vn)
     vn *= v
 
-    # ---- explicit u-term: -(flux difference)/m + delta F(u) w
-    gflux = taxis_flux(u, w, ws.af, ws.h, params.chi, eps, out=work[4])
-    np.subtract(gflux[1:], gflux[:-1], out=tmp)
-    np.negative(tmp, out=tmp)
-    tmp /= ws.m
-    np.multiply(f_eps(u, eps), params.delta, out=nn)
-    nn *= w
-    nn += tmp
-
-    # ---- implicit-diffusion u solve
-    if sbdf2:
-        np.multiply(u, 4.0, out=un)  # (4 u - hu) / (2 dt) + 2 nn - hnu
-        un -= ws.hu
-        un /= 2.0 * dt
-        np.multiply(nn, 2.0, out=tmp)
-        un += tmp
-        un -= ws.hnu
+    # ---- implicit-diffusion u solve, by the factor of this c0 if kept
+    un, ufac = yn[1], ws.ufac
+    if ws.u_c0 == c0:
+        solve_tridiag(ufac[0], ufac[1, :n - 1], un, factored=True)
     else:
-        np.multiply(u, c0, out=un)
-        un += nn
-    np.multiply(csum, D_u, out=diag)  # c0 + D_u (cl + cr)
-    diag += c0
-    solve_tridiag(cl, cr, diag, un, D_u, work[2:4])
+        ws.u_c0 = 0.0  # until the factor is complete
+        np.multiply(m, c0, out=ufac[0])
+        ufac[0] += ws.du
+        np.copyto(ufac[1, :n - 1], ws.eu)
+        solve_tridiag(ufac[0], ufac[1, :n - 1], un)
+        ws.u_c0 = c0
     if np.minimum.reduce(un) <= U_FLOOR:
         return "u", int(np.argmax(un <= U_FLOOR))
     return None
 
 
-def _fill_sink_numpy(sink, u, v, hu, hv, extrapolate, beta, gamma, eps):
+def _fill_sink_numpy(sink, uv, huv, extrapolate, beta, gamma, eps, scratch):
     # beta F(u*) + gamma v*, with u* = max(2 u - hu, 0) and v* = 2 v - hv
-    # when extrapolating; u* is built in sink, gamma v* in the one temporary
-    # (this primitive's signature, shared with the loop reference of the
-    # tests, carries no scratch buffer)
+    # when extrapolating; uv = [u, v] and huv = [hu, hv] are (2, n) levels,
+    # and (u*, gamma v*) are built as one stacked expression in the (2, n)
+    # scratch, which the controller takes from the new level
     if extrapolate:
-        us = np.multiply(u, 2.0, out=sink)
-        us -= hu
+        np.multiply(uv, 2.0, out=scratch)
+        scratch -= huv
+        us, gv = scratch
         np.maximum(us, 0.0, out=us)
-        gv = np.multiply(v, 2.0)
-        gv -= hv
         gv *= gamma
     else:
-        us = u
-        gv = np.multiply(v, gamma)
+        us, gv = uv[0], np.multiply(uv[1], gamma, out=scratch[1])
     np.multiply(f_eps(us, eps), beta, out=sink)
     sink += gv
 
 
-def _cap_terms_numpy(w, sink):
+def _cap_terms_numpy(w, sink, w_positive):
     # as the loop reference: smax starts at 0.0, and a max is exact in any
     # order; the bare ufunc reductions skip the Python wrappers of
-    # ndarray.max, and |w[j] - w[j-1]| is the one temporary
+    # ndarray.max, and |w[j] - w[j-1]| is the one temporary.  With
+    # w_positive (every w >= w_snap > 0) the w > 0 mask is all true and is
+    # skipped
     dw = np.subtract(w[1:], w[:-1])
     np.absolute(dw, out=dw)
-    return (float(np.maximum.reduce(dw)),
-            float(np.maximum.reduce(sink, where=w > 0.0, initial=0.0)),
+    if w_positive:
+        smax = np.maximum.reduce(sink, initial=0.0)
+    else:
+        smax = np.maximum.reduce(sink, where=w > 0.0, initial=0.0)
+    return (float(np.maximum.reduce(dw)), float(smax),
             float(np.maximum.reduce(w)))

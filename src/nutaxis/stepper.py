@@ -59,10 +59,13 @@ def advance(state: State, grid: Grid, params: ModelParams, cfg: StepperConfig,
     """Advance the state to ``t_end``, landing exactly on every observe time.
 
     ``observe_times`` must lie in ``(state.t, t_end]``; ``observer(state)``
-    is called each time one is reached.  Each call starts the two-step
-    scheme afresh with a backward-Euler step; the snap-to-zero floor of w
-    and the max w at which the nutrient phase ends are set from ``state``
-    on entry.
+    is called each time one is reached; meanwhile ``state.u, state.v,
+    state.w`` are views of the kernel workspace's current level.  The
+    caller's arrays are copied in once, on entry, and the final level is
+    copied back into them once, so ``state`` is advanced in place in the
+    arrays it came with.  Each call starts the two-step scheme afresh with
+    a backward-Euler step; the snap-to-zero floor of w and the max w at
+    which the nutrient phase ends are set from ``state`` on entry.
 
     Raises:
         ValueError: unless state.t <= t_end < inf and every observe time
@@ -83,12 +86,18 @@ def advance(state: State, grid: Grid, params: ModelParams, cfg: StepperConfig,
         if sorted(targets) != targets:
             raise ValueError("observe times must be sorted")
 
+    arrays = state.w, state.u, state.v
     ws = kernels.Workspace(grid, state, params)
-    # a trailing t_end equal to the last target is an empty segment
-    for i, tt in enumerate(targets + [t_end]):
-        if tt > state.t:
-            # looked up at each call, so a traced runner is used
-            kernels.segment_numpy(state, tt, ws, params, cfg)
-        if observer is not None and i < len(targets):
-            observer(state)
+    try:
+        # a trailing t_end equal to the last target is an empty segment
+        for i, tt in enumerate(targets + [t_end]):
+            if tt > state.t:
+                # looked up at each call, so a traced runner is used
+                kernels.segment_numpy(state, tt, ws, params, cfg)
+            if observer is not None and i < len(targets):
+                observer(state)
+    finally:
+        for a, row in zip(arrays, ws.y):
+            a[...] = row
+        state.w, state.u, state.v = arrays
     return AdvanceResult(state, ws.stats)

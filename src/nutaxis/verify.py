@@ -36,7 +36,7 @@ from .diagnostics import (
 )
 from .experiments import ScenarioConfig, apply_override, preset
 from .grid import Geometry, Grid, build_grid
-from .kernels import grid_coefficients, solve_tridiag
+from .kernels import diffusion_rows, solve_tridiag
 from .model import ModelParams
 from .operators import integrate
 from .profiles import State, init_state
@@ -124,7 +124,8 @@ def transport_error(n: int, u0: Optional[np.ndarray] = None) -> float:
     dt, t_end, D, chi, x0, t_offset = 1e-4, 0.1, 0.004, 0.5, 0.45, 0.2
     grid = build_grid(Geometry("interval", n))
     x = grid.centers
-    m, cl, cr, af, h = grid_coefficients(grid)
+    m, af, h = grid.m, grid.face_areas, grid.h
+    diff_diag, diff_off = diffusion_rows(grid, D)
     # central flux a * chi*(w_{i+1}-w_i)/h * (u_i + u_{i+1})/2 of w = x
     vel = chi * np.diff(x) / h * af[1:-1]
     flux = np.zeros(n + 1)
@@ -146,8 +147,8 @@ def transport_error(n: int, u0: Optional[np.ndarray] = None) -> float:
         else:
             c0 = 3.0 / (2.0 * dt)
             rhs = (4.0 * u - u_prev) / (2.0 * dt) + 2.0 * taxis - n_prev
-        diag = c0 + D * (cl + cr)
-        un = solve_tridiag(cl, cr, diag, rhs, D)
+        # the m-scaled rows: (m c0 - D m lap) u+ = m rhs
+        un = solve_tridiag(m * c0 + diff_diag, diff_off.copy(), m * rhs)
         u_prev, n_prev, u = u, taxis, un
     reference = exact(t_end * 1.0) if u0 is None else np.zeros(n)
     return float(np.max(np.abs(u - reference)))

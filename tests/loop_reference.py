@@ -3,10 +3,11 @@
 :func:`install` replaces the three array primitives that
 :func:`nutaxis.kernels.segment_numpy` looks up at each use
 (``attempt_step_numpy``, ``_fill_sink_numpy`` and ``_cap_terms_numpy``) by
-the plain loops below, with one Thomas sweep for both implicit solves; the
-controller is shared.  It is slow and exists for tests.  It agrees with
-the numpy kernel to roundoff (~1e-12 relative), not bitwise, because
-LAPACK ``dgtsv`` and the Thomas sweep round differently.
+the plain loops below, with one Thomas sweep on the unscaled rows for
+both implicit solves; the controller is shared.  It is slow and exists for
+tests.  It agrees with the numpy kernel to roundoff (~1e-12 relative), not
+bitwise, because the kernel solves the m-scaled symmetric rows by LAPACK's
+LDL^T and the Thomas sweep rounds differently.
 """
 import math
 
@@ -47,7 +48,9 @@ def f(x, eps):  # the uptake response F, as model.f_eps
     return x if eps == 0.0 else x / (1.0 + eps * x)
 
 
-def fill_sink(sink, u, v, hu, hv, extrapolate, beta, gamma, eps):
+def fill_sink(sink, uv, huv, extrapolate, beta, gamma, eps, scratch):
+    # scratch is not used
+    (u, v), (hu, hv) = uv, huv
     for i in range(u.shape[0]):
         if extrapolate:
             e = 2.0 * u[i] - hu[i]
@@ -59,7 +62,8 @@ def fill_sink(sink, u, v, hu, hv, extrapolate, beta, gamma, eps):
         sink[i] = beta * f(us, eps) + gamma * vs
 
 
-def cap_terms(w, sink):
+def cap_terms(w, sink, w_positive):
+    # every cap term from w itself: w_positive is not used
     dw = smax = wmax = 0.0
     for i in range(w.shape[0]):
         if i > 0:
@@ -70,14 +74,15 @@ def cap_terms(w, sink):
     return dw, smax, wmax
 
 
-def attempt(state, ws, sbdf2, dt, params):
-    u, v, w, hu, hw, hnu = state.u, state.v, state.w, ws.hu, ws.hw, ws.hnu
-    un, vn, wn, nn, sink = ws.un, ws.vn, ws.wn, ws.nn, ws.sink
+def attempt(ws, sbdf2, dt, params):
+    (w, u, v), (hw, hu, _), (wn, un, vn) = ws.y, ws.hy, ws.yn
+    nn, hnu, sink = ws.nn, ws.hnu, ws.sink
     m, cl, cr, af, h, w_snap = ws.m, ws.cl, ws.cr, ws.af, ws.h, ws.w_snap
     D_u, D_w, chi, eps = params.D_u, params.D_w, params.chi, params.eps_reg
     alpha, delta = params.alpha, params.delta
     n = u.shape[0]
-    diag, rhs, cp, dp, gflux = ws.work
+    diag, rhs, cp, dp = np.empty((4, n))
+    gflux = np.empty(n + 1)
 
     # ---- implicit w solve:  (c0 + sink) w+ - D_w lap w+ = rhs
     r2 = 1.0 / (2.0 * dt)
@@ -92,17 +97,21 @@ def attempt(state, ws, sbdf2, dt, params):
     for i in range(n):
         diag[i] = c0 + sink[i] + D_w * (cl[i] + cr[i])
     thomas(cl, cr, diag, rhs, D_w, cp, dp, wn)
+    wn_min = math.inf
     for i in range(n):
         if wn[i] < -w_snap:
             return "w", i
         if wn[i] < w_snap:
             wn[i] = 0.0
+        wn_min = min(wn_min, wn[i])
+    ws.wn_min = wn_min
 
     # ---- exact multiplicative v update (trapezoidal w average)
     for i in range(n):
         vn[i] = v[i] * math.exp(alpha * dt * 0.5 * (w[i] + wn[i]))
 
-    # ---- explicit terms for u at the current level (upwind taxis)
+    # ---- m-weighted explicit terms for u at the current level (upwind
+    # taxis)
     gflux[0] = 0.0
     gflux[n] = 0.0
     for j in range(1, n):
@@ -118,15 +127,15 @@ def attempt(state, ws, sbdf2, dt, params):
             mo = ud / (q * q)
         gflux[j] = af[j] * gw * mo
     for i in range(n):
-        nn[i] = -(gflux[i + 1] - gflux[i]) / m[i] + delta * f(u[i], eps) * w[i]
+        nn[i] = -(gflux[i + 1] - gflux[i]) + m[i] * delta * f(u[i], eps) * w[i]
 
     # ---- implicit-diffusion u solve
     if sbdf2:
         for i in range(n):
-            rhs[i] = (4.0 * u[i] - hu[i]) * r2 + 2.0 * nn[i] - hnu[i]
+            rhs[i] = (4.0 * u[i] - hu[i]) * r2 + (2.0 * nn[i] - hnu[i]) / m[i]
     else:
         for i in range(n):
-            rhs[i] = u[i] * c0 + nn[i]
+            rhs[i] = u[i] * c0 + nn[i] / m[i]
     for i in range(n):
         diag[i] = c0 + D_u * (cl[i] + cr[i])
     thomas(cl, cr, diag, rhs, D_u, cp, dp, un)
@@ -134,4 +143,3 @@ def attempt(state, ws, sbdf2, dt, params):
         if un[i] <= U_FLOOR:
             return "u", i
     return None
-

@@ -1,0 +1,50 @@
+"""``benchmarks/golden_digest.py compare`` on two hand-made digests."""
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT / "benchmarks") not in sys.path:
+    sys.path.append(str(ROOT / "benchmarks"))
+
+import golden_digest  # noqa: E402
+
+
+def _digest(i_end, **stepper):
+    return {"fig3[3]": {"accepted": 78723, "I_end": float(i_end).hex(),
+                        "sha256_u": "ab12",
+                        "manifest": {"scenario": {"stepper": stepper},
+                                     "stats": {"I_bracket": [-1.0, i_end]}}}}
+
+
+def _compare(tmp_path, a, b):
+    paths = []
+    for name, doc in (("a.json", a), ("b.json", b)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(doc))
+    return golden_digest.compare(*map(str, paths))
+
+
+def test_a_schema_only_difference_exits_0(tmp_path, capsys):
+    # a retired config key is on one side only; every value is equal
+    code = _compare(tmp_path, _digest(-21.5, dt=0.25, cfl_safety=0.5),
+                    _digest(-21.5, dt=0.25))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "schema: fig3[3].manifest.scenario.stepper.cfl_safety: only in A" \
+        in out
+    assert "fig3[3]: largest relative change 0" in out
+    assert "0 value difference(s) and 1 schema line(s)" in out
+
+
+def test_a_moved_value_exits_1_and_prints_its_relative_change(tmp_path,
+                                                              capsys):
+    i_a = -21.5
+    i_b = i_a * (1.0 + 2e-9)
+    code = _compare(tmp_path, _digest(i_a, dt=0.25), _digest(i_b, dt=0.25))
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "fig3[3].I_end:" in out and "relative -2e-09" in out
+    # I_end and the bracket's end move alike; the first one found is named
+    assert "fig3[3]: largest relative change 2e-09 (I_end)" in out
+    assert "2 value difference(s) and 0 schema line(s)" in out

@@ -58,11 +58,15 @@ def _forbid_the_tail(monkeypatch):
     monkeypatch.setattr(kernels, "heat_evolve", never)
 
 
-def _workspace(grid, params):
-    # a workspace of a run that started from u = 1 + x, v = 1, w = 60
+def _workspace(grid, params, state):
+    # a workspace at ``state`` with the snap floor and the end of the
+    # nutrient phase of a run that started from u = 1 + x, v = 1, w = 60
     start = State(0.0, 1.0 + grid.centers, np.ones(grid.n),
                   np.full(grid.n, 60.0))
-    return kernels.Workspace(grid, start, params)
+    ws = kernels.Workspace(grid, state, params)
+    started = kernels.Workspace(grid, start, params)
+    ws.w_snap, ws.w_tail = started.w_snap, started.w_tail
+    return ws
 
 
 @pytest.mark.parametrize("cell", [0, 7, 15])
@@ -71,11 +75,11 @@ def test_tail_does_not_fire_while_any_cell_has_nutrient(backend, monkeypatch,
     # with gamma = 0 the switch waits for the snap: a run that started with
     # nutrient and has it left in one cell only keeps stepping
     grid = build_grid(Geometry("interval", 16))
-    ws = _workspace(grid, SNAP_PARAMS)
-    assert ws.w_tail == 0.0
     w = np.zeros(16)
     w[cell] = 1e-200
     state = State(0.0, 1.0 + grid.centers, np.ones(16), w)
+    ws = _workspace(grid, SNAP_PARAMS, state)
+    assert ws.w_tail == 0.0
     _forbid_the_tail(monkeypatch)
     kernels.segment_numpy(state, 0.01, ws, SNAP_PARAMS,
                           StepperConfig(dt=0.005))
@@ -89,14 +93,15 @@ def test_a_certified_remnant_ends_the_nutrient_phase_at_once(backend, cell):
     # with gamma > 0 the same remnant is far below w_tail: no step is taken,
     # w is dropped and the bracket holds the remnant's bound
     grid = build_grid(Geometry("interval", 16))
-    ws = _workspace(grid, PARAMS)
     u0 = 1.0 + grid.centers
     c = (PARAMS.alpha / PARAMS.gamma
          + PARAMS.delta * grid.volume / (PARAMS.beta * integrate(u0, grid)))
-    assert ws.w_tail == pytest.approx(kernels.TAIL_TOL / c, rel=1e-15)
+    w_tail = kernels.TAIL_TOL / c
     w = np.zeros(16)
-    w[cell] = 0.5 * ws.w_tail
+    w[cell] = 0.5 * w_tail
     state = State(0.0, u0.copy(), np.ones(16), w)
+    ws = _workspace(grid, PARAMS, state)
+    assert ws.w_tail == pytest.approx(w_tail, rel=1e-15)
     kernels.segment_numpy(state, 0.01, ws, PARAMS, StepperConfig(dt=0.005))
     assert ws.stats.accepted == 0 and ws.stats.w_exhausted_t == 0.0
     assert np.all(state.w == 0.0) and np.all(state.v == 1.0)
@@ -106,9 +111,9 @@ def test_a_certified_remnant_ends_the_nutrient_phase_at_once(backend, cell):
 
 def test_tail_fires_at_once_when_the_nutrient_is_spent(backend):
     grid = build_grid(Geometry("interval", 16))
-    ws = _workspace(grid, PARAMS)
     u0 = 1.0 + grid.centers
     state = State(0.5, u0.copy(), np.ones(16), np.zeros(16))
+    ws = _workspace(grid, PARAMS, state)
     i_inf = long_time_index(state, grid)
     kernels.segment_numpy(state, 0.75, ws, PARAMS, StepperConfig())
     # no step, and with no nutrient left the bracket is a point
@@ -235,9 +240,9 @@ def test_modal_tail_is_the_heat_flow_of_the_switch_state(backend,
     switches = []
     end_phase = kernels._end_nutrient_phase
 
-    def recorded(state, ws, params):
-        switches.append((state.t, state.u.copy()))
-        end_phase(state, ws, params)
+    def recorded(ws, params, t):
+        switches.append((t, ws.y[1].copy()))
+        end_phase(ws, params, t)
 
     monkeypatch.setattr(kernels, "_end_nutrient_phase", recorded)
     seen = []

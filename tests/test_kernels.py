@@ -7,10 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import solveh_banded
 
 import nutaxis
-from nutaxis import Gaussian, Geometry, ModelParams, build_grid, init_state
+from nutaxis import (Gaussian, Geometry, LinearSolveFailure, ModelParams,
+                     StepperConfig, advance, build_grid, init_state)
 from nutaxis import kernels
 from nutaxis.model import f_eps
 from nutaxis.operators import taxis_flux
@@ -19,42 +20,46 @@ import loop_reference
 
 
 def _system(n, D, seed):
+    """A symmetric, diagonally dominant tridiagonal system ``(d, e, b)``."""
     rng = np.random.default_rng(seed)
-    cl, cr = rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n)
-    cl[0] = cr[-1] = 0.0
-    diag = D * (cl + cr) + rng.uniform(0.5, 3.0, n)  # diagonally dominant
-    return cl, cr, diag, rng.standard_normal(n)
+    e = -D * rng.uniform(0.1, 2.0, n - 1)
+    d = rng.uniform(0.5, 3.0, n)
+    d[1:] -= e
+    d[:-1] -= e
+    return d, e, rng.standard_normal(n)
 
 
 @pytest.mark.parametrize("D", [0.7, 1e3])
 @pytest.mark.parametrize("n", [4, 401, 801])
-def test_solve_tridiag_matches_solve_banded_bitwise(n, D):
-    args = _system(n, D, seed=n)
-    before = [a.copy() for a in args]
-    cl, cr, diag, rhs = args
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -D * cr[:-1]
-    ab[1] = diag
-    ab[2, :-1] = -D * cl[1:]
-    x = kernels.solve_tridiag(cl, cr, diag, rhs, D)
-    assert np.array_equal(x, solve_banded((1, 1), ab, rhs))
-    for a, b in zip(args, before):
-        assert np.array_equal(a, b)
+def test_solve_tridiag_matches_solveh_banded_bitwise(n, D):
+    d, e, b = _system(n, D, seed=n)
+    ab = np.zeros((2, n))
+    ab[0, 1:], ab[1] = e, d
+    want = solveh_banded(ab, b)
+    fd, fe, x = d.copy(), e.copy(), b.copy()
+    assert kernels.solve_tridiag(fd, fe, x) is x
+    assert np.array_equal(x, want)
+    # the factor left in (fd, fe) solves the system again, bitwise
+    x2 = b.copy()
+    kernels.solve_tridiag(fd, fe, x2, factored=True)
+    assert np.array_equal(x2, want)
 
 
 @pytest.mark.parametrize("n", [4, 401])
 def test_solve_tridiag_in_place_with_work(n):
-    cl, cr, diag, rhs = _system(n, 0.7, seed=n)
-    x = kernels.solve_tridiag(cl, cr, diag, rhs, 0.7)
-    cl0, cr0 = cl.copy(), cr.copy()
-    strided = np.zeros((n, 2))  # f2py copies a non-contiguous rhs
-    strided[:, 0] = rhs
-    for b in (rhs, strided[:, 0]):
-        work = np.full((2, n + 1), np.nan)
-        got = kernels.solve_tridiag(cl, cr, diag.copy(), b, 0.7, work)
-        assert got is b
-        assert np.array_equal(b, x)
-    assert np.array_equal(cl, cl0) and np.array_equal(cr, cr0)
+    # the solve works in place: b gets the solution and d, e (its work) the
+    # factor, also where f2py had to copy a strided array
+    d, e, b = _system(n, 0.7, seed=n)
+    want = kernels.solve_tridiag(d.copy(), e.copy(), b.copy())
+    strided = np.zeros((3, n, 2))
+    for a, row in zip((d, e, b), strided):
+        row[:len(a), 0] = a
+    sd, se, sb = strided[0, :, 0], strided[1, :n - 1, 0], strided[2, :, 0]
+    assert kernels.solve_tridiag(sd, se, sb) is sb
+    assert np.array_equal(sb, want)
+    again = b.copy()
+    kernels.solve_tridiag(sd, se, again, factored=True)
+    assert np.array_equal(again, want)
 
 
 def test_import_defers_scipy_to_the_first_solve():
@@ -63,8 +68,8 @@ def test_import_defers_scipy_to_the_first_solve():
             "import nutaxis\n"
             "from nutaxis import kernels\n"
             "assert 'scipy' not in sys.modules, 'import nutaxis loaded scipy'\n"
-            "x = kernels.solve_tridiag(np.zeros(3), np.zeros(3),\n"
-            "                          np.full(3, 2.0), np.ones(3), 1.0)\n"
+            "x = kernels.solve_tridiag(np.full(3, 2.0), np.zeros(2),\n"
+            "                          np.ones(3))\n"
             "assert x.tolist() == [0.5, 0.5, 0.5]\n")
     src = str(Path(nutaxis.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
@@ -75,10 +80,61 @@ def test_import_defers_scipy_to_the_first_solve():
 
 def test_solve_tridiag_zero_pivot_raises():
     n = 6
-    cl, cr, diag, rhs = np.zeros(n), np.zeros(n), np.ones(n), np.ones(n)
-    diag[3] = 0.0
+    d, e, b = np.ones(n), np.zeros(n - 1), np.ones(n)
+    d[3] = 0.0
     with pytest.raises(np.linalg.LinAlgError):
-        kernels.solve_tridiag(cl, cr, diag, rhs, 2.0)
+        kernels.solve_tridiag(d, e, b)
+    # symmetric but indefinite: the second leading minor is 1 - 4 < 0
+    with pytest.raises(np.linalg.LinAlgError):
+        kernels.solve_tridiag(np.ones(n), np.full(n - 1, 2.0), np.ones(n))
+
+
+def test_a_matrix_that_is_not_positive_definite_fails_the_run(monkeypatch):
+    # the w rows of a workspace whose diffusion has the wrong sign
+    real = kernels.diffusion_rows
+
+    def flipped(grid, D):
+        diag, off = real(grid, D)
+        return -1e9 * diag, off
+
+    monkeypatch.setattr(kernels, "diffusion_rows", flipped)
+    grid = build_grid(Geometry("interval", 16))
+    state, _ = init_state(Gaussian(0.1, 1.0, 15.0, 0.5), Gaussian(1.0, 0.0,
+                          1.0, 0.5), Gaussian(1.0, 2.0, 15.0, 0.5), grid)
+    with pytest.raises(LinearSolveFailure) as err:
+        advance(state, grid, ModelParams(*PARAMS), StepperConfig(dt=1e-3),
+                t_end=0.01)
+    assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+    assert err.value.t == 0.0 and err.value.dt > 0.0
+
+
+def _lap(cl, cr):
+    """The dense unscaled Neumann Laplacian of the face couplings."""
+    n = cl.shape[0]
+    lap = np.diag(-(cl + cr))
+    lap[np.arange(1, n), np.arange(n - 1)] = cl[1:]
+    lap[np.arange(n - 1), np.arange(1, n)] = cr[:-1]
+    return lap
+
+
+@pytest.mark.parametrize("geometry", [Geometry("interval", 400),
+                                      Geometry("radial", 400, d=3, R=1.0)],
+                         ids=["interval", "radial-d3"])
+@pytest.mark.parametrize("system", ["w", "u"])
+def test_the_scaled_solve_matches_a_dense_solve_of_the_operator(geometry,
+                                                                system):
+    # (c0 + s) y - D lap y = r, with the unscaled rows of cl, cr: the w
+    # system with a random nonnegative sink, the u system with none
+    grid = build_grid(geometry)
+    m, cl, cr, _, _ = kernels.grid_coefficients(grid)
+    rng = np.random.default_rng(3)
+    c0, D = 1.5e4, (1.0 if system == "w" else 20.0)
+    s = rng.uniform(0.0, 5e3, grid.n) if system == "w" else np.zeros(grid.n)
+    r = rng.uniform(-1.0, 1.0, grid.n)
+    want = np.linalg.solve(np.diag(c0 + s) - D * _lap(cl, cr), r)
+    diag, off = kernels.diffusion_rows(grid, D)
+    x = kernels.solve_tridiag(m * (c0 + s) + diag, off.copy(), m * r)
+    assert np.max(np.abs(x - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 # D_u, D_w, chi, alpha, beta, gamma, delta of the step attempts below
@@ -86,50 +142,46 @@ PARAMS = (20.0, 1.0, 5.0, 2.0, 200.0, 200.0, 1.0)
 
 
 def _attempt_inputs(geometry, eps, w_snap=1e-250):
-    """A state and a workspace with a history and the sink filled."""
+    """A workspace with a history and the sink filled."""
     grid = build_grid(geometry)
     bump = Gaussian(base=0.1, amp=1.0, rate=15.0, center=0.0)
     state, _ = init_state(bump, bump, Gaussian(base=1.0, amp=2.0, rate=15.0,
                                                center=0.0), grid)
-    u, v, w = state.u, state.v, state.w
     params = ModelParams(*PARAMS, eps_reg=eps)
     ws = kernels.Workspace(grid, state, params)
     ws.w_snap = w_snap
-    ws.hu[:], ws.hv[:], ws.hw[:] = 0.99 * u, 1.01 * v, 1.02 * w
+    ws.hy[:] = ws.y * np.array([1.02, 0.99, 1.01])[:, None]
     ws.hnu[:] = np.linspace(-1.0, 1.0, grid.n)
-    kernels._fill_sink_numpy(ws.sink, u, v, ws.hu, ws.hv, True, 200.0, 200.0,
-                             eps)
-    return state, ws, params
+    kernels._fill_sink_numpy(ws.sink, ws.y[1:], ws.hy[1:], True, 200.0,
+                             200.0, eps, np.empty((2, grid.n)))
+    return ws, params
 
 
-def _inputs(state, ws):
+def _inputs(ws):
     """Every array the attempt reads."""
-    return [state.u, state.v, state.w, ws.hu, ws.hw, ws.hnu, ws.sink,
-            ws.m, ws.cl, ws.cr, ws.af]
+    return [ws.y, ws.hy, ws.hnu, ws.sink, ws.m, ws.cl, ws.cr, ws.af, ws.dw,
+            ws.ew, ws.du, ws.eu]
 
 
-def _plain_attempt(state, ws, sbdf2, dt, p):
+def _plain_attempt(ws, sbdf2, dt, p):
     """The attempt's arithmetic in plain, allocating numpy (no rejections)."""
-    u, v, w, hu, hw, hnu, sink, m, cl, cr, af = _inputs(state, ws)
-    eps = p.eps_reg
+    y, hy, hnu, sink, m, _, _, af, dw, ew, du, eu = _inputs(ws)
+    (w, u, v), eps = y, p.eps_reg
+    flux = taxis_flux(u, w, af, ws.h, p.chi, eps)
+    nn = f_eps(u, eps) * p.delta * w * m + (flux[:-1] - flux[1:])
     if sbdf2:
         c0 = 3.0 / (2.0 * dt)
-        rhs_w = (4.0 * w - hw) / (2.0 * dt)
+        rhs = (4.0 * y[:2] - hy[:2]) / (2.0 * dt) * m
+        rhs[1] = rhs[1] + 2.0 * nn - hnu
     else:
         c0 = 1.0 / dt
-        rhs_w = w * c0
-    wn = kernels.solve_tridiag(cl, cr, c0 + sink + p.D_w * (cl + cr), rhs_w,
-                               p.D_w)
+        rhs = y[:2] * c0 * m
+        rhs[1] = rhs[1] + nn
+    wn = kernels.solve_tridiag((sink + c0) * m + dw, ew.copy(), rhs[0])
     wn[wn < ws.w_snap] = 0.0
     vn = v * np.exp(p.alpha * dt * 0.5 * (w + wn))
-    nn = (-np.diff(taxis_flux(u, w, af, ws.h, p.chi, eps)) / m
-          + p.delta * f_eps(u, eps) * w)
-    if sbdf2:
-        rhs_u = (4.0 * u - hu) / (2.0 * dt) + 2.0 * nn - hnu
-    else:
-        rhs_u = u * c0 + nn
-    un = kernels.solve_tridiag(cl, cr, c0 + p.D_u * (cl + cr), rhs_u, p.D_u)
-    return un, vn, wn, nn
+    un = kernels.solve_tridiag(m * c0 + du, eu.copy(), rhs[1])
+    return np.array([wn, un, vn]), nn
 
 
 @pytest.mark.parametrize("geometry", [Geometry("interval", 64),
@@ -138,24 +190,24 @@ def _plain_attempt(state, ws, sbdf2, dt, p):
 @pytest.mark.parametrize("eps", [0.0, 0.1])
 @pytest.mark.parametrize("sbdf2", [True, False])
 def test_numpy_attempt_uses_work_as_scratch_only(geometry, eps, sbdf2):
-    state, ws, params = _attempt_inputs(geometry, eps)
-    before = [a.copy() for a in _inputs(state, ws)]
+    # the second attempt reuses the u factor the first one left
+    ws, params = _attempt_inputs(geometry, eps)
+    before = [a.copy() for a in _inputs(ws)]
     dt = 1e-5
 
     results = []
     for fill in (0.0, np.nan):
-        ws.un[:] = ws.vn[:] = ws.wn[:] = ws.nn[:] = 0.0
+        ws.yn[:] = ws.nn[:] = 0.0
         ws.work[:] = fill
-        failure = kernels.attempt_step_numpy(state, ws, sbdf2, dt, params)
-        for a, b in zip(_inputs(state, ws), before):
+        failure = kernels.attempt_step_numpy(ws, sbdf2, dt, params)
+        for a, b in zip(_inputs(ws), before):
             assert np.array_equal(a, b)
-        results.append((failure, [ws.un.copy(), ws.vn.copy(), ws.wn.copy(),
-                                  ws.nn.copy()]))
+        results.append((failure, [ws.yn.copy(), ws.nn.copy()]))
     (failure, out), (failure_nan, out_nan) = results
     assert failure is None and failure_nan is None
     for a, b in zip(out, out_nan):
         assert np.array_equal(a, b)
-    plain = _plain_attempt(state, ws, sbdf2, dt, params)
+    plain = _plain_attempt(ws, sbdf2, dt, params)
     for a, b in zip(out, plain):
         assert np.array_equal(a, b)
 
@@ -164,21 +216,22 @@ def test_numpy_attempt_uses_work_as_scratch_only(geometry, eps, sbdf2):
 def test_numpy_attempt_allocates_no_float_array(sbdf2):
     # one n-length float64 temporary alone reaches 8 n bytes; what the
     # attempt does allocate (array views and the n-byte upwind mask) peaks
-    # below that at n = 401: 2568 B with numpy 2.4, against 20264 B when
-    # each solve allocated its off-diagonals, diagonal and solution
-    state, ws, params = _attempt_inputs(Geometry("interval", 401), 0.0)
-    n = state.u.shape[0]
-    args = (state, ws, sbdf2, 1e-5, params)
+    # below that at n = 401, with the u factor reused or built afresh
+    ws, params = _attempt_inputs(Geometry("interval", 401), 0.0)
+    n = ws.y.shape[1]
+    args = (ws, sbdf2, 1e-5, params)
     assert kernels.attempt_step_numpy(*args) is None
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        kernels.attempt_step_numpy(*args)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * n
+    for u_c0 in (ws.u_c0, 0.0):
+        ws.u_c0 = u_c0
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            kernels.attempt_step_numpy(*args)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.1])
@@ -193,7 +246,8 @@ def test_vectorized_primitives_match_loop_primitives(extrapolate, eps):
     sinks = []
     for fill in (loop_reference.fill_sink, kernels._fill_sink_numpy):
         sink = np.full(n, np.nan)
-        fill(sink, u, v, hu, hv, extrapolate, 200.0, 50.0, eps)
+        fill(sink, np.array([u, v]), np.array([hu, hv]), extrapolate, 200.0,
+             50.0, eps, np.full((2, n), np.nan))
         sinks.append(sink)
     assert sinks[0].tobytes() == sinks[1].tobytes()
 
@@ -201,19 +255,61 @@ def test_vectorized_primitives_match_loop_primitives(extrapolate, eps):
     w[100:200] = 0.0  # snapped cells: their sink does not cap dt
     sink = sinks[0]
     sink[150] = 2.0 * sink.max()
-    terms = kernels._cap_terms_numpy(w, sink)
-    assert terms == loop_reference.cap_terms(w, sink)
+    terms = kernels._cap_terms_numpy(w, sink, False)
+    assert terms == loop_reference.cap_terms(w, sink, False)
     assert terms[1] < sink[150]
+    # where every w is positive the unmasked max is the masked one
+    w[100:200] = 1e-300
+    assert (kernels._cap_terms_numpy(w, sink, True)
+            == loop_reference.cap_terms(w, sink, False))
 
 
 @pytest.mark.parametrize("sbdf2", [True, False])
 def test_numpy_attempt_snaps_like_the_plain_form(sbdf2):
-    state, ws, params = _attempt_inputs(Geometry("interval", 64), 0.0,
-                                        w_snap=1e-30)
+    ws, params = _attempt_inputs(Geometry("interval", 64), 0.0, w_snap=1e-30)
     # the nutrient is gone from half the domain
-    state.w[32:], ws.hw[32:] = 0.0, 0.0
-    assert kernels.attempt_step_numpy(state, ws, sbdf2, 1e-5, params) is None
-    assert np.any(ws.wn[32:] == 0.0) and np.any(ws.wn[32:] > 0.0)
-    plain = _plain_attempt(state, ws, sbdf2, 1e-5, params)
-    for a, b in zip((ws.un, ws.vn, ws.wn, ws.nn), plain):
-        assert a.tobytes() == b.tobytes()
+    ws.y[0, 32:], ws.hy[0, 32:] = 0.0, 0.0
+    assert kernels.attempt_step_numpy(ws, sbdf2, 1e-5, params) is None
+    wn = ws.yn[0]
+    assert np.any(wn[32:] == 0.0) and np.any(wn[32:] > 0.0)
+    assert ws.wn_min == 0.0
+    plain, nn = _plain_attempt(ws, sbdf2, 1e-5, params)
+    assert ws.yn.tobytes() == plain.tobytes()
+    assert ws.nn.tobytes() == nn.tobytes()
+
+
+def test_clearing_the_u_factor_changes_no_bit(monkeypatch):
+    # dt changes at every output time and on growth, so the u factor is
+    # rebuilt now and then and reused in between; built afresh before every
+    # attempt it gives the same bits (dptsv is dpttrf, then dpttrs)
+    grid = build_grid(Geometry("radial", 64, d=3))
+    bump = Gaussian(base=0.1, amp=1.0, rate=15.0, center=0.0)
+    state0, _ = init_state(bump, bump, Gaussian(1.0, 2.0, 15.0, 0.0), grid)
+    params = ModelParams(*PARAMS)
+    times = np.geomspace(1e-4, 0.02, 12)
+    real_attempt, real_solve = (kernels.attempt_step_numpy,
+                                kernels.solve_tridiag)
+    calls = []
+
+    def solve(d, e, b, factored=False):
+        calls.append(factored)
+        return real_solve(d, e, b, factored)
+
+    def cleared(ws, *args):
+        ws.u_c0 = 0.0
+        return real_attempt(ws, *args)
+
+    monkeypatch.setattr(kernels, "solve_tridiag", solve)
+    runs = [advance(state0.copy(), grid, params, StepperConfig(), 0.02,
+                    observe_times=times)]
+    reused = calls.count(True)
+    monkeypatch.setattr(kernels, "attempt_step_numpy", cleared)
+    calls.clear()
+    runs.append(advance(state0.copy(), grid, params, StepperConfig(), 0.02,
+                        observe_times=times))
+    assert 0 < reused < runs[0].stats.accepted and calls.count(True) == 0
+    assert runs[0].stats.rebuilds > 2  # a new dt, a new factor
+    a, b = runs
+    assert a.stats == b.stats
+    for name in ("u", "v", "w"):
+        assert getattr(a.state, name).tobytes() == getattr(b.state, name).tobytes()

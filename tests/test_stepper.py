@@ -243,17 +243,19 @@ def test_advance_recovers_by_halving(monkeypatch, backend):
 def _fail_from_call(monkeypatch, n_fail, field, count=math.inf):
     """Make kernels.attempt_step_numpy fail ``count`` times from call n_fail on.
 
-    It rejects ``field`` at cell 2, or with ``field=None`` raises the
-    singular-solve error.  Returns the list of every attempt's
+    A failing call runs the real attempt, so the attempt's own writes
+    happen, then rejects ``field`` at cell 2, or with ``field=None`` raises
+    the singular-solve error.  Returns the list of every attempt's
     ``(dt, sbdf2)``.
     """
     attempts = []
     real = kernels.attempt_step_numpy
 
-    def attempt(state, ws, sbdf2, dt, params):
+    def attempt(ws, sbdf2, dt, params):
         attempts.append((dt, sbdf2))
+        out = real(ws, sbdf2, dt, params)
         if not n_fail <= len(attempts) < n_fail + count:
-            return real(state, ws, sbdf2, dt, params)
+            return out
         if field is None:
             raise np.linalg.LinAlgError("zero pivot")
         return field, 2
@@ -314,6 +316,52 @@ def test_a_rejection_retries_with_backward_euler_at_half_dt(monkeypatch):
     assert (stats.accepted, stats.rejected, stats.rebuilds) == (11, 1, 4)
     assert stats.min_dt == pytest.approx(0.005, rel=1e-12)
     assert res.state.t == 0.1
+
+
+def test_a_rejection_leaves_the_level_and_the_history(monkeypatch):
+    # the third attempt (SBDF2, with a history) runs and is then rejected;
+    # the retry must start from the same level, history and hnu
+    grid = build_grid(Geometry("interval", 16))
+    state = _bump_state(grid)
+    _fail_from_call(monkeypatch, 3, "u", count=1)
+    failing = kernels.attempt_step_numpy
+    seen = []
+
+    def attempt(ws, sbdf2, dt, params):
+        seen.append([a.copy() for a in (ws.y, ws.hy, ws.hnu)])
+        return failing(ws, sbdf2, dt, params)
+
+    monkeypatch.setattr(kernels, "attempt_step_numpy", attempt)
+    res = advance(state, grid, FULL, StepperConfig(dt=1e-3), t_end=5e-3)
+    assert res.stats.rejected == 1
+    rejected, retry = seen[2], seen[3]
+    assert np.any(rejected[1] != 0.0) and np.any(rejected[2] != 0.0)
+    for a, b in zip(rejected, retry):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_advance_leaves_the_final_state_in_the_callers_arrays(monkeypatch):
+    # the level lives in the kernel's workspace during the run; it is
+    # copied back into the arrays the caller passed, also on a failure
+    grid = build_grid(Geometry("interval", 16))
+    for fail in (False, True):
+        state = _bump_state(grid)
+        arrays = state.u, state.v, state.w
+        u0 = state.u.copy()
+        if fail:  # every attempt from the 4th on is rejected
+            monkeypatch.setattr(kernels, "MAX_RETRIES", 2)
+            _fail_from_call(monkeypatch, 4, "u")
+            with pytest.raises(PositivityViolation) as err:
+                advance(state, grid, FULL, StepperConfig(dt=1e-3),
+                        t_end=5e-3, observe_times=[2e-3])
+            assert 0.0 < state.t == err.value.t < 5e-3
+        else:
+            res = advance(state, grid, FULL, StepperConfig(dt=1e-3),
+                          t_end=5e-3, observe_times=[2e-3])
+            assert res.state is state and state.t == 5e-3
+        assert all(a is b for a, b in zip((state.u, state.v, state.w),
+                                          arrays))
+        assert not np.array_equal(state.u, u0)
 
 
 def test_a_draining_cell_raises_instead_of_stalling(monkeypatch):

@@ -15,10 +15,24 @@ object per run to ``FILE``:
 * ``accepted``, ``rejected``, ``rebuilds`` -- the step counts,
 * ``min_dt`` and ``I_end`` (the last record's ``I``) as ``float.hex``.
 
+It adds one more object, ``heat[n=400]`` (:func:`digest_heat`), for the
+other users of the diffusion operator, which no preset run reaches:
+
+* ``L`` and ``t0`` -- ``reduced.stabilization_constants`` with the
+  defaults of ``nutaxis heat``,
+* ``heat_interval`` and ``heat_radial_d3`` -- ``reduced.heat_solve`` of
+  that initial data (n = 400, D = 1, t_end = 10): ``sha256`` of the
+  trajectory's arrays and mean, and ``int_ln_U_mid`` and ``int_ln_U_end``
+  at the middle observation time ``t_mid`` and at t_end,
+* ``transport_error_n100``, ``_n200``, ``_n400`` --
+  ``verify.transport_error`` at those resolutions,
+
+each float as ``float.hex``.
+
 ``compare`` prints every value that differs between two such files, by run
-and dotted key, and exits 1 if there is any; a differing ``I_end`` or
-``min_dt`` is also shown in decimal, with its relative change.  A key
-present on one side only (a config key added or retired) is printed as a
+and dotted key, and exits 1 if there is any; a differing ``float.hex``
+value (``HEX_KEYS``) is also shown in decimal, with its relative change.
+A key present on one side only (a config key added or retired) is printed as a
 schema line and does not by itself make ``compare`` exit 1.  For each run
 it also prints the largest relative change over the numeric leaves both
 sides have (``I_end`` and ``min_dt`` included).  Equal digests mean
@@ -42,7 +56,12 @@ PRESETS = [("fig1_left", 60), ("fig1_left", 120), ("fig1_left", 240),
            ("fig1_right", 1.4), ("fig1_right", 14), ("fig1_right", 20),
            ("fig3", 1), ("fig3", 3)]
 DENSE_SEED = 1
-HEX_KEYS = ("I_end", "min_dt")  # digested as float.hex
+HEAT_N = 400
+HEAT_T_END = 10.0
+TRANSPORT_N = (100, 200, 400)
+# digested as float.hex
+HEX_KEYS = ("I_end", "min_dt", "L", "t0", "t_mid", "int_ln_U_mid",
+            "int_ln_U_end", *(f"transport_error_n{n}" for n in TRANSPORT_N))
 
 
 def _sha256(data: bytes) -> str:
@@ -70,6 +89,38 @@ def digest(result, out_dir: str) -> dict:
     }
 
 
+def digest_heat() -> dict:
+    """The ``heat[n=400]`` object: the heat flow, the stabilization
+    constants and the transport oracle, each of which builds the diffusion
+    operator itself instead of stepping a preset."""
+    import numpy as np
+
+    from nutaxis import Gaussian, Geometry, build_grid, reduced, sample
+    from nutaxis.verify import transport_error
+
+    u0 = Gaussian(base=0.0, amp=1.0, rate=15.0, center=0.5)  # nutaxis heat
+    grids = {"interval": build_grid(Geometry("interval", HEAT_N)),
+             "radial_d3": build_grid(Geometry("radial", HEAT_N, d=3))}
+    interval = grids["interval"]
+    L, t0 = reduced.stabilization_constants(sample(u0, interval), 1.0,
+                                            interval)
+    out = {"L": L.hex(), "t0": t0.hex()}
+    for label, grid in grids.items():
+        traj = reduced.heat_solve(sample(u0, grid), 1.0, grid, HEAT_T_END)
+        mid = len(traj.times) // 2
+        arrays = (traj.times, traj.int_ln_u, traj.sup_dist,
+                  np.array([traj.mean]))
+        out[f"heat_{label}"] = {
+            "sha256": _sha256(b"".join(a.tobytes() for a in arrays)),
+            "t_mid": float(traj.times[mid]).hex(),
+            "int_ln_U_mid": float(traj.int_ln_u[mid]).hex(),
+            "int_ln_U_end": float(traj.int_ln_u[-1]).hex(),
+        }
+    for n in TRANSPORT_N:
+        out[f"transport_error_n{n}"] = transport_error(n).hex()
+    return out
+
+
 def digest_all() -> dict:
     """Run the golden set in this process (the subprocess side of ``run``)."""
     import nutaxis
@@ -87,6 +138,7 @@ def digest_all() -> dict:
             out["runs"][label] = digest(result, os.path.join(tmp, str(i)))
             print(f"  {label}: {result.manifest.stats['accepted']} steps",
                   file=sys.stderr, flush=True)
+    out["runs"][f"heat[n={HEAT_N}]"] = digest_heat()
     return out
 
 

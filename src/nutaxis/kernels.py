@@ -30,10 +30,12 @@ Both implicit operators are self-adjoint in the ``m``-weighted inner
 product, so each system is solved with its rows scaled by the cell
 measures ``m``: a symmetric positive definite tridiagonal matrix with
 diagonal ``m (c0 + sink) + D (a_{i-1/2} + a_{i+1/2})`` and off-diagonal
-``-D a_{i+1/2}``, ``a = face area / h`` (:func:`diffusion_rows`), solved
-by LAPACK's LDL^T routines (:func:`solve_tridiag`).  The u matrix depends
-only on ``c0``, so its factor is kept in the workspace and reused while
-``c0`` stays the same.
+``-D a_{i+1/2}``, ``a = face area / h``, solved by LAPACK's LDL^T
+routines (:func:`solve_tridiag`).  The u matrix depends only on ``c0``, so
+its factor is kept in the workspace and reused while ``c0`` stays the
+same.  The exact heat flow of step 3 below takes its eigenmodes from the
+u matrix's diffusion part (:func:`heat_modes`), so it is the steps' own
+discrete operator.
 
 A run that starts with ``w0 == 0`` (``w_tail < 0``) never takes the
 tail of step 3 below: it steps the heat flow with SBDF2, which is what
@@ -99,7 +101,7 @@ from typing import Optional
 import numpy as np
 
 from .model import f_eps
-from .operators import taxis_flux
+from .operators import diffusion_rows, taxis_flux
 
 __all__ = [
     "AdvanceStats",
@@ -107,8 +109,6 @@ __all__ = [
     "PositivityViolation",
     "Workspace",
     "attempt_step_numpy",
-    "diffusion_rows",
-    "grid_coefficients",
     "heat_evolve",
     "heat_modes",
     "heat_project",
@@ -164,40 +164,6 @@ class LinearSolveFailure(RuntimeError):
                          f"t = {t:.6g} with dt = {dt:.6g}")
 
 
-def grid_coefficients(grid):
-    """Per-grid coefficients ``(m, cl, cr, af, h)`` of the stepping kernel.
-
-    Cell measures, the left and right face couplings of the Neumann
-    Laplacian (row ``i`` of ``lap`` is ``cl[i] (y[i-1] - y[i]) + cr[i]
-    (y[i+1] - y[i])``), face areas and the spacing.
-    """
-    n = grid.n
-    af = grid.face_areas
-    cl = np.zeros(n)
-    cr = np.zeros(n)
-    cl[1:] = af[1:-1] / (grid.h * grid.m[1:])
-    cr[:-1] = af[1:-1] / (grid.h * grid.m[:-1])
-    return grid.m, cl, cr, af, grid.h
-
-
-def diffusion_rows(grid, D):
-    """The diffusion part ``(diag, off)`` of the m-scaled rows of ``-D lap``.
-
-    Row ``i`` of ``-D lap`` times ``m[i]`` has the diagonal ``D (a[i-1] +
-    a[i])`` and the off-diagonals ``-D a[i-1]``, ``-D a[i]``, with the
-    interior face couplings ``a = face_areas[1:-1] / h`` (no flux through
-    the boundary).  It is symmetric, so ``off`` (``n - 1`` entries) is both
-    off-diagonals.  The m-scaled system of ``(c0 + s) y - D lap y = r`` has
-    the diagonal ``m (c0 + s) + diag``, ``off`` and the right-hand side
-    ``m r``; it is positive definite for ``c0 > 0``, ``s >= 0``.
-    """
-    a = grid.face_areas[1:-1] / grid.h
-    diag = np.zeros(grid.n)
-    diag[1:] = a
-    diag[:-1] += a
-    return D * diag, -D * a
-
-
 @dataclass
 class AdvanceStats:
     """Step statistics of one run, summed over its segments.
@@ -219,33 +185,35 @@ class AdvanceStats:
 class Workspace:
     """What the segments of one run share.
 
-    ``m, cl, cr, af, h`` are the :func:`grid_coefficients`, ``m2`` is ``m``
-    stacked twice (the scale of the w and u rows together; a broadcast
-    ``m`` would make numpy allocate a buffer), and ``dw, ew`` and ``du,
-    eu`` are the :func:`diffusion_rows` of ``D_w`` and ``D_u``.  Each level
-    is one ``(3, n)`` array of rows ``[w, u, v]``: ``y`` is the current
-    level, copied from ``state`` here (once per run), ``hy`` the previous
-    accepted level and ``yn`` the new level of an attempt.  ``nn`` is the
-    m-weighted explicit u-term of ``y`` (written by each attempt), ``hnu``
-    that of ``hy``, and ``hdt > 0`` the step that left ``hy``; ``hdt == 0``
-    while there is no such level.  An accepted step rotates ``y, hy, yn``
-    and swaps ``nn, hnu``.  ``w_min`` is the min of ``y``'s w and ``wn_min``
-    that of ``yn``'s, both after the snap.  ``w_snap`` is the snap-to-zero
-    floor of w, ``W_SNAP_REL`` times the max of ``w0``, and ``w_tail`` the
-    max w at which the nutrient phase ends (:func:`_tail_level` of the
-    entry ``state`` and ``params``).  ``ufac`` (shape ``(2, n)``: the
-    diagonal, then the ``n - 1`` off-diagonal entries) holds the LDL^T
-    factor of the m-scaled u matrix of ``c0 = u_c0``, or nothing when
-    ``u_c0 == 0``.  ``sink`` and ``work`` (shape ``(4, n + 1)``) are
-    scratch of each attempt.  ``tail`` is ``None`` until the nutrient phase
-    ends, then ``(t, modes, mean, coef)``: the switch time, the
-    :func:`heat_modes` of ``D_u`` and the :func:`heat_project` of u at that
-    time.  ``stats`` holds the run's :class:`AdvanceStats`.
+    ``m, af, h`` are the grid's cell measures, face areas and spacing,
+    ``m2`` is ``m`` stacked twice (the scale of the w and u rows together;
+    a broadcast ``m`` would make numpy allocate a buffer), and ``dw, ew``
+    and ``du, eu`` are the :func:`~nutaxis.operators.diffusion_rows` of
+    ``D_w`` and ``D_u``: the solves and the heat modes are built from them.
+    Each level is one ``(3, n)`` array of rows ``[w, u, v]``: ``y`` is the
+    current level, copied from ``state`` here (once per run), ``hy`` the
+    previous accepted level and ``yn`` the new level of an attempt.  ``nn``
+    is the m-weighted explicit u-term of ``y`` (written by each attempt),
+    ``hnu`` that of ``hy``, and ``hdt > 0`` the step that left ``hy``;
+    ``hdt == 0`` while there is no such level.  An accepted step rotates
+    ``y, hy, yn`` and swaps ``nn, hnu``.  ``w_min`` is the min of ``y``'s w
+    and ``wn_min`` that of ``yn``'s, both after the snap.  ``w_snap`` is the
+    snap-to-zero floor of w, ``W_SNAP_REL`` times the max of ``w0``, and
+    ``w_tail`` the max w at which the nutrient phase ends
+    (:func:`_tail_level` of the entry ``state`` and ``params``).  ``ufac``
+    (shape ``(2, n)``: the diagonal, then the ``n - 1`` off-diagonal
+    entries) holds the LDL^T factor of the m-scaled u matrix of ``c0 =
+    u_c0``, or nothing when ``u_c0 == 0``.  ``sink`` and ``work`` (shape
+    ``(4, n + 1)``) are scratch of each attempt.  ``tail`` is ``None`` until
+    the nutrient phase ends, then ``(t, modes, mean, coef)``: the switch
+    time, the :func:`heat_modes` of ``m, du, eu`` and the
+    :func:`heat_project` of u at that time.  ``stats`` holds the run's
+    :class:`AdvanceStats`.
     """
 
     def __init__(self, grid, state, params):
         n = grid.n
-        self.m, self.cl, self.cr, self.af, self.h = grid_coefficients(grid)
+        self.m, self.af, self.h = grid.m, grid.face_areas, grid.h
         self.m2 = np.array((self.m, self.m))
         self.dw, self.ew = diffusion_rows(grid, params.D_w)
         self.du, self.eu = diffusion_rows(grid, params.D_u)
@@ -412,7 +380,7 @@ def _end_nutrient_phase(ws, params, t):
     # the I(inf) bracket of _tail_level from the state at the switch, then
     # w = 0 and the heat tail's coefficients of u
     (w, u, v), m = ws.y, ws.m
-    modes = heat_modes(m, ws.cl, ws.cr, params.D_u)
+    modes = heat_modes(m, ws.du, ws.eu)
     volume = modes[4]
     mass_u, mass_w = float(np.dot(m, u)), float(np.dot(m, w))
     ln_v = float(np.dot(m, np.log(v)))
@@ -440,7 +408,13 @@ def _fit(span, cap):
 # vectorized numpy/scipy primitives
 # ---------------------------------------------------------------------------
 
-_pt = None  # scipy's dptsv and dpttrs, looked up on the first solve
+_lapack = None  # scipy.linalg.lapack, imported on first use
+
+
+def _import_lapack():
+    global _lapack  # deferred: importing scipy takes ~0.3 s
+    from scipy.linalg import lapack as _lapack
+    return _lapack
 
 
 def solve_tridiag(d, e, b, factored=False):
@@ -461,15 +435,12 @@ def solve_tridiag(d, e, b, factored=False):
     Raises:
         np.linalg.LinAlgError: the matrix is not positive definite.
     """
-    global _pt
-    if _pt is None:  # deferred: importing scipy takes ~0.3 s
-        from scipy.linalg.lapack import dptsv, dpttrs
-        _pt = dptsv, dpttrs
+    lapack = _lapack or _import_lapack()
     # positional overwrite flags: f2py's keyword parsing costs ~0.8 us a call
     if factored:
-        x, info = _pt[1](d, e, b, 1)
+        x, info = lapack.dpttrs(d, e, b, 1)
     else:
-        fd, fe, x, info = _pt[0](d, e, b, 1, 1, 1)
+        fd, fe, x, info = lapack.dptsv(d, e, b, 1, 1, 1)
         for given, out in ((d, fd), (e, fe)):
             if out is not given:  # f2py factored a copy
                 given[...] = out
@@ -481,50 +452,47 @@ def solve_tridiag(d, e, b, factored=False):
     return b
 
 
-_dstemr = None  # scipy's dstemr and dstemr_lwork, looked up on first use
 _modes_cache = None  # (key, modes) of the last heat_modes call
 
 
-def heat_modes(m, cl, cr, D):
+def heat_modes(m, d, e):
     """The eigenmodes of the discrete Neumann heat operator ``D * lap``.
 
-    ``m, cl, cr`` are the cell measures and face couplings of
-    :func:`grid_coefficients`.  The operator, with rows ``D*cl[i]``,
-    ``-D*(cl[i] + cr[i])``, ``D*cr[i]``, is self-adjoint in the
-    ``m``-weighted inner product, so ``S = M^(1/2) (D lap) M^(-1/2)`` is
-    symmetric tridiagonal: its diagonal is ``-D (cl + cr)`` and its
-    off-diagonal ``D cr[:-1] sqrt(m[:-1] / m[1:])``, on interval and radial
-    grids alike.  LAPACK ``dstemr`` (called directly, after its workspace
-    query) gives its eigenvalues ``lam`` in ascending order and orthonormal
+    ``m`` are the cell measures and ``d, e`` the
+    :func:`~nutaxis.operators.diffusion_rows` of ``D``, the m-scaled rows
+    ``K = -M (D lap)`` that the implicit solves factor.  ``K`` is
+    symmetric, so ``S = M^(1/2) (D lap) M^(-1/2) = -M^(-1/2) K M^(-1/2)``
+    is symmetric tridiagonal: its diagonal is ``-d / m`` and its
+    off-diagonal ``-e / sqrt(m[:-1] m[1:])``, on interval and radial grids
+    alike.  LAPACK ``dstemr`` (called directly, after its workspace query)
+    gives its eigenvalues ``lam`` in ascending order and orthonormal
     eigenvectors, the columns of ``q``.  The top eigenvalue, that of the
-    constant mode, is 0; the computed one is ~-1e-9 at n = 400 and is
-    pinned to 0.
+    constant mode, is 0, and the computed one is pinned to it; at n = 400
+    it comes out ~1e-297 in size on an interval and up to ~3e-10 (D = 20)
+    on a ball, at most ~1e-17 of the bottom eigenvalue.
 
     Returns ``(lam, q, s, m, volume)``, with ``s = sqrt(m)`` and ``volume =
     sum(m)``, for :func:`heat_project` and :func:`heat_evolve`.  The
-    arrays are read-only: the last
-    result is cached on ``(m, cl, cr, D)``, so the runs of a sweep on one
-    grid and ``D`` share one set of modes.
+    arrays are read-only: the last result is cached on the bytes of ``(m,
+    d, e)``, so the runs of a sweep on one grid and ``D`` share one set of
+    modes.
 
     Raises:
         np.linalg.LinAlgError: if ``dstemr`` fails.
     """
-    global _dstemr, _modes_cache
-    key = (m.tobytes(), cl.tobytes(), cr.tobytes(), float(D))
+    global _modes_cache
+    key = (m.tobytes(), d.tobytes(), e.tobytes())
     if _modes_cache is not None and _modes_cache[0] == key:
         return _modes_cache[1]
-    if _dstemr is None:  # deferred: importing scipy takes ~0.3 s
-        from scipy.linalg import lapack
-        _dstemr = lapack.dstemr, lapack.dstemr_lwork
-    stemr, stemr_lwork = _dstemr
-    diag = -D * (cl + cr)
+    lapack = _lapack or _import_lapack()
+    diag = -d / m
     off = np.zeros_like(diag)  # dstemr takes n entries and overwrites them
-    off[:-1] = D * cr[:-1] * np.sqrt(m[:-1] / m[1:])
+    off[:-1] = -e / np.sqrt(m[:-1] * m[1:])
     # range 0 ("A"): every eigenpair; vl, vu, il, iu are then unused
-    lwork, liwork, info = stemr_lwork(diag, off, 0, 0.0, 0.0, 0, 0)
+    lwork, liwork, info = lapack.dstemr_lwork(diag, off, 0, 0.0, 0.0, 0, 0)
     if info == 0:
-        _, lam, q, info = stemr(diag, off, 0, 0.0, 0.0, 0, 0, 1,
-                                int(lwork), int(liwork))
+        _, lam, q, info = lapack.dstemr(diag, off, 0, 0.0, 0.0, 0, 0, 1,
+                                        int(lwork), int(liwork))
     if info != 0:
         raise np.linalg.LinAlgError(f"dstemr failed with info = {info}")
     lam[-1] = 0.0

@@ -10,6 +10,15 @@ m-weighted sums telescope to exactly zero.
 also take a stack of fields, one per row of a ``(k, n)`` array, and then
 return one result per row.
 
+The Laplacian has two forms.  :func:`diffusion_rows` gives its m-scaled
+symmetric rows ``K``, the integrator's one definition of its face
+couplings: the implicit solves factor them and the exact heat flow takes
+its modes from them.  :func:`laplacian_neumann` is the flux form, for the
+diagnostics.  It differences ``f`` before it scales, so it does not
+cancel; the rows form ``-(K f) / m`` came out up to 1.1e-12 of
+``max|lap f|`` off it on the fig1_right and fig3 initial nutrient, which
+would move every record's dissipation ``D``.
+
 Note on gradient functionals: face gradients vanish at the two boundary faces
 by construction, so energies like ``integral |grad f|^2 / g`` slightly
 underestimate the continuum value when the profile has nonzero boundary
@@ -26,6 +35,7 @@ from .grid import Grid
 from .model import f_eps_prime
 
 __all__ = [
+    "diffusion_rows",
     "face_gradient",
     "laplacian_neumann",
     "taxis_flux",
@@ -57,6 +67,24 @@ def laplacian_neumann(f: np.ndarray, grid: Grid,
     if grad is None:
         grad = face_gradient(f, grid)
     return np.diff(grid.face_areas * grad) / grid.m
+
+
+def diffusion_rows(grid: Grid, D: float) -> tuple[np.ndarray, np.ndarray]:
+    """The diffusion part ``(diag, off)`` of the m-scaled rows of ``-D lap``.
+
+    Row ``i`` of ``-D lap`` times ``m[i]`` has the diagonal ``D (a[i-1] +
+    a[i])`` and the off-diagonals ``-D a[i-1]``, ``-D a[i]``, with the
+    interior face couplings ``a = face_areas[1:-1] / h`` (no flux through
+    the boundary).  It is symmetric, so ``off`` (``n - 1`` entries) is both
+    off-diagonals.  The m-scaled system of ``(c0 + s) y - D lap y = r`` has
+    the diagonal ``m (c0 + s) + diag``, ``off`` and the right-hand side
+    ``m r``; it is positive definite for ``c0 > 0``, ``s >= 0``.
+    """
+    a = grid.face_areas[1:-1] / grid.h
+    diag = np.zeros(grid.n)
+    diag[1:] = a
+    diag[:-1] += a
+    return D * diag, -D * a
 
 
 def taxis_flux(u: np.ndarray, w: np.ndarray, face_areas: np.ndarray,

@@ -28,9 +28,9 @@ import numpy as np
 from .diagnostics import NonpositiveField, _ln, jensen_gap
 from .experiments import OutputSchedule, output_times
 from .grid import Grid
-from .kernels import grid_coefficients, heat_evolve, heat_modes, heat_project
+from .kernels import heat_evolve, heat_modes, heat_project
 from .model import ModelParams
-from .operators import integrate
+from .operators import diffusion_rows, integrate
 from .profiles import Profile, sample
 
 __all__ = [
@@ -214,10 +214,12 @@ def heat_solve(u0: Union[Profile, np.ndarray], D: float, grid: Grid,
                t_end: float) -> HeatTrajectory:
     """Run U_t = D*lap(U) and record int ln U and sup|U - mean|.
 
-    The flow is exact in time: the initial data is projected once on the
-    grid's `kernels.heat_modes` (`kernels.heat_project`), and each observed
-    U is that projection's `kernels.heat_evolve`.  The mean is the discrete
-    volume average of the initial data (mass is conserved).
+    The flow is exact in time: the initial data is projected once
+    (`kernels.heat_project`) on the `kernels.heat_modes` of the grid's
+    `operators.diffusion_rows`, the rows the integrator's u solve factors,
+    and each observed U is that projection's `kernels.heat_evolve`.  The
+    mean is the discrete volume average of the initial data (mass is
+    conserved).
     Observation times are t = 0, then those of the default
     ``OutputSchedule`` (1e-3 * 1.25^k), then t_end.
 
@@ -233,8 +235,7 @@ def heat_solve(u0: Union[Profile, np.ndarray], D: float, grid: Grid,
         u0, dtype=np.float64)
     if arr.min() <= 0.0:
         raise NonpositiveField("heat initial data must be positive")
-    m, cl, cr, _, _ = grid_coefficients(grid)
-    modes = heat_modes(m, cl, cr, D)
+    modes = heat_modes(grid.m, *diffusion_rows(grid, D))
     mean, coef = heat_project(modes, arr)
     times = [0.0, *output_times(OutputSchedule(), t_end)]
     int_ln = [float(integrate(np.log(arr), grid))]

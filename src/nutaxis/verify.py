@@ -36,9 +36,9 @@ from .diagnostics import (
 )
 from .experiments import ScenarioConfig, apply_override, preset
 from .grid import Geometry, Grid, build_grid
-from .kernels import diffusion_rows, solve_tridiag
+from .kernels import solve_tridiag
 from .model import ModelParams
-from .operators import integrate
+from .operators import diffusion_rows, integrate
 from .profiles import State, init_state
 from .reduced import OdeState, heat_params, ode_solve, sign_law_check
 from .stepper import StepperConfig, advance

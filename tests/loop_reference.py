@@ -4,10 +4,11 @@
 :func:`nutaxis.kernels.segment_numpy` looks up at each use
 (``attempt_step_numpy``, ``_fill_sink_numpy`` and ``_cap_terms_numpy``) by
 the plain loops below, with one Thomas sweep on the unscaled rows for
-both implicit solves; the controller is shared.  It is slow and exists for
-tests.  It agrees with the numpy kernel to roundoff (~1e-12 relative), not
-bitwise, because the kernel solves the m-scaled symmetric rows by LAPACK's
-LDL^T and the Thomas sweep rounds differently.
+both implicit solves; the controller is shared.  Those rows come from its
+own face couplings (:func:`couplings`), not from the kernel's.  It is slow
+and exists for tests.  It agrees with the numpy kernel to roundoff (~1e-12
+relative), not bitwise, because the kernel solves the m-scaled symmetric
+rows by LAPACK's LDL^T and the Thomas sweep rounds differently.
 """
 import math
 
@@ -22,6 +23,27 @@ def install(monkeypatch):
     monkeypatch.setattr(kernels, "attempt_step_numpy", attempt)
     monkeypatch.setattr(kernels, "_fill_sink_numpy", fill_sink)
     monkeypatch.setattr(kernels, "_cap_terms_numpy", cap_terms)
+
+
+def couplings(m, af, h):
+    # the face couplings of lap from the grid's measures, face areas and
+    # spacing: row i of lap is cl[i] (y[i-1] - y[i]) + cr[i] (y[i+1] - y[i]),
+    # with no flux through the two boundary faces
+    cl, cr = np.zeros((2, m.shape[0]))
+    cl[1:] = af[1:-1] / (h * m[1:])
+    cr[:-1] = af[1:-1] / (h * m[:-1])
+    return cl, cr
+
+
+def dense_laplacian(grid):
+    """The Neumann Laplacian of ``grid`` as a dense matrix: the flux
+    ``a (y[i+1] - y[i]) / h`` through each interior face, differenced and
+    divided by ``m``."""
+    n, a = grid.n, grid.face_areas[1:-1] / grid.h
+    flux = np.zeros((n + 1, n))
+    flux[np.arange(1, n), np.arange(1, n)] = a
+    flux[np.arange(1, n), np.arange(n - 1)] = -a
+    return np.diff(flux, axis=0) / grid.m[:, None]
 
 
 def thomas(cl, cr, diag, rhs, D, cp, dp, out):
@@ -77,7 +99,8 @@ def cap_terms(w, sink, w_positive):
 def attempt(ws, sbdf2, dt, params):
     (w, u, v), (hw, hu, _), (wn, un, vn) = ws.y, ws.hy, ws.yn
     nn, hnu, sink = ws.nn, ws.hnu, ws.sink
-    m, cl, cr, af, h, w_snap = ws.m, ws.cl, ws.cr, ws.af, ws.h, ws.w_snap
+    m, af, h, w_snap = ws.m, ws.af, ws.h, ws.w_snap
+    cl, cr = couplings(m, af, h)
     D_u, D_w, chi, eps = params.D_u, params.D_w, params.chi, params.eps_reg
     alpha, delta = params.alpha, params.delta
     n = u.shape[0]

@@ -1,5 +1,6 @@
 """``benchmarks/golden_digest.py compare`` on two hand-made digests."""
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -48,3 +49,35 @@ def test_a_moved_value_exits_1_and_prints_its_relative_change(tmp_path,
     # I_end and the bracket's end move alike; the first one found is named
     assert "fig3[3]: largest relative change 2e-09 (I_end)" in out
     assert "2 value difference(s) and 0 schema line(s)" in out
+
+
+def test_the_heat_record_holds_every_key_and_repeats_bitwise():
+    # in-process, as ``run`` calls it in its subprocess
+    first = golden_digest.digest_heat()
+    trajectory = {"sha256", "t_mid", "int_ln_U_mid", "int_ln_U_end"}
+    assert set(first) == {"L", "t0", "heat_interval", "heat_radial_d3",
+                          "transport_error_n100", "transport_error_n200",
+                          "transport_error_n400"}
+    for label in ("heat_interval", "heat_radial_d3"):
+        assert set(first[label]) == trajectory
+        assert len(first[label]["sha256"]) == 64
+    floats = [(k, v) for k, v in first.items() if isinstance(v, str)]
+    floats += [(k, v) for label in ("heat_interval", "heat_radial_d3")
+               for k, v in first[label].items() if k != "sha256"]
+    for key, value in floats:
+        assert key in golden_digest.HEX_KEYS
+        assert math.isfinite(float.fromhex(value))
+    assert float.fromhex(first["L"]) > 0.0 and float.fromhex(first["t0"]) > 0.0
+    assert golden_digest.digest_heat() == first
+
+
+def test_a_moved_heat_value_is_shown_in_decimal(tmp_path, capsys):
+    a = {"heat[n=400]": {"heat_radial_d3": {
+        "int_ln_U_end": (-2.5).hex(), "sha256": "ab12"}}}
+    b = {"heat[n=400]": {"heat_radial_d3": {
+        "int_ln_U_end": (-2.5 * (1.0 + 2e-12)).hex(), "sha256": "cd34"}}}
+    code = _compare(tmp_path, a, b)
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "heat[n=400].heat_radial_d3.int_ln_U_end: " in out
+    assert "-2.5 -> " in out and "relative -2e-12" in out

@@ -26,6 +26,7 @@ from nutaxis import (
     integrate,
 )
 from nutaxis import kernels, long_time_index
+from nutaxis.operators import diffusion_rows
 from nutaxis.reduced import heat_params
 
 import loop_reference
@@ -39,8 +40,7 @@ SNAP_PARAMS = ModelParams(D_u=1.0, D_w=1.0, chi=0.5, alpha=2.0, beta=200.0,
 
 
 def _modes(grid, D):
-    m, cl, cr, _, _ = kernels.grid_coefficients(grid)
-    return kernels.heat_modes(m, cl, cr, D)
+    return kernels.heat_modes(grid.m, *diffusion_rows(grid, D))
 
 
 def _heat_flow(grid, D, u, tau):
@@ -263,14 +263,29 @@ def test_modal_tail_is_the_heat_flow_of_the_switch_state(backend,
 
 
 def test_heat_modes_are_built_once_per_grid_and_diffusivity():
+    # the cache is keyed on the bytes of the measures and rows, so equal
+    # rows in other arrays (a second workspace of the sweep) share it
     grid = build_grid(Geometry("interval", 16))
     first = _modes(grid, 1.0)
-    assert _modes(grid, 1.0) is first
+    rows = [a.copy() for a in (grid.m, *diffusion_rows(grid, 1.0))]
+    assert kernels.heat_modes(*rows) is first
     assert not any(a.flags.writeable for a in first[:4])
     other = _modes(grid, 2.0)
     np.testing.assert_allclose(other[0], 2.0 * first[0], rtol=1e-12,
                                atol=1e-12)
+    assert _modes(grid, 1.0) is not first  # only the last result is kept
     assert _modes(build_grid(Geometry("interval", 17)), 2.0)[0].shape == (17,)
+
+
+def test_heat_modes_diagonalize_the_operator():
+    # (D lap) (q / s) = (q / s) diag(lam), with D lap built densely from the
+    # grid's face areas, measures and spacing
+    grid, D = build_grid(Geometry("radial", 64, d=3)), 0.7
+    lam, q, s, _, _ = _modes(grid, D)
+    vectors = q / s[:, None]
+    lhs = D * loop_reference.dense_laplacian(grid) @ vectors
+    assert np.max(np.abs(lhs - vectors * lam)) <= 1e-10 * np.max(np.abs(lhs))
+    assert lam[-1] == 0.0 and np.all(np.diff(lam) > 0.0)
 
 
 def test_map_matches_fine_sbdf2_on_a_radial_ball(backend):

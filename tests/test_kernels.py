@@ -14,7 +14,7 @@ from nutaxis import (Gaussian, Geometry, LinearSolveFailure, ModelParams,
                      StepperConfig, advance, build_grid, init_state)
 from nutaxis import kernels
 from nutaxis.model import f_eps
-from nutaxis.operators import taxis_flux
+from nutaxis.operators import diffusion_rows, taxis_flux
 
 import loop_reference
 
@@ -108,31 +108,23 @@ def test_a_matrix_that_is_not_positive_definite_fails_the_run(monkeypatch):
     assert err.value.t == 0.0 and err.value.dt > 0.0
 
 
-def _lap(cl, cr):
-    """The dense unscaled Neumann Laplacian of the face couplings."""
-    n = cl.shape[0]
-    lap = np.diag(-(cl + cr))
-    lap[np.arange(1, n), np.arange(n - 1)] = cl[1:]
-    lap[np.arange(n - 1), np.arange(1, n)] = cr[:-1]
-    return lap
-
-
 @pytest.mark.parametrize("geometry", [Geometry("interval", 400),
                                       Geometry("radial", 400, d=3, R=1.0)],
                          ids=["interval", "radial-d3"])
 @pytest.mark.parametrize("system", ["w", "u"])
 def test_the_scaled_solve_matches_a_dense_solve_of_the_operator(geometry,
                                                                 system):
-    # (c0 + s) y - D lap y = r, with the unscaled rows of cl, cr: the w
+    # (c0 + s) y - D lap y = r, with the dense lap of the grid: the w
     # system with a random nonnegative sink, the u system with none
     grid = build_grid(geometry)
-    m, cl, cr, _, _ = kernels.grid_coefficients(grid)
+    m = grid.m
     rng = np.random.default_rng(3)
     c0, D = 1.5e4, (1.0 if system == "w" else 20.0)
     s = rng.uniform(0.0, 5e3, grid.n) if system == "w" else np.zeros(grid.n)
     r = rng.uniform(-1.0, 1.0, grid.n)
-    want = np.linalg.solve(np.diag(c0 + s) - D * _lap(cl, cr), r)
-    diag, off = kernels.diffusion_rows(grid, D)
+    want = np.linalg.solve(
+        np.diag(c0 + s) - D * loop_reference.dense_laplacian(grid), r)
+    diag, off = diffusion_rows(grid, D)
     x = kernels.solve_tridiag(m * (c0 + s) + diag, off.copy(), m * r)
     assert np.max(np.abs(x - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -159,13 +151,13 @@ def _attempt_inputs(geometry, eps, w_snap=1e-250):
 
 def _inputs(ws):
     """Every array the attempt reads."""
-    return [ws.y, ws.hy, ws.hnu, ws.sink, ws.m, ws.cl, ws.cr, ws.af, ws.dw,
-            ws.ew, ws.du, ws.eu]
+    return [ws.y, ws.hy, ws.hnu, ws.sink, ws.m, ws.af, ws.dw, ws.ew, ws.du,
+            ws.eu]
 
 
 def _plain_attempt(ws, sbdf2, dt, p):
     """The attempt's arithmetic in plain, allocating numpy (no rejections)."""
-    y, hy, hnu, sink, m, _, _, af, dw, ew, du, eu = _inputs(ws)
+    y, hy, hnu, sink, m, af, dw, ew, du, eu = _inputs(ws)
     (w, u, v), eps = y, p.eps_reg
     flux = taxis_flux(u, w, af, ws.h, p.chi, eps)
     nn = f_eps(u, eps) * p.delta * w * m + (flux[:-1] - flux[1:])

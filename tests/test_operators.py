@@ -10,7 +10,7 @@ from nutaxis import (
     laplacian_neumann,
 )
 from nutaxis.model import f_eps_prime
-from nutaxis.operators import taxis_flux
+from nutaxis.operators import diffusion_rows, taxis_flux
 
 
 @pytest.fixture
@@ -62,6 +62,29 @@ def test_laplacian_is_conservative(geom):
     rng = np.random.default_rng(7)
     f = rng.random(grid.n)
     assert abs(integrate(laplacian_neumann(f, grid), grid)) < 1e-12 * grid.n
+
+
+@pytest.mark.parametrize("geom", [
+    Geometry("interval", 37, x_lo=-2.0, x_hi=1.0),
+    Geometry("radial", 37, d=1),
+    Geometry("radial", 37, d=2),
+    Geometry("radial", 37, d=3),
+], ids=["interval", "radial-d1", "radial-d2", "radial-d3"])
+@pytest.mark.parametrize("rows", [1, 3], ids=["one-row", "stacked"])
+def test_laplacian_is_minus_the_diffusion_rows_over_m(geom, rows):
+    # the flux form of the diagnostics and the m-scaled symmetric rows K of
+    # the solves and the heat modes are one operator: lap f = -(K f) / m
+    grid = build_grid(geom)
+    f = np.random.default_rng(13).random((rows, grid.n))
+    diag, off = diffusion_rows(grid, 1.0)
+    kf = diag * f
+    kf[:, :-1] += off * f[:, 1:]
+    kf[:, 1:] += off * f[:, :-1]
+    x = f if rows > 1 else f[0]
+    lap = laplacian_neumann(x, grid)
+    assert lap.shape == x.shape
+    err = np.max(np.abs(lap + (kf / grid.m).reshape(x.shape)))
+    assert err <= 1e-11 * np.max(np.abs(lap))
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.1], ids=["upwind", "upwind-saturated"])

@@ -94,7 +94,11 @@ Segment algorithm:
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -408,12 +412,23 @@ def _fit(span, cap):
 # vectorized numpy/scipy primitives
 # ---------------------------------------------------------------------------
 
-_lapack = None  # scipy.linalg.lapack, imported on first use
+_lapack = None  # scipy's compiled LAPACK module, loaded on first use
 
 
 def _import_lapack():
-    global _lapack  # deferred: importing scipy takes ~0.3 s
-    from scipy.linalg import lapack as _lapack
+    # deferred, and not through scipy.linalg, whose init takes ~0.3 s; the
+    # light `import scipy` sets up shared-library paths on some platforms
+    global _lapack
+    name = "scipy.linalg._flapack"
+    _lapack = sys.modules.get(name)
+    if _lapack is None:
+        import scipy
+        paths = [os.path.join(p, "linalg") for p in scipy.__path__]
+        spec = importlib.machinery.PathFinder.find_spec(name, paths)
+        if spec is None:
+            raise ImportError(f"No module named {name!r}", name=name)
+        _lapack = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(_lapack)
     return _lapack
 
 
@@ -429,8 +444,8 @@ def solve_tridiag(d, e, b, factored=False):
     left there by an earlier call, and only ``dpttrs`` runs; ``dptsv`` is
     ``dpttrf`` then ``dpttrs``, so the solution is bitwise that of a fresh
     call.  Nothing is allocated when the three arrays are contiguous
-    float64; otherwise f2py works on copies, which are written back.  scipy
-    is imported on the first call, not with the package.
+    float64; otherwise f2py works on copies, which are written back.  LAPACK
+    is loaded on the first call, not with the package or ``scipy.linalg``.
 
     Raises:
         np.linalg.LinAlgError: the matrix is not positive definite.

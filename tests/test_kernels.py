@@ -1,4 +1,5 @@
 """The numpy kernel's primitives: the LAPACK solve and the step attempt."""
+import importlib.machinery
 import os
 import subprocess
 import sys
@@ -62,20 +63,84 @@ def test_solve_tridiag_in_place_with_work(n):
     assert np.array_equal(again, want)
 
 
-def test_import_defers_scipy_to_the_first_solve():
-    code = ("import sys\n"
-            "import numpy as np\n"
-            "import nutaxis\n"
-            "from nutaxis import kernels\n"
-            "assert 'scipy' not in sys.modules, 'import nutaxis loaded scipy'\n"
-            "x = kernels.solve_tridiag(np.full(3, 2.0), np.zeros(2),\n"
-            "                          np.ones(3))\n"
-            "assert x.tolist() == [0.5, 0.5, 0.5]\n")
+def _in_a_fresh_process(code):
     src = str(Path(nutaxis.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+_SOLVE = ("x = kernels.solve_tridiag(np.full(3, 2.0), np.zeros(2),\n"
+          "                          np.ones(3))\n"
+          "assert x.tolist() == [0.5, 0.5, 0.5]\n")
+
+
+def test_import_defers_scipy_to_the_first_solve():
+    # and the first solve loads LAPACK without importing scipy.linalg
+    _in_a_fresh_process(
+        "import sys\n"
+        "import numpy as np\n"
+        "import nutaxis\n"
+        "from nutaxis import build_grid, Geometry, kernels\n"
+        "from nutaxis.operators import diffusion_rows\n"
+        "assert 'scipy' not in sys.modules, 'import nutaxis loaded scipy'\n"
+        + _SOLVE +
+        "grid = build_grid(Geometry('interval', 8))\n"
+        "lam = kernels.heat_modes(grid.m, *diffusion_rows(grid, 1.0))[0]\n"
+        "assert lam[-1] == 0.0 and lam[0] < 0.0\n"
+        "assert 'scipy.linalg' not in sys.modules\n")
+
+
+def test_scipy_linalg_imported_after_the_kernel_shares_its_lapack():
+    # the kernel's module is registered, so scipy.linalg takes it over;
+    # the package attribute stays unset, but `from scipy.linalg import
+    # _flapack`, scipy's own path, finds it
+    _in_a_fresh_process(
+        "import numpy as np\n"
+        "from nutaxis import kernels\n"
+        + _SOLVE +
+        "from scipy.linalg import _flapack, lapack, solveh_banded\n"
+        "assert _flapack is kernels._lapack\n"
+        "for r in ('dptsv', 'dpttrs', 'dstemr', 'dstemr_lwork'):\n"
+        "    assert getattr(lapack, r) is getattr(kernels._lapack, r), r\n"
+        "ab = np.array([[0.0, 0.0, 0.0], [2.0, 2.0, 2.0]])\n"
+        "assert solveh_banded(ab, np.ones(3)).tolist() == [0.5, 0.5, 0.5]\n")
+
+
+def test_the_kernel_reuses_the_lapack_of_an_imported_scipy_linalg():
+    _in_a_fresh_process(
+        "import sys\n"
+        "import numpy as np\n"
+        "import scipy.linalg\n"
+        "from nutaxis import kernels\n"
+        + _SOLVE +
+        "assert kernels._lapack is sys.modules['scipy.linalg._flapack']\n")
+
+
+def test_a_run_through_the_heat_tail_never_imports_scipy_linalg():
+    # the tail's heat modes call dstemr; the saving of the light loader is
+    # that no part of a run imports scipy.linalg
+    _in_a_fresh_process(
+        "import sys\n"
+        "from dataclasses import replace\n"
+        "from nutaxis import preset, run_scenario\n"
+        "run = run_scenario(replace(preset('fig1_right', 14), t_end=0.1))\n"
+        "man = run.manifest\n"
+        "assert man.stats['w_exhausted_t'] is not None, man.stats\n"
+        "assert all(a['ok'] for a in man.audits.values()), man.audits\n"
+        "assert 'scipy.linalg' not in sys.modules\n")
+
+
+def test_a_missing_lapack_module_raises_import_error(monkeypatch):
+    name = "scipy.linalg._flapack"
+    monkeypatch.setattr(kernels, "_lapack", None)
+    monkeypatch.delitem(sys.modules, name, raising=False)
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                        staticmethod(lambda *args: None))
+    with pytest.raises(ImportError, match=name) as err:
+        kernels.solve_tridiag(np.full(3, 2.0), np.zeros(2), np.ones(3))
+    assert err.value.name == name
 
 
 def test_solve_tridiag_zero_pivot_raises():

@@ -63,8 +63,8 @@ from .reduced import (
     SignLawMismatch,
     conserved_quantity,
     heat_solve,
-    ode_solve,
-    ode_step_rk4,
+    ode_end_state,
+    ode_state,
     sign_law_check,
     stabilization_constants,
 )
@@ -127,8 +127,8 @@ __all__ = [
     "jensen_gap",
     "long_time_index",
     "laplacian_neumann",
-    "ode_solve",
-    "ode_step_rk4",
+    "ode_end_state",
+    "ode_state",
     "output_times",
     "preset",
     "record_fields",

@@ -12,11 +12,11 @@ run does not abort the sweep.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import time
 from dataclasses import dataclass, field, replace
-from importlib.metadata import PackageNotFoundError, version as _dist_version
 from typing import Any, Optional
 
 import numpy as np
@@ -58,10 +58,16 @@ __all__ = [
     "run_sweep",
 ]
 
-try:
-    _VERSION = _dist_version("nutaxis")
-except PackageNotFoundError:  # pragma: no cover - not installed
-    _VERSION = "0+unknown"
+
+@functools.cache
+def _version() -> str:
+    # looked up with the first manifest: importing importlib.metadata
+    # costs ~20 ms, and most processes that import nutaxis build none
+    from importlib.metadata import PackageNotFoundError, version
+    try:
+        return version("nutaxis")
+    except PackageNotFoundError:  # pragma: no cover - not installed
+        return "0+unknown"
 
 
 class UnknownVariant(ValueError):
@@ -267,7 +273,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                               v0_range, (v_min_obs, v_max_obs))
     stats: AdvanceStats = result.stats
     manifest = RunManifest(
-        version=_VERSION,
+        version=_version(),
         scenario=cfg,
         constants=consts,
         grid_summary={"kind": cfg.geometry.kind, "n_cells": grid.n,

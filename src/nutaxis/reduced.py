@@ -3,11 +3,16 @@ heat problem, and the stabilization constants built on the Jensen gap.
 
 The ODE system drops all transport:
 
-    u' = delta*u*w,   v' = alpha*v*w,   w' = -beta*u*w - gamma*v*w,
+    u' = delta*u*w,   v' = alpha*v*w,   w' = -beta*u*w - gamma*v*w.
 
-so (beta/delta)*u + (gamma/alpha)*v + w is conserved exactly (it is linear,
-hence preserved by any Runge-Kutta method up to rounding).  Its end state
-obeys the sign law sgn(u_inf - v_inf) = sgn(delta - alpha) when u0 = v0.
+In the nutrient exposure tau = int_0^t w it has a closed form:
+u = u0 e^{delta tau}, v = v0 e^{alpha tau} and, from the conserved
+Q = (beta/delta)*u + (gamma/alpha)*v + w, the decreasing and concave
+w = w0 - beta*u0*phi(delta, tau) - gamma*v0*phi(alpha, tau), where
+phi(r, tau) = expm1(r tau)/r (tau at r = 0).  The t -> inf end state sits at
+the one root tau_inf of w, found by Newton's method, where
+ln(v/u) = ln(v0/u0) + (alpha - delta)*tau_inf: from u0 = v0 the sign law
+sgn(u_inf - v_inf) = sgn(delta - alpha) follows.
 
 The heat problem U_t = D*lap(U) is the discrete Neumann heat flow of the
 integrator's Laplacian, taken exactly in time through its eigenmodes (the
@@ -20,7 +25,7 @@ data (strictly positive for nonconstant data).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 import numpy as np
@@ -37,8 +42,8 @@ __all__ = [
     "OdeState",
     "HorizonTooShort",
     "SignLawMismatch",
-    "ode_step_rk4",
-    "ode_solve",
+    "ode_state",
+    "ode_end_state",
     "conserved_quantity",
     "sign_law_check",
     "HeatTrajectory",
@@ -49,7 +54,7 @@ __all__ = [
 
 
 class HorizonTooShort(RuntimeError):
-    """The nutrient had not decayed below threshold by the given horizon."""
+    """A threshold was not crossed by the given horizon."""
 
 
 class SignLawMismatch(RuntimeError):
@@ -58,89 +63,67 @@ class SignLawMismatch(RuntimeError):
 
 @dataclass(frozen=True)
 class OdeState:
-    """Point state of the well-mixed system; u, v > 0 and w >= 0."""
+    """Point state of the well-mixed system at nutrient exposure tau;
+    u, v > 0 and w >= 0."""
 
-    t: float
+    tau: float
     u: float
     v: float
     w: float
 
 
-def _rk4(u: float, v: float, w: float, dt: float,
-         delta: float, alpha: float, beta: float, gamma: float
-         ) -> tuple[float, float, float]:
-    # stage evaluations share the u*w / v*w products so that the exact
-    # delta == alpha, u == v symmetry is preserved bitwise
-    uw = u * w
-    vw = v * w
-    k1u, k1v, k1w = delta * uw, alpha * vw, -beta * uw - gamma * vw
-    u2, v2, w2 = u + 0.5 * dt * k1u, v + 0.5 * dt * k1v, w + 0.5 * dt * k1w
-    uw = u2 * w2
-    vw = v2 * w2
-    k2u, k2v, k2w = delta * uw, alpha * vw, -beta * uw - gamma * vw
-    u3, v3, w3 = u + 0.5 * dt * k2u, v + 0.5 * dt * k2v, w + 0.5 * dt * k2w
-    uw = u3 * w3
-    vw = v3 * w3
-    k3u, k3v, k3w = delta * uw, alpha * vw, -beta * uw - gamma * vw
-    u4, v4, w4 = u + dt * k3u, v + dt * k3v, w + dt * k3w
-    uw = u4 * w4
-    vw = v4 * w4
-    k4u, k4v, k4w = delta * uw, alpha * vw, -beta * uw - gamma * vw
-    c = dt / 6.0
-    return (u + c * (k1u + 2.0 * (k2u + k3u) + k4u),
-            v + c * (k1v + 2.0 * (k2v + k3v) + k4v),
-            w + c * (k1w + 2.0 * (k2w + k3w) + k4w))
+def _phi(r: float, tau: float) -> float:
+    # (e^{r tau} - 1)/r, and its r = 0 limit tau
+    return math.expm1(r * tau) / r if r else tau
 
 
-def ode_step_rk4(s: OdeState, params: ModelParams, dt: float) -> OdeState:
-    """One classical fourth-order step (a finite dt > 0)."""
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    u, v, w = _rk4(s.u, s.v, s.w, dt, params.delta, params.alpha,
-                   params.beta, params.gamma)
-    return OdeState(s.t + dt, u, v, w)
+def ode_state(s0: OdeState, params: ModelParams, tau: float) -> OdeState:
+    """The state after a further nutrient exposure tau from s0 (w >= 0 up to
+    the end state's); ValueError unless tau >= 0, u0, v0 > 0 and w0 >= 0
+    are all finite."""
+    # written so that a NaN fails too
+    if not (0.0 <= tau < math.inf and 0.0 < s0.u < math.inf
+            and 0.0 < s0.v < math.inf and 0.0 <= s0.w < math.inf):
+        raise ValueError(f"need finite tau >= 0, u0, v0 > 0 and w0 >= 0, "
+                         f"got tau = {tau}, u0 = {s0.u}, v0 = {s0.v}, "
+                         f"w0 = {s0.w}")
+    p = params
+    w = (s0.w - p.beta * s0.u * _phi(p.delta, tau)
+         - p.gamma * s0.v * _phi(p.alpha, tau))
+    return OdeState(s0.tau + tau, s0.u * math.exp(p.delta * tau),
+                    s0.v * math.exp(p.alpha * tau), w)
 
 
-def ode_solve(s0: OdeState, params: ModelParams, t_end: float,
-              dt: float) -> list[OdeState]:
-    """Fixed-step trajectory from s0 to t_end inclusive (final step shortened).
+def ode_end_state(s0: OdeState, params: ModelParams) -> OdeState:
+    """The t -> inf limit of the flow from s0, where w = 0; w0 = 0 returns s0.
 
-    Along the result u and v are nondecreasing and w nonincreasing and
-    nonnegative: a step that leaves this invariant region (RK4 is unstable
-    for too large a dt) raises.
+    Newton's first step from tau = 0 lands at or past the root of the
+    concave w, and so does the root of w0 - c*phi(r, tau) for each species
+    alone (c = beta*u0 or gamma*v0), which keeps exp finite for large w0.
+    From the least of these the iterates fall monotonically to the root,
+    and the first that does not decrease ends the search.
 
     Raises:
-        ValueError: unless dt > 0 and t_end >= s0.t are both finite, or
-            when a step leaves the invariant region; the message names dt
-            and the step's start time.
+        ValueError: as `ode_state`, or if w0 > 0 never decays
+            (beta*u0 + gamma*v0 = 0): there is no end state.
     """
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    if not s0.t <= t_end < math.inf:
-        raise ValueError(f"t_end = {t_end} is not finite and at or after "
-                         f"the initial time {s0.t}")
-    out = [s0]
-    n_full = int(math.floor((t_end - s0.t) / dt + 1e-12))
-    s = s0
-    for _ in range(n_full):
-        s = _invariant_step(s, params, dt)
-        out.append(s)
-    if s.t < t_end - 1e-12 * max(1.0, abs(t_end)):
-        s = _invariant_step(s, params, t_end - s.t)
-        out.append(s)
-    return out
-
-
-def _invariant_step(s: OdeState, params: ModelParams, dt: float) -> OdeState:
-    # one RK4 step that must keep u, v nondecreasing and w in [0, s.w],
-    # written so that a NaN fails too
-    nxt = ode_step_rk4(s, params, dt)
-    if not (nxt.u >= s.u and nxt.v >= s.v and 0.0 <= nxt.w <= s.w):
-        raise ValueError(
-            f"RK4 step of dt = {dt:.6g} from t = {s.t:.6g} left the "
-            f"invariant region (u = {nxt.u:.6g}, v = {nxt.v:.6g}, "
-            f"w = {nxt.w:.6g}); take a smaller dt")
-    return nxt
+    ode_state(s0, params, 0.0)  # validates s0
+    if s0.w == 0.0:
+        return s0
+    p = params
+    species = ((p.beta * s0.u, p.delta), (p.gamma * s0.v, p.alpha))
+    rate = p.beta * s0.u + p.gamma * s0.v
+    if rate == 0.0:
+        raise ValueError(f"w never decays from w0 = {s0.w} > 0: "
+                         f"beta*u0 + gamma*v0 = 0, so there is no end state")
+    tau = min([s0.w / rate] + [math.log1p(r * s0.w / c) / r
+                               for c, r in species if c and r])
+    while True:
+        s = ode_state(s0, params, tau)
+        nxt = tau + s.w / (p.beta * s.u + p.gamma * s.v)
+        if not nxt < tau:
+            return replace(s, w=0.0)
+        tau = nxt
 
 
 def conserved_quantity(s: OdeState, params: ModelParams) -> float:
@@ -154,43 +137,23 @@ def _sgn(x: float) -> int:
     return (x > 0.0) - (x < 0.0)
 
 
-def sign_law_check(u0: float, v0: float, w0: float, params: ModelParams,
-                   t_end: float) -> int:
-    """Integrate until w < 1e-10*w0 and return sgn(u - v).
+def sign_law_check(u0: float, v0: float, w0: float,
+                   params: ModelParams) -> int:
+    """Return sgn(u_inf - v_inf) of the end state from (u0, v0, w0).
 
-    The steps are `ode_solve`'s checked RK4 step at dt = min(1e-2, 1/lam),
-    lam = beta*u0 + gamma*v0 + (alpha + delta)*w0: since
-    (beta/delta)*(u - u0) <= w0 and (gamma/alpha)*(v - v0) <= w0, lam bounds
-    the nutrient's decay rate beta*u + gamma*v along the trajectory, and
-    dt*lam <= 1 keeps RK4 stable.
-
-    The law requires equal initial densities, so u0 != v0 is rejected.  The
-    returned sign is also checked against sgn(delta - alpha) and a mismatch
-    raises SignLawMismatch — the point of the operation is the assertion.
-
-    Raises:
-        HorizonTooShort: if w has not decayed below threshold by t_end.
+    The law is stated for u0 == v0, so u0 != v0 raises ValueError.  The
+    sign is checked against sgn(delta - alpha) and a mismatch raises
+    SignLawMismatch — the point of the operation is the assertion.
     """
     if u0 != v0:
         raise ValueError("sign law is stated for u0 == v0")
-    if min(u0, v0) <= 0.0 or w0 < 0.0:
-        raise ValueError("need u0, v0 > 0 and w0 >= 0")
-    lam = (params.beta * u0 + params.gamma * v0
-           + (params.alpha + params.delta) * w0)
-    dt = 1.0 / max(100.0, lam)
-    threshold = 1e-10 * w0
-    s = OdeState(0.0, u0, v0, w0)
-    while s.w > threshold:
-        if s.t >= t_end:
-            raise HorizonTooShort(
-                f"w = {s.w:.3e} > threshold {threshold:.3e} at t_end = {t_end}")
-        s = _invariant_step(s, params, min(dt, t_end - s.t))
-    sign = _sgn(s.u - s.v)
+    end = ode_end_state(OdeState(0.0, u0, v0, w0), params)
+    sign = _sgn(end.u - end.v)
     expected = _sgn(params.delta - params.alpha)
     if sign != expected:
         raise SignLawMismatch(
             f"sgn(u-v) = {sign} but sgn(delta-alpha) = {expected} "
-            f"(u = {s.u!r}, v = {s.v!r})")
+            f"(u = {end.u!r}, v = {end.v!r})")
     return sign
 
 

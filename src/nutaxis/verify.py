@@ -16,8 +16,9 @@ form, an independent fine-step reference, or a structural identity.
   field, and its upwind flux would cap the order at one).
 * Regularization: distances to the unregularized run decrease as the uptake
   saturation eps is lowered.
-* ODE: Richardson self-consistency of the fourth-order integration, exact
-  symmetry, and the two sign-law reference cases.
+* ODE: the closed-form flow of `reduced` against a fixed-step fourth-order
+  Runge-Kutta reference, exact symmetry, the frozen state without
+  nutrient, and the two sign-law reference cases.
 * Jensen gap values pinned against closed forms / fine quadrature.
 """
 from __future__ import annotations
@@ -40,7 +41,8 @@ from .kernels import solve_tridiag
 from .model import ModelParams
 from .operators import diffusion_rows, integrate
 from .profiles import State, init_state
-from .reduced import OdeState, heat_params, ode_solve, sign_law_check
+from .reduced import (OdeState, heat_params, ode_end_state, ode_state,
+                      sign_law_check)
 from .stepper import StepperConfig, advance
 
 __all__ = [
@@ -202,9 +204,28 @@ def regularization_study(cfg: Optional[ScenarioConfig] = None,
     return RegularizationReport(tuple(eps_list), tuple(distances), sample_time)
 
 
-def ode_reference(params: ModelParams, s0: OdeState, t_end: float) -> OdeState:
-    """Fine-step (dt = 1e-5) fourth-order reference end state."""
-    return ode_solve(s0, params, t_end, 1e-5)[-1]
+def ode_reference(params: ModelParams, s0: OdeState, t_end: float,
+                  dt: float = 1e-5) -> OdeState:
+    """Fixed-step fourth-order Runge-Kutta state at time t_end, with the
+    exposure tau = int w integrated alongside u, v and w."""
+    p = params
+
+    def f(y: list[float]) -> list[float]:
+        _, u, v, w = y
+        return [w, p.delta * u * w, p.alpha * v * w,
+                -(p.beta * u + p.gamma * v) * w]
+
+    y = [s0.tau, s0.u, s0.v, s0.w]
+    n = max(1, round(t_end / dt))
+    h = t_end / n
+    for _ in range(n):
+        k1 = f(y)
+        k2 = f([a + 0.5 * h * k for a, k in zip(y, k1)])
+        k3 = f([a + 0.5 * h * k for a, k in zip(y, k2)])
+        k4 = f([a + h * k for a, k in zip(y, k3)])
+        y = [a + h / 6.0 * (b + 2.0 * (c + d) + e)
+             for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
+    return OdeState(*y)
 
 
 def _check(results: list[CheckResult], name: str, ok: bool, detail: str,
@@ -248,28 +269,31 @@ def run_all(seed: int = 0, printer: Optional[Callable[[str], None]] = print
                          gamma=1.0, delta=1.0)
     s0 = OdeState(0.0, 1.0, 1.0, 1.0)
     ref = ode_reference(params, s0, 2.0)
-    coarse = ode_solve(s0, params, 2.0, 1e-3)[-1]
-    rel = max(abs(coarse.u - ref.u) / ref.u, abs(coarse.v - ref.v) / ref.v,
-              abs(coarse.w - ref.w) / max(ref.w, 1.0))
-    _check(out, "ode_richardson", rel <= 1e-8, f"relative gap {rel:.3e}", printer)
+    exact = ode_state(s0, params, ref.tau)
+    rel = max(abs(exact.u - ref.u) / ref.u, abs(exact.v - ref.v) / ref.v,
+              abs(exact.w - ref.w) / max(ref.w, 1.0))
+    _check(out, "ode_richardson", rel <= 1e-8,
+           f"closed form against RK4 at t = 2: relative gap {rel:.3e}",
+           printer)
 
     sym_params = ModelParams(D_u=1.0, D_w=1.0, chi=0.0, alpha=1.5, beta=1.0,
                              gamma=1.0, delta=1.5)
-    sym = ode_solve(OdeState(0.0, 1.0, 1.0, 1.0), sym_params, 3.0, 1e-3)
-    sym_ok = all(s.u == s.v for s in sym)
+    sym_end = ode_end_state(s0, sym_params)
+    sym_ok = all(s.u == s.v for s in [sym_end] + [
+        ode_state(s0, sym_params, sym_end.tau * k / 100) for k in range(101)])
     _check(out, "ode_symmetry_bitwise", sym_ok,
            "u == v along the delta == alpha trajectory", printer)
 
-    frozen = ode_reference(params, OdeState(0.0, 1.0, 2.0, 0.0), 1.0)
+    frozen = ode_end_state(OdeState(0.0, 1.0, 2.0, 0.0), params)
     _check(out, "ode_frozen_without_nutrient",
            frozen.u == 1.0 and frozen.v == 2.0 and frozen.w == 0.0,
            f"end state ({frozen.u}, {frozen.v}, {frozen.w})", printer)
 
     base_kw = dict(D_u=1.0, D_w=1.0, chi=0.0, beta=1.0, gamma=1.0)
     s_minus = sign_law_check(1.0, 1.0, 1.0,
-                             ModelParams(alpha=2.0, delta=1.0, **base_kw), 100.0)
+                             ModelParams(alpha=2.0, delta=1.0, **base_kw))
     s_plus = sign_law_check(1.0, 1.0, 1.0,
-                            ModelParams(alpha=2.0, delta=3.0, **base_kw), 100.0)
+                            ModelParams(alpha=2.0, delta=3.0, **base_kw))
     _check(out, "sign_law_reference_cases", s_minus == -1 and s_plus == 1,
            f"signs ({s_minus}, {s_plus})", printer)
 

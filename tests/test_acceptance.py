@@ -16,7 +16,8 @@ from nutaxis import (
     integrate,
     integrated_inequality_audit,
     jensen_gap,
-    ode_solve,
+    ode_end_state,
+    ode_state,
     sample,
     sign_law_check,
     stabilization_constants,
@@ -150,7 +151,7 @@ def test_09_ode_sign_law_grid():
     for delta, alpha, w0 in itertools.product(values, values, w0s):
         params = ModelParams(D_u=1.0, D_w=1.0, chi=0.0, alpha=alpha,
                              beta=1.0, gamma=1.0, delta=delta)
-        sign = sign_law_check(1.0, 1.0, w0, params, t_end=200.0)
+        sign = sign_law_check(1.0, 1.0, w0, params)
         assert sign == (delta > alpha) - (delta < alpha)
         cases += 1
 
@@ -160,7 +161,10 @@ def test_09_ode_sign_law_grid():
                              beta=1.0, gamma=1.0, delta=delta)
         s0 = OdeState(0.0, 1.0, 1.0, w0)
         q0 = conserved_quantity(s0, params)
-        traj = ode_solve(s0, params, 50.0, 1e-3)
+        # exposure samples over [0, tau_inf], then the end state
+        end = ode_end_state(s0, params)
+        traj = [ode_state(s0, params, end.tau * k / 1000)
+                for k in range(1001)] + [end]
         drift = max(abs(conserved_quantity(s, params) - q0) for s in traj)
         worst = max(worst, drift / abs(q0))
     _gate("C09 winner sign equals sgn(delta - alpha); invariant preserved",

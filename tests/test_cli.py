@@ -44,12 +44,12 @@ def test_help_exits_zero(capsys):
     ["heat", "--diffusion", "0"],                   # D_u must be positive
     ["run", "--preset", "fig4", "--variant", "d=1"],  # unknown preset
     ["constants", "--preset", "fig4", "--variant", "d=1"],
-    [*ODE, "--t-end", "inf"],                       # non-finite horizon
-    [*ODE, "--t-end", "nan"],
-    [*ODE, "--dt", "nan"],                          # non-finite step
-    [*ODE, "--dt", "inf"],
-    [*ODE, "--dt", "100"],                          # RK4 leaves the invariant
-    [*ODE, "--dt", "5"],                            # region of the law
+    [*ODE, "--alpha", "nan"],                       # non-finite rate
+    [*ODE, "--w0", "nan"],                          # non-finite state
+    [*ODE, "--w0", "inf"],
+    [*ODE, "--w0", "-1"],                           # negative nutrient
+    [*ODE, "--u0", "0"],                            # a species is absent
+    [*ODE, "--v0", "-1"],
     ["sweep", "sweep.json", "--threads", "0"],      # no worker process
     ["sweep", "sweep.json", "--threads", "-4"],
 ])
@@ -129,6 +129,19 @@ def test_ode_subcommand(capsys):
     assert "sign(u - v) = -1" in out
 
 
+def test_ode_without_uptake_has_no_end_state(capsys):
+    assert main([*ODE, "--beta", "0", "--gamma", "0"]) == 1
+    captured = capsys.readouterr()
+    assert "w never decays" in captured.err and captured.out == ""
+
+
+def test_ode_without_nutrient_prints_the_initial_state(capsys):
+    argv = [*ODE, "--u0", "0.7", "--v0", "0.3", "--w0", "0"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[:3] == [
+        "u_final = 0.7", "v_final = 0.3", "w_final = 0"]
+
+
 @pytest.mark.parametrize("flag", ["--delta", "--alpha"])
 def test_ode_without_a_conserved_quantity(capsys, flag):
     # Q = (beta/delta) u + (gamma/alpha) v + w needs delta, alpha > 0; the
@@ -183,6 +196,8 @@ def test_verify_exit_codes(monkeypatch, capsys):
     ["heat", "--dt", "0.1"],
     ["ode", "--delta", "1", "--alpha", "2", "--beta", "1", "--gamma", "1",
      "--u0", "1", "--v0", "1", "--w0", "1", "--n-cells", "10"],
+    [*ODE, "--dt", "0.1"],                          # the end state is exact
+    [*ODE, "--t-end", "5"],
 ])
 def test_options_a_subcommand_does_not_read_exit_one(argv, capsys):
     assert main(argv) == 1

@@ -7,16 +7,16 @@ from nutaxis import (
     Constant,
     Gaussian,
     Geometry,
-    HorizonTooShort,
     ModelParams,
     NonpositiveField,
     OdeState,
+    SignLawMismatch,
     build_grid,
     conserved_quantity,
     heat_solve,
     jensen_gap,
-    ode_solve,
-    ode_step_rk4,
+    ode_end_state,
+    ode_state,
     sample,
     sign_law_check,
     stabilization_constants,
@@ -28,62 +28,59 @@ def _params(delta, alpha, beta=1.0, gamma=1.0):
                        gamma=gamma, delta=delta)
 
 
-def test_ode_solve_schedule():
+def _trajectory(s0, params, n=1000):
+    # n + 1 exposure samples from s0 to the end state, then the end state
+    end = ode_end_state(s0, params)
+    return [ode_state(s0, params, end.tau * k / n)
+            for k in range(n + 1)] + [end]
+
+
+def test_ode_state_validation():
     params = _params(1.0, 2.0)
-    traj = ode_solve(OdeState(0.0, 1.0, 1.0, 1.0), params, 1.0, 0.25)
-    assert len(traj) == 5
-    assert traj[-1].t == pytest.approx(1.0, abs=1e-12)
-    traj = ode_solve(OdeState(0.0, 1.0, 1.0, 1.0), params, 1.1, 0.25)
-    assert len(traj) == 6  # four full steps plus a shortened final one
-    assert traj[-1].t == pytest.approx(1.1, abs=1e-12)
+    for tau in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="need finite tau >= 0"):
+            ode_state(OdeState(0.0, 1, 1, 1), params, tau)
+    for s0 in (OdeState(0.0, 0.0, 1, 1), OdeState(0.0, 1, -1, 1),
+               OdeState(0.0, 1, 1, -1), OdeState(0.0, 1, 1, float("nan")),
+               OdeState(0.0, float("inf"), 1, 1)):
+        with pytest.raises(ValueError, match="need finite tau >= 0"):
+            ode_end_state(s0, params)
+        with pytest.raises(ValueError, match="need finite tau >= 0"):
+            ode_state(s0, params, 0.5)
 
 
-def test_ode_solve_validation():
+def test_positional_state_and_exposure_clock():
+    s0 = OdeState(0.0, 1.0, 1.0, 1.0)
+    assert s0.tau == 0.0
     params = _params(1.0, 2.0)
-    with pytest.raises(ValueError):
-        ode_solve(OdeState(0.0, 1, 1, 1), params, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        ode_solve(OdeState(1.0, 1, 1, 1), params, 0.5, 0.1)
-    with pytest.raises(ValueError):
-        ode_step_rk4(OdeState(0.0, 1, 1, 1), params, -0.1)
-    # non-finite steps and horizons: no float-to-int error, no single step
-    # of dt = inf across the whole horizon
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="dt must be positive and finite"):
-            ode_solve(OdeState(0.0, 1, 1, 1), params, 1.0, bad)
-        with pytest.raises(ValueError, match="dt must be positive and finite"):
-            ode_step_rk4(OdeState(0.0, 1, 1, 1), params, bad)
-        with pytest.raises(ValueError, match="t_end = "):
-            ode_solve(OdeState(0.0, 1, 1, 1), params, bad, 0.1)
-
-
-@pytest.mark.parametrize("dt", [100.0, 5.0])
-def test_ode_solve_rejects_steps_that_leave_the_invariant_region(dt):
-    # RK4 is unstable at these steps: u and v went negative (dt = 100) or
-    # to -inf (dt = 5) and the run used to finish with a wrong sign
-    params = _params(1.0, 2.0)
-    with pytest.raises(ValueError, match=r"dt = \S+ from t = 0 left the "
-                                         r"invariant region"):
-        ode_solve(OdeState(0.0, 1.0, 1.0, 1.0), params, 50.0, dt)
+    assert ode_state(s0, params, 0.0) == s0
+    s1 = ode_state(s0, params, 0.25)
+    assert s1.tau == 0.25
+    # exposure is additive: the flow from s1 continues the flow from s0
+    s2 = ode_state(s1, params, 0.05)
+    ref = ode_state(s0, params, 0.3)
+    assert s2.tau == pytest.approx(0.3, rel=1e-15)
+    for k in ("u", "v", "w"):
+        assert getattr(s2, k) == pytest.approx(getattr(ref, k), rel=1e-14)
 
 
 def test_ode_monotonicity():
-    traj = ode_solve(OdeState(0.0, 1.0, 1.0, 1.0), _params(1.0, 2.0), 10.0, 1e-2)
+    traj = _trajectory(OdeState(0.0, 1.0, 1.0, 1.0), _params(1.0, 2.0))
     u = np.array([s.u for s in traj])
     v = np.array([s.v for s in traj])
     w = np.array([s.w for s in traj])
     assert np.all(np.diff(u) >= 0.0)
     assert np.all(np.diff(v) >= 0.0)
     assert np.all(np.diff(w) <= 0.0)
-    assert w[-1] >= 0.0
+    assert np.all(w >= -1e-15) and w[-1] == 0.0
 
 
 def test_conserved_quantity_exact_to_rounding():
-    # Q is a linear invariant, so RK4 preserves it to rounding at any dt
+    # Q is the invariant the closed form of w is built from
     params = _params(1.5, 0.5, beta=2.0, gamma=3.0)
     s0 = OdeState(0.0, 1.0, 2.0, 5.0)
     q0 = conserved_quantity(s0, params)
-    for s in ode_solve(s0, params, 10.0, 1e-2):
+    for s in _trajectory(s0, params):
         assert conserved_quantity(s, params) == pytest.approx(q0, rel=1e-12)
 
 
@@ -94,16 +91,53 @@ def test_conserved_quantity_needs_positive_rates():
 
 def test_closed_form_limits():
     # delta=1, alpha=2, beta=gamma=1, unit data: u -> sqrt(6)-1, v -> 7-2*sqrt(6)
-    traj = ode_solve(OdeState(0.0, 1.0, 1.0, 1.0), _params(1.0, 2.0), 50.0, 1e-3)
-    end = traj[-1]
-    assert end.w < 1e-60
-    assert end.u == pytest.approx(math.sqrt(6.0) - 1.0, rel=1e-8)
-    assert end.v == pytest.approx(7.0 - 2.0 * math.sqrt(6.0), rel=1e-8)
+    end = ode_end_state(OdeState(0.0, 1.0, 1.0, 1.0), _params(1.0, 2.0))
+    assert end.w == 0.0
+    assert end.u == pytest.approx(math.sqrt(6.0) - 1.0, rel=1e-15)
+    assert end.v == pytest.approx(7.0 - 2.0 * math.sqrt(6.0), rel=1e-15)
+    # the end state is the one root of w(tau)
+    assert abs(ode_state(OdeState(0.0, 1.0, 1.0, 1.0), _params(1.0, 2.0),
+                         end.tau).w) <= 1e-15
+
+
+@pytest.mark.parametrize("delta, alpha", [(0.0, 2.0), (1.0, 0.0), (0.0, 0.0)])
+def test_zero_growth_rates_take_the_linear_limit(delta, alpha):
+    # phi(0, tau) = tau: the species that does not grow consumes at a
+    # constant rate, and with neither growing w is linear in tau
+    params = _params(delta, alpha)
+    end = ode_end_state(OdeState(0.0, 1.0, 1.0, 1.0), params)
+    if delta == alpha == 0.0:
+        assert end.tau == 0.5 and end.u == end.v == 1.0
+    near = ode_end_state(OdeState(0.0, 1.0, 1.0, 1.0),
+                         _params(delta or 1e-9, alpha or 1e-9))
+    assert end.tau == pytest.approx(near.tau, rel=1e-8)
+    assert (end.u, end.v) == pytest.approx((near.u, near.v), rel=1e-8)
+
+
+def test_no_nutrient_is_the_start_state_bitwise():
+    s0 = OdeState(0.5, 0.7, 0.3, 0.0)
+    assert ode_end_state(s0, _params(1.0, 2.0)) is s0
+
+
+def test_no_uptake_has_no_end_state():
+    with pytest.raises(ValueError, match="w never decays"):
+        ode_end_state(OdeState(0.0, 1.0, 1.0, 1.0),
+                      _params(1.0, 2.0, beta=0.0, gamma=0.0))
+
+
+def test_large_nutrient_end_state_is_finite():
+    # the first Newton step alone, w0/(beta*u0 + gamma*v0) = 5e5, would
+    # overflow exp; each species' own bound keeps the search finite
+    s0 = OdeState(0.0, 1.0, 1.0, 1e6)
+    params = _params(1.0, 2.0)
+    end = ode_end_state(s0, params)
+    assert end.w == 0.0 and math.isfinite(end.v)
+    assert conserved_quantity(end, params) == pytest.approx(
+        conserved_quantity(s0, params), rel=1e-12)
 
 
 def test_equal_rates_preserve_symmetry_bitwise():
-    traj = ode_solve(OdeState(0.0, 0.7, 0.7, 3.0), _params(1.5, 1.5), 5.0, 1e-2)
-    for s in traj:
+    for s in _trajectory(OdeState(0.0, 0.7, 0.7, 3.0), _params(1.5, 1.5)):
         assert s.u == s.v
 
 
@@ -113,31 +147,35 @@ def test_equal_rates_preserve_symmetry_bitwise():
     (2.0, 2.0, 0),
 ])
 def test_sign_law(delta, alpha, expected):
-    assert sign_law_check(1.0, 1.0, 1.0, _params(delta, alpha), 100.0) == expected
+    assert sign_law_check(1.0, 1.0, 1.0, _params(delta, alpha)) == expected
 
 
 def test_sign_law_depends_on_initial_nutrient_only_through_sign():
     params = _params(0.5, 3.0)
     for w0 in (0.1, 1.0, 10.0):
-        assert sign_law_check(1.0, 1.0, w0, params, 200.0) == -1
+        assert sign_law_check(1.0, 1.0, w0, params) == -1
 
 
 @pytest.mark.parametrize("delta, expected", [(1.0, -1), (3.0, 1)])
 def test_sign_law_with_stiff_consumption(delta, expected):
-    # beta*u*dt reaches 3 at dt = 1e-2, past RK4's stability limit; the
-    # step is cut to 1/lam with lam = beta*u0 + gamma*v0 + (alpha+delta)*w0
+    # fast uptake ends the race at a small exposure: tau_inf = 1.66e-3
     params = _params(delta, 2.0, beta=300.0, gamma=300.0)
-    assert sign_law_check(1.0, 1.0, 1.0, params, 200.0) == expected
+    assert sign_law_check(1.0, 1.0, 1.0, params) == expected
+    s0 = OdeState(0.0, 1.0, 1.0, 1.0)
+    end = ode_end_state(s0, params)
+    assert abs(ode_state(s0, params, end.tau).w) <= 1e-14
+    if delta == 1.0:
+        assert end.tau == pytest.approx(1.6645866e-3, rel=1e-7)
 
 
 def test_sign_law_validation():
     params = _params(1.0, 2.0)
     with pytest.raises(ValueError):
-        sign_law_check(1.0, 2.0, 1.0, params, 10.0)
+        sign_law_check(1.0, 2.0, 1.0, params)
     with pytest.raises(ValueError):
-        sign_law_check(-1.0, -1.0, 1.0, params, 10.0)
-    with pytest.raises(HorizonTooShort):
-        sign_law_check(1.0, 1.0, 1.0, params, 0.1)
+        sign_law_check(-1.0, -1.0, 1.0, params)
+    with pytest.raises(SignLawMismatch):  # no nutrient, no race
+        sign_law_check(1.0, 1.0, 0.0, params)
 
 
 def test_heat_solve_eigenmode_decay_rate():

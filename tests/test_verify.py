@@ -10,7 +10,8 @@ from nutaxis import (
     advance,
     apply_override,
     build_grid,
-    ode_solve,
+    ode_end_state,
+    ode_state,
     preset,
 )
 from nutaxis.reduced import heat_params
@@ -75,14 +76,37 @@ def test_regularization_distances_decrease():
     assert rep.distances[0] > rep.distances[1] > rep.distances[2]
 
 
+def _ode_params(delta=1.0, alpha=2.0):
+    return ModelParams(D_u=1.0, D_w=1.0, chi=0.0, alpha=alpha, beta=1.0,
+                       gamma=1.0, delta=delta)
+
+
 def test_ode_reference_matches_coarse_solve():
-    params = ModelParams(D_u=1.0, D_w=1.0, chi=0.0, alpha=2.0, beta=1.0,
-                         gamma=1.0, delta=1.0)
+    # the RK4 reference is converged: a step 100 times coarser agrees
+    params = _ode_params()
     s0 = OdeState(0.0, 1.0, 1.0, 1.0)
     ref = ode_reference(params, s0, 2.0)
-    coarse = ode_solve(s0, params, 2.0, 1e-3)[-1]
+    coarse = ode_reference(params, s0, 2.0, dt=1e-3)
     assert coarse.u == pytest.approx(ref.u, rel=1e-9)
     assert coarse.v == pytest.approx(ref.v, rel=1e-9)
+    assert coarse.tau == pytest.approx(ref.tau, rel=1e-9)
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.0])
+def test_closed_form_matches_the_rk4_reference(delta):
+    params = _ode_params(delta=delta)
+    s0 = OdeState(0.0, 1.0, 1.0, 1.0)
+    ref = ode_reference(params, s0, 2.0, dt=1e-4)
+    mid = ode_state(s0, params, ref.tau)
+    # by t = 50 the nutrient is gone to below 1e-60: the end state
+    late = ode_reference(params, s0, 50.0, dt=1e-3)
+    end = ode_end_state(s0, params)
+    assert late.w < 1e-60
+    for exact, rk4 in ((mid, ref), (end, late)):
+        for k in ("tau", "u", "v"):
+            assert getattr(exact, k) == pytest.approx(getattr(rk4, k),
+                                                      rel=1e-8)
+    assert mid.w == pytest.approx(ref.w, rel=1e-8)
 
 
 def test_run_all_passes_and_reports():

@@ -24,7 +24,7 @@ from .experiments import (
 )
 from .grid import Geometry, build_grid
 from .model import ModelParams
-from .profiles import Gaussian, sample
+from .profiles import Gaussian, init_state, sample
 from .reduced import (
     OdeState,
     conserved_quantity,
@@ -45,8 +45,9 @@ def _add_overrides(p: argparse.ArgumentParser) -> None:
 
 
 def _apply_overrides(cfg, args: argparse.Namespace):
-    for path, value in (("geometry.n_cells", args.n_cells),
-                        ("stepper.dt", args.dt), ("t_end", args.t_end)):
+    for path in ("geometry.n_cells", "stepper.dt", "t_end"):
+        # the option is the path's last key; `constants` has only --n-cells
+        value = getattr(args, path.rpartition(".")[2], None)
         if value is not None:
             cfg = apply_override(cfg, path, value)
     return cfg
@@ -133,10 +134,8 @@ def _cmd_heat(args: argparse.Namespace) -> int:
 def _cmd_constants(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     grid = build_grid(cfg.geometry)
-    u0 = sample(cfg.u0, grid)
-    v0 = sample(cfg.v0, grid)
-    w0 = sample(cfg.w0, grid)
-    consts = derived_constants(v0, w0, cfg.params, grid, u0=u0)
+    state, _ = init_state(cfg.u0, cfg.v0, cfg.w0, grid)
+    consts = derived_constants(state.v, state.w, cfg.params, grid, u0=state.u)
     print(f"kappa = {consts.kappa:.12g}")
     print(f"a = {consts.a:.12g}")
     print(f"b = {consts.b:.12g}")
@@ -201,7 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_const.add_argument("config", nargs="?", default=None)
     p_const.add_argument("--preset", help="shipped preset name")
     p_const.add_argument("--variant", default=None)
-    _add_overrides(p_const)
+    p_const.add_argument("--n-cells", type=int,
+                         help="override the grid resolution")
     p_const.set_defaults(func=_cmd_constants)
 
     p_verify = sub.add_parser("verify", help="run the oracle/invariant suite")

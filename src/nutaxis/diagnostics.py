@@ -32,9 +32,9 @@ construction.  With w0, v0 the initial data and t_0 = 0 the first record:
   + (1/4)*int_0^t int w <= I(0) + a*int w0 + b*int w0^2;
 * ``grad_w_budget``: int_0^t int |grad w|^2 <= (1/2)*int w0^2.
 
-All logarithms floor their argument at 1e-300; nonpositive u or v raise
-NonpositiveField instead of propagating NaNs.  Cumulative quantities use the
-trapezoid rule on the output schedule, not on every step.
+All logarithms floor their argument at 1e-300; u or v not > 0 and w not >= 0,
+NaN included, raise NonpositiveField instead of propagating NaNs.  Cumulative
+quantities use the trapezoid rule on the output schedule, not on every step.
 """
 from __future__ import annotations
 
@@ -128,13 +128,13 @@ class DerivedConstants:
 
 
 def _require_positive(name: str, arr: np.ndarray) -> None:
-    if arr.size and float(arr.min()) <= 0.0:
+    if arr.size and not float(arr.min()) > 0.0:
         cell = int(np.argmin(arr))
         raise NonpositiveField(f"{name} is nonpositive at cell {cell}: {arr[cell]!r}")
 
 
 def _require_nonnegative(name: str, arr: np.ndarray) -> None:
-    if arr.size and float(arr.min()) < 0.0:
+    if arr.size and not float(arr.min()) >= 0.0:
         raise NonpositiveField(f"{name} has negative entries")
 
 
@@ -177,7 +177,7 @@ class JensenReport:
 def jensen_gap(phi: np.ndarray, grid: Grid) -> JensenReport:
     """Logarithmic Jensen gap of a positive cell field (volume-weighted)."""
     phi = np.asarray(phi, dtype=np.float64)
-    if phi.min() <= 0.0:
+    if not phi.min() > 0.0:
         raise NonpositiveField("jensen gap needs a strictly positive field")
     vol = grid.volume
     mean = float(integrate(phi, grid) / vol)
@@ -239,9 +239,9 @@ def evaluate_records(ts: Sequence[float], U: np.ndarray, V: np.ndarray,
     block it was evaluated in.
     """
     min_u = U.min(axis=1)
-    bad = (min_u <= 0.0) | (V.min(axis=1) <= 0.0) | (W.min(axis=1) < 0.0)
-    if bad.any():
-        row = int(bad.argmax())
+    good = (min_u > 0.0) & (V.min(axis=1) > 0.0) & (W.min(axis=1) >= 0.0)
+    if not good.all():
+        row = int(good.argmin())  # the first row that fails
         _require_positive("u", U[row])
         _require_positive("v", V[row])
         _require_nonnegative("w", W[row])

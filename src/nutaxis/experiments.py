@@ -225,9 +225,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     Raises:
         ScenarioFailure: wrapping any integrator error, with the scenario
             name in the message and the original exception as the cause.
-        NonpositiveField: for the first record state with u <= 0, v <= 0 or
-            w < 0; it is raised when that state's block is evaluated, so
-            stepping may have run up to RECORD_BLOCK - 1 output times past it.
+        NonpositiveField: for the first record state with u or v not > 0
+            or w not >= 0 (NaN included), raised when its block is
+            evaluated: up to RECORD_BLOCK - 1 output times past it.
     """
     began = time.perf_counter()
     grid = build_grid(cfg.geometry)

@@ -65,10 +65,10 @@ Segment algorithm:
        each later segment end is their heat_evolve over the time since
        the switch.  No step is counted, the two-step history is dropped
        (hdt = 0), and the I(inf) bracket at the switch is kept in
-       stats.I_bracket; a u <= U_FLOOR raises PositivityViolation.  Where
-       the bracket has no finite constant (beta = 0 or gamma = 0, or
-       alpha = delta = 0) w_tail = 0, so the switch waits until every
-       cell of w has snapped to 0,
+       stats.I_bracket; a u that is not > 0 (NaN included) raises
+       PositivityViolation.  Where the bracket has no finite constant
+       (beta = 0 or gamma = 0, or alpha = delta = 0) w_tail = 0, so the
+       switch waits until every cell of w has snapped to 0,
     4. fit dt below the cap so the segment lands exactly on its end time;
        dt grows (by _GROWTH_FACTOR, up to the cap and the base dt) only
        after an accepted step.  The step is SBDF2 when the history was left
@@ -77,12 +77,12 @@ Segment algorithm:
     5. the m-weighted explicit u-term (upwind taxis + growth) at the
        current level, then the m-scaled right-hand sides of w and u as one
        stacked expression; implicit w solve (dptsv) with frozen
-       extrapolated sink, rejection if w < -w_snap, then snap-to-zero of
-       entries below w_snap (W_SNAP_REL times the run's initial max w),
+       extrapolated sink, rejection unless w >= -w_snap, then snap-to-zero
+       of entries below w_snap (W_SNAP_REL times the run's initial max w),
     6. exact multiplicative v update with trapezoidal w average,
     7. implicit-diffusion u solve, by the cached LDL^T factor of this c0
-       (dpttrs) or by a fresh one (dptsv) that is then kept; rejection if
-       u <= U_FLOOR,
+       (dpttrs) or by a fresh one (dptsv) that is then kept; rejection
+       unless u > 0 in every cell (a NaN fails this check and the w one),
     8. on rejection: drop the history (hdt = 0), halve dt and refit it, so
        the retry is a backward-Euler step; raise PositivityViolation instead
        once the halved dt would fall below the attempt's cap times
@@ -121,7 +121,6 @@ __all__ = [
 ]
 
 _GROWTH_FACTOR = 2.0  # dt may grow only when the caps allow at least 2x
-U_FLOOR = 1e-14  # a step with some u+ <= U_FLOOR is rejected
 CFL_SAFETY = 0.5  # bound on dt * max|chi grad w| / h, the taxis CFL number
 # bound on dt * max(nutrient sink rate); 0.45 keeps the two-step decay
 # over-damped (real roots need dt * rate <= 0.5)
@@ -343,9 +342,9 @@ def segment_numpy(state, t_to, ws, params, cfg):
         if ws.tail is not None:
             t_sw, modes, mean, coef = ws.tail
             un = heat_evolve(modes, mean, coef, t_to - t_sw, ws.yn[1])
-            if np.minimum.reduce(un) <= U_FLOOR:
+            if not np.minimum.reduce(un) > 0.0:  # NaN fails too
                 raise PositivityViolation(
-                    "u", int(np.argmax(un <= U_FLOOR)), state.t)
+                    "u", int(np.argmax(~(un > 0.0))), state.t)
             ws.y[1] = un
         state.t = t_to
     finally:
@@ -554,12 +553,12 @@ def attempt_step_numpy(ws, sbdf2, dt, params):
     Fills the new level ``ws.yn`` (rows ``[w, u, v]``), ``ws.nn`` (the
     m-weighted explicit u-term ``-(flux difference) + m delta F(u) w`` at
     ``ws.y``, the history of the next two-step stage) and ``ws.wn_min`` and
-    returns ``None``, or ``(field, cell)`` when ``w+ < -w_snap`` or ``u+ <=
-    U_FLOOR`` at ``cell``.  Besides those it writes only ``work`` and the u
-    factor cache ``ufac, u_c0``: row 0 of ``work`` holds the w solve's
-    diagonal, row 1 its off-diagonal, row 2 the flux difference and the
-    ``2 nn`` term, row 3 the n + 1 taxis face fluxes.  The m-scaled
-    right-hand sides of w and u are built as one stacked expression in
+    returns ``None``, or ``(field, cell)`` at the first cell where ``w+ >=
+    -w_snap`` or ``u+ > 0`` fails (NaN fails both).  Besides those it writes
+    only ``work`` and the u factor cache ``ufac, u_c0``: row 0 of ``work``
+    holds the w solve's diagonal, row 1 its off-diagonal, row 2 the flux
+    difference and the ``2 nn`` term, row 3 the n + 1 taxis face fluxes.
+    The m-scaled right-hand sides of w and u are one stacked expression in
     ``yn[:2]``, where the solves run in place (:func:`solve_tridiag`).
     Nothing is read from ``work`` before it is written.  With ``eps == 0``
     no float array is allocated, only the n-byte masks of the upwind
@@ -607,9 +606,9 @@ def attempt_step_numpy(ws, sbdf2, dt, params):
     np.copyto(off, ws.ew)
     solve_tridiag(diag, off, wn)
     wn_min = np.minimum.reduce(wn)
-    if wn_min < -w_snap:
-        return "w", int(np.argmax(wn < -w_snap))
-    if not wn_min >= w_snap:  # snap to zero (a NaN minimum snaps too)
+    if not wn_min >= -w_snap:  # NaN fails too
+        return "w", int(np.argmax(~(wn >= -w_snap)))
+    if not wn_min >= w_snap:  # snap to zero
         np.copyto(wn, 0.0, where=wn < w_snap)
         wn_min = 0.0
     ws.wn_min = float(wn_min)
@@ -632,8 +631,8 @@ def attempt_step_numpy(ws, sbdf2, dt, params):
         np.copyto(ufac[1, :n - 1], ws.eu)
         solve_tridiag(ufac[0], ufac[1, :n - 1], un)
         ws.u_c0 = c0
-    if np.minimum.reduce(un) <= U_FLOOR:
-        return "u", int(np.argmax(un <= U_FLOOR))
+    if not np.minimum.reduce(un) > 0.0:  # NaN fails too
+        return "u", int(np.argmax(~(un > 0.0)))
     return None
 
 

@@ -196,7 +196,7 @@ def heat_solve(u0: Union[Profile, np.ndarray], D: float, grid: Grid,
     heat_params(D)  # validates D
     arr = sample(u0, grid) if not isinstance(u0, np.ndarray) else np.asarray(
         u0, dtype=np.float64)
-    if arr.min() <= 0.0:
+    if not arr.min() > 0.0:
         raise NonpositiveField("heat initial data must be positive")
     modes = heat_modes(grid.m, *diffusion_rows(grid, D))
     mean, coef = heat_project(modes, arr)

@@ -15,7 +15,6 @@ import math
 import numpy as np
 
 from nutaxis import kernels
-from nutaxis.kernels import U_FLOOR
 
 
 def install(monkeypatch):
@@ -122,7 +121,7 @@ def attempt(ws, sbdf2, dt, params):
     thomas(cl, cr, diag, rhs, D_w, cp, dp, wn)
     wn_min = math.inf
     for i in range(n):
-        if wn[i] < -w_snap:
+        if not wn[i] >= -w_snap:
             return "w", i
         if wn[i] < w_snap:
             wn[i] = 0.0
@@ -163,6 +162,6 @@ def attempt(ws, sbdf2, dt, params):
         diag[i] = c0 + D_u * (cl[i] + cr[i])
     thomas(cl, cr, diag, rhs, D_u, cp, dp, un)
     for i in range(n):
-        if un[i] <= U_FLOOR:
+        if not un[i] > 0.0:
             return "u", i
     return None

@@ -198,6 +198,8 @@ def test_verify_exit_codes(monkeypatch, capsys):
      "--u0", "1", "--v0", "1", "--w0", "1", "--n-cells", "10"],
     [*ODE, "--dt", "0.1"],                          # the end state is exact
     [*ODE, "--t-end", "5"],
+    ["constants", "--dt", "0.1"],
+    ["constants", "--t-end", "5"],
 ])
 def test_options_a_subcommand_does_not_read_exit_one(argv, capsys):
     assert main(argv) == 1

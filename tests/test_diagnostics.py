@@ -16,8 +16,12 @@ from nutaxis import (
     evaluate_record,
     evaluate_records,
     integrate,
+    heat_solve,
     integrated_inequality_audit,
+    jensen_gap,
+    long_time_index,
     record_fields,
+    stabilization_constants,
 )
 
 PARAMS = ModelParams(D_u=20.0, D_w=1.0, chi=0.5, alpha=2.0, beta=200.0,
@@ -383,7 +387,8 @@ def test_evaluate_records_matches_record_chain(geometry, chi, gamma):
 
 
 @pytest.mark.parametrize("field,value", [("u", 0.0), ("v", -1.0),
-                                         ("w", -1e-9)])
+                                         ("w", -1e-9), ("u", np.nan),
+                                         ("w", np.nan)])
 def test_evaluate_records_reports_first_bad_row(grid, field, value):
     k, n = 8, grid.n
     fields = {"u": np.ones((k, n)), "v": np.ones((k, n)),
@@ -409,3 +414,28 @@ def test_stacked_weighted_sum_is_row_dot(n):
     assert stacked.shape == (17,)
     assert [x.hex() for x in stacked.tolist()] == [
         float(np.dot(grid.m, r)).hex() for r in rows]
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, x: _record(_state(g, x, 1.0, 0.0), g),
+    lambda g, x: _record(_state(g, 1.0, x, 0.0), g),
+    lambda g, x: _record(_state(g, 1.0, 1.0, x), g),
+    lambda g, x: competition_index(_state(g, x, 1.0, 0.0), g),
+    lambda g, x: long_time_index(_state(g, x, 1.0, 0.0), g),
+    lambda g, x: jensen_gap(x, g),
+    lambda g, x: stabilization_constants(x, 1.0, g),
+    lambda g, x: derived_constants(x, np.ones(g.n), PARAMS, g),
+    lambda g, x: derived_constants(np.ones(g.n), x, PARAMS, g),
+    lambda g, x: derived_constants(np.ones(g.n), np.ones(g.n), PARAMS, g,
+                                   u0=x),
+    lambda g, x: heat_solve(x, 1.0, g, 1.0),
+], ids=["record_u", "record_v", "record_w", "competition_index",
+        "long_time_index", "jensen_gap", "stabilization_constants",
+        "derived_constants_v0", "derived_constants_w0",
+        "derived_constants_u0", "heat_solve"])
+def test_a_nan_field_raises_instead_of_propagating(grid, call):
+    # every positivity check is the comparison a NaN fails
+    x = np.ones(grid.n)
+    x[3] = np.nan
+    with pytest.raises(NonpositiveField):
+        call(grid, x)

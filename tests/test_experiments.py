@@ -7,9 +7,12 @@ import nutaxis.experiments as experiments
 from nutaxis import (
     Constant,
     Gaussian,
+    Geometry,
     Mirrored,
+    ModelParams,
     OutputSchedule,
     PositivityViolation,
+    ScenarioConfig,
     ScenarioFailure,
     StepperConfig,
     SweepSpec,
@@ -294,6 +297,23 @@ def test_run_scenario_wraps_integrator_failures(monkeypatch):
         run_scenario(_tiny())
     assert isinstance(err.value.__cause__, PositivityViolation)
     assert "fig1_right" in str(err.value)
+
+
+def test_a_run_that_overflows_fails_by_name():
+    # growth without uptake (beta = gamma = 0): u and v grow like e^{t w}
+    # until they overflow near t = 495; the NaN that follows must fail the
+    # step's positivity checks, not run on to t_end as a NaN state
+    cfg = ScenarioConfig(
+        name="overflow", geometry=Geometry("interval", 16),
+        params=ModelParams(D_u=1.0, D_w=1.0, chi=0.5, alpha=1.0, beta=0.0,
+                           gamma=0.0, delta=1.0),
+        u0=Gaussian(1.0, 1.0, 15.0, 0.5), v0=Constant(1.0),
+        w0=Gaussian(1.0, 1.0, 15.0, 0.3), t_end=800.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ScenarioFailure) as err:
+            run_scenario(cfg)
+    assert isinstance(err.value.__cause__, PositivityViolation)
+    assert 490.0 < err.value.__cause__.t < 500.0
 
 
 def test_run_sweep_serial_rows(tmp_path):

@@ -203,8 +203,13 @@ def test_two_step_history_carries_across_output_segments(backend):
     assert runs[0].state.u.tobytes() == runs[1].state.u.tobytes()
 
 
-def _sawtooth_collapse_setup():
-    """A valley cell whose upwind outflow exactly empties it in one step."""
+def _sawtooth_collapse_setup(monkeypatch):
+    """A valley cell whose upwind outflow over-empties it in a step of h.
+
+    At the taxis CFL number 1 the CFL cap is h; a step of h takes twice
+    the valley's u out of it, a step of h / 2 exactly all of it.
+    """
+    monkeypatch.setattr(kernels, "CFL_SAFETY", 1.0)
     n = 8
     grid = build_grid(Geometry("interval", n))
     w = np.zeros(n)
@@ -219,10 +224,10 @@ def _sawtooth_collapse_setup():
 def test_advance_raises_positivity_violation_when_retries_exhausted(
         monkeypatch, backend):
     monkeypatch.setattr(kernels, "MAX_RETRIES", 0)
-    grid, state, params = _sawtooth_collapse_setup()
-    cfg = StepperConfig(dt=grid.h / 2.0)
+    grid, state, params = _sawtooth_collapse_setup(monkeypatch)
+    cfg = StepperConfig(dt=grid.h)
     with pytest.raises(PositivityViolation) as err:
-        advance(state, grid, params, cfg, t_end=grid.h / 2.0)
+        advance(state, grid, params, cfg, t_end=grid.h)
     assert err.value.field == "u"
     assert 0 <= err.value.cell < grid.n
 
@@ -231,10 +236,10 @@ def test_advance_recovers_by_halving(monkeypatch, backend):
     # the CFL cap equals dt here, so only the rejection loop can shrink dt;
     # dt must not grow back before the halved step is accepted
     monkeypatch.setattr(kernels, "MAX_RETRIES", 4)
-    grid, state, params = _sawtooth_collapse_setup()
-    cfg = StepperConfig(dt=grid.h / 2.0)
-    res = advance(state, grid, params, cfg, t_end=grid.h / 2.0)
-    assert res.state.t == grid.h / 2.0
+    grid, state, params = _sawtooth_collapse_setup(monkeypatch)
+    cfg = StepperConfig(dt=grid.h)
+    res = advance(state, grid, params, cfg, t_end=grid.h)
+    assert res.state.t == grid.h
     assert np.all(res.state.u > 0.0)
     assert res.stats.rejected >= 1
     assert res.stats.min_dt < cfg.dt
@@ -364,31 +369,53 @@ def test_advance_leaves_the_final_state_in_the_callers_arrays(monkeypatch):
         assert not np.array_equal(state.u, u0)
 
 
-def test_a_draining_cell_raises_instead_of_stalling(monkeypatch):
-    # u in the last cell drains toward U_FLOOR: steps there are rejected
-    # down to a tiny dt.  An accepted step must not reset the dt floor, or
-    # dt doubles straight back, is rejected again, and the run makes no
-    # progress; the attempt budget makes such a run fail, not hang
-    budget = 20_000
-    attempts = []
-    real = kernels.attempt_step_numpy
-
-    def attempt(*args):
-        attempts.append(None)
-        if len(attempts) > budget:
-            raise AssertionError(f"no end after {budget} attempts")
-        return real(*args)
-
-    monkeypatch.setattr(kernels, "attempt_step_numpy", attempt)
+def _draining_case():
+    """Taxis up a nutrient bump drains u out of the last cell."""
     grid = build_grid(Geometry("interval", 100))
     params = ModelParams(D_u=1e-3, D_w=1.0, chi=50.0, alpha=2.0, beta=200.0,
                          gamma=200.0, delta=1.0)
     state, _ = init_state(Gaussian(1e-12, 1.0, 400.0, 0.3), Constant(1.0),
                           Gaussian(0.0, 20.0, 15.0, 0.7), grid)
+    return grid, state, params
+
+
+def test_a_draining_cell_raises_instead_of_stalling(monkeypatch):
+    # u in the last cell drains toward 1e-14, below which the wrapped
+    # attempt rejects the step: steps there are rejected down to a tiny dt.
+    # An accepted step must not reset the dt floor, or dt doubles straight
+    # back, is rejected again, and the run makes no progress; the attempt
+    # budget makes such a run fail, not hang
+    budget = 20_000
+    attempts = []
+    real = kernels.attempt_step_numpy
+
+    def attempt(ws, *args):
+        attempts.append(None)
+        if len(attempts) > budget:
+            raise AssertionError(f"no end after {budget} attempts")
+        failure = real(ws, *args)
+        if failure is None and ws.yn[1][99] <= 1e-14:
+            return "u", 99
+        return failure
+
+    monkeypatch.setattr(kernels, "attempt_step_numpy", attempt)
+    grid, state, params = _draining_case()
     with pytest.raises(PositivityViolation) as err:
         advance(state, grid, params, StepperConfig(), t_end=1e-3)
     assert (err.value.field, err.value.cell) == ("u", 99)
     assert 0.0 < err.value.t < 1e-3 and state.t == err.value.t
+
+
+def test_a_draining_cell_stays_positive(backend):
+    # taxis empties the last cell like exp(-2e5 t); the semi-discrete u
+    # stays positive, so every step is accepted far below any fixed floor
+    grid, state, params = _draining_case()
+    res = advance(state, grid, params, StepperConfig(), t_end=1e-3)
+    stats = res.stats
+    assert (stats.accepted, stats.rejected, stats.rebuilds) == (665, 0, 1)
+    assert res.state.t == 1e-3
+    assert np.argmin(res.state.u) == 99
+    assert res.state.u[99] == pytest.approx(9.648e-46, rel=1e-3)
 
 
 def test_positivity_violation_message_without_dt():

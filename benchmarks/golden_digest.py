@@ -5,9 +5,14 @@
     python3 benchmarks/golden_digest.py compare A B
 
 ``run`` integrates, in one subprocess on ``DIR/src`` (default: this
-checkout), the eight presets to their ``t_end`` and the seed-1
-``dense-records`` config of ``perfbench.workloads``, and writes one JSON
-object per run to ``FILE``:
+checkout), the eight presets to their ``t_end``, ``fig1_right`` l = 14
+with ``gamma = 0`` to its ``t_end`` and the seed-1 ``dense-records`` config
+of ``perfbench.workloads``, and writes one JSON object per run to
+``FILE``.  The ``gamma = 0`` run is the one where kappa = 0, so the
+Lyapunov weight ``a`` and every ``L_lyap`` are infinite, and where the
+nutrient phase ends at the snap (near t = 1.94) rather than at its
+certified tail; its ``mass_bound`` audit fails (see ROADMAP) and is
+digested as it stands.  Each object holds:
 
 * ``sha256_u``, ``sha256_v``, ``sha256_w`` -- of the final arrays' bytes,
 * ``sha256_records`` -- of the ``records.csv`` the run writes,
@@ -42,6 +47,7 @@ bitwise equal final arrays and records.  One ``run`` takes about 20 s on a
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -129,6 +135,9 @@ def digest_all() -> dict:
 
     configs = [(f"{name}[{value:g}]", experiments.preset(name, value))
                for name, value in PRESETS]
+    l14 = experiments.preset("fig1_right", 14)
+    configs.append(("fig1_right[14,gamma=0]", dataclasses.replace(
+        l14, params=dataclasses.replace(l14.params, gamma=0.0))))
     dense = workloads.make("dense-records", DENSE_SEED).configs[0]
     configs.append((f"dense-records[seed={DENSE_SEED}]", dense))
     out = {"nutaxis": nutaxis.__file__, "runs": {}}

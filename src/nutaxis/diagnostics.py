@@ -34,7 +34,8 @@ construction.  With w0, v0 the initial data and t_0 = 0 the first record:
 
 All logarithms floor their argument at 1e-300; u or v not > 0 and w not >= 0,
 NaN included, raise NonpositiveField instead of propagating NaNs.  Cumulative
-quantities use the trapezoid rule on the output schedule, not on every step.
+quantities, in records and audits, use one trapezoid rule (`_cumtrapz`) on
+the output schedule, not on every step.
 """
 from __future__ import annotations
 
@@ -225,14 +226,17 @@ def evaluate_records(ts: Sequence[float], U: np.ndarray, V: np.ndarray,
 
     * I = int ln(v/u) (see `competition_index`);
     * F = beta*int u ln u + (gamma*chi/2alpha)*int |grad v|^2/v
-      + (chi/2)*int |grad w|^2/w, the quasi-energy;
+      + (chi/2)*int |grad w|^2/w, the quasi-energy (every F infinite when
+      alpha = 0 < gamma*chi);
     * D = int |grad u|^2/u + int |lap w|^2 + int |grad w|^4, its dissipation
       partner (>= 0);
     * L = I + a*int w + b*int w^2, the Lyapunov value (nonincreasing along
       trajectories), with a = (alpha + 1/4)/kappa, b = chi^2/(4 D_u),
-      kappa = gamma*min v0;
+      kappa = gamma*min v0 (every L infinite when kappa = 0);
     * fisher_u = int |grad u|^2/u^2, grad_w_L2 = int |grad w|^2 and
-      max_grad_u = max |grad u|.
+      max_grad_u = max |grad u|;
+    * cum_D and cum_w, the running trapezoid integrals (`_cumtrapz`) of D
+      and int w, carried on from ``prev`` (from 0 at ``ts[0]`` without it).
 
     The weight floor keeps snapped-to-zero nutrient harmless in F.  Each
     weighted sum is one ddot per row, so a record does not depend on the
@@ -247,70 +251,57 @@ def evaluate_records(ts: Sequence[float], U: np.ndarray, V: np.ndarray,
         _require_nonnegative("w", W[row])
     # the columns are taken one after another, and each (k, n) temporary is
     # reused or dropped once it is spent: at k = 16, n = 401 this halves
-    # the block's peak allocation, to ~0.26 MB
+    # the block's peak allocation, to ~0.26 MB.  An infinite weight
+    # (alpha = 0 in F, kappa = 0 in L) makes its whole column infinite
     ln_u = _ln(U)
     i_val = _index(ln_u, _ln(V), grid)
     ln_u *= U
-    u_ln_u = integrate(ln_u, grid)
+    f_val = params.beta * integrate(ln_u, grid)
     del ln_u
+    gc = params.gamma * params.chi
+    if gc > 0.0 and params.alpha == 0.0:
+        f_val = np.full(len(ts), np.inf)
+    elif gc > 0.0:
+        grad_v = np.diff(V) / grid.h
+        grad_v *= grad_v
+        f_val += gc / (2.0 * params.alpha) * face_energy(grad_v, V, grid)
+        del grad_v
     grad_u = np.diff(U) / grid.h
     max_grad_u = np.abs(grad_u).max(axis=1, initial=0.0)
     grad_u *= grad_u
-    d_u = face_energy(grad_u, U, grid)
+    d_val = face_energy(grad_u, U, grid)
     # the 1e-100 weight floor keeps near-vacuum u cells from zero-division
     # while staying far below any physically reachable u^2
     fisher = face_energy(grad_u, U * U, grid, g_floor=1e-100)
     del grad_u
-    gc = params.gamma * params.chi
-    e_v = e_w = np.zeros(len(ts))
-    if gc > 0.0:
-        grad_v = np.diff(V) / grid.h
-        grad_v *= grad_v
-        e_v = face_energy(grad_v, V, grid)
-        del grad_v
     face_w = face_gradient(W, grid)
     lap_w = laplacian_neumann(W, grid, grad=face_w)
     lap_w *= lap_w
-    d_lap = integrate(lap_w, grid)
+    d_val += integrate(lap_w, grid)
     del lap_w
     sq_w = face_w[:, 1:-1] * face_w[:, 1:-1]
     del face_w
     if params.chi > 0.0:
-        e_w = face_energy(sq_w, W, grid)
+        f_val += 0.5 * params.chi * face_energy(sq_w, W, grid)
     grad_w_l2 = face_energy(sq_w, None, grid)
     sq_w *= sq_w
-    d_w4 = face_energy(sq_w, None, grid)
+    d_val += face_energy(sq_w, None, grid)
     del sq_w
-    # the record sums are Python float arithmetic on one row of columns,
-    # term by term in the order of the formulas above
+    mass_w = integrate(W, grid)
+    if np.isfinite(consts.a):
+        l_val = i_val + consts.a * mass_w + consts.b * integrate(W * W, grid)
+    else:
+        l_val = np.full(len(ts), np.inf)
+    t, ends, start = ts, np.stack([d_val, mass_w]), 0.0
+    if prev is not None:  # carry on from prev, as from one more output time
+        t = (prev.t, *ts)
+        ends = np.column_stack([(prev.D_dissip, prev.mass_w), ends])
+        start = (prev.cum_D, prev.cum_w)
+    cum = _cumtrapz(t, ends, start)[:, -len(ts):]
     columns = np.stack([
-        i_val, d_u, d_lap, d_w4, u_ln_u, e_v, e_w, integrate(U, grid),
-        integrate(W, grid), integrate(W * W, grid), W.max(axis=1), min_u,
-        fisher, grad_w_l2, max_grad_u], axis=1)
-    out = []
-    for t, row in zip(ts, columns):
-        (i, du, dlap, dw4, uln, ev, ew, mass_u, mass_w, int_w2, max_w, mu,
-         fish, gw2, mgu) = row.tolist()
-        d_val = du + dlap + dw4
-        f_val = params.beta * uln
-        if gc > 0.0:
-            f_val += gc / (2.0 * params.alpha) * ev
-        if params.chi > 0.0:
-            f_val += 0.5 * params.chi * ew
-        if prev is None:
-            cum_d, cum_w = 0.0, 0.0
-        else:
-            gap = t - prev.t
-            cum_d = prev.cum_D + 0.5 * gap * (prev.D_dissip + d_val)
-            cum_w = prev.cum_w + 0.5 * gap * (prev.mass_w + mass_w)
-        prev = DiagnosticsRecord(
-            t=t, I=i, mass_u=mass_u, mass_w=mass_w, max_w=max_w, min_u=mu,
-            F_quasi=f_val, D_dissip=d_val,
-            L_lyap=i + consts.a * mass_w + consts.b * int_w2,
-            fisher_u=fish, grad_w_L2=gw2, max_grad_u=mgu,
-            cum_D=cum_d, cum_w=cum_w)
-        out.append(prev)
-    return out
+        ts, i_val, integrate(U, grid), mass_w, W.max(axis=1), min_u, f_val,
+        d_val, l_val, fisher, grad_w_l2, max_grad_u, *cum])
+    return [DiagnosticsRecord(*row) for row in columns.T.tolist()]
 
 
 def evaluate_record(state: State, consts: DerivedConstants, params: ModelParams,
@@ -333,11 +324,12 @@ def _series(records: Sequence[DiagnosticsRecord],
             for n in names]
 
 
-def _cumtrapz(t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(y)
-    if len(y) > 1:
-        out[1:] = np.cumsum(0.5 * np.diff(t) * (y[1:] + y[:-1]))
-    return out
+def _cumtrapz(t: np.ndarray, y: np.ndarray, start=0.0) -> np.ndarray:
+    """Running trapezoid integrals of y over t (last axis) from ``start``."""
+    steps = np.empty_like(y)
+    steps[..., 0] = start
+    steps[..., 1:] = 0.5 * np.diff(t) * (y[..., 1:] + y[..., :-1])
+    return np.cumsum(steps, axis=-1, out=steps)
 
 
 def integrated_inequality_audit(records: Sequence[DiagnosticsRecord],

@@ -24,7 +24,7 @@ use, so a patched or traced primitive sees every call:
   ``w >= w_snap > 0``) and ``max w``,
 * :func:`attempt_step_numpy` — one step attempt; fills the workspace's new
   level ``yn`` and explicit u-term ``nn`` and returns ``None``, or
-  ``(field, cell)`` on a positivity failure.
+  ``(field, cell)`` on a positivity or overflow failure.
 
 Both implicit operators are self-adjoint in the ``m``-weighted inner
 product, so each system is solved with its rows scaled by the cell
@@ -82,7 +82,7 @@ Segment algorithm:
     6. exact multiplicative v update with trapezoidal w average,
     7. implicit-diffusion u solve, by the cached LDL^T factor of this c0
        (dpttrs) or by a fresh one (dptsv) that is then kept; rejection
-       unless u > 0 in every cell (a NaN fails this check and the w one),
+       unless 0 < u < inf and v < inf in every cell (NaN fails each),
     8. on rejection: drop the history (hdt = 0), halve dt and refit it, so
        the retry is a backward-Euler step; raise PositivityViolation instead
        once the halved dt would fall below the attempt's cap times
@@ -134,7 +134,7 @@ TAIL_TOL = 1e-12
 
 
 class PositivityViolation(RuntimeError):
-    """A field left its positive cone and dt could not be reduced further.
+    """A field lost its sign or overflowed; dt could not be reduced further.
 
     ``t`` is the time of the state the failing step started from and ``dt``
     the size of its last attempt.
@@ -554,10 +554,11 @@ def attempt_step_numpy(ws, sbdf2, dt, params):
     m-weighted explicit u-term ``-(flux difference) + m delta F(u) w`` at
     ``ws.y``, the history of the next two-step stage) and ``ws.wn_min`` and
     returns ``None``, or ``(field, cell)`` at the first cell where ``w+ >=
-    -w_snap`` or ``u+ > 0`` fails (NaN fails both).  Besides those it writes
-    only ``work`` and the u factor cache ``ufac, u_c0``: row 0 of ``work``
-    holds the w solve's diagonal, row 1 its off-diagonal, row 2 the flux
-    difference and the ``2 nn`` term, row 3 the n + 1 taxis face fluxes.
+    -w_snap``, ``0 < u+ < inf`` or ``v+ < inf`` fails (NaN fails each).
+    Besides those it writes only ``work`` and the u factor cache ``ufac,
+    u_c0``: row 0 of ``work`` holds the w solve's diagonal, row 1 its
+    off-diagonal, row 2 the flux difference and the ``2 nn`` term, row 3
+    the n + 1 taxis face fluxes.
     The m-scaled right-hand sides of w and u are one stacked expression in
     ``yn[:2]``, where the solves run in place (:func:`solve_tridiag`).
     Nothing is read from ``work`` before it is written.  With ``eps == 0``
@@ -631,8 +632,13 @@ def attempt_step_numpy(ws, sbdf2, dt, params):
         np.copyto(ufac[1, :n - 1], ws.eu)
         solve_tridiag(ufac[0], ufac[1, :n - 1], un)
         ws.u_c0 = c0
-    if not np.minimum.reduce(un) > 0.0:  # NaN fails too
-        return "u", int(np.argmax(~(un > 0.0)))
+    # inf > 0 holds, so an overflow needs its own test: one max over the
+    # adjacent rows u, v of the new level
+    uv = yn[1:]
+    if not (np.minimum.reduce(un) > 0.0
+            and np.maximum.reduce(uv, axis=None) < math.inf):  # NaN fails
+        row, cell = divmod(int(np.argmax(~(uv > 0.0) | (uv == math.inf))), n)
+        return ("u", "v")[row], cell
     return None
 
 

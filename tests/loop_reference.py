@@ -162,6 +162,9 @@ def attempt(ws, sbdf2, dt, params):
         diag[i] = c0 + D_u * (cl[i] + cr[i])
     thomas(cl, cr, diag, rhs, D_u, cp, dp, un)
     for i in range(n):
-        if not un[i] > 0.0:
+        if not 0.0 < un[i] < math.inf:
             return "u", i
+    for i in range(n):
+        if not vn[i] < math.inf:
+            return "v", i
     return None

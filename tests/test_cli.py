@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import json
 import math
 
@@ -93,6 +95,23 @@ def test_run_config_file_with_overrides(tmp_path, capsys):
     doc = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert doc["scenario"]["t_end"] == 0.02
     assert doc["scenario"]["geometry"]["n_cells"] == 101
+    capsys.readouterr()
+
+
+def test_run_without_v_growth_records_an_infinite_quasi_energy(tmp_path,
+                                                               capsys):
+    # alpha = 0 under gamma*chi > 0: the weight gamma*chi/2alpha of F is
+    # infinite, so is every F, as every L is when kappa = 0
+    cfg = preset("fig1_right", 14)
+    cfg = dataclasses.replace(
+        cfg, params=dataclasses.replace(cfg.params, alpha=0.0))
+    write_config(cfg, str(tmp_path / "cfg.json"))
+    code = main(["run", str(tmp_path / "cfg.json"), "--t-end", "0.02",
+                 "--n-cells", "50", "--out-dir", str(tmp_path / "out")])
+    assert code == 0
+    with open(tmp_path / "out" / "records.csv", encoding="utf-8") as fh:
+        f_quasi = [float(row["F_quasi"]) for row in csv.DictReader(fh)]
+    assert f_quasi and all(f == math.inf for f in f_quasi)
     capsys.readouterr()
 
 

@@ -384,6 +384,8 @@ def test_evaluate_records_matches_record_chain(geometry, chi, gamma):
                                     grid, blocked[-1] if blocked else None)
         start += length
     assert _hex(blocked) == _hex(chain)
+    if gamma == 0.0:  # kappa = 0: every L is infinite, none NaN
+        assert all(r.L_lyap == np.inf for r in blocked)
 
 
 @pytest.mark.parametrize("field,value", [("u", 0.0), ("v", -1.0),

@@ -301,8 +301,8 @@ def test_run_scenario_wraps_integrator_failures(monkeypatch):
 
 def test_a_run_that_overflows_fails_by_name():
     # growth without uptake (beta = gamma = 0): u and v grow like e^{t w}
-    # until they overflow near t = 495; the NaN that follows must fail the
-    # step's positivity checks, not run on to t_end as a NaN state
+    # until they overflow near t = 495; the step that overflows must fail
+    # by the field that overflowed, not run on to t_end as a NaN state
     cfg = ScenarioConfig(
         name="overflow", geometry=Geometry("interval", 16),
         params=ModelParams(D_u=1.0, D_w=1.0, chi=0.5, alpha=1.0, beta=0.0,
@@ -313,6 +313,7 @@ def test_a_run_that_overflows_fails_by_name():
         with pytest.raises(ScenarioFailure) as err:
             run_scenario(cfg)
     assert isinstance(err.value.__cause__, PositivityViolation)
+    assert err.value.__cause__.field in ("u", "v")
     assert 490.0 < err.value.__cause__.t < 500.0
 
 

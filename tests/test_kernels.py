@@ -337,6 +337,22 @@ def test_numpy_attempt_snaps_like_the_plain_form(sbdf2):
     assert ws.nn.tobytes() == nn.tobytes()
 
 
+@pytest.mark.parametrize("attempt", [kernels.attempt_step_numpy,
+                                     loop_reference.attempt],
+                         ids=["numpy", "loops"])
+@pytest.mark.parametrize("row,field", [(2, "v"), (1, "u")])
+def test_an_attempt_that_overflows_names_its_field(attempt, row, field):
+    # inf > 0 holds, so an overflowed u+ or v+ must fail its own check
+    # rather than pass as positive and surface a step later in w
+    ws, params = _attempt_inputs(Geometry("interval", 64), 0.0)
+    ws.y[row, 40] = np.finfo(np.float64).max
+    with np.errstate(over="ignore", invalid="ignore"):
+        failure = attempt(ws, False, 1e-5, params)
+    assert failure is not None and failure[0] == field
+    if field == "v":
+        assert failure[1] == 40
+
+
 def test_clearing_the_u_factor_changes_no_bit(monkeypatch):
     # dt changes at every output time and on growth, so the u factor is
     # rebuilt now and then and reused in between; built afresh before every

@@ -26,8 +26,7 @@ at a time, so that both sides see the same host.
 * with ``--spans NAME=CHECKOUT``, per side and workload, the record layer
   of the checkout's last traced repetition (its ``.perfbench/trace`` spans
   and ``.perfbench/out`` records): calls and seconds of each record span,
-  and microseconds per output record.  Nested record spans (a one-row
-  ``evaluate_record`` calls ``evaluate_records``) count in both.
+  and microseconds per output record.
 
 All runs must share one kernel backend; it is stated at the top level.
 """
@@ -45,14 +44,15 @@ sys.path.insert(0, str(ROOT))
 
 from perfbench.suite import benchmark, load, quartiles  # noqa: E402
 
-RECORD_SPANS = ("diagnostics.evaluate_record", "diagnostics.evaluate_records")
+RECORD_SPANS = ("diagnostics.evaluate_records",)
 RECORD_NOTE = (
     "per-layer diagnostics.records and diagnostics.record_us_p50/p99 count "
-    "only diagnostics.evaluate_record spans; where run_scenario evaluates "
-    "records in blocks through diagnostics.evaluate_records they read 0 "
-    "(evaluate_record then runs only on the verify path), and the record "
-    "cost is the evaluate_records span time per record given here; span "
-    "times include the tracer's cost for the operators spans nested in them")
+    "only diagnostics.evaluate_record spans, a one-row function that no "
+    "run calls (run_scenario evaluates records in blocks through "
+    "diagnostics.evaluate_records) and that is now gone, so they read 0; "
+    "the record cost is the evaluate_records span time per record given "
+    "here; span times include the tracer's cost for the operators spans "
+    "nested in them")
 ENV_KEYS = ("python", "numpy", "scipy", "numba", "nproc", "git_commit",
             "source_sha256", "seconds", "setup_probes")
 

@@ -32,7 +32,10 @@ other users of the diffusion operator, which no preset run reaches:
 * ``transport_error_n100``, ``_n200``, ``_n400`` --
   ``verify.transport_error`` at those resolutions,
 
-each float as ``float.hex``.
+each float as ``float.hex``, and one object ``verify``
+(:func:`digest_verify`), the ``nutaxis verify`` suite: each check's name,
+``ok`` flag and detail string, so that a change to an oracle or to
+``reduced`` shows as a value difference.
 
 ``compare`` prints every value that differs between two such files, by run
 and dotted key, and exits 1 if there is any; a differing ``float.hex``
@@ -41,8 +44,8 @@ A key present on one side only (a config key added or retired) is printed as a
 schema line and does not by itself make ``compare`` exit 1.  For each run
 it also prints the largest relative change over the numeric leaves both
 sides have (``I_end`` and ``min_dt`` included).  Equal digests mean
-bitwise equal final arrays and records.  One ``run`` takes about 20 s on a
-2-vCPU host, most of it in the two fig3 presets.
+bitwise equal final arrays and records.  One ``run`` takes about 30 s on a
+2-vCPU host, most of it in the two fig3 presets and ``verify``.
 """
 from __future__ import annotations
 
@@ -127,6 +130,15 @@ def digest_heat() -> dict:
     return out
 
 
+def digest_verify() -> dict:
+    """The ``verify`` object: ``{name: {"ok", "detail"}}`` of every check
+    of ``verify.run_all``."""
+    from nutaxis.verify import run_all
+
+    return {c.name: {"ok": c.ok, "detail": c.detail}
+            for c in run_all(printer=None)}
+
+
 def digest_all() -> dict:
     """Run the golden set in this process (the subprocess side of ``run``)."""
     import nutaxis
@@ -148,6 +160,7 @@ def digest_all() -> dict:
             print(f"  {label}: {result.manifest.stats['accepted']} steps",
                   file=sys.stderr, flush=True)
     out["runs"][f"heat[n={HEAT_N}]"] = digest_heat()
+    out["runs"]["verify"] = digest_verify()
     return out
 
 

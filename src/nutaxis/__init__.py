@@ -26,7 +26,6 @@ from .diagnostics import (
     audit_trajectory,
     competition_index,
     derived_constants,
-    evaluate_record,
     evaluate_records,
     integrated_inequality_audit,
     jensen_gap,
@@ -114,7 +113,6 @@ __all__ = [
     "competition_index",
     "conserved_quantity",
     "derived_constants",
-    "evaluate_record",
     "evaluate_records",
     "f_eps",
     "f_eps_prime",

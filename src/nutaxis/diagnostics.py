@@ -7,10 +7,10 @@ initial data.  `evaluate_records` is the one place the record's functionals
 written.  It takes a block of k states as ``(k, n)`` arrays, so each numpy
 call of a record is paid once per block, and returns the k records; each
 weighted sum is one BLAS ddot per row, so a record is bitwise the same in
-any block.  `evaluate_record` is its one-row call.  `run_scenario`
-evaluates RECORD_BLOCK output states at a time, so a NonpositiveField is
-raised when the block is evaluated: stepping may run up to RECORD_BLOCK - 1
-output times past the offending one first.
+any block.  `run_scenario` evaluates `experiments.RECORD_BLOCK` output
+states at a time, so a NonpositiveField is raised when the block is
+evaluated: stepping may run up to RECORD_BLOCK - 1 output times past the
+offending one first.
 
 `audit_trajectory` holds the run's six audits: the discrete analogues, at
 output resolution, of the a-priori bounds of the continuous system.  Each
@@ -32,10 +32,10 @@ construction.  With w0, v0 the initial data and t_0 = 0 the first record:
   + (1/4)*int_0^t int w <= I(0) + a*int w0 + b*int w0^2;
 * ``grad_w_budget``: int_0^t int |grad w|^2 <= (1/2)*int w0^2.
 
-All logarithms floor their argument at 1e-300; u or v not > 0 and w not >= 0,
-NaN included, raise NonpositiveField instead of propagating NaNs.  Cumulative
-quantities, in records and audits, use one trapezoid rule (`_cumtrapz`) on
-the output schedule, not on every step.
+u or v not > 0 and w not >= 0, NaN included, raise NonpositiveField
+instead of propagating NaNs, so every logarithm is of a positive field and
+takes no floor.  Cumulative quantities, in records and audits, use one
+trapezoid rule (`_cumtrapz`) on the output schedule, not on every step.
 """
 from __future__ import annotations
 
@@ -58,7 +58,6 @@ __all__ = [
     "JensenReport",
     "competition_index",
     "derived_constants",
-    "evaluate_record",
     "evaluate_records",
     "record_fields",
     "audit_trajectory",
@@ -66,14 +65,6 @@ __all__ = [
     "jensen_gap",
     "long_time_index",
 ]
-
-_LN_FLOOR = 1e-300
-
-# states per `evaluate_records` block in `run_scenario` and `verify`: a
-# record is ~40 small numpy calls, whose call overhead a block pays once;
-# at n = 401, 16 rows bring a record from ~90 to ~25 us, and larger blocks
-# add peak memory for little further gain
-RECORD_BLOCK = 16
 
 
 class NonpositiveField(ValueError):
@@ -131,20 +122,19 @@ class DerivedConstants:
 def _require_positive(name: str, arr: np.ndarray) -> None:
     if arr.size and not float(arr.min()) > 0.0:
         cell = int(np.argmin(arr))
-        raise NonpositiveField(f"{name} is nonpositive at cell {cell}: {arr[cell]!r}")
+        raise NonpositiveField(
+            f"{name} is nonpositive at cell {cell}: {float(arr[cell])!r}")
 
 
 def _require_nonnegative(name: str, arr: np.ndarray) -> None:
     if arr.size and not float(arr.min()) >= 0.0:
-        raise NonpositiveField(f"{name} has negative entries")
-
-
-def _ln(arr: np.ndarray) -> np.ndarray:
-    return np.log(np.maximum(arr, _LN_FLOOR))
+        cell = int(np.argmin(arr))
+        raise NonpositiveField(
+            f"{name} is not >= 0 at cell {cell}: {float(arr[cell])!r}")
 
 
 def _index(ln_u: np.ndarray, ln_v: np.ndarray, grid: Grid) -> float | np.ndarray:
-    """I = int ln(v/u) from the floored logs, one per row when stacked."""
+    """I = int ln(v/u) from the logs, one per row when stacked."""
     return integrate(ln_v - ln_u, grid)
 
 
@@ -152,7 +142,7 @@ def competition_index(state: State, grid: Grid) -> float:
     """I(t) = integral of ln(v/u); negative means u leads in log average."""
     _require_positive("u", state.u)
     _require_positive("v", state.v)
-    return _index(_ln(state.u), _ln(state.v), grid)
+    return _index(np.log(state.u), np.log(state.v), grid)
 
 
 def long_time_index(state: State, grid: Grid) -> float:
@@ -164,7 +154,7 @@ def long_time_index(state: State, grid: Grid) -> float:
     _require_positive("u", state.u)
     _require_positive("v", state.v)
     mean = float(integrate(state.u, grid)) / grid.volume
-    return float(integrate(_ln(state.v), grid)) - grid.volume * math.log(mean)
+    return float(integrate(np.log(state.v), grid)) - grid.volume * math.log(mean)
 
 
 @dataclass(frozen=True)
@@ -253,8 +243,8 @@ def evaluate_records(ts: Sequence[float], U: np.ndarray, V: np.ndarray,
     # reused or dropped once it is spent: at k = 16, n = 401 this halves
     # the block's peak allocation, to ~0.26 MB.  An infinite weight
     # (alpha = 0 in F, kappa = 0 in L) makes its whole column infinite
-    ln_u = _ln(U)
-    i_val = _index(ln_u, _ln(V), grid)
+    ln_u = np.log(U)
+    i_val = _index(ln_u, np.log(V), grid)
     ln_u *= U
     f_val = params.beta * integrate(ln_u, grid)
     del ln_u
@@ -302,14 +292,6 @@ def evaluate_records(ts: Sequence[float], U: np.ndarray, V: np.ndarray,
         ts, i_val, integrate(U, grid), mass_w, W.max(axis=1), min_u, f_val,
         d_val, l_val, fisher, grad_w_l2, max_grad_u, *cum])
     return [DiagnosticsRecord(*row) for row in columns.T.tolist()]
-
-
-def evaluate_record(state: State, consts: DerivedConstants, params: ModelParams,
-                    grid: Grid, prev: Optional[DiagnosticsRecord] = None
-                    ) -> DiagnosticsRecord:
-    """The record at state.t: `evaluate_records` on a one-row block."""
-    return evaluate_records([state.t], state.u[None], state.v[None],
-                            state.w[None], consts, params, grid, prev)[0]
 
 
 def _verdict(margin: float, **extra) -> dict:

@@ -86,7 +86,8 @@ Segment algorithm:
     8. on rejection: drop the history (hdt = 0), halve dt and refit it, so
        the retry is a backward-Euler step; raise PositivityViolation instead
        once the halved dt would fall below the attempt's cap times
-       2**-MAX_RETRIES, a floor that an accepted step does not reset.  The
+       2**-MAX_RETRIES, a floor that an accepted step does not reset (an
+       overflow, if the failing entry of the rejected level is infinite).  The
        current level, the history and ``hnu`` are left as they were.  On
        acceptance the three level arrays rotate (the current level becomes
        the history, the new one the current) and ``nn``/``hnu`` swap;
@@ -137,19 +138,19 @@ class PositivityViolation(RuntimeError):
     """A field lost its sign or overflowed; dt could not be reduced further.
 
     ``t`` is the time of the state the failing step started from and ``dt``
-    the size of its last attempt.
+    the size of its last attempt; ``overflow`` marks an infinite entry.
     """
 
     def __init__(self, fieldname: str, cell: int, t: float,
-                 dt: Optional[float] = None):
+                 dt: Optional[float] = None, overflow: bool = False):
         self.field = fieldname
         self.cell = cell
         self.t = t
         self.dt = dt
+        what = "overflow" if overflow else "positivity violation"
         at_dt = "" if dt is None else f", dt = {dt:.6g}"
         super().__init__(
-            f"positivity violation in {fieldname!r} at cell {cell}, t = {t:.6g}"
-            f"{at_dt}")
+            f"{what} in {fieldname!r} at cell {cell}, t = {t:.6g}{at_dt}")
 
 
 class LinearSolveFailure(RuntimeError):
@@ -322,7 +323,10 @@ def segment_numpy(state, t_to, ws, params, cfg):
                 ws.hdt = 0.0
                 if 0.5 * dt < cap * 2.0 ** -MAX_RETRIES:
                     state.t = max(state.t, t_to - rem)
-                    raise PositivityViolation(*failure, state.t, dt)
+                    field, cell = failure  # ws.yn holds the rejected level
+                    raise PositivityViolation(
+                        field, cell, state.t, dt,
+                        ws.yn["wuv".index(field), cell] == math.inf)
                 k, dt = _fit(rem, 0.5 * dt)
                 rem = k * dt
                 continue

@@ -59,11 +59,6 @@ class ModelParams:
             if not (val >= 0.0 and np.isfinite(val)):
                 raise ValueError(f"{name} must be >= 0 and finite, got {val}")
 
-    @property
-    def is_normalized(self) -> bool:
-        """True when D_w == delta == 1 (the normalized system)."""
-        return self.D_w == 1.0 and self.delta == 1.0
-
 
 def f_eps(s, eps: float):
     """Regularized uptake ``s / (1 + eps*s)``.

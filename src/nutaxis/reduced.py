@@ -16,9 +16,9 @@ sgn(u_inf - v_inf) = sgn(delta - alpha) follows.
 
 The heat problem U_t = D*lap(U) is the discrete Neumann heat flow of the
 integrator's Laplacian, taken exactly in time through its eigenmodes (the
-map the integrator takes once the nutrient is exhausted); its observables
-int ln U and sup|U - mean| feed the stabilization constants
-L = c1*|Omega|/2 and t0,
+map the integrator takes once the nutrient is exhausted); it records
+int ln U and sup|U - mean|.  Of these only int ln U feeds the stabilization
+constants: L = c1*|Omega|/2 and the time t0 by which int ln U has risen by L,
 where c1 = ln(mean phi) - mean(ln phi) is the Jensen gap of the initial
 data (strictly positive for nonconstant data).
 """
@@ -26,17 +26,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence, Union
 
 import numpy as np
 
-from .diagnostics import NonpositiveField, _ln, jensen_gap
+from .diagnostics import NonpositiveField, jensen_gap
 from .experiments import OutputSchedule, output_times
 from .grid import Grid
 from .kernels import heat_evolve, heat_modes, heat_project
 from .model import ModelParams
 from .operators import diffusion_rows, integrate
-from .profiles import Profile, sample
 
 __all__ = [
     "OdeState",
@@ -173,7 +171,7 @@ def heat_params(D: float) -> ModelParams:
                        gamma=0.0, delta=0.0)
 
 
-def heat_solve(u0: Union[Profile, np.ndarray], D: float, grid: Grid,
+def heat_solve(u0: np.ndarray, D: float, grid: Grid,
                t_end: float) -> HeatTrajectory:
     """Run U_t = D*lap(U) and record int ln U and sup|U - mean|.
 
@@ -190,12 +188,13 @@ def heat_solve(u0: Union[Profile, np.ndarray], D: float, grid: Grid,
         ValueError: unless 0 < t_end < inf (a run of no time has nothing to
             record, and an infinite one never ends), or unless D is
             positive and finite.
+        NonpositiveField: unless u0 > 0, or if an observed U is not > 0
+            (NaN included), as in the integrator's heat tail.
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"heat run needs a finite t_end > 0, got {t_end}")
     heat_params(D)  # validates D
-    arr = sample(u0, grid) if not isinstance(u0, np.ndarray) else np.asarray(
-        u0, dtype=np.float64)
+    arr = np.asarray(u0, dtype=np.float64)
     if not arr.min() > 0.0:
         raise NonpositiveField("heat initial data must be positive")
     modes = heat_modes(grid.m, *diffusion_rows(grid, D))
@@ -206,12 +205,16 @@ def heat_solve(u0: Union[Profile, np.ndarray], D: float, grid: Grid,
     u = np.empty_like(arr)
     for t in times[1:]:
         heat_evolve(modes, mean, coef, t, u)
-        int_ln.append(float(integrate(_ln(u), grid)))
+        if not u.min() > 0.0:  # NaN fails too
+            cell = int(np.argmin(u))
+            raise NonpositiveField(f"heat U is nonpositive at cell {cell}, "
+                                   f"t = {t:.6g}: {float(u[cell])!r}")
+        int_ln.append(float(integrate(np.log(u), grid)))
         sup.append(float(np.max(np.abs(u - mean))))
     return HeatTrajectory(np.array(times), np.array(int_ln), np.array(sup), mean)
 
 
-def stabilization_constants(u0: Union[Profile, np.ndarray], D: float,
+def stabilization_constants(u0: np.ndarray, D: float,
                             grid: Grid) -> tuple[float, float]:
     """Return (L, t0): L = c1*|Omega|/2 and the first sampled time with
     int ln U(t) - int ln u0 >= L.
@@ -225,8 +228,7 @@ def stabilization_constants(u0: Union[Profile, np.ndarray], D: float,
             genuinely nonconstant data; guards quadrature-degenerate input).
     """
     heat_params(D)  # validates D, which the horizon divides by
-    arr = sample(u0, grid) if not isinstance(u0, np.ndarray) else np.asarray(
-        u0, dtype=np.float64)
+    arr = np.asarray(u0, dtype=np.float64)
     report = jensen_gap(arr, grid)
     L = 0.5 * report.c1 * grid.volume
     if not report.strict:

@@ -13,7 +13,6 @@ from nutaxis import (
     build_grid,
     competition_index,
     derived_constants,
-    evaluate_record,
     evaluate_records,
     integrate,
     heat_solve,
@@ -26,6 +25,12 @@ from nutaxis import (
 
 PARAMS = ModelParams(D_u=20.0, D_w=1.0, chi=0.5, alpha=2.0, beta=200.0,
                      gamma=200.0, delta=1.0)
+
+
+def _evaluate_one(state, consts, params, grid, prev=None):
+    """The record of one state: `evaluate_records` on a one-row block."""
+    return evaluate_records([state.t], state.u[None], state.v[None],
+                            state.w[None], consts, params, grid, prev)[0]
 
 
 @pytest.fixture
@@ -42,7 +47,7 @@ def _state(grid, u, v, w):
 
 def _record(state, grid, params=PARAMS):
     consts = derived_constants(np.ones(grid.n), np.ones(grid.n), params, grid)
-    return evaluate_record(state, consts, params, grid)
+    return _evaluate_one(state, consts, params, grid)
 
 
 def test_competition_index_antisymmetry(grid):
@@ -68,6 +73,19 @@ def test_competition_index_log_ratio_value(grid):
     # u = e * v pointwise on the unit interval: I = -|Omega| = -1
     st = _state(grid, np.e, 1.0, 0.0)
     assert competition_index(st, grid) == pytest.approx(-1.0, rel=1e-14)
+
+
+def test_a_subnormal_u_enters_the_index_unfloored(grid):
+    # every field is > 0, so I takes the plain log of each entry, however
+    # small: ln(1e-310), not the ln(1e-300) of a floor
+    u = np.ones(grid.n)
+    u[3] = 1e-310
+    state = _state(grid, u, 1.0, 0.0)
+    exact = float(integrate(np.log(state.v), grid)
+                  - integrate(np.log(u), grid))
+    assert exact > 700.0 * grid.m[3]
+    assert competition_index(state, grid) == exact
+    assert _record(state, grid).I == exact
 
 
 def test_competition_index_rejects_nonpositive(grid):
@@ -111,7 +129,7 @@ def test_lyapunov_constant_state_value(grid):
     st = _state(grid, 1.0, 1.0, 3.0)
     # I = 0, so L = a*int w + b*int w^2 = 3a + 9b on the unit interval
     expected = consts.a * 3.0 + consts.b * 9.0
-    rec = evaluate_record(st, consts, PARAMS, grid)
+    rec = _evaluate_one(st, consts, PARAMS, grid)
     assert rec.L_lyap == pytest.approx(expected, rel=1e-13)
 
 
@@ -162,13 +180,13 @@ def test_record_fields_order():
 def test_evaluate_record_cumulative_chaining(grid):
     consts = derived_constants(np.ones(grid.n), np.full(grid.n, 2.0), PARAMS, grid)
     st0 = _state(grid, 1.0, 1.0, 2.0)
-    r0 = evaluate_record(st0, consts, PARAMS, grid)
+    r0 = _evaluate_one(st0, consts, PARAMS, grid)
     assert r0.cum_D == 0.0 and r0.cum_w == 0.0
     assert r0.t == 0.0
 
     st1 = _state(grid, 1.0, 1.0, 1.0)
     st1.t = 0.5
-    r1 = evaluate_record(st1, consts, PARAMS, grid, prev=r0)
+    r1 = _evaluate_one(st1, consts, PARAMS, grid, prev=r0)
     # trapezoid of mass_w over [0, 0.5]: 0.5 * 0.5 * (2 + 1)
     assert r1.cum_w == pytest.approx(0.75, rel=1e-13)
     assert r1.cum_D == pytest.approx(
@@ -176,7 +194,7 @@ def test_evaluate_record_cumulative_chaining(grid):
 
     st2 = _state(grid, 1.0, 1.0, 0.5)
     st2.t = 1.5
-    r2 = evaluate_record(st2, consts, PARAMS, grid, prev=r1)
+    r2 = _evaluate_one(st2, consts, PARAMS, grid, prev=r1)
     assert r2.cum_w == pytest.approx(0.75 + 0.5 * (1.0 + 0.5), rel=1e-13)
 
 
@@ -184,7 +202,7 @@ def test_evaluate_record_scalar_fields(grid):
     consts = derived_constants(np.ones(grid.n), np.full(grid.n, 2.0), PARAMS, grid)
     u = 1.0 + grid.centers
     st = _state(grid, u, 1.0, 2.0)
-    rec = evaluate_record(st, consts, PARAMS, grid)
+    rec = _evaluate_one(st, consts, PARAMS, grid)
     assert rec.mass_u == pytest.approx(1.5, rel=1e-13)
     assert rec.mass_w == pytest.approx(2.0, rel=1e-13)
     assert rec.max_w == 2.0
@@ -199,12 +217,12 @@ def test_integrated_audit_static_series(grid):
                          gamma=1.0, delta=1.0)  # kappa = 1, so a = 2.25
     consts = derived_constants(np.ones(grid.n), np.full(grid.n, 2.0), params, grid)
     st = _state(grid, 1.0, 1.0, 2.0)
-    records = [evaluate_record(st, consts, params, grid)]
+    records = [_evaluate_one(st, consts, params, grid)]
     for t in (1.0, 2.0):
         nxt = _state(grid, 1.0, 1.0, 2.0)
         nxt.t = t
-        records.append(evaluate_record(nxt, consts, params, grid,
-                                       prev=records[-1]))
+        records.append(_evaluate_one(nxt, consts, params, grid,
+                                     prev=records[-1]))
     mass_w0_sq = 4.0  # int w0^2 with w0 = 2 on the unit interval
     audits = integrated_inequality_audit(records, consts, params.D_u,
                                          mass_w0_sq)
@@ -223,13 +241,13 @@ def test_integrated_audit_flags_violation(grid):
                          gamma=1.0, delta=1.0)
     consts = derived_constants(np.ones(grid.n), np.full(grid.n, 1.0), params, grid)
     st0 = _state(grid, 1.0, 1.0, 1.0)
-    r0 = evaluate_record(st0, consts, params, grid)
+    r0 = _evaluate_one(st0, consts, params, grid)
     # nutrient GROWING over time breaks the integrated bound eventually
     records = [r0]
     for k, t in enumerate((5.0, 10.0, 20.0), start=1):
         st = _state(grid, 1.0, 1.0, 1.0 + 2.0 * k)
         st.t = t
-        records.append(evaluate_record(st, consts, params, grid, prev=records[-1]))
+        records.append(_evaluate_one(st, consts, params, grid, prev=records[-1]))
     ineq = integrated_inequality_audit(records, consts, params.D_u,
                                        1.0)["integrated_inequality"]
     assert ineq["margin"] < 0.0
@@ -246,7 +264,7 @@ def test_integrated_audit_requires_records(grid):
 
 def test_audit_verdicts_follow_margins(grid):
     consts = derived_constants(np.ones(grid.n), np.full(grid.n, 2.0), PARAMS, grid)
-    records = [evaluate_record(_state(grid, 1.0, 1.0, 2.0), consts, PARAMS, grid)]
+    records = [_evaluate_one(_state(grid, 1.0, 1.0, 2.0), consts, PARAMS, grid)]
     # v fell below min v0 = 1; the envelope is max v0 * e^(alpha/kappa * 2)
     audits = audit_trajectory(records, consts, PARAMS, 4.0, (1.0, 1.0),
                               (0.75, 1.0))
@@ -272,7 +290,7 @@ def test_dissipation_random_trials_nonnegative():
 
 
 def _plain_record(state, consts, params, grid, prev):
-    """The record as composed before the one-pass evaluate_record: each
+    """The record as composed before the one-pass evaluate_records: each
     functional on its own, with its own face differences, in plain numpy."""
     u, v, w = state.u, state.v, state.w
     h, m = grid.h, grid.m
@@ -336,9 +354,9 @@ def test_evaluate_record_matches_plain_composition(geometry, chi, gamma):
     w[-5:] = 0.0
     w[-3] = 1e-13  # a face weight below the 1e-12 floor, with a gradient
     consts = derived_constants(v, w, params, grid, u0=u)
-    prev = evaluate_record(State(0.0, u, v, w), consts, params, grid)
+    prev = _evaluate_one(State(0.0, u, v, w), consts, params, grid)
     state = State(0.25, u * 1.5, v * 0.5, w * 0.25)
-    rec = evaluate_record(state, consts, params, grid, prev=prev)
+    rec = _evaluate_one(state, consts, params, grid, prev=prev)
     want = _plain_record(state, consts, params, grid, prev)
     assert [x.hex() for x in dataclasses.astuple(rec)] == [
         float(x).hex() for x in want]
@@ -375,8 +393,8 @@ def test_evaluate_records_matches_record_chain(geometry, chi, gamma):
     chain = []
     for j in range(k):
         state = State(ts[j], buf[0, j], buf[1, j], buf[2, j])
-        chain.append(evaluate_record(state, consts, params, grid,
-                                     prev=chain[-1] if chain else None))
+        chain.append(_evaluate_one(state, consts, params, grid,
+                                   prev=chain[-1] if chain else None))
     blocked, start = [], 0
     for length in lengths:
         rows = slice(start, start + length)
@@ -399,8 +417,8 @@ def test_evaluate_records_reports_first_bad_row(grid, field, value):
     fields["w"][7, 0] = -1.0  # a later bad row does not mask row 5
     consts = derived_constants(np.ones(n), np.ones(n), PARAMS, grid)
     with pytest.raises(NonpositiveField) as one:
-        evaluate_record(State(0.0, fields["u"][5], fields["v"][5],
-                              fields["w"][5]), consts, PARAMS, grid)
+        _evaluate_one(State(0.0, fields["u"][5], fields["v"][5],
+                            fields["w"][5]), consts, PARAMS, grid)
     with pytest.raises(NonpositiveField, match=re.escape(str(one.value))):
         evaluate_records([0.0] * k, fields["u"], fields["v"], fields["w"],
                          consts, PARAMS, grid)
@@ -435,9 +453,13 @@ def test_stacked_weighted_sum_is_row_dot(n):
         "long_time_index", "jensen_gap", "stabilization_constants",
         "derived_constants_v0", "derived_constants_w0",
         "derived_constants_u0", "heat_solve"])
-def test_a_nan_field_raises_instead_of_propagating(grid, call):
+def test_a_nan_field_raises_instead_of_propagating(grid, call, request):
     # every positivity check is the comparison a NaN fails
     x = np.ones(grid.n)
     x[3] = np.nan
-    with pytest.raises(NonpositiveField):
+    with pytest.raises(NonpositiveField) as err:
         call(grid, x)
+    if request.node.callspec.id not in ("jensen_gap", "stabilization_constants",
+                                        "heat_solve"):
+        # a check of u, v or w, w included, names the cell and its value
+        assert "at cell 3: nan" in str(err.value)

@@ -21,7 +21,7 @@ from nutaxis import (
     advance,
     build_grid,
     derived_constants,
-    evaluate_record,
+    evaluate_records,
     init_state,
     output_times,
     preset,
@@ -250,12 +250,16 @@ def test_run_scenario_blocks_match_record_chain():
     grid = build_grid(cfg.geometry)
     state, _ = init_state(cfg.u0, cfg.v0, cfg.w0, grid)
     consts = derived_constants(state.v, state.w, cfg.params, grid, u0=state.u)
-    chain = [evaluate_record(state, consts, cfg.params, grid)]
+
+    def record(s, prev=None):  # a one-row block
+        return evaluate_records([s.t], s.u[None], s.v[None], s.w[None],
+                                consts, cfg.params, grid, prev)[0]
+
+    chain = [record(state)]
     v_seen = [state.v.min(), state.v.max()]
 
     def observe(s):
-        chain.append(evaluate_record(s, consts, cfg.params, grid,
-                                     prev=chain[-1]))
+        chain.append(record(s, prev=chain[-1]))
         v_seen.extend([s.v.min(), s.v.max()])
 
     advance(state, grid, cfg.params, cfg.stepper, cfg.t_end,
@@ -314,6 +318,7 @@ def test_a_run_that_overflows_fails_by_name():
             run_scenario(cfg)
     assert isinstance(err.value.__cause__, PositivityViolation)
     assert err.value.__cause__.field in ("u", "v")
+    assert "overflow in" in str(err.value)  # not a sign change
     assert 490.0 < err.value.__cause__.t < 500.0
 
 

@@ -81,3 +81,14 @@ def test_a_moved_heat_value_is_shown_in_decimal(tmp_path, capsys):
     assert code == 1
     assert "heat[n=400].heat_radial_d3.int_ln_U_end: " in out
     assert "-2.5 -> " in out and "relative -2e-12" in out
+
+
+def test_the_verify_record_holds_each_check_by_name(monkeypatch):
+    import nutaxis.verify as verify
+
+    checks = [verify.CheckResult("jensen_constant", True, "c1 = 0.0"),
+              verify.CheckResult("transport_zero_data", False, "error 1.0")]
+    monkeypatch.setattr(verify, "run_all", lambda printer: checks)
+    assert golden_digest.digest_verify() == {
+        "jensen_constant": {"ok": True, "detail": "c1 = 0.0"},
+        "transport_zero_data": {"ok": False, "detail": "error 1.0"}}

@@ -16,7 +16,8 @@ import nutaxis.io as nio  # noqa: E402
 from perfbench import trace  # noqa: E402
 
 # every span name a per-layer metric of perfbench/run.py totals, except
-# diagnostics.evaluate_record, which run_scenario no longer calls
+# diagnostics.evaluate_record, a one-row function that no run called and
+# that is gone, so diagnostics.records and record_us_* read 0
 READ_BY_RUN = ("stepper.advance", "kernels.segment_numpy",
                "kernels.attempt_step_numpy",
                "diagnostics.integrated_inequality_audit",

@@ -4,15 +4,11 @@ import pytest
 from nutaxis import ModelParams, f_eps, f_eps_prime
 
 
-def test_params_frozen_and_normalized_flag():
+def test_params_are_frozen():
     p = ModelParams(D_u=20.0, D_w=1.0, chi=0.5, alpha=2.0, beta=200.0,
                     gamma=200.0, delta=1.0)
-    assert p.is_normalized
     with pytest.raises(Exception):
         p.chi = 1.0
-    q = ModelParams(D_u=1.0, D_w=2.0, chi=0.0, alpha=0.0, beta=0.0,
-                    gamma=0.0, delta=1.0)
-    assert not q.is_normalized
 
 
 @pytest.mark.parametrize("field,value", [

@@ -2,9 +2,12 @@
 
 Examples are derandomized, so every run of the suite draws the same cases.
 """
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from nutaxis import (
@@ -12,11 +15,14 @@ from nutaxis import (
     Gaussian,
     Geometry,
     ModelParams,
+    OutputSchedule,
     StepperConfig,
     advance,
     build_grid,
     init_state,
     integrate,
+    preset,
+    run_scenario,
 )
 
 import loop_reference
@@ -90,3 +96,69 @@ def test_a_subnormal_chi_does_not_overflow_the_cfl_cap(backend):
         stats.append(advance(state, grid, params, StepperConfig(dt=0.015625),
                              t_end=0.05).stats)
     assert stats[0] == stats[1]
+
+
+# the exact scalings of the model, on fig1_right l=14 cut to 41 cells and
+# t = 0.2 (~80 steps).  Every kernel constant is relative, so a power-of-two
+# k gives the same run in scaled units: w0 -> k w0 with chi, delta, alpha
+# divided by k, and every time and rate in units of k, leave I unchanged;
+# u0 -> k u0 with beta -> beta/k shifts I by -|Omega| ln k
+SCALED = replace(preset("fig1_right", 14), geometry=Geometry("interval", 41),
+                 t_end=0.2)
+SCALING_SETTINGS = settings(
+    max_examples=6, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
+powers_of_two = st.integers(-20, 20).filter(bool).map(lambda e: 2.0 ** e)
+
+
+def _scaled_run(cfg):
+    """(I of every record, final u, step counts) of a run of cfg."""
+    res = run_scenario(cfg)
+    stats = res.manifest.stats
+    return ([r.I for r in res.records], res.state.u,
+            (stats["accepted"], stats["rejected"], stats["rebuilds"]))
+
+
+def _gaussian_times(g, k):
+    return replace(g, base=g.base * k, amp=g.amp * k)
+
+
+@SCALING_SETTINGS
+@given(k=powers_of_two)
+@example(k=2.0 ** -20)
+@example(k=2.0 ** 20)
+def test_w_and_time_scalings_give_the_same_run(backend, k):
+    i_ref, u_ref, steps = _scaled_run(SCALED)
+    p = SCALED.params
+    w_scaled = replace(SCALED, w0=_gaussian_times(SCALED.w0, k),
+                       params=replace(p, chi=p.chi / k, delta=p.delta / k,
+                                      alpha=p.alpha / k))
+    t_scaled = replace(
+        SCALED, t_end=SCALED.t_end * k,
+        output=OutputSchedule(t_first=SCALED.output.t_first * k,
+                              factor=SCALED.output.factor),
+        stepper=StepperConfig(dt=SCALED.stepper.dt * k),
+        params=replace(p, D_u=p.D_u / k, D_w=p.D_w / k, chi=p.chi / k,
+                       alpha=p.alpha / k, beta=p.beta / k,
+                       gamma=p.gamma / k, delta=p.delta / k))
+    for cfg in (w_scaled, t_scaled):
+        i_k, u_k, steps_k = _scaled_run(cfg)
+        assert [x.hex() for x in i_k] == [x.hex() for x in i_ref]
+        assert u_k.tobytes() == u_ref.tobytes()
+        assert steps_k == steps
+
+
+@SCALING_SETTINGS
+@given(k=powers_of_two)
+@example(k=2.0 ** -20)
+@example(k=2.0 ** 20)
+def test_u_scaling_shifts_the_index_by_volume_ln_k(backend, k):
+    i_ref, u_ref, steps = _scaled_run(SCALED)
+    cfg = replace(SCALED, u0=_gaussian_times(SCALED.u0, k),
+                  params=replace(SCALED.params, beta=SCALED.params.beta / k))
+    i_k, u_k, steps_k = _scaled_run(cfg)
+    vol_ln_k = build_grid(SCALED.geometry).volume * math.log(k)
+    shift = np.array(i_k) - np.array(i_ref)
+    assert np.all(np.abs(shift + vol_ln_k) <= 1e-12 * abs(vol_ln_k))
+    assert (u_k / k).tobytes() == u_ref.tobytes()
+    assert steps_k == steps

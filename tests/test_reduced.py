@@ -207,6 +207,17 @@ def test_heat_solve_rejects_nonpositive_data():
             heat_solve(np.ones(16), 1.0, grid, t_end=t_end)
 
 
+def test_heat_solve_rejects_an_evolved_u_that_is_not_positive():
+    # data spanning 300 decades: the modal sum's roundoff (~1e-17) takes
+    # the small cells below 0 at the first observation time, and that U is
+    # reported, as in the integrator's heat tail, instead of logged
+    grid = build_grid(Geometry("interval", 16))
+    u0 = np.full(16, 1e-300)
+    u0[0] = 1.0
+    with pytest.raises(NonpositiveField, match=r"at cell \d+, t = 0.001"):
+        heat_solve(u0, 1.0, grid, t_end=0.1)
+
+
 def test_jensen_gap_constant_field():
     grid = build_grid(Geometry("interval", 64))
     rep = jensen_gap(np.full(64, 3.7), grid)
@@ -240,19 +251,19 @@ def test_jensen_gap_rejects_nonpositive():
 
 def test_stabilization_constants_constant_data():
     grid = build_grid(Geometry("interval", 32))
-    L, t0 = stabilization_constants(Constant(2.0), 1.0, grid)
+    L, t0 = stabilization_constants(sample(Constant(2.0), grid), 1.0, grid)
     assert L == 0.0 and t0 == 0.0
 
 
 def test_stabilization_constants_gaussian():
     grid = build_grid(Geometry("interval", 100))
-    prof = Gaussian(base=0.0, amp=1.0, rate=15.0, center=0.5)
-    L, t0 = stabilization_constants(prof, 1.0, grid)
-    rep = jensen_gap(sample(prof, grid), grid)
+    u0 = sample(Gaussian(base=0.0, amp=1.0, rate=15.0, center=0.5), grid)
+    L, t0 = stabilization_constants(u0, 1.0, grid)
+    rep = jensen_gap(u0, grid)
     assert L == pytest.approx(0.5 * rep.c1 * grid.volume, rel=1e-13)
     assert 0.0 < t0 < 5.0 / (math.pi ** 2) + 1e-9
     # the entropy gain stays above L from t0 onward
-    traj = heat_solve(prof, 1.0, grid, t_end=5.0 / math.pi ** 2)
+    traj = heat_solve(u0, 1.0, grid, t_end=5.0 / math.pi ** 2)
     gain = traj.int_ln_u - traj.int_ln_u[0]
     after = traj.times >= t0
     assert np.all(gain[after] >= L - 1e-12)

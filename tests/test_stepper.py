@@ -230,6 +230,7 @@ def test_advance_raises_positivity_violation_when_retries_exhausted(
         advance(state, grid, params, cfg, t_end=grid.h)
     assert err.value.field == "u"
     assert 0 <= err.value.cell < grid.n
+    assert "positivity violation in 'u'" in str(err.value)  # no overflow
 
 
 def test_advance_recovers_by_halving(monkeypatch, backend):

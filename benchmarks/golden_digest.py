@@ -24,7 +24,9 @@ It adds one more object, ``heat[n=400]`` (:func:`digest_heat`), for the
 other users of the diffusion operator, which no preset run reaches:
 
 * ``L`` and ``t0`` -- ``reduced.stabilization_constants`` with the
-  defaults of ``nutaxis heat``,
+  defaults of ``nutaxis heat``, and ``L_radial_d3`` and ``t0_radial_d3``
+  of the same data on the radial d = 3 grid (n = 400), the geometry whose
+  slowest mode decays slowest,
 * ``heat_interval`` and ``heat_radial_d3`` -- ``reduced.heat_solve`` of
   that initial data (n = 400, D = 1, t_end = 10): ``sha256`` of the
   trajectory's arrays and mean, and ``int_ln_U_mid`` and ``int_ln_U_end``
@@ -44,8 +46,9 @@ A key present on one side only (a config key added or retired) is printed as a
 schema line and does not by itself make ``compare`` exit 1.  For each run
 it also prints the largest relative change over the numeric leaves both
 sides have (``I_end`` and ``min_dt`` included).  Equal digests mean
-bitwise equal final arrays and records.  One ``run`` takes about 30 s on a
-2-vCPU host, most of it in the two fig3 presets and ``verify``.
+bitwise equal final arrays and records.  One ``run`` takes about 15 s on a
+2-vCPU host (14.2 and 15.8 s measured), most of it in the two fig3 presets
+and ``verify``.
 """
 from __future__ import annotations
 
@@ -69,8 +72,9 @@ HEAT_N = 400
 HEAT_T_END = 10.0
 TRANSPORT_N = (100, 200, 400)
 # digested as float.hex
-HEX_KEYS = ("I_end", "min_dt", "L", "t0", "t_mid", "int_ln_U_mid",
-            "int_ln_U_end", *(f"transport_error_n{n}" for n in TRANSPORT_N))
+HEX_KEYS = ("I_end", "min_dt", "L", "t0", "L_radial_d3", "t0_radial_d3",
+            "t_mid", "int_ln_U_mid", "int_ln_U_end",
+            *(f"transport_error_n{n}" for n in TRANSPORT_N))
 
 
 def _sha256(data: bytes) -> str:
@@ -110,10 +114,11 @@ def digest_heat() -> dict:
     u0 = Gaussian(base=0.0, amp=1.0, rate=15.0, center=0.5)  # nutaxis heat
     grids = {"interval": build_grid(Geometry("interval", HEAT_N)),
              "radial_d3": build_grid(Geometry("radial", HEAT_N, d=3))}
-    interval = grids["interval"]
-    L, t0 = reduced.stabilization_constants(sample(u0, interval), 1.0,
-                                            interval)
-    out = {"L": L.hex(), "t0": t0.hex()}
+    out = {}
+    for suffix, label in (("", "interval"), ("_radial_d3", "radial_d3")):
+        grid = grids[label]
+        L, t0 = reduced.stabilization_constants(sample(u0, grid), 1.0, grid)
+        out[f"L{suffix}"], out[f"t0{suffix}"] = L.hex(), t0.hex()
     for label, grid in grids.items():
         traj = reduced.heat_solve(sample(u0, grid), 1.0, grid, HEAT_T_END)
         mid = len(traj.times) // 2

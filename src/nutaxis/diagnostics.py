@@ -33,9 +33,10 @@ construction.  With w0, v0 the initial data and t_0 = 0 the first record:
 * ``grad_w_budget``: int_0^t int |grad w|^2 <= (1/2)*int w0^2.
 
 u or v not > 0 and w not >= 0, NaN included, raise NonpositiveField
-instead of propagating NaNs, so every logarithm is of a positive field and
-takes no floor.  Cumulative quantities, in records and audits, use one
-trapezoid rule (`_cumtrapz`) on the output schedule, not on every step.
+naming the first failing cell (`profiles.require_positive`), so every
+logarithm is of a positive field and takes no floor.  Cumulative
+quantities, in records and audits, use one trapezoid rule (`_cumtrapz`) on
+the output schedule, not on every step.
 """
 from __future__ import annotations
 
@@ -49,7 +50,8 @@ import numpy as np
 from .grid import Grid
 from .model import ModelParams
 from .operators import face_energy, face_gradient, integrate, laplacian_neumann
-from .profiles import State
+from .profiles import (NonpositiveField, State, require_nonnegative,
+                       require_positive)
 
 __all__ = [
     "NonpositiveField",
@@ -65,10 +67,6 @@ __all__ = [
     "jensen_gap",
     "long_time_index",
 ]
-
-
-class NonpositiveField(ValueError):
-    """A functional needing positive data was fed a nonpositive field."""
 
 
 @dataclass(frozen=True)
@@ -119,20 +117,6 @@ class DerivedConstants:
     jensen_c1: float
 
 
-def _require_positive(name: str, arr: np.ndarray) -> None:
-    if arr.size and not float(arr.min()) > 0.0:
-        cell = int(np.argmin(arr))
-        raise NonpositiveField(
-            f"{name} is nonpositive at cell {cell}: {float(arr[cell])!r}")
-
-
-def _require_nonnegative(name: str, arr: np.ndarray) -> None:
-    if arr.size and not float(arr.min()) >= 0.0:
-        cell = int(np.argmin(arr))
-        raise NonpositiveField(
-            f"{name} is not >= 0 at cell {cell}: {float(arr[cell])!r}")
-
-
 def _index(ln_u: np.ndarray, ln_v: np.ndarray, grid: Grid) -> float | np.ndarray:
     """I = int ln(v/u) from the logs, one per row when stacked."""
     return integrate(ln_v - ln_u, grid)
@@ -140,8 +124,8 @@ def _index(ln_u: np.ndarray, ln_v: np.ndarray, grid: Grid) -> float | np.ndarray
 
 def competition_index(state: State, grid: Grid) -> float:
     """I(t) = integral of ln(v/u); negative means u leads in log average."""
-    _require_positive("u", state.u)
-    _require_positive("v", state.v)
+    require_positive("u", state.u)
+    require_positive("v", state.v)
     return _index(np.log(state.u), np.log(state.v), grid)
 
 
@@ -151,8 +135,8 @@ def long_time_index(state: State, grid: Grid) -> float:
     Once w is 0, v is frozen and u tends to its conserved mean ubar under
     the heat flow, so I(t) decreases to this value (Jensen).
     """
-    _require_positive("u", state.u)
-    _require_positive("v", state.v)
+    require_positive("u", state.u)
+    require_positive("v", state.v)
     mean = float(integrate(state.u, grid)) / grid.volume
     return float(integrate(np.log(state.v), grid)) - grid.volume * math.log(mean)
 
@@ -168,8 +152,7 @@ class JensenReport:
 def jensen_gap(phi: np.ndarray, grid: Grid) -> JensenReport:
     """Logarithmic Jensen gap of a positive cell field (volume-weighted)."""
     phi = np.asarray(phi, dtype=np.float64)
-    if not phi.min() > 0.0:
-        raise NonpositiveField("jensen gap needs a strictly positive field")
+    require_positive("phi", phi)
     vol = grid.volume
     mean = float(integrate(phi, grid) / vol)
     mean_ln = float(integrate(np.log(phi), grid) / vol)
@@ -184,8 +167,8 @@ def derived_constants(v0: np.ndarray, w0: np.ndarray, params: ModelParams,
     v0 must be positive and w0 nonnegative.  M_star uses the floored face
     energy, so a vanishing w0 simply contributes zero.
     """
-    _require_positive("v0", v0)
-    _require_nonnegative("w0", w0)
+    require_positive("v0", v0)
+    require_nonnegative("w0", w0)
     kappa = params.gamma * float(v0.min())
     a = (params.alpha + 0.25) / kappa if kappa > 0.0 else np.inf
     b = params.chi ** 2 / (4.0 * params.D_u)
@@ -195,7 +178,7 @@ def derived_constants(v0: np.ndarray, w0: np.ndarray, params: ModelParams,
     if u0 is None:
         c1 = float("nan")
     else:
-        _require_positive("u0", u0)
+        require_positive("u0", u0)
         c1 = jensen_gap(u0, grid).c1
     return DerivedConstants(kappa=kappa, a=a, b=b, M_star=float(m_star),
                             sigma_star=sigma_star, jensen_c1=c1)
@@ -236,9 +219,9 @@ def evaluate_records(ts: Sequence[float], U: np.ndarray, V: np.ndarray,
     good = (min_u > 0.0) & (V.min(axis=1) > 0.0) & (W.min(axis=1) >= 0.0)
     if not good.all():
         row = int(good.argmin())  # the first row that fails
-        _require_positive("u", U[row])
-        _require_positive("v", V[row])
-        _require_nonnegative("w", W[row])
+        require_positive("u", U[row])
+        require_positive("v", V[row])
+        require_nonnegative("w", W[row])
     # the columns are taken one after another, and each (k, n) temporary is
     # reused or dropped once it is spent: at k = 16, n = 401 this halves
     # the block's peak allocation, to ~0.26 MB.  An infinite weight

@@ -16,7 +16,7 @@ import functools
 import itertools
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Optional
 
 import numpy as np
@@ -34,7 +34,6 @@ from .model import ModelParams
 from .operators import integrate
 from .profiles import Constant, Gaussian, Mirrored, Profile, State, init_state
 from .stepper import (
-    AdvanceStats,
     LinearSolveFailure,
     PositivityViolation,
     StepperConfig,
@@ -276,7 +275,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
 
     audits = audit_trajectory(records, consts, cfg.params, mass_w0_sq,
                               v0_range, (v_min_obs, v_max_obs))
-    stats: AdvanceStats = result.stats
     manifest = RunManifest(
         version=_version(),
         scenario=cfg,
@@ -284,13 +282,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         grid_summary={"kind": cfg.geometry.kind, "n_cells": grid.n,
                       "h": grid.h, "volume": grid.volume,
                       "d": cfg.geometry.d if cfg.geometry.kind == "radial" else 1},
-        stats={"accepted": stats.accepted, "rejected": stats.rejected,
-               "rebuilds": stats.rebuilds, "min_dt": stats.min_dt,
-               "backend": "numpy", "outputs": len(records),
-               "w_exhausted_t": stats.w_exhausted_t,
-               "I_bracket": (None if stats.I_bracket is None
-                             else list(stats.I_bracket)),
-               "I_inf": (None if stats.w_exhausted_t is None
+        stats={**asdict(result.stats), "backend": "numpy",
+               "outputs": len(records),
+               "I_inf": (None if result.stats.w_exhausted_t is None
                          else long_time_index(state, grid))},
         audits=audits,
         wall_time=time.perf_counter() - began,
@@ -327,7 +321,8 @@ class SweepSpec:
     """A base scenario plus override axes.
 
     mode "product" runs the Cartesian product of all value lists; "zip"
-    pairs them elementwise (all lists must share one length).
+    pairs them elementwise (all lists must share one length).  A path
+    names at most one axis.
     """
 
     base: ScenarioConfig
@@ -337,9 +332,12 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.mode not in ("product", "zip"):
             raise ValueError(f"unknown sweep mode {self.mode!r}")
+        paths = [p for p, _ in self.overrides]
         for path, values in self.overrides:
             if not values:
                 raise ValueError(f"override {path!r} has no values")
+            if paths.count(path) > 1:
+                raise ValueError(f"override {path!r} is repeated")
             walk(self.base, path)
         if self.mode == "zip" and self.overrides:
             lengths = {len(v) for _, v in self.overrides}

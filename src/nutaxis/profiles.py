@@ -1,22 +1,27 @@
-"""Initial-data profiles and the simulation state triple.
+"""Initial-data profiles, the simulation state triple and its sign checks.
 
 Profiles are small declarative descriptors evaluated pointwise at cell
 centers (second-order consistent with the scheme; all supported shapes are
 smooth).  ``Mirrored`` wraps another profile and evaluates it at the
 reflected coordinate ``x_lo + x_hi - x``, which is how mirror-symmetric
 competitor pairs are declared.
+
+`require_positive` and `require_nonnegative` check the invariant of a
+`State` wherever the kernel's fused checks do not; like those, a failure
+names the first failing cell (a NaN fails both) and its value.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .grid import Grid
 from .operators import integrate
 
-__all__ = ["Constant", "Gaussian", "Mirrored", "Profile", "State", "init_state"]
+__all__ = ["Constant", "Gaussian", "Mirrored", "NonpositiveField", "Profile",
+           "State", "init_state", "require_nonnegative", "require_positive"]
 
 
 @dataclass(frozen=True)
@@ -74,6 +79,30 @@ class State:
         return State(self.t, self.u.copy(), self.v.copy(), self.w.copy())
 
 
+class NonpositiveField(ValueError):
+    """A field broke the state invariant: u or v not > 0, or w not >= 0."""
+
+
+def _require(name: str, arr: np.ndarray, ok: np.ndarray, relation: str,
+             t: Optional[float]) -> None:
+    if not ok.all():
+        cell = int(np.argmax(~ok))
+        at_t = "" if t is None else f", t = {t:.6g}"
+        raise NonpositiveField(f"{name} is not {relation} at cell {cell}"
+                               f"{at_t}: {float(arr[cell])!r}")
+
+
+def require_positive(name: str, arr: np.ndarray,
+                     t: Optional[float] = None) -> None:
+    """Raise NonpositiveField unless arr > 0; t, if given, is named too."""
+    _require(name, arr, arr > 0.0, "> 0", t)
+
+
+def require_nonnegative(name: str, arr: np.ndarray) -> None:
+    """Raise NonpositiveField unless arr >= 0."""
+    _require(name, arr, arr >= 0.0, ">= 0", None)
+
+
 def _domain_bounds(grid: Grid) -> tuple[float, float]:
     g = grid.geometry
     if g.kind == "interval":
@@ -95,16 +124,14 @@ def init_state(u0: Profile, v0: Profile, w0: Profile, grid: Grid) -> tuple[State
     u0 and v0 are the same descriptor).
 
     Raises:
-        ValueError: if u0 or v0 evaluates to <= 0 at any center, or w0 < 0.
+        NonpositiveField: if u0 or v0 is not > 0 at some center, or w0 is
+            not >= 0 (NaN included).
     """
     u = sample(u0, grid)
     v = sample(v0, grid)
     w = sample(w0, grid)
-    if not np.all(u > 0.0):
-        raise ValueError("u0 must be strictly positive at every cell center")
-    if not np.all(v > 0.0):
-        raise ValueError("v0 must be strictly positive at every cell center")
-    if not np.all(w >= 0.0):
-        raise ValueError("w0 must be nonnegative at every cell center")
+    require_positive("u0", u)
+    require_positive("v0", v)
+    require_nonnegative("w0", w)
     i0 = integrate(np.log(v) - np.log(u), grid)
     return State(t=0.0, u=u, v=v, w=w), i0

@@ -453,13 +453,11 @@ def test_stacked_weighted_sum_is_row_dot(n):
         "long_time_index", "jensen_gap", "stabilization_constants",
         "derived_constants_v0", "derived_constants_w0",
         "derived_constants_u0", "heat_solve"])
-def test_a_nan_field_raises_instead_of_propagating(grid, call, request):
-    # every positivity check is the comparison a NaN fails
+def test_a_nan_field_raises_instead_of_propagating(grid, call):
+    # every positivity check is the comparison a NaN fails, and names the
+    # cell and its value
     x = np.ones(grid.n)
     x[3] = np.nan
     with pytest.raises(NonpositiveField) as err:
         call(grid, x)
-    if request.node.callspec.id not in ("jensen_gap", "stabilization_constants",
-                                        "heat_solve"):
-        # a check of u, v or w, w included, names the cell and its value
-        assert "at cell 3: nan" in str(err.value)
+    assert "at cell 3: nan" in str(err.value)

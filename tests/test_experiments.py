@@ -173,6 +173,12 @@ def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(base=base, mode="zip", overrides=(
             ("t_end", (0.05, 0.1)), ("stepper.dt", (0.25,))))
+    # one dict per combo would keep only the later axis: product mode would
+    # run 0.03, 0.04 twice each and zip mode 0.03, 0.04, never 0.01 or 0.02
+    for mode in ("product", "zip"):
+        with pytest.raises(ValueError, match="override 't_end' is repeated"):
+            SweepSpec(base=base, mode=mode, overrides=(
+                ("t_end", (0.01, 0.02)), ("t_end", (0.03, 0.04))))
 
 
 def test_run_scenario_records_and_manifest():

@@ -55,7 +55,8 @@ def test_the_heat_record_holds_every_key_and_repeats_bitwise():
     # in-process, as ``run`` calls it in its subprocess
     first = golden_digest.digest_heat()
     trajectory = {"sha256", "t_mid", "int_ln_U_mid", "int_ln_U_end"}
-    assert set(first) == {"L", "t0", "heat_interval", "heat_radial_d3",
+    assert set(first) == {"L", "t0", "L_radial_d3", "t0_radial_d3",
+                          "heat_interval", "heat_radial_d3",
                           "transport_error_n100", "transport_error_n200",
                           "transport_error_n400"}
     for label in ("heat_interval", "heat_radial_d3"):
@@ -67,7 +68,8 @@ def test_the_heat_record_holds_every_key_and_repeats_bitwise():
     for key, value in floats:
         assert key in golden_digest.HEX_KEYS
         assert math.isfinite(float.fromhex(value))
-    assert float.fromhex(first["L"]) > 0.0 and float.fromhex(first["t0"]) > 0.0
+    for key in ("L", "t0", "L_radial_d3", "t0_radial_d3"):
+        assert float.fromhex(first[key]) > 0.0
     assert golden_digest.digest_heat() == first
 
 

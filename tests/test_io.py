@@ -209,6 +209,11 @@ def test_read_sweep_spec_decodes_object_values_as_the_field_type(tmp_path):
     ({"base": MINIMAL,
       "overrides": [{"path": "stepper.cfl_safety", "values": [0.25]}]},
      "stepper.cfl_safety"),
+    # a second axis on one path would overwrite the first in every combo
+    ({"base": MINIMAL,
+      "overrides": [{"path": "t_end", "values": [0.01, 0.02]},
+                    {"path": "t_end", "values": [0.03, 0.04]}]},
+     "sweep.json: override 't_end' is repeated"),
 ])
 def test_read_sweep_spec_errors(tmp_path, doc, needle):
     path = tmp_path / "sweep.json"

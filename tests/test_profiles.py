@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from nutaxis import Constant, Gaussian, Geometry, Mirrored, build_grid, init_state, sample
+from nutaxis import (
+    Constant,
+    Gaussian,
+    Geometry,
+    Mirrored,
+    NonpositiveField,
+    build_grid,
+    init_state,
+    sample,
+)
 
 
 @pytest.fixture
@@ -67,6 +76,21 @@ def test_init_state_rejects_bad_data(grid):
     # w0 = 0 is allowed (nutrient may start absent)
     state, _ = init_state(pos, pos, Constant(0.0), grid)
     assert state.w.max() == 0.0
+
+
+def test_init_state_names_the_first_failing_cell(grid):
+    # -1 + 2 exp(-10 x^2) turns negative at cell 17 and is least at cell 63
+    dip = Gaussian(base=-1.0, amp=2.0, rate=10.0, center=0.0)
+    pos = Constant(1.0)
+    value = -0.05307319809899258
+    for args, message in [
+            ((dip, pos, pos), f"u0 is not > 0 at cell 17: {value!r}"),
+            ((pos, Constant(0.0), pos), "v0 is not > 0 at cell 0: 0.0"),
+            ((pos, pos, dip), f"w0 is not >= 0 at cell 17: {value!r}")]:
+        with pytest.raises(NonpositiveField) as err:
+            init_state(*args, grid)
+        assert str(err.value) == message
+        assert isinstance(err.value, ValueError)
 
 
 def test_state_copy_is_independent(grid):

@@ -14,6 +14,7 @@ from nutaxis import (
     Constant,
     Gaussian,
     Geometry,
+    Mirrored,
     ModelParams,
     OutputSchedule,
     StepperConfig,
@@ -102,7 +103,10 @@ def test_a_subnormal_chi_does_not_overflow_the_cfl_cap(backend):
 # t = 0.2 (~80 steps).  Every kernel constant is relative, so a power-of-two
 # k gives the same run in scaled units: w0 -> k w0 with chi, delta, alpha
 # divided by k, and every time and rate in units of k, leave I unchanged;
-# u0 -> k u0 with beta -> beta/k shifts I by -|Omega| ln k
+# u0 -> k u0 with beta -> beta/k shifts I by -|Omega| ln k, v0 -> k v0 with
+# gamma -> gamma/k by +|Omega| ln k; the interval [0, k] with D_u, D_w and
+# chi times k^2 and each Gaussian's rate over k^2, center times k, scales I
+# by k
 SCALED = replace(preset("fig1_right", 14), geometry=Geometry("interval", 41),
                  t_end=0.2)
 SCALING_SETTINGS = settings(
@@ -112,10 +116,10 @@ powers_of_two = st.integers(-20, 20).filter(bool).map(lambda e: 2.0 ** e)
 
 
 def _scaled_run(cfg):
-    """(I of every record, final u, step counts) of a run of cfg."""
+    """(I of every record, final state, step counts) of a run of cfg."""
     res = run_scenario(cfg)
     stats = res.manifest.stats
-    return ([r.I for r in res.records], res.state.u,
+    return ([r.I for r in res.records], res.state,
             (stats["accepted"], stats["rejected"], stats["rebuilds"]))
 
 
@@ -128,7 +132,7 @@ def _gaussian_times(g, k):
 @example(k=2.0 ** -20)
 @example(k=2.0 ** 20)
 def test_w_and_time_scalings_give_the_same_run(backend, k):
-    i_ref, u_ref, steps = _scaled_run(SCALED)
+    i_ref, end_ref, steps = _scaled_run(SCALED)
     p = SCALED.params
     w_scaled = replace(SCALED, w0=_gaussian_times(SCALED.w0, k),
                        params=replace(p, chi=p.chi / k, delta=p.delta / k,
@@ -142,9 +146,9 @@ def test_w_and_time_scalings_give_the_same_run(backend, k):
                        alpha=p.alpha / k, beta=p.beta / k,
                        gamma=p.gamma / k, delta=p.delta / k))
     for cfg in (w_scaled, t_scaled):
-        i_k, u_k, steps_k = _scaled_run(cfg)
+        i_k, end_k, steps_k = _scaled_run(cfg)
         assert [x.hex() for x in i_k] == [x.hex() for x in i_ref]
-        assert u_k.tobytes() == u_ref.tobytes()
+        assert end_k.u.tobytes() == end_ref.u.tobytes()
         assert steps_k == steps
 
 
@@ -153,12 +157,58 @@ def test_w_and_time_scalings_give_the_same_run(backend, k):
 @example(k=2.0 ** -20)
 @example(k=2.0 ** 20)
 def test_u_scaling_shifts_the_index_by_volume_ln_k(backend, k):
-    i_ref, u_ref, steps = _scaled_run(SCALED)
+    i_ref, end_ref, steps = _scaled_run(SCALED)
     cfg = replace(SCALED, u0=_gaussian_times(SCALED.u0, k),
                   params=replace(SCALED.params, beta=SCALED.params.beta / k))
-    i_k, u_k, steps_k = _scaled_run(cfg)
+    i_k, end_k, steps_k = _scaled_run(cfg)
     vol_ln_k = build_grid(SCALED.geometry).volume * math.log(k)
     shift = np.array(i_k) - np.array(i_ref)
     assert np.all(np.abs(shift + vol_ln_k) <= 1e-12 * abs(vol_ln_k))
-    assert (u_k / k).tobytes() == u_ref.tobytes()
+    assert (end_k.u / k).tobytes() == end_ref.u.tobytes()
+    assert steps_k == steps
+
+
+@SCALING_SETTINGS
+@given(k=powers_of_two)
+@example(k=2.0 ** -20)
+@example(k=2.0 ** 20)
+def test_v_scaling_shifts_the_index_by_volume_ln_k(backend, k):
+    i_ref, end_ref, steps = _scaled_run(SCALED)
+    cfg = replace(SCALED, v0=Mirrored(_gaussian_times(SCALED.v0.inner, k)),
+                  params=replace(SCALED.params,
+                                 gamma=SCALED.params.gamma / k))
+    i_k, end_k, steps_k = _scaled_run(cfg)
+    vol_ln_k = build_grid(SCALED.geometry).volume * math.log(k)
+    shift = np.array(i_k) - np.array(i_ref)
+    assert np.all(np.abs(shift - vol_ln_k) <= 1e-12 * abs(vol_ln_k))
+    assert (end_k.v / k).tobytes() == end_ref.v.tobytes()
+    assert end_k.u.tobytes() == end_ref.u.tobytes()
+    assert steps_k == steps
+
+
+def _gaussian_stretched(g, k):
+    return replace(g, rate=g.rate / (k * k), center=g.center * k)
+
+
+@SCALING_SETTINGS
+@given(k=powers_of_two)
+@example(k=2.0 ** -20)
+@example(k=2.0 ** 20)
+@example(k=2.0)
+def test_space_scaling_scales_the_index_by_k(backend, k):
+    # the nutrient runs out at t ~ 0.05, and the heat tail's modes take the
+    # square roots of the cell measures, which scale exactly only when k is
+    # an even power of two: the final u and I/k are not compared bitwise
+    i_ref, _, steps = _scaled_run(SCALED)
+    p = SCALED.params
+    cfg = replace(
+        SCALED, geometry=replace(SCALED.geometry, x_hi=k),
+        u0=_gaussian_stretched(SCALED.u0, k),
+        v0=Mirrored(_gaussian_stretched(SCALED.v0.inner, k)),
+        w0=_gaussian_stretched(SCALED.w0, k),
+        params=replace(p, D_u=p.D_u * k * k, D_w=p.D_w * k * k,
+                       chi=p.chi * k * k))
+    i_k, _, steps_k = _scaled_run(cfg)
+    scale = np.abs(i_ref).max()
+    assert np.all(np.abs(np.array(i_k) / k - np.array(i_ref)) <= 1e-12 * scale)
     assert steps_k == steps

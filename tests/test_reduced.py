@@ -7,6 +7,8 @@ from nutaxis import (
     Constant,
     Gaussian,
     Geometry,
+    HeatTrajectory,
+    HorizonTooShort,
     ModelParams,
     NonpositiveField,
     OdeState,
@@ -267,3 +269,21 @@ def test_stabilization_constants_gaussian():
     gain = traj.int_ln_u - traj.int_ln_u[0]
     after = traj.times >= t0
     assert np.all(gain[after] >= L - 1e-12)
+
+
+def test_stabilization_constants_reports_a_horizon_too_short(monkeypatch):
+    # one heat run to 80 slowest decay times; an entropy that never rises
+    # by L (here a flat trajectory) is reported, not extended
+    grid = build_grid(Geometry("interval", 100))
+    u0 = sample(Gaussian(base=0.0, amp=1.0, rate=15.0, center=0.5), grid)
+    horizons = []
+
+    def flat(u, D, g, t_end):
+        horizons.append(t_end)
+        times = np.array([0.0, t_end])
+        return HeatTrajectory(times, np.zeros(2), np.ones(2), 1.0)
+
+    monkeypatch.setattr("nutaxis.reduced.heat_solve", flat)
+    with pytest.raises(HorizonTooShort, match="never rose by L"):
+        stabilization_constants(u0, 2.0, grid)
+    assert horizons == [80.0 / (2.0 * math.pi ** 2)]

@@ -108,12 +108,14 @@ def digest_heat() -> dict:
     operator itself instead of stepping a preset."""
     import numpy as np
 
-    from nutaxis import Gaussian, Geometry, build_grid, reduced, sample
+    from nutaxis import Gaussian, build_grid, preset, reduced, sample
     from nutaxis.verify import transport_error
 
     u0 = Gaussian(base=0.0, amp=1.0, rate=15.0, center=0.5)  # nutaxis heat
-    grids = {"interval": build_grid(Geometry("interval", HEAT_N)),
-             "radial_d3": build_grid(Geometry("radial", HEAT_N, d=3))}
+    # the presets' n = 400 geometries, so one script runs on either
+    # geometry API
+    grids = {"interval": build_grid(preset("fig1_left", 60).geometry),
+             "radial_d3": build_grid(preset("fig3", 3).geometry)}
     out = {}
     for suffix, label in (("", "interval"), ("_radial_d3", "radial_d3")):
         grid = grids[label]

@@ -33,7 +33,6 @@ from .diagnostics import (
     record_fields,
 )
 from .experiments import (
-    OutputSchedule,
     RunManifest,
     RunResult,
     ScenarioConfig,
@@ -41,12 +40,11 @@ from .experiments import (
     SweepSpec,
     UnknownVariant,
     apply_override,
-    output_times,
     preset,
     run_scenario,
     run_sweep,
 )
-from .grid import Geometry, Grid, build_grid
+from .grid import Geometry, Grid, Interval, Radial, build_grid
 from .model import ModelParams, f_eps, f_eps_prime
 from .operators import (
     face_energy,
@@ -71,9 +69,11 @@ from .stepper import (
     AdvanceResult,
     AdvanceStats,
     LinearSolveFailure,
+    OutputSchedule,
     PositivityViolation,
     StepperConfig,
     advance,
+    output_times,
 )
 
 __version__ = "0.1.0"
@@ -88,6 +88,7 @@ __all__ = [
     "Geometry",
     "Grid",
     "HeatTrajectory",
+    "Interval",
     "HorizonTooShort",
     "JensenReport",
     "LinearSolveFailure",
@@ -97,6 +98,7 @@ __all__ = [
     "OdeState",
     "OutputSchedule",
     "PositivityViolation",
+    "Radial",
     "RunManifest",
     "RunResult",
     "ScenarioConfig",

@@ -22,7 +22,7 @@ from .experiments import (
     run_scenario,
     run_sweep,
 )
-from .grid import Geometry, build_grid
+from .grid import Interval, build_grid
 from .model import ModelParams
 from .profiles import Gaussian, init_state, sample
 from .reduced import (
@@ -120,7 +120,7 @@ def _cmd_ode(args: argparse.Namespace) -> int:
 
 
 def _cmd_heat(args: argparse.Namespace) -> int:
-    grid = build_grid(Geometry("interval", args.n_cells))
+    grid = build_grid(Interval(args.n_cells))
     u0 = Gaussian(base=0.0, amp=1.0, rate=15.0, center=0.5)
     field = sample(u0, grid)
     c1 = jensen_gap(field, grid).c1

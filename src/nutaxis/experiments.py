@@ -29,26 +29,26 @@ from .diagnostics import (
     evaluate_records,
     long_time_index,
 )
-from .grid import Geometry, build_grid
+from .grid import Geometry, Interval, Radial, build_grid
 from .model import ModelParams
 from .operators import integrate
 from .profiles import Constant, Gaussian, Mirrored, Profile, State, init_state
 from .stepper import (
     LinearSolveFailure,
+    OutputSchedule,
     PositivityViolation,
     StepperConfig,
     advance,
+    output_times,
 )
 
 __all__ = [
-    "OutputSchedule",
     "ScenarioConfig",
     "UnknownVariant",
     "ScenarioFailure",
     "RunManifest",
     "RunResult",
     "SweepSpec",
-    "output_times",
     "preset",
     "apply_override",
     "walk",
@@ -83,20 +83,6 @@ class ScenarioFailure(RuntimeError):
 
 
 @dataclass(frozen=True)
-class OutputSchedule:
-    """Geometric output times: t_first, t_first*factor, ... then t_end."""
-
-    t_first: float = 1e-3
-    factor: float = 1.25
-
-    def __post_init__(self) -> None:
-        if not (self.t_first > 0.0):
-            raise ValueError(f"t_first must be positive, got {self.t_first}")
-        if not (self.factor > 1.0):
-            raise ValueError(f"factor must exceed 1, got {self.factor}")
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     name: str
     geometry: Geometry
@@ -111,17 +97,6 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if not (self.t_end > 0.0 and np.isfinite(self.t_end)):
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
-
-
-def output_times(schedule: OutputSchedule, t_end: float) -> list[float]:
-    """Strictly increasing observation times in (0, t_end], ending at t_end."""
-    ts: list[float] = []
-    t = schedule.t_first
-    while t < t_end:
-        ts.append(t)
-        t *= schedule.factor
-    ts.append(t_end)
-    return ts
 
 
 _BASE = dict(D_w=1.0, alpha=2.0, beta=200.0, gamma=200.0, delta=1.0)
@@ -177,7 +152,7 @@ def preset(name: str, variant) -> ScenarioConfig:
         bump = Gaussian(base=0.0, amp=1.0, rate=15.0, center=0.5)
         return ScenarioConfig(
             name=label,
-            geometry=Geometry(kind="interval", n_cells=400),
+            geometry=Interval(400),
             params=ModelParams(D_u=20.0, chi=0.5, **_BASE),
             u0=bump, v0=bump, w0=Constant(value),
             t_end=1000.0)
@@ -185,7 +160,7 @@ def preset(name: str, variant) -> ScenarioConfig:
         left = Gaussian(base=1.0, amp=1.0, rate=15.0, center=0.0)
         return ScenarioConfig(
             name=label,
-            geometry=Geometry(kind="interval", n_cells=401),
+            geometry=Interval(401),
             params=ModelParams(D_u=1.0, chi=0.5, **_BASE),
             u0=left, v0=Mirrored(left),
             w0=Gaussian(base=value, amp=20.0 - value, rate=15.0, center=0.5),
@@ -193,7 +168,7 @@ def preset(name: str, variant) -> ScenarioConfig:
     bump = Gaussian(base=0.0, amp=0.1, rate=15.0, center=0.0)
     return ScenarioConfig(
         name=label,
-        geometry=Geometry(kind="radial", n_cells=400, d=int(value), R=1.0),
+        geometry=Radial(400, d=int(value)),
         params=ModelParams(D_u=20.0, chi=1000.0, **_BASE),
         u0=bump, v0=bump,
         w0=Gaussian(base=0.0, amp=2.0, rate=15.0, center=0.0),
@@ -279,9 +254,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         version=_version(),
         scenario=cfg,
         constants=consts,
-        grid_summary={"kind": cfg.geometry.kind, "n_cells": grid.n,
-                      "h": grid.h, "volume": grid.volume,
-                      "d": cfg.geometry.d if cfg.geometry.kind == "radial" else 1},
+        grid_summary={"kind": type(cfg.geometry).__name__.lower(),
+                      "n_cells": grid.n, "h": grid.h, "volume": grid.volume,
+                      "d": getattr(cfg.geometry, "d", 1)},
         stats={**asdict(result.stats), "backend": "numpy",
                "outputs": len(records),
                "I_inf": (None if result.stats.w_exhausted_t is None
@@ -297,13 +272,13 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
 # ---------------------------------------------------------------------------
 
 def walk(cfg: ScenarioConfig, path: str) -> list[tuple[Any, str]]:
-    """``(node, attribute)`` pairs along a dotted path, root first."""
+    """``(node, field name)`` pairs along a dotted path, root first."""
     steps = []
     node = cfg
     for name in path.split("."):
-        if not hasattr(node, name):
+        if name not in getattr(node, "__dataclass_fields__", ()):
             raise ValueError(f"override path {path!r} does not resolve "
-                             f"(no attribute {name!r})")
+                             f"(no field {name!r})")
         steps.append((node, name))
         node = getattr(node, name)
     return steps
@@ -357,9 +332,7 @@ class SweepSpec:
 
 def _sweep_worker(job: tuple[int, ScenarioConfig, dict, Optional[str]]) -> dict:
     index, cfg, combo, run_dir = job
-    row: dict[str, Any] = {"run": index}
-    for path, value in combo.items():
-        row[path] = value if not hasattr(value, "evaluate") else repr(value)
+    row: dict[str, Any] = {"run": index, **combo}
     try:
         for path, value in combo.items():
             cfg = apply_override(cfg, path, value)

@@ -1,5 +1,9 @@
 """Cell-centered finite-volume grids on intervals and radially symmetric balls.
 
+``Geometry`` is the union of two kinds, :class:`Interval` and :class:`Radial`,
+each a frozen dataclass that checks only its own fields and exposes
+``bounds``, the (lo, hi) range of the axial or radial coordinate.
+
 A :class:`Grid` stores cell centers, face positions, geometric face areas and
 cell measures.  For radial geometry in dimension ``d`` the measures carry the
 full angular factor (omega_1 = 2, omega_2 = 2*pi, omega_3 = 4*pi), so
@@ -11,55 +15,67 @@ encodes the symmetry condition without special-casing the origin.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Union
 
 import numpy as np
 
-__all__ = ["Geometry", "Grid", "build_grid"]
+__all__ = ["Geometry", "Grid", "Interval", "Radial", "build_grid"]
 
 _OMEGA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
 
 
+def _check(n_cells: int, **lengths: float) -> None:
+    if not np.isfinite(n_cells) or int(n_cells) != n_cells or n_cells < 4:
+        raise ValueError(f"n_cells must be an integer >= 4, got {n_cells}")
+    for name, value in lengths.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
-class Geometry:
-    """Domain descriptor: an interval [x_lo, x_hi] or a radial ball in R^d.
+class Interval:
+    """The interval [x_lo, x_hi], cut into n_cells >= 4 uniform cells."""
 
-    Attributes:
-        kind: "interval" or "radial".
-        n_cells: number of uniform cells (>= 4).
-        x_lo, x_hi: interval endpoints (interval kind only).
-        d: ball dimension in {1, 2, 3} (radial kind only).
-        R: ball radius > 0 (radial kind only).
-    """
-
-    kind: str
     n_cells: int
     x_lo: float = 0.0
     x_hi: float = 1.0
-    d: int = 1
+
+    def __post_init__(self) -> None:
+        _check(self.n_cells, x_lo=self.x_lo, x_hi=self.x_hi)
+        if not self.x_lo < self.x_hi:
+            raise ValueError(f"need x_lo < x_hi, got [{self.x_lo}, {self.x_hi}]")
+
+    @property
+    def bounds(self) -> tuple[float, float]:
+        return self.x_lo, self.x_hi
+
+
+@dataclass(frozen=True)
+class Radial:
+    """The ball of radius R > 0 in R^d, d in {1, 2, 3}, in n_cells >= 4 shells."""
+
+    n_cells: int
+    d: int
     R: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("interval", "radial"):
-            raise ValueError(f"unknown geometry kind {self.kind!r}")
-        if (not np.isfinite(self.n_cells) or int(self.n_cells) != self.n_cells
-                or self.n_cells < 4):
-            raise ValueError(f"n_cells must be an integer >= 4, got {self.n_cells}")
-        for name in ("x_lo", "x_hi", "R"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.kind == "interval":
-            if not self.x_lo < self.x_hi:
-                raise ValueError(f"need x_lo < x_hi, got [{self.x_lo}, {self.x_hi}]")
-        else:
-            if self.d not in (1, 2, 3):
-                raise ValueError(f"radial dimension must be 1, 2 or 3, got {self.d}")
-            if not self.R > 0.0:
-                raise ValueError(f"radius must be positive, got {self.R}")
+        _check(self.n_cells, R=self.R)
+        if self.d not in (1, 2, 3):
+            raise ValueError(f"radial dimension must be 1, 2 or 3, got {self.d}")
+        if not self.R > 0.0:
+            raise ValueError(f"radius must be positive, got {self.R}")
+
+    @property
+    def bounds(self) -> tuple[float, float]:
+        return 0.0, self.R
+
+
+Geometry = Union[Interval, Radial]
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform cell-centered mesh realized from a :class:`Geometry`.
+    """Uniform cell-centered mesh realized from a ``Geometry``.
 
     Attributes:
         geometry: the originating descriptor.
@@ -100,21 +116,14 @@ def build_grid(geometry: Geometry) -> Grid:
     the midpoint of [0, 1] with odd n) land exactly on representable values.
     """
     n = geometry.n_cells
-    idx = np.arange(n, dtype=np.float64)
-    if geometry.kind == "interval":
-        lo, span = geometry.x_lo, geometry.x_hi - geometry.x_lo
-        d, omega = 1, 1.0
-        radial = False
-    else:
-        lo, span = 0.0, geometry.R
-        d, omega = geometry.d, _OMEGA[geometry.d]
-        radial = True
-
+    lo, hi = geometry.bounds
+    span = hi - lo
     h = span / n
-    centers = lo + span * ((idx + 0.5) / n)
+    centers = lo + span * ((np.arange(n, dtype=np.float64) + 0.5) / n)
     faces = lo + span * (np.arange(n + 1, dtype=np.float64) / n)
 
-    if radial:
+    if isinstance(geometry, Radial):
+        d, omega = geometry.d, _OMEGA[geometry.d]
         face_areas = omega * faces ** (d - 1)
         m = (omega / d) * (faces[1:] ** d - faces[:-1] ** d)
     else:

@@ -28,13 +28,18 @@ Config schema (all keys shown; (*) optional)::
 with profile P one of ``{"type": "constant", "value": float}``,
 ``{"type": "gaussian", "base", "amp", "rate", "center"}`` (the field
 base + amp*exp(-rate*(x-center)^2)), or ``{"type": "mirrored", "inner": P}``.
+A profile and a geometry are tagged unions with one rule: the tag is the
+member's class name, lowercased, under ``"type"`` for a profile and
+``"kind"`` for a geometry, and the other keys are that class's fields.
 Any other key is unknown, among them the retired stepper keys (``scheme``,
 ``flux``, ``cfl_safety``, ``max_retries`` and the rest): every run takes
 one time scheme, one taxis flux and one taxis CFL number.
 
 Sweep override values are checked against the type of the config field
 their path names, by the same decoder; an object value decodes as that
-field's dataclass, or as a profile P where the field holds a profile.
+field's dataclass, or as the member its tag names where the field holds a
+union.  A path names a field (``geometry.d`` is none on an interval), so a
+sweep over geometry kinds overrides ``geometry`` whole.
 """
 from __future__ import annotations
 
@@ -79,12 +84,9 @@ class ConfigError(ValueError):
 
 # The schema is the dataclasses' fields and type hints; a field without a
 # default is a required key.  Only what the fields cannot say is data here:
-# a profile is tagged by its class name, lowercased, under "type"; each
-# geometry kind has its own keys besides "kind" and "n_cells" (key ->
-# required); a scenario nests its three profiles under "profiles".
-_PROFILES = {cls.__name__.lower(): cls for cls in get_args(Profile)}
-_GEOMETRY_KEYS = {"interval": {"x_lo": False, "x_hi": False},
-                  "radial": {"d": True, "R": False}}
+# each union's tag key and its name in messages, and that a scenario nests
+# its three profiles under "profiles".
+_UNIONS = {Profile: ("type", "profile"), Geometry: ("kind", "geometry")}
 _SCENARIO_PROFILES = ("u0", "v0", "w0")
 # leaf type -> (accepted JSON types, its name in messages); bools are
 # never numbers
@@ -110,16 +112,6 @@ def _field_keys(cls: type) -> dict[str, bool]:
             for f in dataclasses.fields(cls)}
 
 
-def _tag(d: Any, path: str, key: str, what: str, choices: Mapping) -> str:
-    if not isinstance(d, Mapping) or key not in d:
-        raise ConfigError(f"{path}: {what} needs a {key!r} key")
-    tag = d[key]
-    if not isinstance(tag, str) or tag not in choices:
-        raise ConfigError(f"{path}.{key}: expected one of {sorted(choices)}, "
-                          f"got {tag!r}")
-    return tag
-
-
 def _decode(tp: Any, value: Any, path: str) -> Any:
     """Decode the JSON value found at ``path`` as type ``tp``, strictly."""
     if tp in _LEAVES:
@@ -127,14 +119,18 @@ def _decode(tp: Any, value: Any, path: str) -> Any:
         if isinstance(value, bool) or not isinstance(value, accepted):
             raise ConfigError(f"{path}: expected {what}, got {value!r}")
         return float(value) if tp is float else value
-    if tp == Profile:
-        tp = _PROFILES[_tag(value, path, "type", "profile", _PROFILES)]
-        keys = {"type": True, **_field_keys(tp)}
-    elif tp is Geometry:
-        kind = _tag(value, path, "kind", "geometry", _GEOMETRY_KEYS)
-        keys = {"kind": True, "n_cells": True, **_GEOMETRY_KEYS[kind]}
-    else:
-        keys = _field_keys(tp)
+    keys = {}
+    if tp in _UNIONS:
+        key, what = _UNIONS[tp]
+        members = {cls.__name__.lower(): cls for cls in get_args(tp)}
+        if not isinstance(value, Mapping) or key not in value:
+            raise ConfigError(f"{path}: {what} needs a {key!r} key")
+        tag = value[key]
+        if not isinstance(tag, str) or tag not in members:
+            raise ConfigError(f"{path}.{key}: expected one of "
+                              f"{sorted(members)}, got {tag!r}")
+        tp, keys = members[tag], {key: True}
+    keys.update(_field_keys(tp))
     paths = {k: f"{path}.{k}" for k in keys}
     if tp is ScenarioConfig:
         nested = {k: keys.pop(k) for k in _SCENARIO_PROFILES}
@@ -158,11 +154,9 @@ def _encode(obj: Any) -> Any:
     if not dataclasses.is_dataclass(obj):
         return obj
     d = {f.name: _encode(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, get_args(Profile)):
-        return {"type": type(obj).__name__.lower(), **d}
-    if isinstance(obj, Geometry):
-        keep = ("kind", "n_cells", *_GEOMETRY_KEYS[obj.kind])
-        return {k: v for k, v in d.items() if k in keep}
+    for union, (key, _) in _UNIONS.items():
+        if isinstance(obj, get_args(union)):
+            return {key: type(obj).__name__.lower(), **d}
     if isinstance(obj, ScenarioConfig):
         out: dict = {}
         for k, v in d.items():
@@ -230,7 +224,7 @@ def read_sweep_spec(path: str) -> SweepSpec:
         try:
             node, attr = walk(base, field_path)[-1]
             tp = get_type_hints(type(node))[attr]
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"{opath}.path: {field_path!r} does not name "
                               f"a config field") from exc
         values = ov["values"]

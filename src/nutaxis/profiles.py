@@ -103,17 +103,10 @@ def require_nonnegative(name: str, arr: np.ndarray) -> None:
     _require(name, arr, arr >= 0.0, ">= 0", None)
 
 
-def _domain_bounds(grid: Grid) -> tuple[float, float]:
-    g = grid.geometry
-    if g.kind == "interval":
-        return g.x_lo, g.x_hi
-    return 0.0, g.R
-
-
 def sample(profile: Profile, grid: Grid) -> np.ndarray:
     """Evaluate a profile at the grid's cell centers as a float64 array."""
-    lo, hi = _domain_bounds(grid)
-    return np.asarray(profile.evaluate(grid.centers, lo, hi), dtype=np.float64)
+    return np.asarray(profile.evaluate(grid.centers, *grid.geometry.bounds),
+                      dtype=np.float64)
 
 
 def init_state(u0: Profile, v0: Profile, w0: Profile, grid: Grid) -> tuple[State, float]:

@@ -30,12 +30,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diagnostics import jensen_gap
-from .experiments import OutputSchedule, output_times
 from .grid import Grid
 from .kernels import heat_evolve, heat_modes, heat_project
 from .model import ModelParams
 from .operators import diffusion_rows, integrate
 from .profiles import require_positive
+from .stepper import OutputSchedule, output_times
 
 __all__ = [
     "OdeState",

@@ -1,8 +1,9 @@
 """Time integration of a state to an end time, through output times.
 
-:func:`advance` cuts the run at its output times and hands each segment to
+:func:`output_times` lists the geometric schedule of an `OutputSchedule`;
+:func:`advance` cuts the run at such times and hands each segment to
 :func:`nutaxis.kernels.segment_numpy`, in one workspace, so the two-step
-scheme carries across output times.  The scheme (SBDF2 with a
+scheme carries across them.  The scheme (SBDF2 with a
 backward-Euler starter), the step-size caps, the rejection and its dt
 floor, the snap-to-zero of the nutrient and the exact heat flow once what
 is left of it can no longer move I(inf) are documented in
@@ -22,12 +23,14 @@ from .model import ModelParams
 from .profiles import State
 
 __all__ = [
+    "OutputSchedule",
     "StepperConfig",
     "AdvanceStats",
     "AdvanceResult",
     "PositivityViolation",
     "LinearSolveFailure",
     "advance",
+    "output_times",
 ]
 
 
@@ -44,6 +47,31 @@ class StepperConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
+
+
+@dataclass(frozen=True)
+class OutputSchedule:
+    """Geometric output times: t_first, t_first*factor, ... then t_end."""
+
+    t_first: float = 1e-3
+    factor: float = 1.25
+
+    def __post_init__(self) -> None:
+        if not (self.t_first > 0.0):
+            raise ValueError(f"t_first must be positive, got {self.t_first}")
+        if not (self.factor > 1.0):
+            raise ValueError(f"factor must exceed 1, got {self.factor}")
+
+
+def output_times(schedule: OutputSchedule, t_end: float) -> list[float]:
+    """Strictly increasing observation times in (0, t_end], ending at t_end."""
+    ts: list[float] = []
+    t = schedule.t_first
+    while t < t_end:
+        ts.append(t)
+        t *= schedule.factor
+    ts.append(t_end)
+    return ts
 
 
 @dataclass

@@ -31,7 +31,7 @@ import numpy as np
 
 from .diagnostics import derived_constants, evaluate_records, jensen_gap
 from .experiments import apply_override, preset
-from .grid import Geometry, Grid, build_grid
+from .grid import Grid, Interval, build_grid
 from .kernels import solve_tridiag
 from .model import ModelParams
 from .operators import diffusion_rows, integrate
@@ -87,7 +87,7 @@ def _order(hs, errors) -> float:
 
 def _heat_run(n: int, D: float, t: float, dt: float) -> tuple[Grid, np.ndarray]:
     """Advance u0 = 2 + cos(pi x) under pure diffusion to t: (grid, u(t))."""
-    grid = build_grid(Geometry("interval", n))
+    grid = build_grid(Interval(n))
     u0 = 2.0 + np.cos(np.pi * grid.centers)
     state = State(0.0, u0, np.ones(n), np.zeros(n))
     advance(state, grid, heat_params(D), StepperConfig(dt=dt), t)
@@ -119,7 +119,7 @@ def transport_error(n: int, u0: Optional[np.ndarray] = None) -> float:
     Passing ``u0`` overrides the initial data (used by the zero-data check).
     """
     dt, t_end, D, chi, x0, t_offset = 1e-4, 0.1, 0.004, 0.5, 0.45, 0.2
-    grid = build_grid(Geometry("interval", n))
+    grid = build_grid(Interval(n))
     x = grid.centers
     m, af, h = grid.m, grid.face_areas, grid.h
     diff_diag, diff_off = diffusion_rows(grid, D)
@@ -292,7 +292,7 @@ def run_all(seed: int = 0, printer: Optional[Callable[[str], None]] = print
     _check(out, "sign_law_reference_cases", s_minus == -1 and s_plus == 1,
            f"signs ({s_minus}, {s_plus})", printer)
 
-    grid = build_grid(Geometry("interval", 400))
+    grid = build_grid(Interval(400))
     x = grid.centers
     c1 = jensen_gap(np.exp(-15.0 * (x - 0.5) ** 2), grid).c1
     _check(out, "jensen_gaussian", abs(c1 - 0.462) <= 1e-3,
@@ -307,7 +307,7 @@ def run_all(seed: int = 0, printer: Optional[Callable[[str], None]] = print
            f"c1 = {flat.c1!r}, strict = {flat.strict}", printer)
 
     rng = np.random.default_rng(seed)
-    g32 = build_grid(Geometry("interval", 32))
+    g32 = build_grid(Interval(32))
     consts = derived_constants(np.ones(32), np.ones(32), params, g32)
     # trial j draws its u exponent, then its w, as 32 normals each
     draws = rng.normal(size=(1000, 2, 32))

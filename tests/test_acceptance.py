@@ -7,7 +7,7 @@ import numpy as np
 
 from nutaxis import (
     Gaussian,
-    Geometry,
+    Interval,
     ModelParams,
     OdeState,
     build_grid,
@@ -173,7 +173,7 @@ def test_09_ode_sign_law_grid():
 
 
 def test_10_heat_gap_constants():
-    grid = build_grid(Geometry("interval", 400))
+    grid = build_grid(Interval(400))
     field = sample(Gaussian(base=0.0, amp=1.0, rate=15.0, center=0.5), grid)
     c1 = jensen_gap(field, grid).c1
     vol = grid.volume

@@ -197,6 +197,18 @@ def test_sweep_subcommand(tmp_path, capsys):
     assert (out_dir / "run_001" / "manifest.json").exists()
 
 
+def test_a_sweep_over_a_field_the_kind_lacks_exits_one(tmp_path, capsys):
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps({
+        "base": {"preset": "fig1_left", "variant": 60},
+        "overrides": [{"path": "geometry.d", "values": [1, 3]}]}))
+    out_dir = tmp_path / "sweep_out"
+    assert main(["sweep", str(spec_path), "--out-dir", str(out_dir)]) == 1
+    assert ("sweep.json.overrides[0].path: 'geometry.d' does not name a "
+            "config field") in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_verify_exit_codes(monkeypatch, capsys):
     monkeypatch.setattr(nutaxis.verify, "run_all",
                         lambda seed=0, printer=None: [CheckResult("x", True, "")])

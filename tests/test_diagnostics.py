@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from nutaxis import (
-    Geometry,
+    Interval,
     ModelParams,
     NonpositiveField,
+    Radial,
     State,
     audit_trajectory,
     build_grid,
@@ -35,7 +36,7 @@ def _evaluate_one(state, consts, params, grid, prev=None):
 
 @pytest.fixture
 def grid():
-    return build_grid(Geometry("interval", 40))
+    return build_grid(Interval(40))
 
 
 def _state(grid, u, v, w):
@@ -278,9 +279,21 @@ def test_audit_verdicts_follow_margins(grid):
     assert [k for k, a in audits.items() if not a["ok"]] == ["v_bounds"]
 
 
+def test_mass_bound_is_infinite_without_uptake_by_u(grid):
+    # beta = 0: u takes no nutrient, so int u has no finite bound to break
+    params = dataclasses.replace(PARAMS, beta=0.0)
+    consts = derived_constants(np.ones(grid.n), np.full(grid.n, 2.0), params,
+                               grid)
+    records = [_evaluate_one(_state(grid, 1.0, 1.0, 2.0), consts, params, grid)]
+    audits = audit_trajectory(records, consts, params, 4.0, (1.0, 1.0),
+                              (1.0, 1.0))
+    assert audits["mass_bound"] == {"ok": True, "margin": np.inf,
+                                    "bound": np.inf}
+
+
 def test_dissipation_random_trials_nonnegative():
     # volume-weighted functionals stay >= 0 for arbitrary positive fields
-    grid = build_grid(Geometry("radial", 32, d=3))
+    grid = build_grid(Radial(32, d=3))
     rng = np.random.default_rng(0)
     for _ in range(1000):
         u = 10.0 ** rng.uniform(-6, 3) * (0.1 + rng.random(32))
@@ -334,8 +347,8 @@ def _plain_record(state, consts, params, grid, prev):
     )
 
 
-@pytest.mark.parametrize("geometry", [Geometry("interval", 41),
-                                      Geometry("radial", 40, d=3)],
+@pytest.mark.parametrize("geometry", [Interval(41),
+                                      Radial(40, d=3)],
                          ids=["interval", "radial3"])
 @pytest.mark.parametrize("chi,gamma", [(0.5, 200.0), (0.0, 200.0),
                                        (0.5, 0.0)],
@@ -366,8 +379,8 @@ def _hex(records):
     return [[float(x).hex() for x in dataclasses.astuple(r)] for r in records]
 
 
-@pytest.mark.parametrize("geometry", [Geometry("interval", 41),
-                                      Geometry("radial", 40, d=3)],
+@pytest.mark.parametrize("geometry", [Interval(41),
+                                      Radial(40, d=3)],
                          ids=["interval", "radial3"])
 @pytest.mark.parametrize("chi,gamma", [(0.5, 200.0), (0.0, 200.0),
                                        (0.5, 0.0)],
@@ -427,7 +440,7 @@ def test_evaluate_records_reports_first_bad_row(grid, field, value):
 @pytest.mark.parametrize("n", [4, 401, 801])
 def test_stacked_weighted_sum_is_row_dot(n):
     # evaluate_records relies on the stacked sum being np.dot bit for bit
-    grid = build_grid(Geometry("radial", n, d=3))
+    grid = build_grid(Radial(n, d=3))
     rng = np.random.default_rng(n)
     rows = rng.normal(size=(17, n)) * 10.0 ** rng.uniform(-8, 8, (17, 1))
     stacked = integrate(rows, grid)

@@ -7,11 +7,12 @@ import nutaxis.experiments as experiments
 from nutaxis import (
     Constant,
     Gaussian,
-    Geometry,
+    Interval,
     Mirrored,
     ModelParams,
     OutputSchedule,
     PositivityViolation,
+    Radial,
     ScenarioConfig,
     ScenarioFailure,
     StepperConfig,
@@ -54,7 +55,7 @@ def test_output_schedule_validation(kwargs):
 def test_preset_fig1_left_shape():
     cfg = preset("fig1_left", "sigma=60")
     assert cfg.name == "fig1_left[sigma=60]"
-    assert cfg.geometry.kind == "interval" and cfg.geometry.n_cells == 400
+    assert isinstance(cfg.geometry, Interval) and cfg.geometry.n_cells == 400
     assert cfg.params.D_u == 20.0 and cfg.params.chi == 0.5
     assert cfg.params.beta == cfg.params.gamma == 200.0
     assert cfg.u0 == cfg.v0
@@ -74,7 +75,7 @@ def test_preset_fig1_right_shape():
 
 def test_preset_fig3_shape():
     cfg = preset("fig3", "d=3")
-    assert cfg.geometry.kind == "radial" and cfg.geometry.d == 3
+    assert isinstance(cfg.geometry, Radial) and cfg.geometry.d == 3
     assert cfg.params.chi == 1000.0
     assert cfg.stepper == StepperConfig()
     grid = build_grid(cfg.geometry)
@@ -139,6 +140,32 @@ def test_apply_override_paths():
         apply_override(cfg, "geometry.shape", 3)
     with pytest.raises(ValueError):
         apply_override(cfg, "t_end", -1.0)  # replacement is revalidated
+
+
+@pytest.mark.parametrize("name,variant,path,value", [
+    ("fig1_left", 60, "geometry.d", 3),
+    ("fig1_left", 60, "geometry.R", 2.0),
+    ("fig3", 3, "geometry.x_hi", 9.0),
+    ("fig3", 3, "geometry.x_lo", -1.0),
+    ("fig1_left", 60, "geometry.kind", "radial"),  # retired: override geometry
+    ("fig1_left", 60, "geometry.bounds", (0.0, 2.0)),  # not a field
+])
+def test_an_override_of_a_field_the_kind_lacks_is_an_error(name, variant,
+                                                           path, value):
+    # before, an interval took d and R (a ball x_lo and x_hi) and never
+    # read them
+    cfg = preset(name, variant)
+    with pytest.raises(ValueError, match="does not resolve"):
+        apply_override(cfg, path, value)
+    with pytest.raises(ValueError, match="does not resolve"):
+        SweepSpec(base=cfg, overrides=((path, (value,)),))
+
+
+def test_a_whole_geometry_override_switches_the_kind():
+    ball = apply_override(preset("fig1_left", 60), "geometry", Radial(400, d=3))
+    assert ball.geometry == preset("fig3", 3).geometry
+    line = apply_override(ball, "geometry", Interval(400))
+    assert line == preset("fig1_left", 60)
 
 
 def test_sweep_spec_combos():
@@ -314,7 +341,7 @@ def test_a_run_that_overflows_fails_by_name():
     # until they overflow near t = 495; the step that overflows must fail
     # by the field that overflowed, not run on to t_end as a NaN state
     cfg = ScenarioConfig(
-        name="overflow", geometry=Geometry("interval", 16),
+        name="overflow", geometry=Interval(16),
         params=ModelParams(D_u=1.0, D_w=1.0, chi=0.5, alpha=1.0, beta=0.0,
                            gamma=0.0, delta=1.0),
         u0=Gaussian(1.0, 1.0, 15.0, 0.5), v0=Constant(1.0),

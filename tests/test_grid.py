@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from nutaxis import Geometry, build_grid
+from nutaxis import Interval, Radial, build_grid
 
 
 def test_interval_grid_basics():
-    g = build_grid(Geometry("interval", 10, x_lo=-1.0, x_hi=3.0))
+    g = build_grid(Interval(10, x_lo=-1.0, x_hi=3.0))
     assert g.n == 10
     assert g.h == pytest.approx(0.4)
     np.testing.assert_allclose(g.faces[0], -1.0)
@@ -19,7 +19,7 @@ def test_interval_grid_basics():
 
 def test_odd_resolution_center_is_exact():
     # with odd n the middle cell center is the exact domain midpoint
-    g = build_grid(Geometry("interval", 401))
+    g = build_grid(Interval(401))
     assert g.centers[200] == 0.5
 
 
@@ -29,7 +29,7 @@ def test_odd_resolution_center_is_exact():
     (3, 4.0 * np.pi / 3.0),      # ball volume
 ])
 def test_radial_measures_telescope_to_ball_volume(d, expected):
-    g = build_grid(Geometry("radial", 400, d=d, R=1.0))
+    g = build_grid(Radial(400, d=d, R=1.0))
     assert g.volume == pytest.approx(expected, rel=1e-12)
     assert np.all(g.m > 0.0)
     # measures telescope exactly against the face polynomial
@@ -39,31 +39,38 @@ def test_radial_measures_telescope_to_ball_volume(d, expected):
 
 
 def test_radial_face_areas():
-    g1 = build_grid(Geometry("radial", 8, d=1, R=2.0))
+    g1 = build_grid(Radial(8, d=1, R=2.0))
     np.testing.assert_array_equal(g1.face_areas, np.full(9, 2.0))
-    g3 = build_grid(Geometry("radial", 8, d=3, R=2.0))
+    g3 = build_grid(Radial(8, d=3, R=2.0))
     assert g3.face_areas[0] == 0.0
     np.testing.assert_allclose(g3.face_areas, 4.0 * np.pi * g3.faces ** 2)
 
 
 def test_radial_scaling_with_radius():
-    a = build_grid(Geometry("radial", 16, d=3, R=1.0))
-    b = build_grid(Geometry("radial", 16, d=3, R=2.0))
+    a = build_grid(Radial(16, d=3, R=1.0))
+    b = build_grid(Radial(16, d=3, R=2.0))
     assert b.volume == pytest.approx(8.0 * a.volume, rel=1e-12)
     assert b.h == pytest.approx(2.0 * a.h)
 
 
+def test_a_ball_needs_its_dimension():
+    # as a JSON ball without "d" is a ConfigError
+    with pytest.raises(TypeError):
+        Radial(8)
+
+
 @pytest.mark.parametrize("kwargs", [
-    dict(kind="triangle", n_cells=8),
-    dict(kind="interval", n_cells=3),
-    dict(kind="interval", n_cells=8, x_lo=1.0, x_hi=1.0),
-    dict(kind="radial", n_cells=8, d=4),
-    dict(kind="radial", n_cells=8, d=2, R=0.0),
-    dict(kind="radial", n_cells=8, d=2, R=-1.0),
-    dict(kind="interval", n_cells=8, x_hi=float("inf")),
-    dict(kind="radial", n_cells=8, d=3, R=float("inf")),
-    dict(kind="interval", n_cells=float("inf")),
+    dict(n_cells=3),
+    dict(n_cells=8, x_lo=1.0, x_hi=1.0),
+    dict(n_cells=8, d=4),
+    dict(n_cells=8, d=2, R=0.0),
+    dict(n_cells=8, d=2, R=-1.0),
+    dict(n_cells=8, x_hi=float("inf")),
+    dict(n_cells=8, d=3, R=float("inf")),
+    dict(n_cells=float("inf")),
 ])
 def test_geometry_validation(kwargs):
+    # a ball is the kind that needs d
+    geometry = Radial if "d" in kwargs else Interval
     with pytest.raises(ValueError):
-        Geometry(**kwargs)
+        geometry(**kwargs)

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 from nutaxis import (
     Constant,
     Gaussian,
-    Geometry,
+    Interval,
     ModelParams,
+    Radial,
     State,
     StepperConfig,
     advance,
@@ -74,7 +75,7 @@ def test_tail_does_not_fire_while_any_cell_has_nutrient(backend, monkeypatch,
                                                         cell):
     # with gamma = 0 the switch waits for the snap: a run that started with
     # nutrient and has it left in one cell only keeps stepping
-    grid = build_grid(Geometry("interval", 16))
+    grid = build_grid(Interval(16))
     w = np.zeros(16)
     w[cell] = 1e-200
     state = State(0.0, 1.0 + grid.centers, np.ones(16), w)
@@ -92,7 +93,7 @@ def test_tail_does_not_fire_while_any_cell_has_nutrient(backend, monkeypatch,
 def test_a_certified_remnant_ends_the_nutrient_phase_at_once(backend, cell):
     # with gamma > 0 the same remnant is far below w_tail: no step is taken,
     # w is dropped and the bracket holds the remnant's bound
-    grid = build_grid(Geometry("interval", 16))
+    grid = build_grid(Interval(16))
     u0 = 1.0 + grid.centers
     c = (PARAMS.alpha / PARAMS.gamma
          + PARAMS.delta * grid.volume / (PARAMS.beta * integrate(u0, grid)))
@@ -110,7 +111,7 @@ def test_a_certified_remnant_ends_the_nutrient_phase_at_once(backend, cell):
 
 
 def test_tail_fires_at_once_when_the_nutrient_is_spent(backend):
-    grid = build_grid(Geometry("interval", 16))
+    grid = build_grid(Interval(16))
     u0 = 1.0 + grid.centers
     state = State(0.5, u0.copy(), np.ones(16), np.zeros(16))
     ws = _workspace(grid, PARAMS, state)
@@ -127,9 +128,29 @@ def test_tail_fires_at_once_when_the_nutrient_is_spent(backend):
     np.testing.assert_array_equal(state.u, want)
 
 
+def test_a_tail_level_not_above_zero_fails_by_name(monkeypatch):
+    # the heat map keeps u > 0; a level it returned with a cell at -1 must
+    # fail as that cell of u, at the start of the segment
+    grid = build_grid(Interval(16))
+    state = State(0.5, 1.0 + grid.centers, np.ones(16), np.zeros(16))
+    ws = _workspace(grid, PARAMS, state)
+    heat_evolve = kernels.heat_evolve
+
+    def corrupted(*args):
+        out = heat_evolve(*args)
+        out[5] = -1.0
+        return out
+
+    monkeypatch.setattr(kernels, "heat_evolve", corrupted)
+    with pytest.raises(kernels.PositivityViolation) as err:
+        kernels.segment_numpy(state, 0.75, ws, PARAMS, StepperConfig())
+    assert (err.value.field, err.value.cell, err.value.t) == ("u", 5, 0.5)
+    assert str(err.value) == "positivity violation in 'u' at cell 5, t = 0.5"
+
+
 def test_runs_without_nutrient_keep_their_step_counts(backend, monkeypatch):
     # w0 == 0 has w_snap == 0: the integrator's own heat oracle still steps
-    grid = build_grid(Geometry("interval", 16))
+    grid = build_grid(Interval(16))
     state = State(0.0, 1.0 + grid.centers, np.ones(16), np.zeros(16))
     _forbid_the_tail(monkeypatch)
     res = advance(state, grid, heat_params(1.0), StepperConfig(dt=0.01),
@@ -140,7 +161,7 @@ def test_runs_without_nutrient_keep_their_step_counts(backend, monkeypatch):
 
 
 def test_after_exhaustion_mass_is_constant_and_v_w_are_frozen(backend):
-    grid = build_grid(Geometry("interval", 16))
+    grid = build_grid(Interval(16))
     state, _ = init_state(Gaussian(base=0.5, amp=0.5, rate=10.0, center=0.2),
                           Constant(1.0),
                           Gaussian(base=0.5, amp=0.5, rate=10.0, center=0.5),
@@ -180,7 +201,7 @@ def test_full_exhaustion_lands_in_the_bracket_of_the_switch(backend,
     # stepped on until every cell of w has snapped (TAIL_TOL = 0), a
     # gamma > 0 run's I(inf) lies in the bracket the default run certified
     # at its switch, up to the time error of the steps it took after it
-    grid = build_grid(Geometry("interval", 32))
+    grid = build_grid(Interval(32))
     runs, tail_tol = [], kernels.TAIL_TOL
     for tol in (tail_tol, 0.0):
         monkeypatch.setattr(kernels, "TAIL_TOL", tol)
@@ -201,7 +222,7 @@ def test_full_exhaustion_lands_in_the_bracket_of_the_switch(backend,
 @pytest.mark.parametrize("beta, gamma", [(0.0, 200.0), (200.0, 0.0)])
 def test_without_a_finite_bracket_the_run_waits_for_the_snap(
         backend, monkeypatch, beta, gamma):
-    grid = build_grid(Geometry("interval", 16))
+    grid = build_grid(Interval(16))
     params = ModelParams(D_u=1.0, D_w=1.0, chi=0.5, alpha=2.0, beta=beta,
                          gamma=gamma, delta=1.0)
     monkeypatch.setattr(kernels, "W_SNAP_REL", 1e-6)  # a short run
@@ -223,7 +244,7 @@ def test_a_subnormal_gamma_waits_for_the_snap(backend, v0):
     # gamma = 5e-324, beta = 1, as a property test drew it: gamma * min v0
     # underflows to 0 (v0 = 0.5), or alpha / (gamma * min v0) overflows
     # (v0 = 1); either way the level is the snap's, with no division by 0
-    grid = build_grid(Geometry("interval", 16))
+    grid = build_grid(Interval(16))
     params = ModelParams(D_u=1.0, D_w=1.0, chi=0.5, alpha=2.0, beta=1.0,
                          gamma=5e-324, delta=1.0)
     state, _ = init_state(Gaussian(0.5, 0.5, 10.0, 0.2), Constant(v0),
@@ -236,7 +257,7 @@ def test_a_subnormal_gamma_waits_for_the_snap(backend, v0):
 
 def test_modal_tail_is_the_heat_flow_of_the_switch_state(backend,
                                                         monkeypatch):
-    grid = build_grid(Geometry("radial", 32, d=3))
+    grid = build_grid(Radial(32, d=3))
     switches = []
     end_phase = kernels._end_nutrient_phase
 
@@ -265,7 +286,7 @@ def test_modal_tail_is_the_heat_flow_of_the_switch_state(backend,
 def test_heat_modes_are_built_once_per_grid_and_diffusivity():
     # the cache is keyed on the bytes of the measures and rows, so equal
     # rows in other arrays (a second workspace of the sweep) share it
-    grid = build_grid(Geometry("interval", 16))
+    grid = build_grid(Interval(16))
     first = _modes(grid, 1.0)
     rows = [a.copy() for a in (grid.m, *diffusion_rows(grid, 1.0))]
     assert kernels.heat_modes(*rows) is first
@@ -274,13 +295,13 @@ def test_heat_modes_are_built_once_per_grid_and_diffusivity():
     np.testing.assert_allclose(other[0], 2.0 * first[0], rtol=1e-12,
                                atol=1e-12)
     assert _modes(grid, 1.0) is not first  # only the last result is kept
-    assert _modes(build_grid(Geometry("interval", 17)), 2.0)[0].shape == (17,)
+    assert _modes(build_grid(Interval(17)), 2.0)[0].shape == (17,)
 
 
 def test_heat_modes_diagonalize_the_operator():
     # (D lap) (q / s) = (q / s) diag(lam), with D lap built densely from the
     # grid's face areas, measures and spacing
-    grid, D = build_grid(Geometry("radial", 64, d=3)), 0.7
+    grid, D = build_grid(Radial(64, d=3)), 0.7
     lam, q, s, _, _ = _modes(grid, D)
     vectors = q / s[:, None]
     lhs = D * loop_reference.dense_laplacian(grid) @ vectors
@@ -289,7 +310,7 @@ def test_heat_modes_diagonalize_the_operator():
 
 
 def test_map_matches_fine_sbdf2_on_a_radial_ball(backend):
-    grid = build_grid(Geometry("radial", 32, d=3))
+    grid = build_grid(Radial(32, d=3))
     u0 = 1.0 + np.exp(-20.0 * grid.centers ** 2)
     D, t_end = 0.7, 0.05
     mapped = _heat_flow(grid, D, u0, t_end)
@@ -312,9 +333,8 @@ def test_map_matches_fine_sbdf2_on_a_radial_ball(backend):
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                     database=None)
 geometries = st.one_of(
-    st.builds(Geometry, st.just("interval"), st.integers(4, 64)),
-    st.builds(lambda n, d: Geometry("radial", n, d=d),
-              st.integers(4, 64), st.integers(1, 3)))
+    st.builds(Interval, st.integers(4, 64)),
+    st.builds(Radial, st.integers(4, 64), st.integers(1, 3)))
 bumps = st.builds(Gaussian, base=st.floats(0.1, 1.0), amp=st.floats(0.0, 1.0),
                   rate=st.floats(0.0, 20.0), center=st.floats(0.0, 1.0))
 

@@ -5,7 +5,17 @@ from pathlib import Path
 
 import pytest
 
-from nutaxis import DiagnosticsRecord, Gaussian, Mirrored, preset, record_fields, run_scenario
+from nutaxis import (
+    DiagnosticsRecord,
+    Gaussian,
+    Interval,
+    Mirrored,
+    Radial,
+    preset,
+    record_fields,
+    run_scenario,
+    run_sweep,
+)
 from nutaxis.experiments import apply_override
 from nutaxis.io import (
     ConfigError,
@@ -81,6 +91,13 @@ def test_mirrored_profile_round_trip():
     (lambda d: d.update(t_end="soon"), "t_end"),
     (lambda d: d["geometry"].update(n_cells=2), "geometry"),
     (lambda d: d.update(stepper={"dt": -1.0}), "stepper"),
+    (lambda d: d.update(params=3), "config.params: expected an object, got int"),
+    (lambda d: d["profiles"]["u0"].pop("type"),
+     "config.profiles.u0: profile needs a 'type' key"),
+    (lambda d: d["geometry"].pop("kind"),
+     "config.geometry: geometry needs a 'kind' key"),
+    (lambda d: d["geometry"].update(kind="radial"),
+     "config.geometry: missing required key(s) ['d']"),
 ])
 def test_config_errors_carry_the_offending_path(mutate, needle):
     doc = json.loads(json.dumps(MINIMAL))  # deep copy
@@ -88,6 +105,14 @@ def test_config_errors_carry_the_offending_path(mutate, needle):
     with pytest.raises(ConfigError) as err:
         config_from_dict(doc)
     assert needle in str(err.value)
+
+
+def test_read_config_rejects_a_file_that_is_not_json(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text("geometry: interval\n")
+    with pytest.raises(ConfigError) as err:
+        read_config(str(path))
+    assert str(err.value).startswith(f"{path}: invalid JSON: ")
 
 
 @pytest.mark.parametrize("key", ["flux", "positivity_floor", "sink_dt_cap",
@@ -214,6 +239,12 @@ def test_read_sweep_spec_decodes_object_values_as_the_field_type(tmp_path):
       "overrides": [{"path": "t_end", "values": [0.01, 0.02]},
                     {"path": "t_end", "values": [0.03, 0.04]}]},
      "sweep.json: override 't_end' is repeated"),
+    # a field the interval lacks: before, two runs labelled d = 1 and
+    # d = 3 ran the same interval
+    ({"base": {"preset": "fig1_left", "variant": 60},
+      "overrides": [{"path": "geometry.d", "values": [1, 3]}]},
+     "sweep.json.overrides[0].path: 'geometry.d' does not name a config "
+     "field"),
 ])
 def test_read_sweep_spec_errors(tmp_path, doc, needle):
     path = tmp_path / "sweep.json"
@@ -221,6 +252,32 @@ def test_read_sweep_spec_errors(tmp_path, doc, needle):
     with pytest.raises((ConfigError, ValueError)) as err:
         read_sweep_spec(str(path))
     assert needle in str(err.value)
+
+
+def test_a_sweep_over_geometry_kinds_overrides_the_whole_geometry(tmp_path):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({
+        "base": dict(MINIMAL, t_end=0.05),
+        "overrides": [{"path": "geometry", "values": [
+            {"kind": "interval", "n_cells": 32, "x_hi": 2.0},
+            {"kind": "radial", "n_cells": 32, "d": 3}]}],
+    }))
+    spec = read_sweep_spec(str(path))
+    assert spec.overrides == (
+        ("geometry", (Interval(32, x_hi=2.0), Radial(32, d=3))),)
+    out = tmp_path / "out"
+    rows = run_sweep(spec, out_dir=str(out))
+    assert [row["error"] for row in rows] == ["", ""]
+    docs = [json.loads((out / f"run_{i:03d}" / "manifest.json").read_text())
+            for i in (0, 1)]
+    assert [doc["scenario"]["geometry"] for doc in docs] == [
+        {"kind": "interval", "n_cells": 32, "x_lo": 0.0, "x_hi": 2.0},
+        {"kind": "radial", "n_cells": 32, "d": 3, "R": 1.0}]
+    assert [(doc["grid_summary"]["kind"], doc["grid_summary"]["d"])
+            for doc in docs] == [("interval", 1), ("radial", 3)]
+    assert docs[0]["grid_summary"]["volume"] == pytest.approx(2.0, rel=1e-14)
+    assert docs[1]["grid_summary"]["volume"] == pytest.approx(
+        4.0 * math.pi / 3.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("geometry", [

@@ -11,8 +11,8 @@ import pytest
 from scipy.linalg import solveh_banded
 
 import nutaxis
-from nutaxis import (Gaussian, Geometry, LinearSolveFailure, ModelParams,
-                     StepperConfig, advance, build_grid, init_state)
+from nutaxis import (Gaussian, Interval, LinearSolveFailure, ModelParams,
+                     Radial, StepperConfig, advance, build_grid, init_state)
 from nutaxis import kernels
 from nutaxis.model import f_eps
 from nutaxis.operators import diffusion_rows, taxis_flux
@@ -83,12 +83,12 @@ def test_import_defers_scipy_to_the_first_solve():
         "import sys\n"
         "import numpy as np\n"
         "import nutaxis\n"
-        "from nutaxis import build_grid, Geometry, kernels\n"
+        "from nutaxis import build_grid, Interval, kernels\n"
         "from nutaxis.operators import diffusion_rows\n"
         "for name in ('scipy', 'scipy.optimize', 'importlib.metadata'):\n"
         "    assert name not in sys.modules, f'import nutaxis loaded {name}'\n"
         + _SOLVE +
-        "grid = build_grid(Geometry('interval', 8))\n"
+        "grid = build_grid(Interval(8))\n"
         "lam = kernels.heat_modes(grid.m, *diffusion_rows(grid, 1.0))[0]\n"
         "assert lam[-1] == 0.0 and lam[0] < 0.0\n"
         "assert 'scipy.linalg' not in sys.modules\n")
@@ -165,7 +165,7 @@ def test_a_matrix_that_is_not_positive_definite_fails_the_run(monkeypatch):
         return -1e9 * diag, off
 
     monkeypatch.setattr(kernels, "diffusion_rows", flipped)
-    grid = build_grid(Geometry("interval", 16))
+    grid = build_grid(Interval(16))
     state, _ = init_state(Gaussian(0.1, 1.0, 15.0, 0.5), Gaussian(1.0, 0.0,
                           1.0, 0.5), Gaussian(1.0, 2.0, 15.0, 0.5), grid)
     with pytest.raises(LinearSolveFailure) as err:
@@ -175,8 +175,8 @@ def test_a_matrix_that_is_not_positive_definite_fails_the_run(monkeypatch):
     assert err.value.t == 0.0 and err.value.dt > 0.0
 
 
-@pytest.mark.parametrize("geometry", [Geometry("interval", 400),
-                                      Geometry("radial", 400, d=3, R=1.0)],
+@pytest.mark.parametrize("geometry", [Interval(400),
+                                      Radial(400, d=3, R=1.0)],
                          ids=["interval", "radial-d3"])
 @pytest.mark.parametrize("system", ["w", "u"])
 def test_the_scaled_solve_matches_a_dense_solve_of_the_operator(geometry,
@@ -243,8 +243,8 @@ def _plain_attempt(ws, sbdf2, dt, p):
     return np.array([wn, un, vn]), nn
 
 
-@pytest.mark.parametrize("geometry", [Geometry("interval", 64),
-                                      Geometry("radial", 64, d=3, R=1.0)],
+@pytest.mark.parametrize("geometry", [Interval(64),
+                                      Radial(64, d=3, R=1.0)],
                          ids=["interval", "radial-d3"])
 @pytest.mark.parametrize("eps", [0.0, 0.1])
 @pytest.mark.parametrize("sbdf2", [True, False])
@@ -276,7 +276,7 @@ def test_numpy_attempt_allocates_no_float_array(sbdf2):
     # one n-length float64 temporary alone reaches 8 n bytes; what the
     # attempt does allocate (array views and the n-byte upwind mask) peaks
     # below that at n = 401, with the u factor reused or built afresh
-    ws, params = _attempt_inputs(Geometry("interval", 401), 0.0)
+    ws, params = _attempt_inputs(Interval(401), 0.0)
     n = ws.y.shape[1]
     args = (ws, sbdf2, 1e-5, params)
     assert kernels.attempt_step_numpy(*args) is None
@@ -325,7 +325,7 @@ def test_vectorized_primitives_match_loop_primitives(extrapolate, eps):
 
 @pytest.mark.parametrize("sbdf2", [True, False])
 def test_numpy_attempt_snaps_like_the_plain_form(sbdf2):
-    ws, params = _attempt_inputs(Geometry("interval", 64), 0.0, w_snap=1e-30)
+    ws, params = _attempt_inputs(Interval(64), 0.0, w_snap=1e-30)
     # the nutrient is gone from half the domain
     ws.y[0, 32:], ws.hy[0, 32:] = 0.0, 0.0
     assert kernels.attempt_step_numpy(ws, sbdf2, 1e-5, params) is None
@@ -344,7 +344,7 @@ def test_numpy_attempt_snaps_like_the_plain_form(sbdf2):
 def test_an_attempt_that_overflows_names_its_field(attempt, row, field):
     # inf > 0 holds, so an overflowed u+ or v+ must fail its own check
     # rather than pass as positive and surface a step later in w
-    ws, params = _attempt_inputs(Geometry("interval", 64), 0.0)
+    ws, params = _attempt_inputs(Interval(64), 0.0)
     ws.y[row, 40] = np.finfo(np.float64).max
     with np.errstate(over="ignore", invalid="ignore"):
         failure = attempt(ws, False, 1e-5, params)
@@ -357,7 +357,7 @@ def test_clearing_the_u_factor_changes_no_bit(monkeypatch):
     # dt changes at every output time and on growth, so the u factor is
     # rebuilt now and then and reused in between; built afresh before every
     # attempt it gives the same bits (dptsv is dpttrf, then dpttrs)
-    grid = build_grid(Geometry("radial", 64, d=3))
+    grid = build_grid(Radial(64, d=3))
     bump = Gaussian(base=0.1, amp=1.0, rate=15.0, center=0.0)
     state0, _ = init_state(bump, bump, Gaussian(1.0, 2.0, 15.0, 0.0), grid)
     params = ModelParams(*PARAMS)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from nutaxis import (
-    Geometry,
+    Interval,
+    Radial,
     build_grid,
     face_energy,
     face_gradient,
@@ -15,7 +16,7 @@ from nutaxis.operators import diffusion_rows, taxis_flux
 
 @pytest.fixture
 def interval():
-    return build_grid(Geometry("interval", 50))
+    return build_grid(Interval(50))
 
 
 def _divergence(u, w, grid, chi, eps=0.0):
@@ -45,7 +46,7 @@ def test_laplacian_quadratic_interior_exact(interval):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_radial_laplacian_of_r_squared(d):
-    grid = build_grid(Geometry("radial", 64, d=d, R=1.0))
+    grid = build_grid(Radial(64, d=d, R=1.0))
     lap = laplacian_neumann(grid.centers ** 2, grid)
     # lap(r^2) = 2d; exact on every cell except the outer-wall closure,
     # including the origin cell (the r=0 flux of r^2 vanishes identically)
@@ -53,9 +54,9 @@ def test_radial_laplacian_of_r_squared(d):
 
 
 @pytest.mark.parametrize("geom", [
-    Geometry("interval", 33, x_lo=-2.0, x_hi=1.0),
-    Geometry("radial", 33, d=2),
-    Geometry("radial", 40, d=3),
+    Interval(33, x_lo=-2.0, x_hi=1.0),
+    Radial(33, d=2),
+    Radial(40, d=3),
 ])
 def test_laplacian_is_conservative(geom):
     grid = build_grid(geom)
@@ -65,10 +66,10 @@ def test_laplacian_is_conservative(geom):
 
 
 @pytest.mark.parametrize("geom", [
-    Geometry("interval", 37, x_lo=-2.0, x_hi=1.0),
-    Geometry("radial", 37, d=1),
-    Geometry("radial", 37, d=2),
-    Geometry("radial", 37, d=3),
+    Interval(37, x_lo=-2.0, x_hi=1.0),
+    Radial(37, d=1),
+    Radial(37, d=2),
+    Radial(37, d=3),
 ], ids=["interval", "radial-d1", "radial-d2", "radial-d3"])
 @pytest.mark.parametrize("rows", [1, 3], ids=["one-row", "stacked"])
 def test_laplacian_is_minus_the_diffusion_rows_over_m(geom, rows):
@@ -89,7 +90,7 @@ def test_laplacian_is_minus_the_diffusion_rows_over_m(geom, rows):
 
 @pytest.mark.parametrize("eps", [0.0, 0.1], ids=["upwind", "upwind-saturated"])
 def test_chemotaxis_divergence_is_conservative(eps):
-    grid = build_grid(Geometry("radial", 48, d=3))
+    grid = build_grid(Radial(48, d=3))
     rng = np.random.default_rng(11)
     u = 0.5 + rng.random(48)
     w = rng.random(48)
@@ -108,7 +109,7 @@ def test_chemotaxis_zero_without_gradient_or_chi(interval):
 
 
 def test_chemotaxis_upwind_takes_donor_cell():
-    grid = build_grid(Geometry("interval", 4))
+    grid = build_grid(Interval(4))
     u = np.array([1.0, 2.0, 3.0, 4.0])
     w = np.array([0.0, 1.0, 1.0, 0.0])  # gradient +, 0, - on interior faces
     div = _divergence(u, w, grid, chi=1.0)
@@ -142,7 +143,7 @@ def _plain_taxis_flux(u, w, af, h, chi, eps):
 
 @pytest.mark.parametrize("eps", [0.0, 0.1], ids=lambda eps: f"upwind-{eps}")
 def test_taxis_flux_into_out_buffer(eps):
-    grid = build_grid(Geometry("radial", 48, d=3))
+    grid = build_grid(Radial(48, d=3))
     rng = np.random.default_rng(5)
     u, w = 0.5 + rng.random(48), rng.random(48)
     w[10:14] = w[9]  # faces with a zero gradient
@@ -168,7 +169,7 @@ def _sq_grad(f, grid):
 
 
 def test_face_energy_linear_profile():
-    grid = build_grid(Geometry("interval", 50))
+    grid = build_grid(Interval(50))
     sq = _sq_grad(grid.centers.copy(), grid)
     # interior faces only: (n-1) faces of weight h with unit slope
     assert face_energy(sq, None, grid) == pytest.approx(

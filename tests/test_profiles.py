@@ -4,7 +4,7 @@ import pytest
 from nutaxis import (
     Constant,
     Gaussian,
-    Geometry,
+    Interval,
     Mirrored,
     NonpositiveField,
     build_grid,
@@ -15,7 +15,7 @@ from nutaxis import (
 
 @pytest.fixture
 def grid():
-    return build_grid(Geometry("interval", 64))
+    return build_grid(Interval(64))
 
 
 def test_constant_sample(grid):
@@ -42,7 +42,7 @@ def test_mirrored_reflects_about_midpoint(grid):
 
 
 def test_mirrored_on_shifted_interval():
-    g = build_grid(Geometry("interval", 32, x_lo=2.0, x_hi=4.0))
+    g = build_grid(Interval(32, x_lo=2.0, x_hi=4.0))
     inner = Gaussian(base=0.0, amp=1.0, rate=3.0, center=2.5)
     vals = sample(Mirrored(inner), g)
     np.testing.assert_allclose(

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 from nutaxis import (
     Constant,
     Gaussian,
-    Geometry,
+    Interval,
     Mirrored,
     ModelParams,
     OutputSchedule,
+    Radial,
     StepperConfig,
     advance,
     build_grid,
@@ -32,9 +33,8 @@ SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                     database=None)
 
 geometries = st.one_of(
-    st.builds(Geometry, st.just("interval"), st.integers(8, 64)),
-    st.builds(lambda n, d: Geometry("radial", n, d=d),
-              st.integers(8, 64), st.integers(1, 3)))
+    st.builds(Interval, st.integers(8, 64)),
+    st.builds(Radial, st.integers(8, 64), st.integers(1, 3)))
 bumps = st.builds(Gaussian, base=st.floats(0.1, 1.0), amp=st.floats(0.0, 1.0),
                   rate=st.floats(0.0, 20.0), center=st.floats(0.0, 1.0))
 # a base dt of t_end/50 .. t_end, so most runs take the two-step scheme
@@ -89,7 +89,7 @@ def test_a_subnormal_chi_does_not_overflow_the_cfl_cap(backend):
     # CFL_SAFETY * h / gmax would overflow (with a warning, on the loop
     # reference's numpy scalars).  chi sets no cap: the steps are those of
     # chi = 0
-    grid = build_grid(Geometry("interval", 8))
+    grid = build_grid(Interval(8))
     stats = []
     for chi in (1.23236504835481e-304, 0.0):
         state, _ = init_state(Constant(1.0), Constant(1.0), Constant(1.0), grid)
@@ -107,7 +107,7 @@ def test_a_subnormal_chi_does_not_overflow_the_cfl_cap(backend):
 # gamma -> gamma/k by +|Omega| ln k; the interval [0, k] with D_u, D_w and
 # chi times k^2 and each Gaussian's rate over k^2, center times k, scales I
 # by k
-SCALED = replace(preset("fig1_right", 14), geometry=Geometry("interval", 41),
+SCALED = replace(preset("fig1_right", 14), geometry=Interval(41),
                  t_end=0.2)
 SCALING_SETTINGS = settings(
     max_examples=6, deadline=None, derandomize=True, database=None,

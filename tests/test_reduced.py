@@ -6,9 +6,9 @@ import pytest
 from nutaxis import (
     Constant,
     Gaussian,
-    Geometry,
     HeatTrajectory,
     HorizonTooShort,
+    Interval,
     ModelParams,
     NonpositiveField,
     OdeState,
@@ -182,7 +182,7 @@ def test_sign_law_validation():
 
 def test_heat_solve_eigenmode_decay_rate():
     n = 100
-    grid = build_grid(Geometry("interval", n))
+    grid = build_grid(Interval(n))
     u0 = 2.0 + np.cos(np.pi * grid.centers)
     traj = heat_solve(u0, 1.0, grid, t_end=0.1)
     assert traj.mean == pytest.approx(2.0, rel=1e-13)
@@ -200,7 +200,7 @@ def test_heat_solve_eigenmode_decay_rate():
 
 
 def test_heat_solve_rejects_nonpositive_data():
-    grid = build_grid(Geometry("interval", 16))
+    grid = build_grid(Interval(16))
     with pytest.raises(NonpositiveField):
         heat_solve(np.zeros(16), 1.0, grid, t_end=0.1)
     # a nonpositive or infinite horizon is rejected too, with its own message
@@ -213,7 +213,7 @@ def test_heat_solve_rejects_an_evolved_u_that_is_not_positive():
     # data spanning 300 decades: the modal sum's roundoff (~1e-17) takes
     # the small cells below 0 at the first observation time, and that U is
     # reported, as in the integrator's heat tail, instead of logged
-    grid = build_grid(Geometry("interval", 16))
+    grid = build_grid(Interval(16))
     u0 = np.full(16, 1e-300)
     u0[0] = 1.0
     with pytest.raises(NonpositiveField, match=r"at cell \d+, t = 0.001"):
@@ -221,14 +221,14 @@ def test_heat_solve_rejects_an_evolved_u_that_is_not_positive():
 
 
 def test_jensen_gap_constant_field():
-    grid = build_grid(Geometry("interval", 64))
+    grid = build_grid(Interval(64))
     rep = jensen_gap(np.full(64, 3.7), grid)
     assert abs(rep.c1) < 1e-14
     assert not rep.strict
 
 
 def test_jensen_gap_two_valued_field():
-    grid = build_grid(Geometry("interval", 64))
+    grid = build_grid(Interval(64))
     phi = np.ones(64)
     phi[32:] = math.e
     rep = jensen_gap(phi, grid)
@@ -237,7 +237,7 @@ def test_jensen_gap_two_valued_field():
 
 
 def test_jensen_gap_gaussian_matches_direct_quadrature():
-    grid = build_grid(Geometry("interval", 400))
+    grid = build_grid(Interval(400))
     phi = np.exp(-15.0 * (grid.centers - 0.5) ** 2)
     rep = jensen_gap(phi, grid)
     expected = math.log(phi.mean()) + 15.0 * np.mean((grid.centers - 0.5) ** 2)
@@ -246,19 +246,19 @@ def test_jensen_gap_gaussian_matches_direct_quadrature():
 
 
 def test_jensen_gap_rejects_nonpositive():
-    grid = build_grid(Geometry("interval", 16))
+    grid = build_grid(Interval(16))
     with pytest.raises(NonpositiveField):
         jensen_gap(np.zeros(16), grid)
 
 
 def test_stabilization_constants_constant_data():
-    grid = build_grid(Geometry("interval", 32))
+    grid = build_grid(Interval(32))
     L, t0 = stabilization_constants(sample(Constant(2.0), grid), 1.0, grid)
     assert L == 0.0 and t0 == 0.0
 
 
 def test_stabilization_constants_gaussian():
-    grid = build_grid(Geometry("interval", 100))
+    grid = build_grid(Interval(100))
     u0 = sample(Gaussian(base=0.0, amp=1.0, rate=15.0, center=0.5), grid)
     L, t0 = stabilization_constants(u0, 1.0, grid)
     rep = jensen_gap(u0, grid)
@@ -274,7 +274,7 @@ def test_stabilization_constants_gaussian():
 def test_stabilization_constants_reports_a_horizon_too_short(monkeypatch):
     # one heat run to 80 slowest decay times; an entropy that never rises
     # by L (here a flat trajectory) is reported, not extended
-    grid = build_grid(Geometry("interval", 100))
+    grid = build_grid(Interval(100))
     u0 = sample(Gaussian(base=0.0, amp=1.0, rate=15.0, center=0.5), grid)
     horizons = []
 

@@ -7,10 +7,11 @@ import pytest
 from nutaxis import (
     Constant,
     Gaussian,
-    Geometry,
+    Interval,
     LinearSolveFailure,
     ModelParams,
     PositivityViolation,
+    Radial,
     State,
     StepperConfig,
     advance,
@@ -50,7 +51,7 @@ def test_config_validation(kwargs):
 
 def test_advance_cfl_cap_scaling(backend):
     """dt = CFL_SAFETY * h / max(chi |grad w|) sets the step count."""
-    grid = build_grid(Geometry("interval", 32))
+    grid = build_grid(Interval(32))
     cfg = StepperConfig(dt=10.0)
 
     def stats(chi, w):
@@ -92,7 +93,7 @@ def test_fig3_front_is_converged_in_the_cfl_number(monkeypatch):
 
 def test_heat_decay_matches_discrete_eigenmode():
     n = 50
-    grid = build_grid(Geometry("interval", n))
+    grid = build_grid(Interval(n))
     u0 = 2.0 + np.cos(np.pi * grid.centers)
     state = State(0.0, u0.copy(), np.ones(n), np.zeros(n))
     cfg = StepperConfig(dt=1e-3)
@@ -109,7 +110,7 @@ def test_heat_decay_matches_discrete_eigenmode():
 
 
 def test_advance_lands_exactly_and_validates():
-    grid = build_grid(Geometry("interval", 16))
+    grid = build_grid(Interval(16))
     state = State(0.0, np.ones(16), np.ones(16), np.zeros(16))
     cfg = StepperConfig(dt=0.03)
     res = advance(state, grid, HEAT, cfg, t_end=0.37)
@@ -143,7 +144,7 @@ def test_advance_lands_exactly_and_validates():
 
 
 def test_observer_called_at_requested_times():
-    grid = build_grid(Geometry("interval", 32))
+    grid = build_grid(Interval(32))
     state = _bump_state(grid, w0=1.0)
     seen = []
     times = [0.01, 0.02, 0.05]
@@ -153,7 +154,7 @@ def test_observer_called_at_requested_times():
 
 
 def test_advance_is_deterministic():
-    grid = build_grid(Geometry("interval", 48))
+    grid = build_grid(Interval(48))
     state0 = _bump_state(grid)
     a = advance(state0.copy(), grid, FULL, StepperConfig(), t_end=0.05)
     b = advance(state0.copy(), grid, FULL, StepperConfig(), t_end=0.05)
@@ -167,9 +168,9 @@ def test_backends_agree(monkeypatch):
     # SBDF2 on the interval, then the eps > 0 mobility and uptake on the
     # radial d=3 face areas, then eps > 0 on the interval at a small base dt
     eps = dataclasses.replace(FULL, eps_reg=0.1)
-    cases = [(Geometry("interval", 64), FULL, StepperConfig()),
-             (Geometry("radial", 64, d=3), eps, StepperConfig()),
-             (Geometry("interval", 64), eps, StepperConfig(dt=1e-3))]
+    cases = [(Interval(64), FULL, StepperConfig()),
+             (Radial(64, d=3), eps, StepperConfig()),
+             (Interval(64), eps, StepperConfig(dt=1e-3))]
     for geometry, params, cfg in cases:
         grid = build_grid(geometry)
         state0 = _bump_state(grid)
@@ -192,7 +193,7 @@ def test_backends_agree(monkeypatch):
 def test_two_step_history_carries_across_output_segments(backend):
     # 10 steps of 0.01 with one rebuild: an observe time at 0.05 neither
     # restarts the two-step scheme nor changes a bit of the result
-    grid = build_grid(Geometry("interval", 16))
+    grid = build_grid(Interval(16))
     runs = []
     for times in (None, [0.05]):
         state = State(0.0, 1.0 + grid.centers, np.ones(16), np.zeros(16))
@@ -211,7 +212,7 @@ def _sawtooth_collapse_setup(monkeypatch):
     """
     monkeypatch.setattr(kernels, "CFL_SAFETY", 1.0)
     n = 8
-    grid = build_grid(Geometry("interval", n))
+    grid = build_grid(Interval(n))
     w = np.zeros(n)
     w[1::2] = grid.h  # sawtooth: |w_{i+1} - w_i| = h on every interior face
     u = np.full(n, 1e-13)
@@ -279,7 +280,7 @@ def test_failure_reports_the_failing_step_start_and_dt(monkeypatch, field,
                                                         error):
     # 10 steps of 0.01 in two output segments; attempts from the 8th on fail,
     # so the failing step starts after 7 accepted steps, inside segment two
-    grid = build_grid(Geometry("interval", 16))
+    grid = build_grid(Interval(16))
     state = State(0.0, 1.0 + grid.centers, np.ones(16), np.zeros(16))
     monkeypatch.setattr(kernels, "MAX_RETRIES", 2)
     cfg = StepperConfig(dt=0.01)
@@ -306,7 +307,7 @@ def test_a_rejection_retries_with_backward_euler_at_half_dt(monkeypatch):
     # The retry is a backward-Euler step at half dt, refitted to the 0.03
     # left in segment one; dt grows only after that retry is accepted, and
     # SBDF2 resumes once the history was left by a step of the same dt
-    grid = build_grid(Geometry("interval", 16))
+    grid = build_grid(Interval(16))
     state = State(0.0, 1.0 + grid.centers, np.ones(16), np.zeros(16))
     attempts = _fail_from_call(monkeypatch, 3, "u", count=1)
     res = advance(state, grid, HEAT, StepperConfig(dt=0.01), t_end=0.1,
@@ -327,7 +328,7 @@ def test_a_rejection_retries_with_backward_euler_at_half_dt(monkeypatch):
 def test_a_rejection_leaves_the_level_and_the_history(monkeypatch):
     # the third attempt (SBDF2, with a history) runs and is then rejected;
     # the retry must start from the same level, history and hnu
-    grid = build_grid(Geometry("interval", 16))
+    grid = build_grid(Interval(16))
     state = _bump_state(grid)
     _fail_from_call(monkeypatch, 3, "u", count=1)
     failing = kernels.attempt_step_numpy
@@ -349,7 +350,7 @@ def test_a_rejection_leaves_the_level_and_the_history(monkeypatch):
 def test_advance_leaves_the_final_state_in_the_callers_arrays(monkeypatch):
     # the level lives in the kernel's workspace during the run; it is
     # copied back into the arrays the caller passed, also on a failure
-    grid = build_grid(Geometry("interval", 16))
+    grid = build_grid(Interval(16))
     for fail in (False, True):
         state = _bump_state(grid)
         arrays = state.u, state.v, state.w
@@ -372,7 +373,7 @@ def test_advance_leaves_the_final_state_in_the_callers_arrays(monkeypatch):
 
 def _draining_case():
     """Taxis up a nutrient bump drains u out of the last cell."""
-    grid = build_grid(Geometry("interval", 100))
+    grid = build_grid(Interval(100))
     params = ModelParams(D_u=1e-3, D_w=1.0, chi=50.0, alpha=2.0, beta=200.0,
                          gamma=200.0, delta=1.0)
     state, _ = init_state(Gaussian(1e-12, 1.0, 400.0, 0.3), Constant(1.0),
@@ -431,7 +432,7 @@ def test_errors_from_the_numpy_solve_propagate(monkeypatch):
         raise ValueError("broken solve")
 
     monkeypatch.setattr(kernels, "solve_tridiag", broken)
-    grid = build_grid(Geometry("interval", 8))
+    grid = build_grid(Interval(8))
     state = State(0.0, np.ones(8), np.ones(8), np.zeros(8))
     with pytest.raises(ValueError, match="broken solve"):
         advance(state, grid, HEAT, StepperConfig(), t_end=0.1)
@@ -439,7 +440,7 @@ def test_errors_from_the_numpy_solve_propagate(monkeypatch):
 
 def test_nutrient_snaps_to_exact_zero_and_stays():
     n = 16
-    grid = build_grid(Geometry("interval", n))
+    grid = build_grid(Interval(n))
     state, _ = init_state(Constant(1.0), Constant(1.0),
                           Gaussian(base=0.5, amp=0.5, rate=10.0, center=0.5),
                           grid)

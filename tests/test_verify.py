@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nutaxis import (
-    Geometry,
+    Interval,
     ModelParams,
     OdeState,
     State,
@@ -40,7 +40,7 @@ def test_heat_convergence_report():
 def test_a_run_of_one_dt_is_the_starter_alone(dt):
     # the premise of the starter's local order: advance to t = dt takes
     # one step, and it is the backward-Euler rebuild
-    grid = build_grid(Geometry("interval", 50))
+    grid = build_grid(Interval(50))
     state = State(0.0, 2.0 + np.cos(np.pi * grid.centers), np.ones(50),
                   np.zeros(50))
     stats = advance(state, grid, heat_params(1.0), StepperConfig(dt=dt),

@@ -46,9 +46,9 @@ A key present on one side only (a config key added or retired) is printed as a
 schema line and does not by itself make ``compare`` exit 1.  For each run
 it also prints the largest relative change over the numeric leaves both
 sides have (``I_end`` and ``min_dt`` included).  Equal digests mean
-bitwise equal final arrays and records.  One ``run`` takes about 15 s on a
-2-vCPU host (14.2 and 15.8 s measured), most of it in the two fig3 presets
-and ``verify``.
+bitwise equal final arrays and records.  One ``run`` takes about 12 s on a
+2-vCPU host (11.7, 12.1 and 12.2 s measured), most of it in the two fig3
+presets and ``verify``.
 """
 from __future__ import annotations
 

@@ -18,6 +18,9 @@ The package is organized around a small set of layers:
 """
 from __future__ import annotations
 
+# bound before the submodules load: `experiments` writes it into manifests
+__version__ = "0.1.0"
+
 from .diagnostics import (
     DerivedConstants,
     DiagnosticsRecord,
@@ -75,8 +78,6 @@ from .stepper import (
     advance,
     output_times,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AdvanceResult",

@@ -37,6 +37,10 @@ from .stepper import LinearSolveFailure, PositivityViolation
 __all__ = ["main", "build_parser"]
 
 
+# the config paths of --n-cells, --dt and --t-end, each named by its last key
+_OVERRIDE_PATHS = ("geometry.n_cells", "stepper.dt", "t_end")
+
+
 def _add_overrides(p: argparse.ArgumentParser) -> None:
     """Scenario overrides, applied by :func:`_apply_overrides`."""
     p.add_argument("--n-cells", type=int, help="override the grid resolution")
@@ -45,8 +49,8 @@ def _add_overrides(p: argparse.ArgumentParser) -> None:
 
 
 def _apply_overrides(cfg, args: argparse.Namespace):
-    for path in ("geometry.n_cells", "stepper.dt", "t_end"):
-        # the option is the path's last key; `constants` has only --n-cells
+    for path in _OVERRIDE_PATHS:
+        # `constants` has only --n-cells
         value = getattr(args, path.rpartition(".")[2], None)
         if value is not None:
             cfg = apply_override(cfg, path, value)
@@ -88,6 +92,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .io import read_sweep_spec, write_sweep_table
 
     spec = read_sweep_spec(args.spec)
+    for path in _OVERRIDE_PATHS:
+        # an axis on the option's (leaf) path or on a prefix of it would
+        # replace the option's value in every run
+        option = path.rpartition(".")[2]
+        axes = [a for a, _ in spec.overrides if f"{path}.".startswith(f"{a}.")]
+        if getattr(args, option) is not None and axes:
+            raise ValueError(f"--{option.replace('_', '-')} sets {path!r}, "
+                             f"which the sweep axis {axes[0]!r} overrides")
     spec = dataclasses.replace(spec, base=_apply_overrides(spec.base, args))
     os.makedirs(args.out_dir, exist_ok=True)
     rows = run_sweep(spec, processes=args.threads, out_dir=args.out_dir)

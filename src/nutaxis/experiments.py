@@ -12,7 +12,6 @@ run does not abort the sweep.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 import time
@@ -21,6 +20,7 @@ from typing import Any, Optional
 
 import numpy as np
 
+from . import __version__
 from .diagnostics import (
     DerivedConstants,
     DiagnosticsRecord,
@@ -61,17 +61,6 @@ __all__ = [
 # 16 rows bring a record from ~90 to ~25 us, and larger blocks add peak
 # memory for little further gain
 RECORD_BLOCK = 16
-
-
-@functools.cache
-def _version() -> str:
-    # looked up with the first manifest: importing importlib.metadata
-    # costs ~20 ms, and most processes that import nutaxis build none
-    from importlib.metadata import PackageNotFoundError, version
-    try:
-        return version("nutaxis")
-    except PackageNotFoundError:  # pragma: no cover - not installed
-        return "0+unknown"
 
 
 class UnknownVariant(ValueError):
@@ -251,7 +240,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     audits = audit_trajectory(records, consts, cfg.params, mass_w0_sq,
                               v0_range, (v_min_obs, v_max_obs))
     manifest = RunManifest(
-        version=_version(),
+        version=__version__,
         scenario=cfg,
         constants=consts,
         grid_summary={"kind": type(cfg.geometry).__name__.lower(),

@@ -209,6 +209,27 @@ def test_a_sweep_over_a_field_the_kind_lacks_exits_one(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("axis, values, flag, path", [
+    ("geometry", [{"kind": "interval", "n_cells": 40},
+                  {"kind": "radial", "n_cells": 40, "d": 3}],
+     ["--n-cells", "20"], "geometry.n_cells"),
+    ("stepper.dt", [0.01, 0.02], ["--dt", "0.005"], "stepper.dt"),
+])
+def test_a_sweep_flag_an_axis_overrides_exits_one(tmp_path, capsys, axis,
+                                                  values, flag, path):
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps({
+        "base": {"preset": "fig1_right", "variant": "l=14"},
+        "overrides": [{"path": axis, "values": values}]}))
+    out_dir = tmp_path / "sweep_out"
+    argv = ["sweep", str(spec_path), "--out-dir", str(out_dir), *flag,
+            "--t-end", "0.02"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"sets {path!r}, which the sweep axis {axis!r} overrides" in err
+    assert not out_dir.exists()
+
+
 def test_verify_exit_codes(monkeypatch, capsys):
     monkeypatch.setattr(nutaxis.verify, "run_all",
                         lambda seed=0, printer=None: [CheckResult("x", True, "")])

@@ -78,7 +78,7 @@ _SOLVE = ("x = kernels.solve_tridiag(np.full(3, 2.0), np.zeros(2),\n"
 
 def test_import_defers_scipy_to_the_first_solve():
     # and the first solve loads LAPACK without importing scipy.linalg; the
-    # package version is looked up with the first manifest, not on import
+    # package version is a constant, so no import looks up its metadata
     _in_a_fresh_process(
         "import sys\n"
         "import numpy as np\n"
@@ -122,16 +122,21 @@ def test_the_kernel_reuses_the_lapack_of_an_imported_scipy_linalg():
 
 def test_a_run_through_the_heat_tail_never_imports_scipy_linalg():
     # the tail's heat modes call dstemr; the saving of the light loader is
-    # that no part of a run imports scipy.linalg
+    # that no part of a run imports scipy.linalg, and only verify's oracles
+    # import scipy.integrate; the manifest's version needs no metadata
     _in_a_fresh_process(
         "import sys\n"
         "from dataclasses import replace\n"
+        "import nutaxis\n"
         "from nutaxis import preset, run_scenario\n"
         "run = run_scenario(replace(preset('fig1_right', 14), t_end=0.1))\n"
         "man = run.manifest\n"
         "assert man.stats['w_exhausted_t'] is not None, man.stats\n"
         "assert all(a['ok'] for a in man.audits.values()), man.audits\n"
-        "assert 'scipy.linalg' not in sys.modules\n")
+        "assert man.version == nutaxis.__version__, man.version\n"
+        "for name in ('scipy.linalg', 'scipy.integrate',\n"
+        "             'importlib.metadata'):\n"
+        "    assert name not in sys.modules, f'a run loaded {name}'\n")
 
 
 def test_a_missing_lapack_module_raises_import_error(monkeypatch):

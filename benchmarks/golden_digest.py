@@ -46,9 +46,9 @@ A key present on one side only (a config key added or retired) is printed as a
 schema line and does not by itself make ``compare`` exit 1.  For each run
 it also prints the largest relative change over the numeric leaves both
 sides have (``I_end`` and ``min_dt`` included).  Equal digests mean
-bitwise equal final arrays and records.  One ``run`` takes about 12 s on a
-2-vCPU host (11.7, 12.1 and 12.2 s measured), most of it in the two fig3
-presets and ``verify``.
+bitwise equal final arrays and records.  One ``run`` takes about 13 s on a
+2-vCPU host (12.4, 13.0 and 16.6 s measured), most of it in the two fig3
+presets; ``verify`` takes about 1 s of it.
 """
 from __future__ import annotations
 

@@ -38,8 +38,9 @@ u matrix's diffusion part (:func:`heat_modes`), so it is the steps' own
 discrete operator.
 
 A run that starts with ``w0 == 0`` (``w_tail < 0``) never takes the
-tail of step 3 below: it steps the heat flow with SBDF2, which is what
-the heat oracles of :mod:`nutaxis.verify` measure.
+tail of step 3 below: it keeps stepping the heat flow with SBDF2.  The
+temporal heat oracles of :mod:`nutaxis.verify` are what measure those
+steps; its spatial heat oracle takes the exact flow (:func:`heat_evolve`).
 
 A run is bitwise deterministic, and the module constants (such as
 ``MAX_RETRIES``) are read at each use.  The test suite swaps the three

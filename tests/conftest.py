@@ -25,6 +25,15 @@ def preset_runs():
     return runs
 
 
+@pytest.fixture(scope="session")
+def verify_checks():
+    """The ``nutaxis verify`` suite, run once per session: CheckResult by
+    name, in the suite's order."""
+    from nutaxis.verify import run_all
+
+    return {c.name: c for c in run_all(printer=None)}
+
+
 @pytest.fixture(params=["numpy", "loops"])
 def backend(request, monkeypatch):
     """Run the test on the numpy kernel, then on the loop reference."""

@@ -22,7 +22,6 @@ from nutaxis import (
     sign_law_check,
     stabilization_constants,
 )
-from nutaxis.verify import manufactured_convergence, regularization_study
 
 
 def _gate(tag, ok, detail):
@@ -190,19 +189,12 @@ def test_10_heat_gap_constants():
               f"t0 = {t0:.4f}, held beyond t0 = {held}")
 
 
-def test_11_convergence_and_regularization():
-    heat = manufactured_convergence("heat")
-    adv = manufactured_convergence("advection-diffusion")
-    reg = regularization_study()
-    decreasing = all(a > b for a, b in zip(reg.distances, reg.distances[1:]))
-    ok = (heat.spatial_order >= 1.9
-          and heat.temporal["sbdf2"][2] >= 1.9
-          and adv.spatial_order >= 1.9
-          and decreasing)
+def test_11_convergence_and_regularization(verify_checks):
+    names = ("heat_spatial_order", "heat_temporal_order_sbdf2",
+             "transport_spatial_order", "regularization_monotone")
     _gate("C11 second-order convergence; regularization error shrinks with eps",
-          ok, f"spatial {heat.spatial_order:.3f}, temporal "
-              f"{heat.temporal['sbdf2'][2]:.3f}, transport "
-              f"{adv.spatial_order:.3f}, distances {reg.distances}")
+          all(verify_checks[n].ok for n in names),
+          "; ".join(f"{n} {verify_checks[n].detail}" for n in names))
 
 
 def test_extra_dissipation_integral_tapers(preset_runs):

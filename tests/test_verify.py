@@ -1,3 +1,6 @@
+import ast
+import math
+
 import numpy as np
 import pytest
 
@@ -12,28 +15,43 @@ from nutaxis import (
     ode_end_state,
     ode_state,
 )
+from nutaxis import kernels, verify
 from nutaxis.reduced import heat_params
-from nutaxis.verify import (
-    manufactured_convergence,
-    ode_reference,
-    regularization_study,
-    run_all,
-    transport_error,
-)
+from nutaxis.verify import ode_reference, run_all, transport_error
+
+CHECK_NAMES = [
+    "heat_spatial_order", "heat_temporal_order_sbdf2",
+    "heat_starter_local_order", "transport_spatial_order",
+    "transport_zero_data", "regularization_monotone", "regularization_rate",
+    "ode_richardson", "ode_symmetry_bitwise", "ode_frozen_without_nutrient",
+    "sign_law_reference_cases", "jensen_gaussian", "jensen_two_valued",
+    "jensen_constant", "dissipation_nonnegative_random",
+]
 
 
-def test_heat_convergence_report():
-    rep = manufactured_convergence("heat")
-    assert rep.problem == "heat"
-    assert rep.resolutions == (100, 200, 400)
-    assert all(a > b for a, b in zip(rep.errors, rep.errors[1:]))
-    assert rep.spatial_order >= 1.9
-    _, _, order2 = rep.temporal["sbdf2"]
-    dts1, _, order1 = rep.temporal["starter"]
-    assert order2 >= 1.9
-    # one backward-Euler step has a second-order local error
-    assert 1.8 <= order1 <= 2.2
-    assert dts1 == (0.004, 0.002, 0.001)
+def _errors(check):
+    """The errors of an order check's detail ``observed x (errors (...))``."""
+    return ast.literal_eval(check.detail.split("(errors ", 1)[1][:-1])
+
+
+def test_heat_convergence_report(verify_checks):
+    for name in CHECK_NAMES[:3]:
+        errs = _errors(verify_checks[name])
+        assert errs[0] > errs[1] > errs[2], name
+    # the starter's errors are those of one step of dt = 0.004, 0.002, 0.001
+    assert _errors(verify_checks["heat_starter_local_order"]) == tuple(
+        verify._heat_error_temporal(dt, dt) for dt in (0.004, 0.002, 0.001))
+
+
+def test_the_spatial_heat_oracle_takes_no_step(monkeypatch, verify_checks):
+    def no_step(*args):
+        raise AssertionError("a time step was attempted")
+
+    monkeypatch.setattr(kernels, "attempt_step_numpy", no_step)
+    with pytest.raises(AssertionError, match="time step"):
+        verify._heat_error_temporal(0.004, 0.004)
+    assert _errors(verify_checks["heat_spatial_order"]) == tuple(
+        verify._heat_error_spatial(n) for n in (100, 200, 400))
 
 
 @pytest.mark.parametrize("dt", [0.004, 0.002, 0.001])
@@ -49,28 +67,37 @@ def test_a_run_of_one_dt_is_the_starter_alone(dt):
     assert state.t == dt
 
 
-def test_transport_convergence_report():
-    rep = manufactured_convergence("advection-diffusion")
-    assert rep.temporal is None
-    assert all(a > b for a, b in zip(rep.errors, rep.errors[1:]))
-    assert rep.spatial_order >= 1.9
+def test_transport_convergence_report(verify_checks):
+    errs = _errors(verify_checks["transport_spatial_order"])
+    assert errs[0] > errs[1] > errs[2]
 
 
 def test_transport_zero_data_is_exact():
     assert transport_error(100, u0=np.zeros(100)) == 0.0
 
 
-def test_convergence_validation():
-    with pytest.raises(ValueError):
-        manufactured_convergence("stokes")
+def test_regularization_distances_decrease(verify_checks):
+    detail = verify_checks["regularization_monotone"].detail
+    d = ast.literal_eval(detail.removeprefix("distances "))
+    assert len(d) == 3 and d[2] > 0.0
+    assert d[0] > d[1] > d[2]
 
 
-def test_regularization_distances_decrease():
-    rep = regularization_study()
-    assert rep.eps == (1e-1, 1e-2, 1e-3)
-    assert rep.sample_time == 1.0
-    assert all(d > 0.0 for d in rep.distances)
-    assert rep.distances[0] > rep.distances[1] > rep.distances[2]
+@pytest.mark.parametrize("errors", [(1e-2, 0.0, 1e-4), (1e-2, -1e-3, 1e-4),
+                                    (1e-2, math.nan, 1e-4)])
+def test_an_error_that_is_not_positive_has_no_order(errors):
+    assert math.isnan(verify._order((0.01, 0.005, 0.0025), errors))
+
+
+def test_an_oracle_of_zero_errors_fails_its_order_gate(monkeypatch):
+    monkeypatch.setattr(verify, "transport_error", lambda n, u0=None: 0.0)
+    lines = []
+    checks = {c.name: c for c in run_all(printer=lines.append)}
+    assert not checks["transport_spatial_order"].ok
+    assert ("[FAIL] transport_spatial_order: observed nan "
+            "(errors (0.0, 0.0, 0.0))") in lines
+    assert [ln.split(":")[0] for ln in lines] == [
+        f"[{'PASS' if c.ok else 'FAIL'}] {c.name}" for c in checks.values()]
 
 
 def _ode_params(delta=1.0, alpha=2.0):
@@ -95,13 +122,7 @@ def test_closed_form_matches_the_rk4_reference(delta):
     assert mid.w == pytest.approx(ref.w, rel=1e-8)
 
 
-def test_run_all_passes_and_reports():
-    lines = []
-    results = run_all(seed=0, printer=lines.append)
-    assert len(results) == 15
-    assert all(r.ok for r in results), [r for r in results if not r.ok]
-    assert len(lines) == len(results)
-    for line, res in zip(lines, results):
-        assert line.startswith("[PASS] " + res.name + ":")
-    names = [r.name for r in results]
-    assert len(set(names)) == len(names)
+def test_run_all_passes_and_reports(verify_checks):
+    assert list(verify_checks) == CHECK_NAMES
+    assert all(c.ok for c in verify_checks.values()), [
+        c for c in verify_checks.values() if not c.ok]

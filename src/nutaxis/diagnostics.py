@@ -7,10 +7,10 @@ initial data.  `evaluate_records` is the one place the record's functionals
 written.  It takes a block of k states as ``(k, n)`` arrays, so each numpy
 call of a record is paid once per block, and returns the k records; each
 weighted sum is one BLAS ddot per row, so a record is bitwise the same in
-any block.  `run_scenario` evaluates `experiments.RECORD_BLOCK` output
-states at a time, so a NonpositiveField is raised when the block is
-evaluated: stepping may run up to RECORD_BLOCK - 1 output times past the
-offending one first.
+any block.  `run_scenario` evaluates `experiments.RECORD_BLOCK` (64)
+output states at a time, so a NonpositiveField is raised when the block is
+evaluated: stepping may run up to RECORD_BLOCK - 1 (63) output times past
+the offending one first.
 
 `audit_trajectory` holds the run's six audits: the discrete analogues, at
 output resolution, of the a-priori bounds of the continuous system.  Each
@@ -223,8 +223,8 @@ def evaluate_records(ts: Sequence[float], U: np.ndarray, V: np.ndarray,
         require_positive("v", V[row])
         require_nonnegative("w", W[row])
     # the columns are taken one after another, and each (k, n) temporary is
-    # reused or dropped once it is spent: at k = 16, n = 401 this halves
-    # the block's peak allocation, to ~0.26 MB.  An infinite weight
+    # reused or dropped once it is spent: at k = 64, n = 401 this halves
+    # the block's peak allocation, to ~1 MB.  An infinite weight
     # (alpha = 0 in F, kappa = 0 in L) makes its whole column infinite
     ln_u = np.log(U)
     i_val = _index(ln_u, np.log(V), grid)

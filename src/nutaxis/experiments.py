@@ -58,9 +58,9 @@ __all__ = [
 
 # output states per `evaluate_records` block in `run_scenario`: a record is
 # ~40 small numpy calls, whose call overhead a block pays once; at n = 401,
-# 16 rows bring a record from ~90 to ~25 us, and larger blocks add peak
-# memory for little further gain
-RECORD_BLOCK = 16
+# 3460 records took 88.2, 74.5, 65.0 and 73.9 ms in blocks of 16, 32, 64
+# and 128 (~19 us a record at 64), for ~2 MB more peak memory than 16
+RECORD_BLOCK = 64
 
 
 class UnknownVariant(ValueError):
@@ -187,15 +187,16 @@ class RunResult:
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
     """Realize and integrate a scenario; see the module docstring.
 
-    The records are evaluated ``RECORD_BLOCK`` output states at a time
-    (see `diagnostics.evaluate_records`).
+    The records are evaluated ``RECORD_BLOCK`` (64) output states at a
+    time (see `diagnostics.evaluate_records`), each bitwise the record of a
+    one-state block.
 
     Raises:
         ScenarioFailure: wrapping any integrator error, with the scenario
             name in the message and the original exception as the cause.
         NonpositiveField: for the first record state with u or v not > 0
             or w not >= 0 (NaN included), raised when its block is
-            evaluated: up to RECORD_BLOCK - 1 output times past it.
+            evaluated: up to RECORD_BLOCK - 1 (63) output times past it.
     """
     began = time.perf_counter()
     grid = build_grid(cfg.geometry)

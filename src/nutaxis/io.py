@@ -6,7 +6,9 @@ Formats:
   the offending path in the message; a typo in a rate constant must not
   silently produce a differently-parameterized run),
 * ``records.csv`` — one row per output time, header = the DiagnosticsRecord
-  field names, every value printed with 17 significant digits,
+  field names, every value printed with 17 significant digits; each row is
+  one ``"%.17g"`` template ending in ``\\r\\n``, byte-equal to `csv.writer`'s
+  output, and the file is one write,
 * ``manifest.json`` — run manifest; non-finite floats (e.g. an untouched
   min_dt of inf) are written in Python's extended JSON form (``Infinity``),
 * ``sweep_table.csv`` — one row per sweep run.
@@ -48,7 +50,8 @@ import dataclasses
 import json
 import os
 from dataclasses import MISSING
-from typing import Any, Iterable, Mapping, Sequence, get_args, get_type_hints
+from operator import attrgetter
+from typing import Any, Mapping, Sequence, get_args, get_type_hints
 
 from .diagnostics import DiagnosticsRecord, record_fields
 from .experiments import (
@@ -243,20 +246,19 @@ def read_sweep_spec(path: str) -> SweepSpec:
 # artifacts
 # ---------------------------------------------------------------------------
 
-def _write_csv(path: str, names: Sequence[str],
-               rows: Iterable[Iterable[Any]]) -> None:
-    """Header, then rows; floats get 17 significant digits (exact round trip)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in rows:
-            writer.writerow(f"{v:.17g}" if isinstance(v, float) else str(v)
-                            for v in row)
-
-
 def write_records(records: Sequence[DiagnosticsRecord], path: str) -> None:
+    """Header, then one row per record, in one write.
+
+    Each value is ``"%.17g"`` (an exact round trip) and each line ends in
+    ``"\\r\\n"``: the bytes of `csv.writer`, which no record value needs
+    to quote.
+    """
     names = record_fields()
-    _write_csv(path, names, ([getattr(r, k) for k in names] for r in records))
+    row = ",".join(["%.17g"] * len(names)) + "\r\n"
+    values = attrgetter(*names)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("".join([",".join(names) + "\r\n",
+                          *[row % values(r) for r in records]]))
 
 
 def read_records(path: str) -> list[DiagnosticsRecord]:
@@ -290,7 +292,15 @@ def write_run(result: RunResult, out_dir: str) -> tuple[str, str]:
 
 
 def write_sweep_table(rows: Sequence[Mapping[str, Any]], path: str) -> None:
+    """Header, then one row per run; floats get 17 significant digits, and
+    `csv.writer` quotes the error strings that need it."""
     if not rows:
         raise ValueError("no sweep rows to write")
     names = list(rows[0].keys())
-    _write_csv(path, names, ([row.get(k, "") for k in names] for row in rows))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        for row in rows:
+            values = (row.get(k, "") for k in names)
+            writer.writerow(f"{v:.17g}" if isinstance(v, float) else str(v)
+                            for v in values)

@@ -538,15 +538,20 @@ def heat_evolve(modes, mean, coef, tau, out):
     Exact in time: ``out = mean + s^-1 q (exp(tau lam) coef)`` with the
     :func:`heat_modes` ``(lam, q, s)``, summed over the modes from the first
     whose factor ``exp(tau lam)`` has not underflowed to 0 (``lam`` ascends
-    to 0), so a late time costs only the slow modes.  The mean is carried
-    apart from the modes, so the mass ``m . out`` is that of the projected
-    u to roundoff for every ``tau``.  ``out`` is returned.
+    to 0), so a late time costs only the slow modes.  ``exp`` is exactly 0
+    below about -745.13, so the factors are taken only from the first mode
+    with ``tau lam >= -746``.  The mean is carried apart from the modes, so
+    the mass ``m . out`` is that of the projected u to roundoff for every
+    ``tau``.  ``out`` is returned.
     """
     lam, q, s, _, _ = modes
-    c = np.exp(tau * lam)
-    j0 = int(np.argmax(c > 0.0))  # lam[-1] == 0, so c[-1] == 1
-    c *= coef
-    np.dot(q[:, j0:], c[j0:], out=out)
+    x = tau * lam  # ascending, as lam is
+    j = int(np.searchsorted(x, -746.0))  # exp(x[:j]) == 0
+    np.exp(x[j:], out=x[j:])
+    j0 = j + int(np.argmax(x[j:] > 0.0))  # lam[-1] == 0, so exp(x[-1]) == 1
+    c = x[j0:]
+    c *= coef[j0:]
+    np.dot(q[:, j0:], c, out=out)
     out /= s
     out += mean
     return out

@@ -274,11 +274,13 @@ def test_lyapunov_audit_is_vacuous_without_decay_rate():
         "ok": True, "margin": np.inf}
 
 def test_run_scenario_blocks_match_record_chain():
-    # a record count that is not a multiple of the block, so the last
-    # flush after advance holds a partial block
-    cfg = replace(_tiny(), output=OutputSchedule(t_first=1e-3, factor=1.1))
+    # more than two full blocks, so records chain across block boundaries,
+    # and a count that is not a multiple of the block, so the last flush
+    # after advance holds a partial block
+    cfg = replace(_tiny(), output=OutputSchedule(t_first=1e-3, factor=1.02))
     result = run_scenario(cfg)
-    assert len(result.records) % 16 != 0
+    assert len(result.records) > 2 * experiments.RECORD_BLOCK
+    assert len(result.records) % experiments.RECORD_BLOCK != 0
 
     grid = build_grid(cfg.geometry)
     state, _ = init_state(cfg.u0, cfg.v0, cfg.w0, grid)

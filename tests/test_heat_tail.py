@@ -309,6 +309,37 @@ def test_heat_modes_diagonalize_the_operator():
     assert lam[-1] == 0.0 and np.all(np.diff(lam) > 0.0)
 
 
+def _heat_evolve_all_modes(modes, mean, coef, tau, out):
+    # heat_evolve as it was before it skipped the underflowed modes: exp of
+    # every mode's tau * lam, then the first nonzero factor
+    lam, q, s, _, _ = modes
+    c = np.exp(tau * lam)
+    j0 = int(np.argmax(c > 0.0))
+    c *= coef
+    np.dot(q[:, j0:], c[j0:], out=out)
+    out /= s
+    out += mean
+    return out
+
+
+@pytest.mark.parametrize("geometry", [Interval(401), Radial(400, d=3)])
+def test_live_mode_start_is_the_all_mode_flow(geometry):
+    # exp is taken only from the first mode with tau * lam >= -746; the
+    # flow is bitwise that of exp over every mode, up to the time where
+    # only the constant mode is alive
+    grid = build_grid(geometry)
+    u = 0.5 + np.random.default_rng(7).random(grid.n)
+    modes = _modes(grid, 1.0)
+    mean, coef = kernels.heat_project(modes, u)
+    for tau in (0.0, 1e-300, 1e-6, 1e-3, 1.0, 1e3, 1e12):
+        got = kernels.heat_evolve(modes, mean, coef, tau, np.empty(grid.n))
+        want = _heat_evolve_all_modes(modes, mean, coef, tau,
+                                      np.empty(grid.n))
+        assert got.tobytes() == want.tobytes(), tau
+    assert np.searchsorted(1.0 * modes[0], -746.0) > 0  # modes skipped
+    assert np.count_nonzero(np.exp(1e12 * modes[0])) == 1
+
+
 def test_map_matches_fine_sbdf2_on_a_radial_ball(backend):
     grid = build_grid(Radial(32, d=3))
     u0 = 1.0 + np.exp(-20.0 * grid.centers ** 2)

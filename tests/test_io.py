@@ -1,6 +1,8 @@
+import csv
 import json
 import math
 import re
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -139,6 +141,40 @@ def test_records_round_trip_exact(tmp_path):
     header = path.read_text().splitlines()[0]
     assert header.split(",") == record_fields()
     assert len(header.split(",")) == 14
+
+
+def test_records_bytes_equal_csv_writer(tmp_path):
+    # the one-template rows against the csv.writer form they replace, on
+    # the round-trip values plus the non-finite ones and the two sides of
+    # .17g's switch to an exponent
+    values = [math.pi, 1e-250, -1.0 / 3.0, 6.02214076e23, 0.1, 1e308,
+              4.9406564584124654e-324, 2.0, -0.0, 1.25e-3, 7.0, 1.0, 0.0, 3.0,
+              math.inf, -math.inf, math.nan, 1e16, 1e17, -1e17, 9999999999999998.0]
+    values += values[:-len(values) % 14]
+    rows = [values[i:i + 14] for i in range(0, len(values), 14)]
+    records = [DiagnosticsRecord(**dict(zip(record_fields(), row)))
+               for row in rows]
+    path = tmp_path / "records.csv"
+    write_records(records, str(path))
+
+    old = tmp_path / "old.csv"
+    with open(old, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(record_fields())
+        for row in rows:
+            writer.writerow(f"{v:.17g}" for v in row)
+    data = path.read_bytes()
+    assert data == old.read_bytes()
+    assert data.count(b"\r\n") == len(rows) + 1 and data.endswith(b"\r\n")
+    assert b"\n" not in data.replace(b"\r\n", b"")
+    assert {b"inf", b"-inf", b"nan", b"-0", b"10000000000000000",
+            b"1e+17"} <= set(data.replace(b"\r\n", b",").split(b","))
+
+    back = read_records(str(path))
+    for rec, row in zip(back, rows):
+        for got, want in zip(astuple(rec), row):
+            assert (math.isnan(got) if math.isnan(want)
+                    else got.hex() == want.hex())
 
 
 def test_read_records_rejects_foreign_header(tmp_path):
@@ -306,12 +342,16 @@ def test_read_config_rejects_an_infinite_base_step(tmp_path):
 
 def test_write_sweep_table(tmp_path):
     rows = [{"run": 0, "t_end": 0.5, "final_I": -0.25, "error": ""},
-            {"run": 1, "t_end": 1.0, "final_I": 0.125, "error": ""}]
+            {"run": 1, "t_end": 1.0, "final_I": 0.125, "error": ""},
+            {"run": 2, "t_end": 0.1, "final_I": "",
+             "error": 'ValueError: "x", y'}]
     path = tmp_path / "table.csv"
     write_sweep_table(rows, str(path))
     lines = path.read_text().splitlines()
     assert lines[0] == "run,t_end,final_I,error"
     assert lines[1].startswith("0,0.5,-0.25")
+    # an error string with a comma or a quote is quoted
+    assert lines[3] == '2,0.10000000000000001,,"ValueError: ""x"", y"'
     with pytest.raises(ValueError):
         write_sweep_table([], str(path))
 
